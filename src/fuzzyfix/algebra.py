@@ -30,11 +30,10 @@ from .defaults import (
     BISECT_ITERS,
     CLASS_TOL,
     DEFAULT_EPS_GRID,
-    DEFAULT_R_GRID,
     DEFAULT_TAU_RESOLUTION,
     ENDPOINT_CLAMP,
     clamp_positive_grid,
-    clamp_unit_grid,
+    threshold_grid,
 )
 
 
@@ -669,7 +668,7 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     if class_tag in (ClassTag.PSI1, ClassTag.PSI):
         if g.domain is not GaugeDomain.PSI:
             raise DomainError(f"{g.name} is not psi-style")
-        grid = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
+        grid = threshold_grid(r_grid)
         if class_tag is ClassTag.PSI1:
             return _check_psi1(g, grid, tau_resolution)
         return _check_psi(g, grid, tau_resolution)

@@ -26,15 +26,13 @@ from .contractions import (
     psi_contractive_check,
 )
 from .dynamics import picard_orbit, solve_fixed_point
-from .expressions import parse_expression, pretty  # re-exported surface
 from .papersuite import run_all
-from .scenario import SchemaError, load_scenario, parse_grid, parse_scenario
+from .scenario import SchemaError, load_scenario, parse_grid
 from .spaces import axiom_check
 
 REPORT_VERSION = 1
 
-__all__ = ["main", "run_command", "parse_expression", "parse_scenario",
-           "pretty"]
+__all__ = ["main", "run_command"]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -35,13 +35,7 @@ from .algebra import (
     MembershipCertificate,
     class_membership,
 )
-from .defaults import (
-    CLASS_TOL,
-    DEFAULT_R_GRID,
-    DEFAULT_T_GRID,
-    ENDPOINT_CLAMP,
-    clamp_unit_grid,
-)
+from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
 from .spaces import Carrier, FuzzySpace
 
 # Strictness margin for inequalities on sampled continuous carriers;
@@ -140,6 +134,22 @@ class MParams:
             raise DomainError("exponents must be nonnegative")
 
 
+def _blend(space: FuzzySpace, params: MParams, xs, ys, txs, tys,
+           t: float) -> np.ndarray:
+    """Blended comparison values of the pairs (xs, ys) with images (txs, tys).
+
+    Elementwise over scalars or arrays.  Nearness values are raised to their
+    exponents as returned: a 0-d array would take numpy's vectorised power,
+    which can differ in the last bit from the C library power that scalar
+    values get.
+    """
+    fx = space.m(xs, txs, t) ** params.alpha
+    fy = space.m(ys, tys, t) ** params.beta
+    norm = space.tnorm
+    return np.asarray(norm.apply(norm.apply(space.m(xs, ys, t), fx), fy),
+                      dtype=float)
+
+
 def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
             x: float, y: float, t: float) -> float:
     """Blended comparison value at scale t.
@@ -147,13 +157,7 @@ def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
     Combines M(x,y,t) with M(x,Tx,t)^alpha and M(y,Ty,t)^beta through the
     space's t-norm; exponentiation is real-valued inside each factor.
     """
-    if t <= 0:
-        raise DomainError(f"scale t must be positive, got {t!r}")
-    base = space.m_scalar(x, y, t)
-    fx = space.m_scalar(x, T(x), t) ** params.alpha
-    fy = space.m_scalar(y, T(y), t) ** params.beta
-    norm = space.tnorm
-    return float(norm.apply(norm.apply(base, fx), fy))
+    return float(_blend(space, params, x, y, T(x), T(y), t))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +341,8 @@ class _ThresholdIndex:
         return None, witness
 
 
-def _strict_improvement(space: FuzzySpace, T: SelfMap, name: str,
-                        t_grid, xs, ys, txs, tys) -> ConditionVerdict:
+def _strict_improvement(space: FuzzySpace, name: str, t_grid,
+                        xs, ys, txs, tys) -> ConditionVerdict:
     """Condition: nearness strictly improves for distinct pairs at every scale."""
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
     distinct = xs != ys
@@ -371,12 +375,12 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
     """
     if psi.domain is not GaugeDomain.PSI:
         raise DomainError(f"{psi.name} is not psi-style")
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID))
+    grid = scale_grid(t_grid)
     xs, ys, n_base = _carrier_pairs(space.carrier)
     txs = _map_images(T, xs, space.carrier)
     tys = _map_images(T, ys, space.carrier)
 
-    cond1 = _strict_improvement(space, T, "strict-improvement", grid,
+    cond1 = _strict_improvement(space, "strict-improvement", grid,
                                 xs[:n_base], ys[:n_base],
                                 txs[:n_base], tys[:n_base])
     cond2 = ConditionVerdict("gauge-bound", CheckStatus.SATISFIED)
@@ -409,13 +413,13 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     """
     if form not in ("between", "onesided"):
         raise DomainError(f"unknown form {form!r}")
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID))
-    rs = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
+    grid = scale_grid(t_grid)
+    rs = threshold_grid(r_grid)
     xs, ys, n_base = _carrier_pairs(space.carrier)
     txs = _map_images(T, xs, space.carrier)
     tys = _map_images(T, ys, space.carrier)
 
-    cond1 = _strict_improvement(space, T, "strict-improvement", grid,
+    cond1 = _strict_improvement(space, "strict-improvement", grid,
                                 xs[:n_base], ys[:n_base],
                                 txs[:n_base], tys[:n_base])
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
@@ -440,15 +444,6 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
                                 [cond1, cond2], grid, rs)
 
 
-def _m_values_arrays(space: FuzzySpace, T: SelfMap, params: MParams,
-                     xs, ys, txs, tys, t: float) -> np.ndarray:
-    base = np.asarray(space.m(xs, ys, t), dtype=float)
-    fx = np.asarray(space.m(xs, txs, t), dtype=float) ** params.alpha
-    fy = np.asarray(space.m(ys, tys, t), dtype=float) ** params.beta
-    norm = space.tnorm
-    return np.asarray(norm.apply(norm.apply(base, fx), fy), dtype=float)
-
-
 def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                         psi: Optional[Gauge] = None,
                         r_grid: Optional[Sequence[float]] = None,
@@ -462,8 +457,8 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     tightest observed margin; otherwise (ii) searches per (t, r) a pair
     (rho, N) with N up to ``n_cap`` iterate shifts.
     """
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID))
-    rs = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
+    grid = scale_grid(t_grid)
+    rs = threshold_grid(r_grid)
     carrier = space.carrier
     if n_cap is None:
         n_cap = len(carrier.points) if carrier.is_finite else 50
@@ -477,7 +472,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     distinct = bxs != bys
     cond1 = ConditionVerdict("strict-improvement-over-blend", CheckStatus.SATISFIED)
     for t in grid:
-        mv = _m_values_arrays(space, T, params, bxs, bys, btxs, btys, t)
+        mv = _blend(space, params, bxs, bys, btxs, btys, t)
         E = np.asarray(space.m(btxs, btys, t), dtype=float)
         bad = distinct & ~(E > mv + margin)
         if bad.any():
@@ -491,7 +486,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         cond2 = ConditionVerdict("gauge-bound-over-blend", CheckStatus.SATISFIED)
         tightest = math.inf
         for t in grid:
-            mv = _m_values_arrays(space, T, params, xs, ys, txs, tys, t)
+            mv = _blend(space, params, xs, ys, txs, tys, t)
             E = np.asarray(space.m(txs, tys, t), dtype=float)
             bound = _gauge_vals(psi, mv)
             slack = E - bound
@@ -523,7 +518,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         for n in range(n_cap + 1):
             px, py = iterates[n]
             qx, qy = iterates[n + 1]
-            mv = _m_values_arrays(space, T, params, px, py, qx, qy, t)
+            mv = _blend(space, params, px, py, qx, qy, t)
             concl = np.asarray(space.m(qx, qy, t), dtype=float)
             indexes.append(_ThresholdIndex(mv, concl))
         for r in rs:
@@ -627,7 +622,7 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
     if f_kind == "plain":
         F = np.asarray(space.m(xs, ys, t), dtype=float)
     else:
-        F = _m_values_arrays(space, T, params, xs, ys, txs, tys, t)
+        F = _blend(space, params, xs, ys, txs, tys, t)
     env = _make_envelope(F, E)
     cert = class_membership(env, ClassTag.PSI1, r_grid=r_grid) if certify else None
     return EmpiricalGauge(t, f_kind, F, E, env, cert)
@@ -671,8 +666,8 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     scale grid whenever per-scale rho values exist, and certifies the
     per-scale empirical envelope gauges.
     """
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID))
-    rs = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
+    grid = scale_grid(t_grid)
+    rs = threshold_grid(r_grid)
     xs, ys, _ = _carrier_pairs(space.carrier)
     txs = _map_images(T, xs, space.carrier)
     tys = _map_images(T, ys, space.carrier)

@@ -33,9 +33,16 @@ CLASS_TOL = 1e-12
 BISECT_ITERS = 40
 
 
-def clamp_unit_grid(grid) -> tuple[float, ...]:
-    """Clamp grid values into the open interval (0,1)."""
+def scale_grid(t_grid, default=DEFAULT_T_GRID) -> tuple[float, ...]:
+    """The scale grid ``t_grid`` as floats, or ``default`` when it is None."""
+    return tuple(float(t) for t in (default if t_grid is None else t_grid))
+
+
+def threshold_grid(r_grid) -> tuple[float, ...]:
+    """The threshold grid ``r_grid`` (``DEFAULT_R_GRID`` when None), clamped
+    into the open interval (0,1)."""
     lo, hi = ENDPOINT_CLAMP, 1.0 - ENDPOINT_CLAMP
+    grid = DEFAULT_R_GRID if r_grid is None else r_grid
     return tuple(min(max(float(g), lo), hi) for g in grid)
 
 

@@ -16,7 +16,8 @@ about the observed prefix:
   past 1-rho forces next-step nearness past 1-r" over observed pairs,
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
-  on finite carriers.
+  on finite carriers; ``auto`` tries the candidate routes over one orbit,
+  one regularity report and at most one contraction check.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from .contractions import (
     ClassificationReport,
     MParams,
     SelfMap,
+    _blend,
     _ThresholdIndex,
     cm_contractive_check,
     m_contractive_check,
 )
-from .defaults import DEFAULT_R_GRID, DEFAULT_T_GRID, clamp_unit_grid
+from .defaults import scale_grid, threshold_grid
 from .spaces import FuzzySpace
 
 DEFAULT_MAX_LEN = 10000
@@ -98,8 +100,7 @@ class OrbitTrace:
                     t_grid: Optional[Sequence[float]] = None,
                     map_name: str = "prescribed") -> "OrbitTrace":
         """Wrap an explicit sequence (not necessarily a Picard orbit)."""
-        grid = tuple(float(t) for t in
-                     (t_grid if t_grid is not None else DEFAULT_T_GRID))
+        grid = scale_grid(t_grid)
         pts = tuple(float(p) for p in points)
         if not pts:
             raise DomainError("a trace needs at least one point")
@@ -122,8 +123,7 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    grid = tuple(float(t) for t in
-                 (t_grid if t_grid is not None else DEFAULT_T_GRID))
+    grid = scale_grid(t_grid)
     carrier = space.carrier
     if not carrier.contains(x0):
         raise DomainError(f"start point {x0!r} outside the carrier")
@@ -207,14 +207,18 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     """
     if trace.length < 3:
         raise DomainError("regularity needs a trace of length >= 3")
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else trace.t_grid))
+    grid = scale_grid(t_grid, trace.t_grid)
     t_base, i_max = float(e_spec[0]), int(e_spec[1])
     if t_base <= 0 or i_max < 1:
         raise DomainError("scale sequence spec must be positive")
+    # a scale on the trace's grid reads its recorded column, which equals a
+    # scalar evaluation bit for bit
+    column = {t: j for j, t in enumerate(trace.t_grid)}
+    pts = np.array(trace.points)
     plain = {}
     for t in grid:
-        series = np.array([float(space.m(a, b, t)) for a, b in
-                           zip(trace.points[:-1], trace.points[1:])])
+        series = (trace.step_nearness[:, column[t]] if t in column
+                  else np.asarray(space.m(pts[:-1], pts[1:], t), dtype=float))
         plain[t] = _tail_converges_to_zero(1.0 - series, tail_tolerance)
     seq = tuple(t_base / i for i in range(1, i_max + 1))
     a, b = trace.points[-2], trace.points[-1]
@@ -290,8 +294,8 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     """
     if trace.length < 2:
         raise DomainError("the Cauchy check needs a trace of length >= 2")
-    rs = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else trace.t_grid))
+    rs = threshold_grid(r_grid)
+    grid = scale_grid(t_grid, trace.t_grid)
     idx = _cert_indices(trace.length)
     pts = np.array(trace.points)[idx]
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
@@ -336,7 +340,7 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     gaps = tuple(int(m) for m in m_grid)
     if trace.length <= max(gaps):
         raise DomainError("trace shorter than the largest gap")
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else trace.t_grid))
+    grid = scale_grid(t_grid, trace.t_grid)
     pts = np.array(trace.points)
     cert = CauchyCertificate(CauchyKind.G_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              (), grid, m_grid=gaps)
@@ -379,8 +383,8 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
         raise DomainError("m_generalized needs params and the map")
     if trace.length < 3:
         raise DomainError("the criterion needs a trace of length >= 3")
-    rs = clamp_unit_grid(r_grid if r_grid is not None else DEFAULT_R_GRID)
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else trace.t_grid))
+    rs = threshold_grid(r_grid)
+    grid = scale_grid(t_grid, trace.t_grid)
     pts = np.array(trace.points)
     sub = _cert_indices(trace.length - 1)   # pairs need successors
     xi, yi = np.triu_indices(len(sub), k=0)
@@ -394,11 +398,7 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
         if f_kind == "plain":
             F = np.asarray(space.m(xs, ys, t), dtype=float)
         else:
-            base = np.asarray(space.m(xs, ys, t), dtype=float)
-            fx = np.asarray(space.m(xs, nxs, t), dtype=float) ** params.alpha
-            fy = np.asarray(space.m(ys, nys, t), dtype=float) ** params.beta
-            norm = space.tnorm
-            F = np.asarray(norm.apply(norm.apply(base, fx), fy), dtype=float)
+            F = _blend(space, params, xs, ys, nxs, nys, t)
         E = np.asarray(space.m(nxs, nys, t), dtype=float)
         for r in rs:
             found = None
@@ -520,56 +520,54 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
     threshold-implication contraction; ``cm-general`` drops strongness but
     needs uniform regularity at the start point; ``m-final`` uses the
     blended form with a continuous map and (uniform, or plain when strong)
-    regularity.  ``auto`` picks the first route whose audit passes.  When
-    an audit fails the result carries the named failing condition and makes
-    no convergence claim.
+    regularity.  ``auto`` picks the first route whose audit passes; the
+    candidates share one orbit, one regularity report and at most one
+    threshold-implication check.  When an audit fails the result carries
+    the named failing condition and makes no convergence claim.
     """
     cfg = config or SolverConfig()
     route = Route(route)
-    grid = tuple(cfg.t_grid if cfg.t_grid is not None else DEFAULT_T_GRID)
-    rs = tuple(cfg.r_grid if cfg.r_grid is not None else DEFAULT_R_GRID)
+    grid = scale_grid(cfg.t_grid)
+    rs = threshold_grid(cfg.r_grid)
     params = MParams(cfg.alpha, cfg.beta)
 
-    if route is Route.AUTO:
-        for candidate in (Route.CM_STRONG, Route.CM_GENERAL, Route.M_FINAL):
-            result = solve_fixed_point(space, T, x0, candidate, cfg)
-            if result.audit_passed:
-                return result
-        return result
-
-    audit = [AuditItem("declared-complete", bool(cfg.complete))]
     trace = picard_orbit(space, T, x0, cfg.max_len, cfg.stop_tolerance, grid)
-    regularity = None
+    plain_ok = uniform_ok = True      # shorter traces are regular at the start
+    sup_deficit = 0.0
     if trace.length >= 3:
         regularity = regularity_check(space, trace, grid,
                                       (grid[0] if grid else 1.0, cfg.i_max),
                                       cfg.tail_tolerance)
+        plain_ok, uniform_ok = regularity.plain_all, regularity.uniform
+        sup_deficit = regularity.uniform_sup_deficit
 
-    if route is Route.CM_STRONG:
-        audit.append(AuditItem("declared-strong", space.strong))
-        cm = cm_contractive_check(space, T, rs, grid)
-        audit.append(_classification_audit("contraction", cm))
-    elif route is Route.CM_GENERAL:
-        cm = cm_contractive_check(space, T, rs, grid)
-        audit.append(_classification_audit("contraction", cm))
-        uniform = regularity.uniform if regularity else True
-        audit.append(AuditItem("uniform-regularity-at-start", uniform,
-                               {"sup_deficit": regularity.uniform_sup_deficit
-                                if regularity else 0.0}))
-    else:
-        audit.append(AuditItem("map-continuity", T.continuous,
-                               {"source": T.continuity_source}))
-        mc = m_contractive_check(space, T, params, psi=cfg.psi,
-                                 r_grid=rs, t_grid=grid)
-        audit.append(_classification_audit("blended-contraction", mc))
-        if space.strong:
-            reg_ok = regularity.plain_all if regularity else True
-            audit.append(AuditItem("regularity-at-start", reg_ok, None))
+    candidates = ((Route.CM_STRONG, Route.CM_GENERAL, Route.M_FINAL)
+                  if route is Route.AUTO else (route,))
+    cm = None
+    for candidate in candidates:
+        audit = [AuditItem("declared-complete", bool(cfg.complete))]
+        if candidate is Route.M_FINAL:
+            audit.append(AuditItem("map-continuity", T.continuous,
+                                   {"source": T.continuity_source}))
+            mc = m_contractive_check(space, T, params, psi=cfg.psi,
+                                     r_grid=rs, t_grid=grid)
+            audit.append(_classification_audit("blended-contraction", mc))
+            audit.append(AuditItem("regularity-at-start", plain_ok)
+                         if space.strong else
+                         AuditItem("uniform-regularity-at-start", uniform_ok))
         else:
-            reg_ok = regularity.uniform if regularity else True
-            audit.append(AuditItem("uniform-regularity-at-start", reg_ok, None))
-
-    result = FixedPointResult(route, False, audit, trace=trace)
+            if candidate is Route.CM_STRONG:
+                audit.append(AuditItem("declared-strong", space.strong))
+            if cm is None:
+                cm = cm_contractive_check(space, T, rs, grid)
+            audit.append(_classification_audit("contraction", cm))
+            if candidate is Route.CM_GENERAL:
+                audit.append(AuditItem("uniform-regularity-at-start",
+                                       uniform_ok,
+                                       {"sup_deficit": sup_deficit}))
+        result = FixedPointResult(candidate, False, audit, trace=trace)
+        if result.audit_passed:
+            break
     if not result.audit_passed:
         result.diagnosis = f"precondition failed: {result.failing_condition()}"
         return result
@@ -602,5 +600,4 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
         if not result.converged:
             result.diagnosis = ("orbit not yet within stop tolerance; "
                                 "limit estimate reported")
-            result.converged = result.cauchy.holds if result.cauchy else False
     return result

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import AxiomResult, DomainError, TNorm
-from .defaults import DEFAULT_T_GRID
+from .defaults import scale_grid
 
 # Documented stand-in for continuity in t: maximum allowed nearness jump
 # between adjacent refined grid scales.
@@ -315,7 +315,7 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     grid.  The strongness verdict is recorded separately from the declared
     flag.  Deterministic given (seed, t_grid, triple_samples).
     """
-    grid = tuple(float(t) for t in (t_grid if t_grid is not None else DEFAULT_T_GRID))
+    grid = scale_grid(t_grid)
     if any(t <= 0 for t in grid):
         raise DomainError("t grid values must be positive")
     rng = np.random.default_rng(seed)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuzzyfix import dynamics
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.contractions import MParams, cm_contractive_check, self_map, table_map
 from fuzzyfix.dynamics import (
@@ -20,11 +23,13 @@ from fuzzyfix.dynamics import (
     regularity_check,
     solve_fixed_point,
 )
+from fuzzyfix.scenario import load_scenario
 from fuzzyfix.spaces import (
     Carrier,
     exponential_fuzzy_metric,
     metric,
     standard_fuzzy_metric,
+    table_fuzzy_metric,
 )
 
 GRID_1_100 = tuple(float(t) for t in np.logspace(0, 2, 20))
@@ -140,6 +145,52 @@ class TestRegularity:
         trace = OrbitTrace.from_points(quad_space, [0.0, 1.0], GRID_1_100)
         with pytest.raises(DomainError):
             regularity_check(quad_space, trace)
+
+    def test_trace_columns_and_fresh_evaluation_agree(self, ray_space,
+                                                      step_map):
+        orbit = picard_orbit(ray_space, step_map, 0.7, max_len=60,
+                             t_grid=GRID_1_100)
+        # plain-regular at the larger grid scales only, so a misread column
+        # changes the report
+        drift = OrbitTrace.from_points(ray_space, np.linspace(10, 5, 40),
+                                       GRID_1_100)
+        for trace in (orbit, drift):
+            off_grid = OrbitTrace.from_points(ray_space, trace.points,
+                                              (0.5, 150.0))
+            on = regularity_check(ray_space, trace, GRID_1_100, (1.0, 50))
+            off = regularity_check(ray_space, off_grid, GRID_1_100, (1.0, 50))
+            assert on.to_dict() == off.to_dict()
+
+
+_LINE = Carrier.interval(0, 10, 11)
+_TRIANGLE = Carrier.finite([0, 1, 2])
+
+
+# Regularity reads a trace's step-nearness columns in place of scalar
+# evaluations, which is sound only while the two agree bit for bit.
+@pytest.mark.parametrize("space", [
+    standard_fuzzy_metric(_LINE, metric("euclidean")),
+    standard_fuzzy_metric(_LINE, metric("max-jachymski")),
+    exponential_fuzzy_metric(_LINE, metric("euclidean")),
+    exponential_fuzzy_metric(_LINE, metric("max-jachymski")),
+    table_fuzzy_metric(_TRIANGLE, (0.5, 2.0, 8.0),
+                       {(0, 1): (0.3, 0.6, 0.9), (0, 2): (0.2, 0.5, 0.8),
+                        (1, 2): (0.4, 0.7, 0.95)}),
+], ids=lambda space: space.provenance)
+@given(data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_step_nearness_columns_equal_scalar_nearness(space, data):
+    carrier = space.carrier
+    point = (st.sampled_from(carrier.points) if carrier.is_finite
+             else st.floats(carrier.low, carrier.high))
+    points = data.draw(st.lists(point, min_size=2, max_size=10))
+    t_grid = data.draw(st.lists(st.floats(1e-2, 1e2), min_size=1,
+                                max_size=6, unique=True))
+    trace = OrbitTrace.from_points(space, points, t_grid)
+    for j, t in enumerate(trace.t_grid):
+        for n in range(trace.steps):
+            a, b = trace.points[n], trace.points[n + 1]
+            assert trace.step_nearness[n, j] == space.m_scalar(a, b, t)
 
 
 class TestMCauchy:
@@ -324,6 +375,33 @@ class TestSolver:
         result = solve_fixed_point(ray_space, step_map, 0.7, Route.AUTO, cfg)
         assert result.route is Route.CM_STRONG
         assert result.audit_passed
+
+    def test_auto_route_shares_orbit_and_contraction_check(
+            self, quad_space, perm_map, monkeypatch):
+        calls = {"picard_orbit": 0, "cm_contractive_check": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(dynamics, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+        cfg = SolverConfig(t_grid=GRID_1_100, r_grid=SMALL_R, alpha=2, beta=2,
+                           psi=gauge("power:5/7"))
+        auto = solve_fixed_point(quad_space, perm_map, 1, Route.AUTO, cfg)
+        assert calls == {"picard_orbit": 1, "cm_contractive_check": 1}
+        assert auto.route is Route.M_FINAL
+        direct = solve_fixed_point(quad_space, perm_map, 1, Route.M_FINAL, cfg)
+        assert auto.to_dict() == direct.to_dict()
+
+    def test_cauchy_prefix_is_not_convergence(self):
+        sc = load_scenario("ex62")
+        cfg = sc.solver_config()
+        cfg.max_len = 50
+        result = solve_fixed_point(sc.build_space(), sc.build_map(), sc.x0,
+                                   sc.route, cfg)
+        assert result.audit_passed and result.cauchy.holds
+        assert result.converged is False
+        assert result.diagnosis.startswith("orbit not yet within stop tolerance")
 
     def test_incomplete_scenario_fails_audit(self, quad_space, perm_map):
         cfg = SolverConfig(t_grid=GRID_1_100, r_grid=SMALL_R, complete=False,

@@ -169,6 +169,18 @@ class TestCli:
         assert doc["body"]["solution"]["fixed_point"] == 0.0
         assert doc["body"]["solution"]["unique"] is True
 
+    def test_solve_unconverged_prefix_exits_one(self, tmp_path):
+        doc = json.loads(SCENARIO_LIBRARY["ex62"])
+        doc["solver"]["max_len"] = 50
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_command(["solve", "--scenario", str(path), "--format",
+                                 "json-like"])
+        assert code == 1
+        solution = json.loads(out)["body"]["solution"]
+        assert solution["audit_passed"] and not solution["converged"]
+        assert solution["cauchy"]["verdict"] == "holds_on_prefix"
+
     def test_solve_ex63_wrong_route_exits_one(self):
         code, out = run_command(["solve", "--scenario", "ex63", "--route",
                                  "cm-strong", "--format", "json-like",
