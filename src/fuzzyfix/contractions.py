@@ -295,6 +295,16 @@ class _ThresholdIndex:
         self.E = E[order]
         self.order = order
 
+    def restrict(self, keep: np.ndarray) -> "_ThresholdIndex":
+        """The index of the pairs whose sorted positions ``keep`` selects.
+
+        Masking a stable order gives the stable order of the kept pairs, so
+        nothing is re-sorted, and ``order`` still names the original pairs.
+        """
+        sub = object.__new__(type(self))
+        sub.F, sub.E, sub.order = self.F[keep], self.E[keep], self.order[keep]
+        return sub
+
     def search(self, r: float, onesided: bool = False, finite: bool = True):
         """Certify "premise window implies conclusion >= 1-r" at threshold r.
 

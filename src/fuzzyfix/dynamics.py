@@ -13,7 +13,9 @@ about the observed prefix:
 * ``g_cauchy_check`` does the same for fixed index gaps, the weaker
   notion that the harmonic-sums counterexample separates from the former,
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
-  past 1-rho forces next-step nearness past 1-r" over observed pairs,
+  past 1-rho forces next-step nearness past 1-r" over observed pairs;
+  success is monotone in the cut, so the first valid cut is found
+  directly, with one sort per scale,
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
   on finite carriers; ``auto`` tries the candidate routes over one orbit,
@@ -39,7 +41,7 @@ from .contractions import (
     cm_contractive_check,
     m_contractive_check,
 )
-from .defaults import scale_grid, threshold_grid
+from .defaults import CLASS_TOL, scale_grid, threshold_grid
 from .spaces import FuzzySpace
 
 DEFAULT_MAX_LEN = 10000
@@ -301,12 +303,11 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
     n = len(pts)
+    above = np.triu(np.ones((n, n), dtype=bool), k=1)
     for t in grid:
         near = np.asarray(space.m(pts[:, None], pts[None, :], t), dtype=float)
-        iu = np.triu_indices(n, k=1)
+        upper = np.where(above, near, np.inf)
         row_min = np.full(n, np.inf)
-        upper = np.full((n, n), np.inf)
-        upper[iu] = near[iu]
         row_min[:-1] = upper[:-1].min(axis=1)
         # g[k] = worst nearness among pairs fully beyond cut k
         g = np.minimum.accumulate(row_min[::-1])[::-1]
@@ -316,11 +317,11 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
             if valid.size:
                 cert.records.append({"t": t, "r": r, "N": int(idx[valid[0]])})
             else:
-                k = int(np.argmin(upper[iu]))
+                # row-major first occurrence, as over the triangle alone
+                i, j = np.unravel_index(np.argmin(upper), upper.shape)
                 cert.verdict = CauchyVerdict.VIOLATED
-                cert.witness = {"t": t, "r": r, "n": int(idx[iu[0][k]]),
-                                "m": int(idx[iu[1][k]]),
-                                "nearness": float(near[iu][k])}
+                cert.witness = {"t": t, "r": r, "n": int(idx[i]),
+                                "m": int(idx[j]), "nearness": float(near[i, j])}
                 return cert
     return cert
 
@@ -368,25 +369,35 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                            params: Optional[MParams] = None,
                            r_grid: Optional[Sequence[float]] = None,
                            t_grid: Optional[Sequence[float]] = None,
-                           T: Optional[SelfMap] = None) -> CauchyCertificate:
+                           ) -> CauchyCertificate:
     """Certify the pairwise improvement implication along a trace.
 
     For each (t, r) a threshold rho in (r, 1) and a cut N are searched such
     that for all observed indices p, q >= N the blended nearness of
     (x_p, x_q) above 1-rho forces the nearness of (x_{p+1}, x_{q+1}) past
     1-r.  ``f_kind`` selects plain nearness or the blended comparison
-    (``m_generalized`` with ``params`` and the trace's map).
+    (``m_generalized`` with ``params``; successors come from the trace).
+
+    The search fails exactly when the window holds a fatal pair, one whose
+    successors miss 1-r although its premise reaches 1-r (both up to
+    ``CLASS_TOL``); raising the cut only drops pairs, so success is
+    monotone in the cut.  The first valid cut is the first one above every
+    fatal pair's smaller index, found directly from one sorted index per
+    scale.
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
-    if f_kind == "m_generalized" and (params is None or T is None):
-        raise DomainError("m_generalized needs params and the map")
+    if f_kind == "m_generalized" and params is None:
+        raise DomainError("m_generalized needs params")
     if trace.length < 3:
         raise DomainError("the criterion needs a trace of length >= 3")
     rs = threshold_grid(r_grid)
     grid = scale_grid(t_grid, trace.t_grid)
     pts = np.array(trace.points)
     sub = _cert_indices(trace.length - 1)   # pairs need successors
+    # the window beyond a cut must keep at least two indices, so that it
+    # contains a pair of distinct successors
+    cuts = sub[:-1]
     xi, yi = np.triu_indices(len(sub), k=0)
     xi, yi = sub[xi], sub[yi]
     xs, ys = pts[xi], pts[yi]
@@ -400,30 +411,29 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
         E = np.asarray(space.m(nxs, nys, t), dtype=float)
+        index = _ThresholdIndex(F, E)
+        lows = min_idx[index.order]
         for r in rs:
-            found = None
-            witness = None
-            # the window beyond the cut must keep at least two indices, so
-            # that it contains a pair of distinct successors
-            for cut in (c for c in sub if c < sub[-1]):
-                sel = min_idx >= cut
-                index = _ThresholdIndex(F[sel], E[sel])
-                # the implication premise is one-sided: any pair whose blend
-                # clears 1-rho must already improve past 1-r
-                rec, k = index.search(r, onesided=True, finite=True)
-                if rec is not None:
-                    found = {"t": t, "N": int(cut), **rec}
-                    break
-                if witness is None:
-                    orig = np.nonzero(sel)[0][k]
-                    witness = {"t": t, "r": r, "p": int(xi[orig]),
-                               "q": int(yi[orig]), "blend": float(F[orig]),
-                               "next_nearness": float(E[orig])}
-            if found is None:
+            # the implication premise is one-sided: any pair whose blend
+            # clears 1-rho must already improve past 1-r; these are the
+            # float expressions the search itself uses
+            fatal = ((index.E < (1.0 - r) - CLASS_TOL)
+                     & (1.0 - index.F <= r + CLASS_TOL))
+            first = (int(np.searchsorted(cuts, lows[fatal].max(), side="right"))
+                     if fatal.any() else 0)
+            if first == len(cuts):
+                # refuted at every cut: report the witness of the first cut,
+                # whose window holds every pair
+                _, k = index.search(r, onesided=True, finite=True)
                 cert.verdict = CauchyVerdict.VIOLATED
-                cert.witness = witness
+                cert.witness = {"t": t, "r": r, "p": int(xi[k]),
+                                "q": int(yi[k]), "blend": float(F[k]),
+                                "next_nearness": float(E[k])}
                 return cert
-            cert.records.append(found)
+            cut = cuts[first]
+            rec, _ = index.restrict(lows >= cut).search(r, onesided=True,
+                                                        finite=True)
+            cert.records.append({"t": t, "N": int(cut), **rec})
     return cert
 
 

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from fuzzyfix import dynamics
 from fuzzyfix.algebra import DomainError, gauge
-from fuzzyfix.contractions import MParams, cm_contractive_check, self_map, table_map
+from fuzzyfix.contractions import (
+    MParams,
+    _blend,
+    _ThresholdIndex,
+    cm_contractive_check,
+    self_map,
+    table_map,
+)
+from fuzzyfix.defaults import CLASS_TOL, scale_grid, threshold_grid
 from fuzzyfix.dynamics import (
     CauchyVerdict,
     OrbitTrace,
@@ -277,7 +285,7 @@ class TestCauchyCriterion:
     def test_quad_blended_criterion(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
         cert = cauchy_criterion_check(quad_space, trace, "m_generalized",
-                                      params=MParams(2, 2), T=perm_map,
+                                      params=MParams(2, 2),
                                       r_grid=SMALL_R, t_grid=(1.0, 10.0))
         assert cert.holds
 
@@ -297,6 +305,213 @@ class TestCauchyCriterion:
                              w["t"])
         assert blend == pytest.approx(w["blend"], abs=1e-12)
         assert nxt < 1 - w["r"]
+
+
+CRITERION_SPACE = standard_fuzzy_metric(Carrier.interval(0, 10, 101),
+                                        metric("euclidean"))
+CRITERION_T = (0.5, 5.0)
+# clustered values make near pairs with far successors common, so generated
+# traces reach both verdicts
+CLUSTER = (0.0, 0.01, 2.0, 2.01, 5.0)
+
+
+def _reference_criterion(space, trace, f_kind="plain", params=None,
+                         r_grid=None, t_grid=None):
+    """The cut-by-cut scan: a freshly sorted index for every cut."""
+    rs = threshold_grid(r_grid)
+    grid = scale_grid(t_grid, trace.t_grid)
+    pts = np.array(trace.points)
+    sub = dynamics._cert_indices(trace.length - 1)
+    xi, yi = np.triu_indices(len(sub), k=0)
+    xi, yi = sub[xi], sub[yi]
+    xs, ys = pts[xi], pts[yi]
+    nxs, nys = pts[xi + 1], pts[yi + 1]
+    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
+                                      CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
+    min_idx = np.minimum(xi, yi)
+    for t in grid:
+        if f_kind == "plain":
+            F = np.asarray(space.m(xs, ys, t), dtype=float)
+        else:
+            F = _blend(space, params, xs, ys, nxs, nys, t)
+        E = np.asarray(space.m(nxs, nys, t), dtype=float)
+        for r in rs:
+            found = witness = None
+            for cut in (c for c in sub if c < sub[-1]):
+                sel = min_idx >= cut
+                rec, k = _ThresholdIndex(F[sel], E[sel]).search(
+                    r, onesided=True, finite=True)
+                if rec is not None:
+                    found = {"t": t, "N": int(cut), **rec}
+                    break
+                if witness is None:
+                    orig = np.nonzero(sel)[0][k]
+                    witness = {"t": t, "r": r, "p": int(xi[orig]),
+                               "q": int(yi[orig]), "blend": float(F[orig]),
+                               "next_nearness": float(E[orig])}
+            if found is None:
+                cert.verdict = CauchyVerdict.VIOLATED
+                cert.witness = witness
+                return cert
+            cert.records.append(found)
+    return cert
+
+
+def _criterion_points(kind, k, u, v, draws):
+    """Trace families of ``len(draws)`` points: oscillate then settle, random
+    (the draws themselves), settle then oscillate; ``k`` points come first."""
+    n = len(draws)
+    swing = [u if i % 2 == 0 else v for i in range(n)]
+    if kind == "oscillate-settle":
+        return swing[:k] + [v + 2.0 ** -j for j in range(n - k)]
+    if kind == "settle-oscillate":
+        return [u + 2.0 ** -j for j in range(k)] + swing[:n - k]
+    return [float(x) for x in draws]
+
+
+@st.composite
+def criterion_cases(draw):
+    kind = draw(st.sampled_from(("oscillate-settle", "random",
+                                 "settle-oscillate")))
+    n = draw(st.integers(3, 30))
+    k = draw(st.integers(0, n))
+    u, v = draw(st.sampled_from(CLUSTER)), draw(st.sampled_from(CLUSTER))
+    draws = draw(st.lists(st.sampled_from(CLUSTER), min_size=n, max_size=n))
+    points = _criterion_points(kind, k, u, v, draws)
+    f_kind = draw(st.sampled_from(("plain", "m_generalized")))
+    params = draw(st.sampled_from((MParams(0, 0), MParams(1, 2),
+                                   MParams(2, 2))))
+    return points, f_kind, params
+
+
+class TestCriterionCutSearch:
+    def _compare(self, points, f_kind, params):
+        trace = OrbitTrace.from_points(CRITERION_SPACE, points, CRITERION_T)
+        got = cauchy_criterion_check(CRITERION_SPACE, trace, f_kind, params,
+                                     r_grid=SMALL_R)
+        ref = _reference_criterion(CRITERION_SPACE, trace, f_kind, params,
+                                   r_grid=SMALL_R)
+        assert got.to_dict() == ref.to_dict()
+        return got.verdict
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(criterion_cases())
+    def test_matches_cut_by_cut_scan(self, case):
+        self._compare(*case)
+
+    def test_fixed_cases_reach_both_verdicts(self):
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for kind in ("oscillate-settle", "random", "settle-oscillate"):
+            for n in (5, 12, 30):
+                for f_kind, params in (("plain", None),
+                                       ("m_generalized", MParams(2, 2))):
+                    u, v = rng.choice(CLUSTER, 2)
+                    points = _criterion_points(kind, n // 2, u, v,
+                                               rng.choice(CLUSTER, n))
+                    verdicts.add(self._compare(points, f_kind, params))
+        assert verdicts == {CauchyVerdict.HOLDS_ON_PREFIX,
+                            CauchyVerdict.VIOLATED}
+
+    def test_premise_exactly_at_the_tolerance_is_fatal(self):
+        # 1 - f == 0.5 + CLASS_TOL exactly, so the pair (1, 2) is a violator
+        # whose rho sits on the bound, and it survives every cut
+        f = 1.0 - (0.5 + CLASS_TOL)
+        assert 1.0 - f == 0.5 + CLASS_TOL
+        space = table_fuzzy_metric(
+            Carrier.finite([0, 1, 2, 3]), (1.0,),
+            {(0, 1): (0.1,), (0, 2): (0.1,), (0, 3): (0.9,),
+             (1, 2): (f,), (1, 3): (0.9,), (2, 3): (0.3,)})
+        trace = OrbitTrace.from_points(space, [0, 1, 2, 3], (1.0,))
+        got = cauchy_criterion_check(space, trace, r_grid=(0.5,))
+        ref = _reference_criterion(space, trace, r_grid=(0.5,))
+        assert got.to_dict() == ref.to_dict()
+        assert (got.witness["p"], got.witness["q"]) == (1, 2)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(criterion_cases(), st.sampled_from(SMALL_R),
+           st.sampled_from(CRITERION_T))
+    def test_search_success_is_monotone_in_the_cut(self, case, r, t):
+        """A fatal pair refutes every cut at or below min(p, q).
+
+        A fatal pair has premise at or above 1-r (within CLASS_TOL) and a
+        successor nearness below it.  It lies in the window of every cut up
+        to its smaller index, so those cuts fail, and a cut above the
+        smaller index of every fatal pair succeeds: success is monotone.
+        """
+        points, f_kind, params = case
+        trace = OrbitTrace.from_points(CRITERION_SPACE, points, CRITERION_T)
+        pts = np.array(trace.points)
+        sub = dynamics._cert_indices(trace.length - 1)
+        xi, yi = np.triu_indices(len(sub), k=0)
+        xi, yi = sub[xi], sub[yi]
+        if f_kind == "plain":
+            F = CRITERION_SPACE.m(pts[xi], pts[yi], t)
+        else:
+            F = _blend(CRITERION_SPACE, params, pts[xi], pts[yi],
+                       pts[xi + 1], pts[yi + 1], t)
+        F = np.asarray(F, dtype=float)
+        E = np.asarray(CRITERION_SPACE.m(pts[xi + 1], pts[yi + 1], t),
+                       dtype=float)
+        fatal = (E < (1.0 - r) - CLASS_TOL) & (1.0 - F <= r + CLASS_TOL)
+        min_idx = np.minimum(xi, yi)
+        success = []
+        for cut in sub[:-1]:
+            sel = min_idx >= cut
+            rec, _ = _ThresholdIndex(F[sel], E[sel]).search(
+                r, onesided=True, finite=True)
+            success.append(rec is not None)
+            assert success[-1] == (not np.any(fatal & sel))
+        assert success == sorted(success)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=n,
+                 max_size=n),
+        st.lists(st.floats(0, 1), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_restrict_equals_fresh_index(self, arrays):
+        F, E, mask = (np.array(a) for a in arrays)
+        index = _ThresholdIndex(F, E)
+        kept = index.restrict(mask[index.order])
+        fresh = _ThresholdIndex(F[mask], E[mask])
+        assert np.array_equal(kept.F, fresh.F)
+        assert np.array_equal(kept.E, fresh.E)
+        assert np.array_equal(kept.order, np.nonzero(mask)[0][fresh.order])
+
+    def test_one_sorted_index_per_scale_on_adversarial_trace(self,
+                                                             monkeypatch):
+        built = []
+
+        class CountingIndex(_ThresholdIndex):
+            def __init__(self, F, E):
+                built.append(len(F))
+                super().__init__(F, E)
+
+        monkeypatch.setattr(dynamics, "_ThresholdIndex", CountingIndex)
+        # 150 points oscillating a quarter apart, then 50 settling ones
+        points = ([2.0 if i % 2 == 0 else 2.25 for i in range(150)]
+                  + [1.0 / (j + 2) for j in range(50)])
+        sc = load_scenario("ex62")
+        space = sc.build_space()
+        trace = OrbitTrace.from_points(space, points, sc.t_grid)
+        cert = cauchy_criterion_check(space, trace, r_grid=sc.r_grid)
+        assert cert.holds
+        assert len(cert.records) == len(cert.t_grid) * len(cert.r_grid)
+        assert len(built) <= len(cert.t_grid)
+
+    def test_m_cauchy_witness_is_first_tied_minimal_pair(self):
+        # (0, 3) and (1, 2) tie for the least nearness; row-major order over
+        # the upper triangle reaches (0, 3) first, column-major (1, 2)
+        space = table_fuzzy_metric(
+            Carrier.finite([0, 1, 2, 3]), (1.0,),
+            {(0, 1): (0.9,), (0, 2): (0.9,), (0, 3): (0.2,),
+             (1, 2): (0.2,), (1, 3): (0.9,), (2, 3): (0.4,)})
+        trace = OrbitTrace.from_points(space, [0, 1, 2, 3], (1.0,))
+        cert = m_cauchy_check(space, trace, r_grid=(0.5,))
+        assert cert.verdict is CauchyVerdict.VIOLATED
+        assert cert.witness == {"t": 1.0, "r": 0.5, "n": 0, "m": 3,
+                                "nearness": 0.2}
 
 
 class TestContractionTraceInvariants:
