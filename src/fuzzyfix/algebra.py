@@ -10,6 +10,10 @@ The module provides:
 * grid-based class-membership certification for the classes Phi1, Psi,
   Psi1 and the generator family H.
 
+Every gauge evaluates a float to a float and an ndarray elementwise to an
+ndarray, with the same domain checks on both; the class checks make one
+call per sample window.
+
 Membership verdicts are certificates over the tested grid, not proofs:
 the class conditions quantify over uncountable sets, so a ``member``
 verdict only attests that the condition held at every tested grid value,
@@ -19,7 +23,7 @@ while ``non_member`` always carries a concrete violating sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -224,17 +228,26 @@ class GaugeDomain(Enum):
 
 @dataclass(frozen=True)
 class Gauge:
-    """A named real gauge function with a tagged domain."""
+    """A named real gauge function with a tagged domain.  ``fn`` and
+    :meth:`eval` map a float to a float and an ndarray elementwise."""
 
     name: str
     domain: GaugeDomain
-    fn: Callable[[float], float]
-    inverse: Optional[Callable[[float], float]] = None
+    fn: Callable
+    inverse: Optional[Callable] = None
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v):
         return self.eval(v)
 
-    def eval(self, v: float) -> float:
+    def eval(self, v):
+        if isinstance(v, np.ndarray):
+            if self.domain is GaugeDomain.PHI:
+                bad = v < 0.0
+            else:
+                bad = ~((0.0 < v) & (v <= 1.0))    # NaN too, as for a float
+            if bad.any():
+                self.eval(float(v[bad][0]))        # raises the scalar error
+            return np.asarray(self.fn(v), dtype=float)
         if self.domain is GaugeDomain.PHI:
             if v < 0.0:
                 raise DomainError(f"{self.name}: argument {v!r} outside [0,inf)")
@@ -244,7 +257,21 @@ class Gauge:
         return float(self.fn(v))
 
 
-def _step_phi_fn(s: float) -> float:
+
+def _step_phi_fn(s):
+    # The scalar branch stays beside the array one: the phi-step self-map
+    # calls it on every orbit step, where numpy on one float costs about a
+    # hundred times as much.  Both use the same float expressions, bit for bit.
+    if isinstance(s, np.ndarray):
+        # lanes of the special cases compute junk that np.select discards
+        with np.errstate(all="ignore"):
+            n = np.floor(1.0 / s)
+            for _ in range(4):
+                dec = (n > 1) & (s > 1.0 / n)
+                inc = s <= 1.0 / (n + 1)
+                n = n - dec + inc     # dec and inc never both hold
+            return np.select([s == 0.0, s > 1.0, s < 1e-9],
+                             [0.0, 1.0, s / (1.0 + s)], 1.0 / (n + 1))
     if s == 0.0:
         return 0.0
     if s > 1.0:
@@ -265,22 +292,18 @@ def _step_phi_fn(s: float) -> float:
     return 1.0 / (n + 1)
 
 
-def _step_psi_fn(tau: float) -> float:
-    if tau == 1.0:
-        return 1.0
-    if tau < 0.5:
-        return 0.5
-    n = max(int(tau / (1.0 - tau)), 1)
-    # branch n holds n/(n+1) <= tau < (n+1)/(n+2); the estimate is off by
-    # at most one step except at the far end where steps are sub-ulp
-    for _ in range(4):
-        if n > 1 and tau < n / (n + 1.0):
-            n -= 1
-        elif tau >= (n + 1.0) / (n + 2.0):
-            n += 1
-        else:
-            break
-    return (n + 1.0) / (n + 2.0)
+def _step_psi_fn(tau):
+    t = np.asarray(tau, dtype=float)
+    # branch n holds n/(n+1) <= t < (n+1)/(n+2); the estimate is off by at
+    # most one step except at the far end where steps are sub-ulp
+    with np.errstate(all="ignore"):
+        n = np.maximum(np.floor(t / (1.0 - t)), 1.0)
+        for _ in range(4):
+            dec = (n > 1) & (t < n / (n + 1.0))
+            inc = t >= (n + 1.0) / (n + 2.0)
+            n = n - dec + inc     # dec and inc never both hold
+        out = np.select([t == 1.0, t < 0.5], [1.0, 0.5], (n + 1.0) / (n + 2.0))
+    return out if isinstance(tau, np.ndarray) else float(out)
 
 
 def step_phi() -> Gauge:
@@ -310,20 +333,23 @@ def power_phi_gauge(p: float) -> Gauge:
 
 
 def eta_reciprocal() -> Gauge:
-    return Gauge("eta-reciprocal", GaugeDomain.ETA,
-                 lambda t: 1.0 / t - 1.0, inverse=lambda y: 1.0 / (1.0 + y))
+    return replace(eta_reciprocal_t(1.0), name="eta-reciprocal")
 
 
 def eta_reciprocal_t(t: float) -> Gauge:
     if t <= 0:
         raise DomainError("generator scale must be positive")
-    return Gauge(f"eta-reciprocal-t:{t}", GaugeDomain.ETA,
-                 lambda tau: t / tau - t, inverse=lambda y: t / (t + y))
+
+    def fn(tau):
+        with np.errstate(over="ignore"):    # inf near 0, as for a float
+            return t / tau - t
+    return Gauge(f"eta-reciprocal-t:{t}", GaugeDomain.ETA, fn,
+                 inverse=lambda y: t / (t + y))
 
 
 def eta_neglog() -> Gauge:
     return Gauge("eta-neglog", GaugeDomain.ETA,
-                 lambda t: -math.log(t), inverse=lambda y: math.exp(-y))
+                 lambda t: -np.log(t), inverse=lambda y: np.exp(-y))
 
 
 def _parse_number(text: str) -> float:
@@ -362,27 +388,31 @@ def gauge(spec: str) -> Gauge:
     raise DomainError(f"unknown gauge id {spec!r}")
 
 
-def invert_eta(eta: Gauge, y: float, tol: float = 1e-12) -> float:
-    """Invert a generator at ``y >= 0``; analytic when available, else bisection."""
+def invert_eta(eta: Gauge, y, tol: float = 1e-12):
+    """Invert a generator at ``y >= 0``, a float or elementwise an ndarray;
+    analytic when available, else bisection."""
     if eta.domain is not GaugeDomain.ETA:
         raise DomainError(f"{eta.name} is not an eta-style generator")
-    if y < 0:
+    if np.any(y < 0):
         raise DomainError(f"generator values are nonnegative, got {y!r}")
+    array = isinstance(y, np.ndarray)
     if eta.inverse is not None:
-        return float(eta.inverse(y))
-    lo, hi = 1e-15, 1.0
-    flo, fhi = eta.eval(lo), eta.eval(hi)
+        x = eta.inverse(y)
+        return np.asarray(x, dtype=float) if array else float(x)
+    flo, fhi = eta.eval(1e-15), eta.eval(1.0)
     if not flo > fhi:
         raise InversionError(f"{eta.name} is not strictly decreasing on the bracket")
-    if y > flo or y < fhi:
+    if np.any((y > flo) | (y < fhi)):
         raise InversionError(f"value {y!r} outside the bracketed range of {eta.name}")
-    while hi - lo > tol:
+    # one bracket per element; each stops when its own width reaches tol
+    lo, hi = np.full(np.shape(y), 1e-15), np.ones(np.shape(y))
+    while (live := hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
-        if eta.eval(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = eta.eval(mid) > y
+        lo = np.where(live & above, mid, lo)
+        hi = np.where(live & ~above, mid, hi)
+    x = 0.5 * (lo + hi)
+    return x if array else float(x)
 
 
 def conjugate_gauge(eta: Gauge, g: Gauge) -> Gauge:
@@ -394,19 +424,14 @@ def conjugate_gauge(eta: Gauge, g: Gauge) -> Gauge:
     if eta.domain is not GaugeDomain.ETA:
         raise DomainError(f"{eta.name} is not an eta-style generator")
     if g.domain is GaugeDomain.PHI:
-        def fn(tau: float) -> float:
+        def fn(tau):
             return invert_eta(eta, g.eval(eta.eval(tau)))
         return Gauge(f"conj({eta.name},{g.name})", GaugeDomain.PSI, fn)
     if g.domain is GaugeDomain.PSI:
-        def fn(s: float) -> float:
+        def fn(s):
             return eta.eval(g.eval(invert_eta(eta, s)))
         return Gauge(f"conj({eta.name},{g.name})", GaugeDomain.PHI, fn)
     raise DomainError("only phi-style and psi-style gauges can be conjugated")
-
-
-def gauge_eval(g: Gauge, v: float) -> float:
-    """Evaluate a gauge with domain validation."""
-    return g.eval(v)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +454,6 @@ class Verdict(Enum):
 CERTIFICATE_NOTE = ("grid certificate: member verdicts attest only to the "
                     "tested grid and resolution, non-member verdicts carry a "
                     "concrete violating sample")
-
-# Gauges with known discontinuities; the continuity detector is bypassed and
-# the exact jump is reported instead.
-KNOWN_STEP_JUMPS = {"step-psi": 0.5}
 
 
 @dataclass
@@ -477,19 +498,14 @@ def _interval_samples(lo: float, hi: float, resolution: float) -> np.ndarray:
     return lo + (np.arange(k) + 0.5) * (width / k)
 
 
-def _psi1_holds(fn, r: float, rho: float, resolution: float):
-    lo, hi = 1.0 - rho, 1.0 - r
-    for tau in _interval_samples(lo, hi, resolution):
-        if fn(float(tau)) < (1.0 - r) - CLASS_TOL:
-            return False, float(tau)
-    return True, None
+def _psi1_holds(g: Gauge, r: float, rho: float, resolution: float) -> bool:
+    taus = _interval_samples(1.0 - rho, 1.0 - r, resolution)
+    return not (g.eval(taus) < (1.0 - r) - CLASS_TOL).any()
 
 
-def _phi1_holds(fn, eps: float, delta: float, resolution: float):
-    for s in _interval_samples(eps, delta, resolution):
-        if fn(float(s)) > eps + CLASS_TOL:
-            return False, float(s)
-    return True, None
+def _phi1_holds(g: Gauge, eps: float, delta: float, resolution: float) -> bool:
+    return not (g.eval(_interval_samples(eps, delta, resolution))
+                > eps + CLASS_TOL).any()
 
 
 def _bisect_threshold(holds, lo: float, hi: float):
@@ -497,8 +513,7 @@ def _bisect_threshold(holds, lo: float, hi: float):
     best = None
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        ok, _ = holds(mid)
-        if ok:
+        if holds(mid):
             best = mid
             lo = mid
         else:
@@ -506,7 +521,7 @@ def _bisect_threshold(holds, lo: float, hi: float):
     return best
 
 
-def _shrinking_witness(fn, boundary: float, bound: float, resolution: float,
+def _shrinking_witness(g: Gauge, boundary: float, bound: float, resolution: float,
                        above: bool, steps: int = 8):
     """Violating samples in intervals shrinking toward ``boundary``.
 
@@ -520,17 +535,14 @@ def _shrinking_witness(fn, boundary: float, bound: float, resolution: float,
     for k in range(steps):
         w = width * 2.0 ** (-k)
         lo, hi = (boundary - w, boundary) if not above else (boundary, boundary + w)
-        found = None
-        for tau in _interval_samples(lo, hi, resolution):
-            v = fn(float(tau))
-            bad = v < bound - CLASS_TOL if not above else v > bound + CLASS_TOL
-            if bad:
-                found = (float(tau), v)
-                break
-        if found is None:
+        samples = _interval_samples(lo, hi, resolution)
+        vals = g.eval(samples)
+        bad = vals < bound - CLASS_TOL if not above else vals > bound + CLASS_TOL
+        if not bad.any():
             return None
-        taus.append(found[0])
-        values.append(found[1])
+        i = int(bad.argmax())
+        taus.append(float(samples[i]))
+        values.append(float(vals[i]))
     return {"taus": taus, "values": values}
 
 
@@ -541,12 +553,12 @@ def _check_psi1(g: Gauge, grid, resolution: float) -> MembershipCertificate:
         # a certified rho must exceed r by at least the sampling resolution,
         # otherwise any gauge would pass vacuously on a sub-resolution interval
         rho = _bisect_threshold(
-            lambda rho: _psi1_holds(g.eval, r, rho, resolution),
+            lambda rho: _psi1_holds(g, r, rho, resolution),
             min(r + resolution, 1.0 - ENDPOINT_CLAMP), 1.0 - ENDPOINT_CLAMP)
         if rho is not None:
             records.append({"r": r, "rho": rho})
             continue
-        seq = _shrinking_witness(g.eval, 1.0 - r, 1.0 - r, resolution, above=False)
+        seq = _shrinking_witness(g, 1.0 - r, 1.0 - r, resolution, above=False)
         if seq is not None:
             witness = {"r": r, **seq}
             verdict = Verdict.NON_MEMBER
@@ -563,12 +575,12 @@ def _check_phi1(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     for eps in grid:
         hi = eps + max(1.0, eps)
         delta = _bisect_threshold(
-            lambda d: _phi1_holds(g.eval, eps, d, resolution),
+            lambda d: _phi1_holds(g, eps, d, resolution),
             eps + resolution, hi)
         if delta is not None:
             records.append({"epsilon": eps, "delta": delta})
             continue
-        seq = _shrinking_witness(g.eval, eps, eps, resolution, above=True)
+        seq = _shrinking_witness(g, eps, eps, resolution, above=True)
         if seq is not None:
             witness = {"epsilon": eps, **seq}
             verdict = Verdict.NON_MEMBER
@@ -581,7 +593,7 @@ def _check_phi1(g: Gauge, grid, resolution: float) -> MembershipCertificate:
 
 def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     taus = np.arange(resolution, 1.0, resolution)
-    vals = np.array([g.eval(float(t)) for t in taus])
+    vals = g.eval(taus)
     cert = MembershipCertificate(g.name, ClassTag.PSI, Verdict.MEMBER,
                                  tuple(grid), resolution)
 
@@ -603,25 +615,19 @@ def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
                         "value": float(vals[i])}
         return cert
 
-    jump_at = KNOWN_STEP_JUMPS.get(g.name)
-    if jump_at is not None:
-        left = g.eval(jump_at - resolution)
-        cert.verdict = Verdict.NON_MEMBER
-        cert.witness = {"reason": "discontinuity", "tau": jump_at,
-                        "jump": g.eval(jump_at) - left}
-        return cert
-
     # Continuity proxy: a jump must exceed both a global threshold derived
     # from a robust slope estimate and 8x its neighbouring increments.
     slope_est = max(1.0, float(np.median(diffs)) / resolution)
     macro = 10.0 * resolution * slope_est
-    for i in range(1, len(diffs) - 1):
-        d = diffs[i]
-        if d > macro and d > 8.0 * max(diffs[i - 1], diffs[i + 1], resolution):
-            cert.verdict = Verdict.NON_MEMBER
-            cert.witness = {"reason": "discontinuity", "tau": float(taus[i + 1]),
-                            "jump": float(d)}
-            return cert
+    d = diffs[1:-1]
+    neighbours = np.maximum(np.maximum(diffs[:-2], diffs[2:]), resolution)
+    jumps = np.nonzero((d > macro) & (d > 8.0 * neighbours))[0]
+    if jumps.size:
+        i = int(jumps[0]) + 1
+        cert.verdict = Verdict.NON_MEMBER
+        cert.witness = {"reason": "discontinuity", "tau": float(taus[i + 1]),
+                        "jump": float(diffs[i])}
+        return cert
     cert.records = [{"checked": ["nondecreasing", "strictly above identity",
                                  "continuity"]}]
     return cert
@@ -629,7 +635,7 @@ def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
 
 def _check_h(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     taus = np.arange(resolution, 1.0 + resolution / 2, resolution)
-    vals = np.array([g.eval(float(min(t, 1.0))) for t in taus])
+    vals = g.eval(np.minimum(taus, 1.0))
     cert = MembershipCertificate(g.name, ClassTag.H, Verdict.MEMBER,
                                  tuple(grid), resolution)
     inc = np.nonzero(np.diff(vals) >= -CLASS_TOL)[0]

@@ -269,14 +269,13 @@ def _map_images(T: SelfMap, xs: np.ndarray, carrier: Carrier) -> np.ndarray:
     return out
 
 
-def _gauge_vals(g: Gauge, arr: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g.fn(arr), dtype=float)
-        if vals.shape == arr.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([g.eval(float(v)) for v in arr])
+def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
+    """psi at each premise value, with 0 read as the smallest positive double.
+
+    A blend of tiny nearness values can underflow to 0, outside psi's domain;
+    for a nondecreasing psi the bound at that double is the conservative
+    one.  Replaying a witness whose premise is 0 needs the same rule."""
+    return psi.eval(np.maximum(premise, np.nextafter(0.0, 1.0)))
 
 
 # A sample-free premise window narrower than this (in nearness units) is
@@ -352,20 +351,27 @@ class _ThresholdIndex:
 
 
 def _strict_improvement(space: FuzzySpace, name: str, t_grid,
-                        xs, ys, txs, tys) -> ConditionVerdict:
-    """Condition: nearness strictly improves for distinct pairs at every scale."""
+                        xs, ys, txs, tys, premise=None,
+                        key: str = "before") -> ConditionVerdict:
+    """Condition: at every scale, distinct pairs' images are strictly nearer
+    than ``premise(t)`` (default: the pairs' own nearness), which the
+    witness names ``key``, ``before`` or ``blend``."""
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
     distinct = xs != ys
     verdict = ConditionVerdict(name, CheckStatus.SATISFIED)
     for t in t_grid:
-        F = np.asarray(space.m(xs, ys, t), dtype=float)
+        F = (np.asarray(space.m(xs, ys, t), dtype=float) if premise is None
+             else premise(t))
         E = np.asarray(space.m(txs, tys, t), dtype=float)
         bad = distinct & ~(E > F + margin)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             verdict.status = CheckStatus.VIOLATED
+            values = ({"before": float(F[i]), "after": float(E[i])}
+                      if key == "before" else
+                      {"after": float(E[i]), "blend": float(F[i])})
             verdict.witness = {"x": float(xs[i]), "y": float(ys[i]), "t": t,
-                               "before": float(F[i]), "after": float(E[i])}
+                               **values}
             break
     return verdict
 
@@ -397,7 +403,7 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
     for t in grid:
         F = np.asarray(space.m(xs, ys, t), dtype=float)
         E = np.asarray(space.m(txs, tys, t), dtype=float)
-        bound = _gauge_vals(psi, F)
+        bound = _gauge_bound(psi, F)
         bad = E < bound - CLASS_TOL
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
@@ -476,21 +482,11 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     txs = _map_images(T, xs, carrier)
     tys = _map_images(T, ys, carrier)
 
-    margin = 0.0 if carrier.is_finite else STRICT_MARGIN
     bxs, bys = xs[:n_base], ys[:n_base]
     btxs, btys = txs[:n_base], tys[:n_base]
-    distinct = bxs != bys
-    cond1 = ConditionVerdict("strict-improvement-over-blend", CheckStatus.SATISFIED)
-    for t in grid:
-        mv = _blend(space, params, bxs, bys, btxs, btys, t)
-        E = np.asarray(space.m(btxs, btys, t), dtype=float)
-        bad = distinct & ~(E > mv + margin)
-        if bad.any():
-            i = int(np.nonzero(bad)[0][0])
-            cond1.status = CheckStatus.VIOLATED
-            cond1.witness = {"x": float(bxs[i]), "y": float(bys[i]), "t": t,
-                             "after": float(E[i]), "blend": float(mv[i])}
-            break
+    cond1 = _strict_improvement(
+        space, "strict-improvement-over-blend", grid, bxs, bys, btxs, btys,
+        lambda t: _blend(space, params, bxs, bys, btxs, btys, t), key="blend")
 
     if psi is not None:
         cond2 = ConditionVerdict("gauge-bound-over-blend", CheckStatus.SATISFIED)
@@ -498,7 +494,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         for t in grid:
             mv = _blend(space, params, xs, ys, txs, tys, t)
             E = np.asarray(space.m(txs, tys, t), dtype=float)
-            bound = _gauge_vals(psi, mv)
+            bound = _gauge_bound(psi, mv)
             slack = E - bound
             tightest = min(tightest, float(slack.min()))
             bad = slack < -CLASS_TOL
@@ -575,8 +571,7 @@ class EmpiricalGauge:
 
     def dominates_samples(self) -> bool:
         """Each recorded after-value sits on or above the envelope at its before-value."""
-        return all(e >= self.envelope_at(f) - CLASS_TOL
-                   for f, e in zip(self.F, self.E))
+        return bool((self.E >= self.envelope.eval(self.F) - CLASS_TOL).all())
 
     def to_dict(self) -> dict:
         return {"t": self.t, "f_kind": self.f_kind,
@@ -588,14 +583,10 @@ class EmpiricalGauge:
 def _make_envelope(F: np.ndarray, E: np.ndarray) -> Gauge:
     order = np.argsort(F, kind="stable")
     Fs, Es = F[order], E[order]
-    suffix = np.minimum.accumulate(Es[::-1])[::-1]
-
-    def fn(tau: float) -> float:
-        idx = int(np.searchsorted(Fs, tau, side="left"))
-        if idx >= len(Fs):
-            return 1.0  # no observations at or above tau
-        return float(suffix[idx])
-    return Gauge("empirical-envelope", GaugeDomain.PSI, fn)
+    # the appended 1.0 is the value past the last observation
+    values = np.append(np.minimum.accumulate(Es[::-1])[::-1], 1.0)
+    return Gauge("empirical-envelope", GaugeDomain.PSI,
+                 lambda tau: values[np.searchsorted(Fs, tau, side="left")])
 
 
 def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
@@ -736,7 +727,8 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
             "scale-continuum direction is not probed")
 
     for t in grid:
-        emp = extract_empirical_gauge(space, T, "plain", t, r_grid=rs)
-        report.envelope_certs.append({"t": t, "verdict":
-                                      emp.certificate.verdict.value})
+        # the envelope of the samples this scale's index already holds
+        env = _make_envelope(indexes[t].F, indexes[t].E)
+        cert = class_membership(env, ClassTag.PSI1, r_grid=rs)
+        report.envelope_certs.append({"t": t, "verdict": cert.verdict.value})
     return report

@@ -83,7 +83,6 @@ class Carrier:
 class MetricKind(Enum):
     EUCLIDEAN = "euclidean"
     MAX = "max-jachymski"
-    TABLE = "table"
 
 
 def _euclidean(x, y):
@@ -114,23 +113,6 @@ class BaseMetric:
     def max_jachymski(cls) -> "BaseMetric":
         """max(x, y) for distinct points, 0 on the diagonal."""
         return cls(MetricKind.MAX, _max_distinct)
-
-    @classmethod
-    def from_table(cls, points: Sequence[float], table: dict) -> "BaseMetric":
-        """Symmetric distance table keyed by point pairs."""
-        lookup = {}
-        for (a, b), v in table.items():
-            lookup[(float(a), float(b))] = float(v)
-            lookup[(float(b), float(a))] = float(v)
-        for p in points:
-            lookup.setdefault((float(p), float(p)), 0.0)
-
-        def fn(x, y):
-            if np.isscalar(x) and np.isscalar(y):
-                return lookup[(float(x), float(y))]
-            return np.array([lookup[(float(a), float(b))]
-                             for a, b in zip(np.ravel(x), np.ravel(y))])
-        return cls(MetricKind.TABLE, fn)
 
 
 _METRICS = {

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from fuzzyfix.algebra import (
     ClassTag,
     DomainError,
+    Gauge,
     GaugeDomain,
     InversionError,
     Verdict,
+    _step_phi_fn,
+    _step_psi_fn,
     class_membership,
     conjugate_gauge,
     eta_neglog,
     eta_reciprocal,
     eta_reciprocal_t,
     gauge,
-    gauge_eval,
     identity_gauge,
     invert_eta,
     power_gauge,
@@ -111,11 +113,11 @@ class TestTNormAxioms:
 class TestStepGauges:
     def test_step_phi_values(self):
         phi = step_phi()
-        assert gauge_eval(phi, 0.5) == pytest.approx(1 / 3, abs=TOL)
-        assert gauge_eval(phi, 2.0) == 1.0
-        assert gauge_eval(phi, 0.0) == 0.0
-        assert gauge_eval(phi, 1.0) == 0.5
-        assert gauge_eval(phi, 0.3) == pytest.approx(0.25, abs=TOL)
+        assert phi.eval(0.5) == pytest.approx(1 / 3, abs=TOL)
+        assert phi.eval(2.0) == 1.0
+        assert phi.eval(0.0) == 0.0
+        assert phi.eval(1.0) == 0.5
+        assert phi.eval(0.3) == pytest.approx(0.25, abs=TOL)
 
     def test_step_phi_below_current_value(self):
         # phi(s) < s on (0, inf): each branch value is the branch's lower edge
@@ -125,12 +127,12 @@ class TestStepGauges:
 
     def test_step_psi_values(self):
         psi = step_psi()
-        assert gauge_eval(psi, 0.3) == 0.5
-        assert gauge_eval(psi, 1.0) == 1.0
-        assert gauge_eval(psi, 0.5) == pytest.approx(2 / 3, abs=TOL)
-        assert gauge_eval(psi, 2 / 3) == pytest.approx(3 / 4, abs=TOL)
+        assert psi.eval(0.3) == 0.5
+        assert psi.eval(1.0) == 1.0
+        assert psi.eval(0.5) == pytest.approx(2 / 3, abs=TOL)
+        assert psi.eval(2 / 3) == pytest.approx(3 / 4, abs=TOL)
         # 0.94 lies in the branch [15/16, 16/17)
-        assert gauge_eval(psi, 0.94) == pytest.approx(16 / 17, abs=TOL)
+        assert psi.eval(0.94) == pytest.approx(16 / 17, abs=TOL)
 
     def test_step_psi_jump_at_half(self):
         psi = step_psi()
@@ -253,6 +255,11 @@ class TestClassMembership:
         assert w["r"] == 0.5
         for tau, val in zip(w["taus"], w["values"]):
             assert tau < 0.5 and val == tau  # identity stays below the threshold
+        # each shrinking interval (0.5 - w, 0.5) reports its first sample
+        from fuzzyfix.algebra import _interval_samples
+        widths = [0.25 * 2.0 ** -k for k in range(8)]
+        assert w["taus"] == [float(_interval_samples(0.5 - d, 0.5, 1e-4)[0])
+                             for d in widths]
 
     def test_power_gauge_in_psi_and_psi1(self):
         g = power_gauge(5 / 7)
@@ -315,3 +322,179 @@ def test_step_phi_maps_into_range(s):
     assert 0.0 <= v <= 1.0
     if s > 0:
         assert v < s or v == pytest.approx(s)  # equality only at float edges
+
+
+# ---------------------------------------------------------------------------
+# the array contract
+# ---------------------------------------------------------------------------
+
+def _branch_edges() -> list:
+    """Branch edges n/(n+1) and 1/n of the step gauges, each with its two
+    neighbouring doubles, plus 0, 1 and the 1e-9 cut of step-phi."""
+    ns = list(range(1, 300)) + [10 ** k + d for k in range(3, 16) for d in (-1, 0, 1)]
+    edges = [0.0, 1.0, 1e-9, 2.0]
+    for n in ns:
+        for v in (n / (n + 1), 1 / n):
+            edges += [float(np.nextafter(v, 0.0)), v, float(np.nextafter(v, 2.0))]
+    return edges
+
+
+EDGES = _branch_edges()
+
+
+def _step_psi_loop(tau: float) -> float:
+    """step-psi as a per-value loop: (n+1)/(n+2) on n/(n+1) <= tau < (n+1)/(n+2)."""
+    if tau == 1.0:
+        return 1.0
+    if tau < 0.5:
+        return 0.5
+    n = max(int(tau / (1.0 - tau)), 1)
+    for _ in range(4):
+        if n > 1 and tau < n / (n + 1.0):
+            n -= 1
+        elif tau >= (n + 1.0) / (n + 2.0):
+            n += 1
+        else:
+            break
+    return (n + 1.0) / (n + 2.0)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+class TestArrayContract:
+    """``Gauge.eval`` on an ndarray equals per-element scalar evaluation."""
+
+    @pytest.mark.parametrize("fn, ref", [(_step_phi_fn, _step_phi_fn),
+                                         (_step_psi_fn, _step_psi_loop)])
+    def test_step_functions_agree_bit_for_bit_on_edges(self, fn, ref):
+        xs = np.array([v for v in EDGES if fn is _step_phi_fn or 0.0 < v <= 1.0])
+        assert _same_bits(fn(xs), [ref(float(v)) for v in xs])
+
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+                           | st.sampled_from(EDGES), min_size=1, max_size=40))
+    @settings(max_examples=200, derandomize=True)
+    def test_step_phi_branches_agree_bit_for_bit(self, values):
+        xs = np.array(values)
+        assert _same_bits(_step_phi_fn(xs), [_step_phi_fn(v) for v in values])
+
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+                           | st.sampled_from(EDGES[1:]), min_size=1, max_size=40))
+    @settings(max_examples=200, derandomize=True)
+    def test_step_psi_matches_loop_bit_for_bit(self, values):
+        xs = np.array(values)
+        assert _same_bits(_step_psi_fn(xs), [_step_psi_loop(v) for v in values])
+        assert _same_bits([_step_psi_fn(v) for v in values], _step_psi_fn(xs))
+
+    # numpy's vectorised pow, log and exp may differ from the C library's
+    # scalar ones in the last bit, so non-step gauges agree within 4 ulp
+    @pytest.mark.parametrize("gauge_id", [
+        "step-phi", "step-psi", "identity", "power:1/2", "power:5/7",
+        "power-phi:2", "eta-reciprocal", "eta-neglog", "eta-reciprocal-t:2",
+        "conj:eta-reciprocal:step-phi", "conj:eta-neglog:power:5/7",
+        "conj:eta-reciprocal:power-phi:2", "conj:eta-neglog:step-psi"])
+    @given(values=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1,
+                           max_size=30))
+    @settings(max_examples=40, derandomize=True)
+    def test_eval_array_matches_scalar(self, gauge_id, values):
+        g = gauge(gauge_id)
+        xs = np.array(values) * (8.0 if g.domain is GaugeDomain.PHI else 1.0)
+        got = g.eval(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        eps = np.finfo(float).eps
+        for x, v in zip(xs, got):
+            scalar = g.eval(float(x))
+            assert isinstance(scalar, float)
+            assert abs(v - scalar) <= 4 * eps * max(1.0, abs(scalar))
+
+    def test_eval_array_validates_like_scalar(self):
+        for g, bad in ((step_psi(), 0.0), (step_psi(), math.nan),
+                       (power_gauge(0.5), 1.5), (step_phi(), -0.1)):
+            with pytest.raises(DomainError) as scalar_err:
+                g.eval(bad)
+            with pytest.raises(DomainError) as array_err:
+                g.eval(np.array([0.5, bad, 0.7]))
+            assert str(array_err.value) == str(scalar_err.value)
+        # [0, inf) admits NaN, as the scalar test `v < 0` does
+        assert np.isnan(gauge("power-phi:2").eval(np.array([math.nan])))[0]
+
+    def test_bisection_inverse_on_arrays(self):
+        eta = Gauge("custom-eta", GaugeDomain.ETA, lambda t: 1.0 / t - 1.0)
+        ys = np.array([0.0, 0.25, 1.0, 3.0, 99.0])
+        got = invert_eta(eta, ys)
+        assert _same_bits(got, [invert_eta(eta, float(y)) for y in ys])
+        assert got == pytest.approx(1.0 / (1.0 + ys), abs=1e-10)
+
+    def test_conjugate_through_bisection_inverse_runs_on_arrays(self):
+        # eta-reciprocal without its analytic inverse: conjugation bisects
+        seen = []
+
+        def fn(t):
+            seen.append(t.size if isinstance(t, np.ndarray) else float(t))
+            return 1.0 / t - 1.0
+        eta = Gauge("eta-no-inverse", GaugeDomain.ETA, fn)
+        grid = [0.25, 0.5, 0.75]
+        cert = class_membership(conjugate_gauge(eta, step_phi()), ClassTag.PSI1,
+                                r_grid=grid)
+        ref = class_membership(conjugate_gauge(eta_reciprocal(), step_phi()),
+                               ClassTag.PSI1, r_grid=grid)
+        assert cert.is_member and ref.is_member
+        for got, want in zip(cert.records, ref.records):
+            assert got["rho"] == pytest.approx(want["rho"], abs=1e-9)
+        # scalar calls only at the bisection bracket; samples arrive as arrays
+        assert {v for v in seen if isinstance(v, float)} <= {1e-15, 1.0}
+        assert max(v for v in seen if isinstance(v, int)) >= 16
+
+    def test_psi_discontinuity_has_no_per_name_case(self):
+        # the generic detector finds the jump of step-psi under any name
+        renamed = Gauge("renamed-step", GaugeDomain.PSI, step_psi().fn)
+        cert = class_membership(renamed, ClassTag.PSI)
+        assert cert.witness == {"reason": "discontinuity", "tau": 0.5,
+                                "jump": 0.16666666666666663}
+        assert cert.witness == class_membership(step_psi(), ClassTag.PSI).witness
+
+    @pytest.mark.parametrize("resolution", [7e-4, 1.1e-4, 3e-3, 1.1e-2])
+    def test_psi_discontinuity_off_grid_is_first_sample_past_the_jump(
+            self, resolution):
+        # 1/2 is no sample of these grids: the witness is the first sample
+        # above it, and the jump is still 2/3 - 1/2
+        cert = class_membership(step_psi(), ClassTag.PSI,
+                                tau_resolution=resolution)
+        taus = np.arange(resolution, 1.0, resolution)
+        assert 0.5 not in taus
+        assert cert.witness == {"reason": "discontinuity",
+                                "tau": float(taus[taus > 0.5][0]),
+                                "jump": 0.16666666666666663}
+
+
+def _loop_continuity_witness(g, resolution):
+    """The continuity proxy of the psi check as a per-increment loop."""
+    taus = np.arange(resolution, 1.0, resolution)
+    diffs = np.diff(g.eval(taus))
+    macro = 10.0 * resolution * max(1.0, float(np.median(diffs)) / resolution)
+    for i in range(1, len(diffs) - 1):
+        d = diffs[i]
+        if d > macro and d > 8.0 * max(diffs[i - 1], diffs[i + 1], resolution):
+            return {"reason": "discontinuity", "tau": float(taus[i + 1]),
+                    "jump": float(d)}
+    return None
+
+
+@given(jumps=st.lists(st.tuples(st.integers(min_value=495, max_value=505),
+                                st.floats(min_value=1e-4, max_value=0.2)),
+                      max_size=4))
+@settings(max_examples=80, derandomize=True)
+def test_continuity_scan_matches_loop(jumps):
+    # 0.5 + t/2 stays above the identity, and added upward steps keep it
+    # nondecreasing; steps at nearby grid points exercise both neighbours
+    # of the 8x rule
+    res = 1e-3
+
+    def fn(t):
+        steps = sum(size * np.greater_equal(t, k * res) for k, size in jumps)
+        return np.minimum(1.0, 0.5 + 0.5 * t + steps)
+    g = Gauge("stepped", GaugeDomain.PSI, fn)
+    cert = class_membership(g, ClassTag.PSI, tau_resolution=res)
+    assert cert.witness == _loop_continuity_witness(g, res)

@@ -14,11 +14,14 @@ from fuzzyfix.algebra import (
     gauge,
     identity_gauge,
     step_phi,
+    step_psi,
 )
 from fuzzyfix.contractions import (
     CheckStatus,
     MParams,
     PreconditionError,
+    SelfMap,
+    _carrier_pairs,
     cm_contractive_check,
     equivalence_probe,
     extract_empirical_gauge,
@@ -215,6 +218,36 @@ class TestMContractive:
         for rec in report.condition("iterate-threshold-implication").records:
             assert rec["rho"] > rec["r"]
 
+    def test_underflowed_blend_bounded_at_smallest_double(self, quad_space,
+                                                           perm_map):
+        # at t = 0.01 the blend of (0, 1) underflows to 0, outside the
+        # domain (0,1] of step-psi; the bound is read at the smallest double
+        params = MParams(2, 2)
+        assert m_value(quad_space, perm_map, params, 0.0, 1.0, 0.01) == 0.0
+        report = m_contractive_check(quad_space, perm_map, params,
+                                     psi=step_psi(), t_grid=(0.01, 1.0))
+        cond = report.condition("gauge-bound-over-blend")
+        assert cond.status is CheckStatus.VIOLATED
+        w = cond.witness
+        assert (w["x"], w["y"], w["t"], w["bound"]) == (0.0, 1.0, 0.01, 0.5)
+        assert w["bound"] == step_psi().eval(float(np.nextafter(0.0, 1.0)))
+        assert w["after"] == quad_space.m_scalar(0.0, 5.0, 0.01)
+        assert w["after"] < w["bound"]
+
+    def test_strict_improvement_witness_keys(self, quad_space):
+        # identity improves nothing: both strictness conditions fail, each
+        # naming its premise the way reports always have
+        T = self_map("identity")
+        plain = psi_contractive_check(quad_space, T, identity_gauge(), SMALL_T)
+        blend = m_contractive_check(quad_space, T, MParams(1, 1),
+                                    t_grid=SMALL_T, r_grid=SMALL_R)
+        w = plain.condition("strict-improvement").witness
+        assert list(w) == ["x", "y", "t", "before", "after"]
+        assert w["before"] == w["after"]
+        w = blend.condition("strict-improvement-over-blend").witness
+        assert list(w) == ["x", "y", "t", "after", "blend"]
+        assert w["blend"] == w["after"]
+
     def test_zero_exponents_agree_with_onesided_cm(self, quad_space):
         T = self_map("const:0")
         a = m_contractive_check(quad_space, T, MParams(0, 0),
@@ -300,6 +333,22 @@ class TestEquivalenceProbe:
         assert report.uniform_satisfied
         for cert in report.envelope_certs:
             assert cert["verdict"] == "member"
+
+    def test_envelopes_come_from_the_probe_samples(self, ray_space, step_map):
+        images = []
+
+        def counted(x):
+            images.append(x)
+            return step_map(x)
+        report = equivalence_probe(ray_space, SelfMap("counted", counted),
+                                   r_grid=SMALL_R, t_grid=SMALL_T)
+        # each distinct point of the pair sample is mapped once, not per scale
+        xs, ys, _ = _carrier_pairs(ray_space.carrier)
+        assert len(images) == len(np.unique(xs)) + len(np.unique(ys))
+        for entry in report.envelope_certs:
+            emp = extract_empirical_gauge(ray_space, step_map, t=entry["t"],
+                                          r_grid=SMALL_R)
+            assert entry["verdict"] == emp.certificate.verdict.value
 
     def test_decreasing_map_rejected(self, quad_space, perm_map):
         with pytest.raises(PreconditionError) as exc:

@@ -7,7 +7,6 @@ import pytest
 
 from fuzzyfix.algebra import DomainError, TNorm
 from fuzzyfix.spaces import (
-    BaseMetric,
     Carrier,
     axiom_check,
     base_metric_check,
@@ -64,11 +63,6 @@ class TestBaseMetrics:
             for carrier in (quad_carrier, ray_carrier):
                 results = base_metric_check(d, carrier, samples=300, seed=2)
                 assert all(r.passed for r in results), [r.to_dict() for r in results]
-
-    def test_table_metric(self, quad_carrier):
-        d = BaseMetric.from_table([0, 1], {(0, 1): 2.0})
-        assert float(d.eval(1, 0)) == 2.0
-        assert float(d.eval(0, 0)) == 0.0
 
     def test_unknown_metric_id(self):
         with pytest.raises(DomainError):
