@@ -329,7 +329,18 @@ def identity_gauge() -> Gauge:
 def power_phi_gauge(p: float) -> Gauge:
     if p <= 0:
         raise DomainError("power gauge exponent must be positive")
-    return Gauge(f"power-phi:{p}", GaugeDomain.PHI, lambda s: s ** p)
+    name = f"power-phi:{p}"
+
+    def fn(s):
+        # a float power raises OverflowError, numpy's warns and gives inf;
+        # either way no finite value exists, which is a domain error
+        try:
+            with np.errstate(over="raise"):
+                return s ** p
+        except (OverflowError, FloatingPointError):
+            raise DomainError(f"{name}: {float(np.max(s))!r} ** {p} "
+                              f"overflows a float") from None
+    return Gauge(name, GaugeDomain.PHI, fn)
 
 
 def eta_reciprocal() -> Gauge:
@@ -669,8 +680,12 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     checks nondecreasing, strictly-above-identity and a documented
     continuity proxy.  H checks the generator-family shape.
     """
-    if tau_resolution <= 0:
+    if not tau_resolution > 0:
         raise DomainError("tau_resolution must be positive")
+    if len(np.arange(tau_resolution, 1.0, tau_resolution)) < 2:
+        # the checks sample tau on this grid; one sample is no evidence
+        raise DomainError(f"tau_resolution {tau_resolution!r} leaves fewer "
+                          f"than two tau samples in (0, 1)")
     if class_tag in (ClassTag.PSI1, ClassTag.PSI):
         if g.domain is not GaugeDomain.PSI:
             raise DomainError(f"{g.name} is not psi-style")

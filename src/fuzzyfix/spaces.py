@@ -8,6 +8,10 @@ product t-norm, and both satisfying the same-scale triangle inequality
 (the "strong" form).  Custom spaces are given as finite nearness tables
 interpolated linearly in t.
 
+Every nearness function takes scalars or numpy arrays that broadcast
+together and evaluates the whole array in one call; scalar arguments give
+a float.  A table space raises DomainError at a point off its carrier.
+
 ``axiom_check`` certifies the space axioms on sampled triples and records
 the strongness verdict separately from the declared flag.  Continuity in t
 is approximated by a bounded-jump test on a refined scale grid.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -205,44 +210,85 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
                        strong: bool = False) -> FuzzySpace:
     """Space from a finite nearness table over carrier pairs and t nodes.
 
-    ``table`` maps (x, y) to a sequence of nearness values, one per node in
-    ``t_nodes``.  Values are interpolated linearly between nodes and held
-    constant beyond them.  Missing diagonal entries default to 1.
+    ``table`` maps (x, y) to a sequence of finite nearness values, one per
+    node in ``t_nodes``.  Values are interpolated linearly between nodes and
+    held constant beyond them.  Missing diagonal entries default to 1.
+
+    Evaluation takes scalars or arrays that broadcast together and treats a
+    whole array at once: the table is one flat array indexed by (row,
+    column, node), and each call gathers the two bracketing values of every
+    element and interpolates with ``np.interp``'s own float expressions, so
+    each value equals ``np.interp`` on its pair's row bit for bit.  Scalar
+    arguments give a float.  A point off the carrier raises DomainError.
     """
     if not carrier.is_finite:
         raise DomainError("table spaces need a finite carrier")
     nodes = np.array([float(t) for t in t_nodes])
-    if np.any(np.diff(nodes) <= 0) or np.any(nodes <= 0):
-        raise DomainError("t nodes must be positive and increasing")
-    values = {}
+    if not (nodes.size and np.all(nodes > 0) and np.all(np.diff(nodes) > 0)):
+        raise DomainError("t nodes must be nonempty, positive and increasing")
+    points = carrier.points
+    n, k = len(points), len(nodes)
     for (a, b), vs in table.items():
-        vs = tuple(float(v) for v in vs)
-        if len(vs) != len(nodes):
+        if len(vs) != k:
             raise DomainError(f"table entry {(a, b)} has {len(vs)} values, "
-                              f"expected {len(nodes)}")
-        values[(float(a), float(b))] = vs
-        values.setdefault((float(b), float(a)), vs)
-    ones = tuple(1.0 for _ in nodes)
-    for p in carrier.points:
-        values.setdefault((p, p), ones)
-    for a in carrier.points:
-        for b in carrier.points:
-            if (a, b) not in values:
-                raise DomainError(f"table is missing pair ({a}, {b})")
+                              f"expected {k}")
+    given = np.fromiter(chain.from_iterable(table.values()), float,
+                        len(table) * k).reshape(-1, k)
+    finite = np.isfinite(given).all(axis=1)
+    if not finite.all():
+        a, b = list(table)[int(np.argmin(finite))]
+        raise DomainError(f"table entry {(a, b)} has a non-finite value")
+    # (row, column) of each entry on the carrier; entries off it are unused
+    position = {p: i for i, p in enumerate(points)}
+    rc = np.array([(position[float(a)], position[float(b)], e)
+                   for e, (a, b) in enumerate(table)
+                   if float(a) in position and float(b) in position],
+                  dtype=int).reshape(-1, 3)
+    # the diagonal defaults to 1 and (b, a) to the entry (a, b); an entry
+    # given explicitly overrides both.  NaN marks a missing pair.
+    cube = np.full((n, n, k), np.nan)
+    cube[np.arange(n), np.arange(n)] = 1.0
+    cube[rc[:, 1], rc[:, 0]] = given[rc[:, 2]]
+    cube[rc[:, 0], rc[:, 1]] = given[rc[:, 2]]
+    missing = np.isnan(cube[:, :, 0])
+    if missing.any():
+        i, j = divmod(int(np.argmax(missing)), n)
+        raise DomainError(f"table is missing pair ({points[i]}, {points[j]})")
+    pts = np.array(points)
+    flat = cube.ravel()
 
-    def scalar(x, y, t):
-        vs = values[(float(x), float(y))]
-        return float(np.interp(t, nodes, vs))
+    def index(v):
+        v = np.asarray(v, dtype=float)
+        i = np.minimum(np.searchsorted(pts, v), n - 1)
+        off = pts[i] != v
+        if np.any(off):
+            raise DomainError(f"point {float(v[off][0])!r} is not on the "
+                              f"table's carrier")
+        return i
 
     def fn(x, y, t):
+        t_arr = np.asarray(t, dtype=float)
+        base = (index(x) * n + index(y)) * k
+        if k == 1:
+            out = flat[base + np.zeros(t_arr.shape, dtype=int)]
+        else:
+            # as np.interp: tabulated values below the first node, at or
+            # beyond the last and at a node; NaN scales stay NaN
+            j = np.searchsorted(nodes, t_arr, side="right") - 1
+            lo = np.clip(j, 0, k - 2)
+            y0, y1 = flat[base + lo], flat[base + lo + 1]
+            x0 = nodes[lo]
+            with np.errstate(all="ignore"):    # lanes np.where discards
+                slope = (y1 - y0) / (nodes[lo + 1] - x0)
+                out = slope * (t_arr - x0) + y0
+            out = np.where((j < 0) | (t_arr == x0), y0,
+                           np.where(j == k - 1, y1, out))
+            nan = np.isnan(t_arr)
+            if nan.any():
+                out = np.where(nan, t_arr, out)
         if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
-            return scalar(x, y, t)
-        x, y, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                      np.asarray(y, dtype=float),
-                                      np.asarray(t, dtype=float))
-        return np.array([scalar(a, b, s)
-                         for a, b, s in zip(x.ravel(), y.ravel(), t.ravel())
-                         ]).reshape(x.shape)
+            return float(out)
+        return np.asarray(out)
 
     return FuzzySpace(carrier, norm or TNorm.product(), fn, strong=strong,
                       provenance="table")
@@ -285,6 +331,11 @@ class SpaceAxiomReport:
                 "axioms": [r.to_dict() for r in self.results]}
 
 
+def _carrier_sample(pts: np.ndarray, size: int) -> np.ndarray:
+    """Every k-th carrier point, k chosen so that about ``size`` remain."""
+    return pts[:: max(1, len(pts) // min(len(pts), size))]
+
+
 def axiom_check(space: FuzzySpace, triple_samples: int = 500,
                 t_grid: Optional[Sequence[float]] = None, seed: int = 0,
                 tol: float = 1e-12) -> SpaceAxiomReport:
@@ -294,8 +345,9 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     ``tol`` on ``triple_samples`` seeded random triples per grid scale.
     The identity axiom is checked exhaustively over carrier sample pairs.
     Continuity in t is approximated by the bounded-jump test on a refined
-    grid.  The strongness verdict is recorded separately from the declared
-    flag.  Deterministic given (seed, t_grid, triple_samples).
+    grid.  Both pair checks make one nearness call per carrier row.  The
+    strongness verdict is recorded separately from the declared flag.
+    Deterministic given (seed, t_grid, triple_samples).
     """
     grid = scale_grid(t_grid)
     if any(t <= 0 for t in grid):
@@ -345,19 +397,17 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
             ident.witness = {**first_witness(bad, x=pts), "t": t,
                              "reason": "M(x,x,t) != 1"}
     if ident.passed:
-        n_pairs = min(len(pts), 40)
-        sub = pts[:: max(1, len(pts) // n_pairs)]
+        sub = _carrier_sample(pts, 40)
         for x in sub:
-            for y in sub:
-                if x == y:
-                    continue
-                vals = np.asarray(space.m(float(x), float(y), ts), dtype=float)
-                if np.all(np.abs(vals - 1.0) <= tol):
-                    ident.passed = False
-                    ident.witness = {"x": float(x), "y": float(y),
-                                     "reason": "M(x,y,.) = 1 with x != y"}
-                    break
-            if not ident.passed:
+            others = sub[sub != x]
+            vals = np.asarray(space.m(x, others[:, None], ts[None, :]),
+                              dtype=float)
+            all_one = np.all(np.abs(vals - 1.0) <= tol, axis=1)
+            if all_one.any():
+                ident.passed = False
+                ident.witness = {"x": float(x),
+                                 "y": float(others[np.argmax(all_one)]),
+                                 "reason": "M(x,y,.) = 1 with x != y"}
                 break
 
     # triangle across scales and the same-scale strong form
@@ -389,21 +439,20 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
         refined.extend(float(v) for v in np.linspace(a, b, T_REFINE + 1)[:-1])
     refined.append(grid[-1])
     refined = np.array(refined)
-    n_pairs = min(len(pts), 30)
-    sub = pts[:: max(1, len(pts) // n_pairs)]
+    sub = _carrier_sample(pts, 30)
     for x in sub:
-        for y in sub:
-            vals = np.asarray(space.m(float(x), float(y), refined), dtype=float)
-            jumps = np.abs(np.diff(vals))
-            if cont.passed and np.any(jumps > T_CONTINUITY_JUMP_TOL):
-                i = int(np.argmax(jumps))
-                cont.passed = False
-                cont.witness = {"x": float(x), "y": float(y),
-                                "t": float(refined[i]),
-                                "t_next": float(refined[i + 1]),
-                                "jump": float(jumps[i])}
-                break
-        if not cont.passed:
+        vals = np.asarray(space.m(x, sub[:, None], refined[None, :]),
+                          dtype=float)
+        jumps = np.abs(np.diff(vals, axis=1))
+        bad = np.any(jumps > T_CONTINUITY_JUMP_TOL, axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            i = int(np.argmax(jumps[r]))
+            cont.passed = False
+            cont.witness = {"x": float(x), "y": float(sub[r]),
+                            "t": float(refined[i]),
+                            "t_next": float(refined[i + 1]),
+                            "jump": float(jumps[r, i])}
             break
 
     report.results = [pos, ident, sym, cont, tri, strong]

@@ -292,6 +292,23 @@ class TestClassMembership:
         psi_c = conjugate_gauge(eta_reciprocal(), step_phi())
         assert class_membership(psi_c, ClassTag.PSI1).is_member
 
+    @pytest.mark.parametrize("resolution", [0.5, 0.7, 2.0, math.nan])
+    @pytest.mark.parametrize("g, tag", [(step_psi(), ClassTag.PSI),
+                                        (power_gauge(5 / 7), ClassTag.PSI1),
+                                        (step_phi(), ClassTag.PHI1),
+                                        (eta_neglog(), ClassTag.H)])
+    def test_tau_grid_of_fewer_than_two_samples_raises(self, g, tag,
+                                                       resolution):
+        # one tau sample or none is no evidence for any verdict
+        with pytest.raises(DomainError, match="tau_resolution"):
+            class_membership(g, tag, tau_resolution=resolution)
+
+    def test_two_tau_samples_suffice(self):
+        assert len(np.arange(0.45, 1.0, 0.45)) == 2
+        cert = class_membership(power_gauge(5 / 7), ClassTag.PSI,
+                                tau_resolution=0.45)
+        assert cert.is_member
+
     def test_domain_mismatch_raises(self):
         with pytest.raises(DomainError):
             class_membership(step_phi(), ClassTag.PSI1)
@@ -419,6 +436,13 @@ class TestArrayContract:
             assert str(array_err.value) == str(scalar_err.value)
         # [0, inf) admits NaN, as the scalar test `v < 0` does
         assert np.isnan(gauge("power-phi:2").eval(np.array([math.nan])))[0]
+
+    def test_power_phi_overflow_raises_domain_error(self):
+        g = gauge("power-phi:2")
+        for bad in (1e200, np.array([1.0, 1e200])):
+            with pytest.raises(DomainError, match=r"1e\+200 \*\* 2.0 overflows"):
+                g.eval(bad)
+        assert g.eval(1e150) == 1e150 ** 2
 
     def test_bisection_inverse_on_arrays(self):
         eta = Gauge("custom-eta", GaugeDomain.ETA, lambda t: 1.0 / t - 1.0)

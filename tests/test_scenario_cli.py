@@ -234,6 +234,28 @@ class TestCli:
         assert code == 2
         assert "schema error" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["gauge", "--gauge", "power-phi:2", "--eval", "1e200"],
+        ["gauge", "--gauge", "step-psi", "--tolerance", "2"]])
+    def test_gauge_domain_errors_exit_two(self, argv):
+        code, out = run_command(argv)
+        assert code == 2
+        assert out.startswith("error: ")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_table_value_exits_two(self, tmp_path, bad):
+        table = tmp_path / "nearness.json"
+        table.write_text(json.dumps({
+            "t_nodes": [1.0, 2.0],
+            "entries": [{"x": 0, "y": 1, "values": [0.4, bad]}]}))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "finite", "points": [0, 1]},
+                      "fuzzy": f"table:{table}"}}))
+        code, out = run_command(["check-space", "--scenario", str(path)])
+        assert code == 2
+        assert out == "error: table entry (0, 1) has a non-finite value\n"
+
     def test_usage_error_exit_two(self, capsys):
         code, _ = run_command(["classify-map", "--route", "bogus"])
         assert code == 2

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzyfix.algebra import DomainError, TNorm
+from fuzzyfix.algebra import AxiomResult, DomainError, TNorm
+from fuzzyfix.defaults import scale_grid
 from fuzzyfix.spaces import (
+    T_CONTINUITY_JUMP_TOL,
+    T_REFINE,
     Carrier,
+    FuzzySpace,
     axiom_check,
     base_metric_check,
     exponential_fuzzy_metric,
@@ -184,3 +190,228 @@ class TestTableSpace:
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0], {(0, 1): [0.5]})
         assert space.m_scalar(1, 1, 2.0) == 1.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_given_entries_override_the_defaults(self, order):
+        # (b, a) defaults to the entry (a, b) and the diagonal to 1, unless
+        # given; entries off the carrier are unused
+        entries = [((0, 1), [0.4]), ((1, 0), [0.6]), ((1, 1), [0.9]),
+                   ((0, 2), [0.3]), ((0, 7), [0.1])]
+        space = table_fuzzy_metric(Carrier.finite([0, 1, 2]), [1.0],
+                                   dict(entries[::order]) | {(1, 2): [0.2]})
+        got = {(x, y): space.m_scalar(x, y, 1.0)
+               for x in (0, 1, 2) for y in (0, 1, 2)}
+        assert got == {(0, 0): 1.0, (0, 1): 0.4, (0, 2): 0.3,
+                       (1, 0): 0.6, (1, 1): 0.9, (1, 2): 0.2,
+                       (2, 0): 0.3, (2, 1): 0.2, (2, 2): 1.0}
+
+    def test_off_carrier_point_raises(self):
+        carrier = Carrier.finite([0, 1])
+        space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [0.4, 0.8]})
+        for x, y in ((0.5, 1.0), (0.0, math.nan)):
+            with pytest.raises(DomainError, match="not on the table's carrier"):
+                space.m_scalar(x, y, 2.0)
+        with pytest.raises(DomainError, match="point 7.0 is not"):
+            space.m(np.array([0.0, 7.0]), 1.0, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        carrier = Carrier.finite([0, 1])
+        with pytest.raises(DomainError, match="non-finite"):
+            table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [0.4, bad]})
+
+    def test_out_of_range_values_accepted_for_the_axiom_check(self):
+        carrier = Carrier.finite([0, 1])
+        space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [-0.5, 1.5]})
+        assert space.m_scalar(0, 1, 2.0) == 0.5
+        assert not axiom_check(space, triple_samples=50).passed
+
+    def test_nodes_must_be_positive_increasing(self):
+        carrier = Carrier.finite([0, 1])
+        for nodes in ([], [2.0, 1.0], [0.0, 1.0], [1.0, math.nan]):
+            with pytest.raises(DomainError, match="t nodes"):
+                table_fuzzy_metric(carrier, nodes,
+                                   {(0, 1): [0.5] * len(nodes)})
+
+
+def _interp_reference(table, nodes, x, y, t):
+    """Nearness of one element by np.interp on its pair's row."""
+    row = table.get((x, y), table.get((y, x)))
+    if row is None:
+        row = [1.0] * len(nodes)
+    return float(np.interp(t, nodes, row))
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+@st.composite
+def _tables(draw):
+    nodes = sorted(draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                                 min_size=1, max_size=12, unique=True)))
+    value = st.floats(min_value=-2.0, max_value=2.0)
+    table = {(x, y): draw(st.lists(value, min_size=len(nodes),
+                                   max_size=len(nodes)))
+             for x, y in ((0.0, 1.0), (0.0, 2.5), (1.0, 2.5))}
+    inside = st.floats(min_value=nodes[0], max_value=nodes[-1])
+    ts = [v for n in nodes for v in (n, np.nextafter(n, 0.0),
+                                     np.nextafter(n, math.inf))]
+    ts += [nodes[0] / 2, np.nextafter(nodes[0], 0.0) / 2, nodes[-1] * 2]
+    ts += draw(st.lists(inside, max_size=6))
+    return nodes, table, np.array(ts)
+
+
+@given(_tables())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_table_nearness_matches_interp_bit_for_bit(drawn):
+    nodes, table, ts = drawn
+    pts = (0.0, 1.0, 2.5)
+    space = table_fuzzy_metric(Carrier.finite(pts), nodes, table)
+    others = np.array(pts)
+    for x in pts:
+        want = [[_interp_reference(table, nodes, x, y, t) for t in ts]
+                for y in pts]
+        got = space.m(x, others[:, None], ts[None, :])
+        assert got.shape == (len(pts), len(ts))
+        assert _same_bits(got, want)
+        for y in pts:
+            for t in ts[:: max(1, len(ts) // 8)]:
+                scalar = space.m(x, y, float(t))
+                assert type(scalar) is float
+                zero_d = space.m(np.array(x), np.array(y), np.array(t))
+                assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+                want = _interp_reference(table, nodes, x, y, float(t))
+                assert _same_bits(scalar, want) and _same_bits(zero_d, want)
+
+
+def _pair_loop_results(space, t_grid=None, tol=1e-12):
+    """The identity and t-continuity checks of axiom_check as the per-pair
+    loops that evaluated one carrier pair per nearness call."""
+    grid = scale_grid(t_grid)
+    ts = np.array(grid)
+    pts = np.array(space.carrier.points)
+    ident = AxiomResult("identity-of-indiscernibles", True)
+    cont = AxiomResult("t-continuity", True)
+    for t in grid:
+        mxx = np.asarray(space.m(pts, pts, t), dtype=float)
+        bad = np.abs(mxx - 1.0) > tol
+        if ident.passed and bad.any():
+            ident.passed = False
+            ident.witness = {"x": float(pts[np.argmax(bad)]), "t": t,
+                             "reason": "M(x,x,t) != 1"}
+    if ident.passed:
+        sub = pts[:: max(1, len(pts) // min(len(pts), 40))]
+        for x in sub:
+            for y in sub:
+                if x == y:
+                    continue
+                vals = np.asarray(space.m(float(x), float(y), ts), dtype=float)
+                if np.all(np.abs(vals - 1.0) <= tol):
+                    ident.passed = False
+                    ident.witness = {"x": float(x), "y": float(y),
+                                     "reason": "M(x,y,.) = 1 with x != y"}
+                    break
+            if not ident.passed:
+                break
+    refined = []
+    for a, b in zip(grid[:-1], grid[1:]):
+        refined.extend(float(v) for v in np.linspace(a, b, T_REFINE + 1)[:-1])
+    refined.append(grid[-1])
+    refined = np.array(refined)
+    sub = pts[:: max(1, len(pts) // min(len(pts), 30))]
+    for x in sub:
+        for y in sub:
+            vals = np.asarray(space.m(float(x), float(y), refined), dtype=float)
+            jumps = np.abs(np.diff(vals))
+            if np.any(jumps > T_CONTINUITY_JUMP_TOL):
+                i = int(np.argmax(jumps))
+                cont.passed = False
+                cont.witness = {"x": float(x), "y": float(y),
+                                "t": float(refined[i]),
+                                "t_next": float(refined[i + 1]),
+                                "jump": float(jumps[i])}
+                break
+        if not cont.passed:
+            break
+    return ident, cont
+
+
+def _exp_table(n_points: int, nodes=tuple(np.geomspace(0.05, 50.0, 9))):
+    """exp(-|x-y|/t) tabulated on points k/64, as the benchmark builds it."""
+    pts = [k / 64.0 for k in range(n_points)]
+    table = {(x, y): [math.exp(-abs(x - y) / t) for t in nodes]
+             for n, x in enumerate(pts) for y in pts[n + 1:]}
+    return table_fuzzy_metric(Carrier.finite(pts), nodes, table, strong=True)
+
+
+def _jump_table():
+    # M jumps by 0.7 between t = 1 and t = 1.01 on (0, 2), (0, 5) and
+    # (1, 2); the old row-major loop met (0, 2) first
+    nodes = [1.0, 1.01, 5.0]
+    table = {(x, y): [0.5, 0.51, 0.52] for x, y in ((0, 1), (1, 5), (2, 5))}
+    for pair in ((0, 2), (0, 5), (1, 2)):
+        table[pair] = [0.2, 0.9, 0.95]
+    return table_fuzzy_metric(Carrier.finite([0, 1, 2, 5]), nodes, table)
+
+
+def _flat_table():
+    # M(x, y, .) = 1 on (1, 2), (1, 5) and (2, 5); the first in row-major
+    # order is (1, 2)
+    table = {(x, y): [0.5, 0.7] for x, y in ((0, 1), (0, 2), (0, 5))}
+    for pair in ((1, 2), (1, 5), (2, 5)):
+        table[pair] = [1.0, 1.0]
+    return table_fuzzy_metric(Carrier.finite([0, 1, 2, 5]), [1.0, 2.0], table)
+
+
+_ROW_CASES = {
+    "t-jump table": (_jump_table, [0.5, 1.0, 2.0, 4.0]),
+    "flat table": (_flat_table, None),
+    "48-point table": (lambda: _exp_table(48), None),
+    "standard euclidean": (lambda: standard_fuzzy_metric(
+        Carrier.interval(0.0, 10.0, 201), metric("euclidean")), None),
+    "standard max": (lambda: standard_fuzzy_metric(
+        Carrier.interval(0.0, 10.0, 201), metric("max-jachymski")), None),
+    "exp euclidean": (lambda: exponential_fuzzy_metric(
+        Carrier.finite([0, 1, 2, 5]), metric("euclidean")), [0.01, 0.1, 1.0]),
+    "exp max": (lambda: exponential_fuzzy_metric(
+        Carrier.interval(0.0, 3.0, 61), metric("max-jachymski")), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_CASES))
+def test_row_checks_match_pair_loops(case):
+    build, t_grid = _ROW_CASES[case]
+    space = build()
+    got = axiom_check(space, triple_samples=100, t_grid=t_grid,
+                      seed=3).to_dict()
+    ident, cont = _pair_loop_results(space, t_grid)
+    loops = {r.name: r.to_dict() for r in (ident, cont)}
+    assert [loops.get(a["name"], a) for a in got["axioms"]] == got["axioms"]
+    if case == "t-jump table":
+        assert cont.witness["x"] == 0.0 and cont.witness["y"] == 2.0
+    if case == "flat table":
+        assert ident.witness == {"x": 1.0, "y": 2.0,
+                                 "reason": "M(x,y,.) = 1 with x != y"}
+
+
+@pytest.mark.parametrize("t_grid", [None, list(np.logspace(-2.0, 2.0, 80))])
+def test_axiom_check_calls_scale_with_rows_not_pairs(monkeypatch, t_grid):
+    space = _exp_table(48)
+    calls = []
+    real_m = FuzzySpace.m
+
+    def counting_m(self, x, y, t):
+        calls.append(np.broadcast_shapes(np.shape(x), np.shape(y),
+                                         np.shape(t)))
+        return real_m(self, x, y, t)
+    monkeypatch.setattr(FuzzySpace, "m", counting_m)
+    report = axiom_check(space, triple_samples=50, t_grid=t_grid)
+    assert report.passed and report.strong_verdict
+    g = len(scale_grid(t_grid))
+    # per grid scale: positivity and symmetry 2, diagonal 1, strong form 3;
+    # the triangle 3; one call per carrier row for identity and continuity
+    assert len(calls) == 6 * g + 3 + 48 + 48
+    assert calls.count((47, g)) == 48
+    assert calls.count((48, 4 * (g - 1) + 1)) == 48
