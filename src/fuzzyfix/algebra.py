@@ -364,9 +364,14 @@ def eta_neglog() -> Gauge:
 
 
 def _parse_number(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    """A finite number given as a decimal or a fraction such as ``5/7``."""
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"number {text!r} is not finite")
+    return value
 
 
 def gauge(spec: str) -> Gauge:

@@ -97,21 +97,17 @@ _DEFAULT_TAGS = {GaugeDomain.PSI: (ClassTag.PSI, ClassTag.PSI1),
 
 def _grids(args, scenario):
     errors: list = []
-    if args.t_grid is not None:
-        spec = args.t_grid if ":" in args.t_grid or args.t_grid == "default" \
-            else [float(v) for v in args.t_grid.split(",")]
-        t_grid = parse_grid(spec, "t", "--t-grid", errors)
-    else:
-        t_grid = scenario.t_grid if scenario else parse_grid(None, "t", "", [])
-    if args.r_grid is not None:
-        spec = args.r_grid if ":" in args.r_grid or args.r_grid == "default" \
-            else [float(v) for v in args.r_grid.split(",")]
-        r_grid = parse_grid(spec, "r", "--r-grid", errors)
-    else:
-        r_grid = scenario.r_grid if scenario else parse_grid(None, "r", "", [])
+    grids = []
+    for kind, spec in (("t", args.t_grid), ("r", args.r_grid)):
+        if spec is None and scenario is not None:
+            grids.append(scenario.t_grid if kind == "t" else scenario.r_grid)
+            continue
+        if spec is not None and ":" not in spec and spec != "default":
+            spec = spec.split(",")     # parse_grid reports bad entries
+        grids.append(parse_grid(spec, kind, f"--{kind}-grid", errors))
     if errors:
         raise SchemaError(errors)
-    return t_grid, r_grid
+    return tuple(grids)
 
 
 def _cmd_check_space(args, scenario):

@@ -12,6 +12,9 @@ Checks provided, each over explicit scale and threshold grids:
   (before, after) nearness samples, with class certification,
 * an equivalence probe relating the uniform-in-t and per-t variants.
 
+Self-maps take floats or whole arrays; every check maps its pair sample
+with one call per coordinate.
+
 All verdicts carry re-checkable witnesses.  A threshold search accepts a
 rho only when some sampled pair actually lies in the premise window (or
 no pair lies below the target threshold at all); this keeps sampled
@@ -33,13 +36,17 @@ from .algebra import (
     Gauge,
     GaugeDomain,
     MembershipCertificate,
+    _parse_number,
+    _step_phi_fn,
     class_membership,
 )
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
+from .expressions import ExpressionError, evaluate, parse_expression
 from .spaces import Carrier, FuzzySpace
 
-# Strictness margin for inequalities on sampled continuous carriers;
-# finite carriers compare exactly.
+# Strictness margin on sampled continuous carriers, relative because small
+# scales put nearness far below any absolute margin: E > F + STRICT_MARGIN * F.
+# Finite carriers compare exactly.
 STRICT_MARGIN = 1e-12
 
 
@@ -57,22 +64,46 @@ class PreconditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A self-map of a carrier with a declared continuity flag."""
+    """A self-map of a carrier with a declared continuity flag.
+
+    ``fn`` and :meth:`apply` map a float to a float and an ndarray
+    elementwise.  On an array, ``apply`` maps each distinct value once, and
+    an error names the first offending element in array order."""
 
     name: str
-    fn: Callable[[float], float]
+    fn: Callable
     continuous: bool = True
     continuity_source: str = "declared"
 
-    def __call__(self, x: float) -> float:
-        return float(self.fn(x))
+    def __call__(self, x):
+        return self.apply(x)
 
-    def apply(self, x: float, carrier: Optional[Carrier] = None) -> float:
+    def apply(self, x, carrier: Optional[Carrier] = None):
+        if isinstance(x, np.ndarray):
+            u, inv = np.unique(x, return_inverse=True)
+            try:
+                images = np.asarray(self.fn(u), dtype=float)
+                ok = carrier is None or carrier.contains(images).all()
+            except ValueError:          # DomainError and ExpressionError
+                ok = False
+            if not ok:     # the scalar calls raise the first offender's error
+                for v in x.ravel().tolist():
+                    self.apply(v, carrier)
+            return images[inv.ravel()].reshape(x.shape)
+        # A float keeps the scalar path: picard_orbit calls it on each of up
+        # to 10,000 steps per orbit, where numpy would cost more than the map.
         y = float(self.fn(x))
         if carrier is not None and not carrier.contains(y):
             raise DomainError(f"map {self.name} sends {x!r} to {y!r} "
                               "outside the carrier")
         return y
+
+
+def _elementwise(scalar_fn: Callable) -> Callable:
+    """A map ``fn`` that calls ``scalar_fn`` on each element of an ndarray."""
+    each = np.frompyfunc(scalar_fn, 1, 1)
+    return lambda x: (np.asarray(each(x), dtype=float)
+                      if isinstance(x, np.ndarray) else scalar_fn(x))
 
 
 def table_map(mapping: dict, carrier: Optional[Carrier] = None,
@@ -84,13 +115,14 @@ def table_map(mapping: dict, carrier: Optional[Carrier] = None,
             if p not in lookup:
                 raise DomainError(f"table map is missing the image of point {p}")
 
-    def fn(x: float) -> float:
+    def image(x: float) -> float:
         try:
             return lookup[float(x)]
         except KeyError:
             raise DomainError(f"point {x!r} not in the map table") from None
     # finite tables have no connectedness to break
-    return SelfMap(name, fn, continuous=True, continuity_source="finite-carrier")
+    return SelfMap(name, _elementwise(image), continuous=True,
+                   continuity_source="finite-carrier")
 
 
 def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
@@ -98,11 +130,10 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
 
     Supported ids: ``phi-step`` (the step gauge as a self-map of [0,inf)),
     ``perm-0-1-2-5`` (the cyclic table 0->0, 1->5, 2->0, 5->2),
-    ``identity``, ``const:<c>`` and ``expr:<expression>`` with free
-    variable x.
+    ``identity``, ``const:<c>`` (``c`` may be a fraction such as ``1/2``)
+    and ``expr:<expression>`` with free variable x.
     """
     if spec == "phi-step":
-        from .algebra import _step_phi_fn
         return SelfMap("phi-step", _step_phi_fn, continuous=True,
                        continuity_source="builtin")
     if spec == "perm-0-1-2-5":
@@ -111,13 +142,18 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
         return SelfMap("identity", lambda x: x, continuous=True,
                        continuity_source="builtin")
     if spec.startswith("const:"):
-        c = float(spec.split(":", 1)[1])
-        return SelfMap(spec, lambda x: c, continuous=True,
-                       continuity_source="builtin")
+        c = _parse_number(spec.split(":", 1)[1])
+        return SelfMap(spec, lambda x: (np.full(x.shape, c)
+                                        if isinstance(x, np.ndarray) else c),
+                       continuous=True, continuity_source="builtin")
     if spec.startswith("expr:"):
-        from .expressions import evaluate, parse_expression
-        tree = parse_expression(spec.split(":", 1)[1])
-        return SelfMap(spec, lambda x: evaluate(tree, {"x": x}),
+        # no numpy math here: np.exp, np.log and np.power need not match
+        # the C library in the last bit, so arrays go element by element
+        try:
+            tree = parse_expression(spec.split(":", 1)[1])
+        except ExpressionError as exc:
+            raise DomainError(f"bad expression: {exc}") from None
+        return SelfMap(spec, _elementwise(lambda x: evaluate(tree, {"x": x})),
                        continuous=True, continuity_source="declared")
     raise DomainError(f"unknown map id {spec!r}")
 
@@ -258,17 +294,6 @@ def _carrier_pairs(carrier: Carrier, include_diagonal: bool = True):
     return xs, ys, n_base
 
 
-def _map_images(T: SelfMap, xs: np.ndarray, carrier: Carrier) -> np.ndarray:
-    cache: dict[float, float] = {}
-    out = np.empty_like(xs, dtype=float)
-    for k, x in enumerate(xs):
-        key = float(x)
-        if key not in cache:
-            cache[key] = T.apply(key, carrier)
-        out[k] = cache[key]
-    return out
-
-
 def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
     """psi at each premise value, with 0 read as the smallest positive double.
 
@@ -363,7 +388,7 @@ def _strict_improvement(space: FuzzySpace, name: str, t_grid,
         F = (np.asarray(space.m(xs, ys, t), dtype=float) if premise is None
              else premise(t))
         E = np.asarray(space.m(txs, tys, t), dtype=float)
-        bad = distinct & ~(E > F + margin)
+        bad = distinct & ~(E > F + margin * F)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             verdict.status = CheckStatus.VIOLATED
@@ -393,8 +418,7 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
         raise DomainError(f"{psi.name} is not psi-style")
     grid = scale_grid(t_grid)
     xs, ys, n_base = _carrier_pairs(space.carrier)
-    txs = _map_images(T, xs, space.carrier)
-    tys = _map_images(T, ys, space.carrier)
+    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
     cond1 = _strict_improvement(space, "strict-improvement", grid,
                                 xs[:n_base], ys[:n_base],
@@ -432,8 +456,7 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
     xs, ys, n_base = _carrier_pairs(space.carrier)
-    txs = _map_images(T, xs, space.carrier)
-    tys = _map_images(T, ys, space.carrier)
+    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
     cond1 = _strict_improvement(space, "strict-improvement", grid,
                                 xs[:n_base], ys[:n_base],
@@ -479,8 +502,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     if n_cap is None:
         n_cap = len(carrier.points) if carrier.is_finite else 50
     xs, ys, n_base = _carrier_pairs(carrier)
-    txs = _map_images(T, xs, carrier)
-    tys = _map_images(T, ys, carrier)
+    txs, tys = T.apply(xs, carrier), T.apply(ys, carrier)
 
     bxs, bys = xs[:n_base], ys[:n_base]
     btxs, btys = txs[:n_base], tys[:n_base]
@@ -514,9 +536,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     # on the nearness of (N+1)-step images
     iterates = [(xs, ys)]
     for _ in range(n_cap + 1):
-        px, py = iterates[-1]
-        iterates.append((_map_images(T, px, carrier),
-                         _map_images(T, py, carrier)))
+        iterates.append(tuple(T.apply(p, carrier) for p in iterates[-1]))
     cond2 = ConditionVerdict("iterate-threshold-implication", CheckStatus.SATISFIED)
     finite = carrier.is_finite
     for t in grid:
@@ -617,8 +637,7 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
     else:
         xs = np.array([float(a) for a, _ in pairs])
         ys = np.array([float(b) for _, b in pairs])
-    txs = _map_images(T, xs, space.carrier)
-    tys = _map_images(T, ys, space.carrier)
+    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
     E = np.asarray(space.m(txs, tys, t), dtype=float)
     if f_kind == "plain":
         F = np.asarray(space.m(xs, ys, t), dtype=float)
@@ -670,8 +689,7 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
     xs, ys, _ = _carrier_pairs(space.carrier)
-    txs = _map_images(T, xs, space.carrier)
-    tys = _map_images(T, ys, space.carrier)
+    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
     indexes = {}
     for t in grid:

@@ -80,13 +80,6 @@ class OrbitTrace:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def limit_estimate(self, t: float) -> float:
-        """Final observed step nearness at scale t (1.0 for a single point)."""
-        if self.steps == 0:
-            return 1.0
-        j = self.t_grid.index(t)
-        return float(self.step_nearness[-1, j])
-
     def rows(self) -> list[dict]:
         """Tabular records (n, x_n, step nearness per grid scale)."""
         out = []
@@ -106,10 +99,8 @@ class OrbitTrace:
         pts = tuple(float(p) for p in points)
         if not pts:
             raise DomainError("a trace needs at least one point")
-        ts = np.array(grid)
-        rows = [np.asarray(space.m(a, b, ts), dtype=float)
-                for a, b in zip(pts[:-1], pts[1:])]
-        series = np.array(rows) if rows else np.zeros((0, len(grid)))
+        p = np.array(pts)[:, None]
+        series = np.asarray(space.m(p[:-1], p[1:], np.array(grid)), dtype=float)
         return cls(pts, grid, series, StopReason.PRESCRIBED, map_name)
 
 
@@ -224,8 +215,7 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
         plain[t] = _tail_converges_to_zero(1.0 - series, tail_tolerance)
     seq = tuple(t_base / i for i in range(1, i_max + 1))
     a, b = trace.points[-2], trace.points[-1]
-    finals = np.array([1.0 - float(space.m(a, b, t)) for t in seq])
-    sup = float(finals.max())
+    sup = float((1.0 - np.asarray(space.m(a, b, np.array(seq)))).max())
     return RegularityReport(grid, seq, tail_tolerance, plain, sup,
                             sup <= tail_tolerance)
 
@@ -592,19 +582,17 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
             result.exact = True
             result.converged = True
             result.iterations = trace.points.index(z)
-            fixed = [p for p in carrier.points if T.apply(p, carrier) == p]
-            result.fixed_points_found = fixed
-            result.unique = fixed == [z]
+            pts = np.array(carrier.points)
+            result.fixed_points_found = pts[T.apply(pts, carrier) == pts].tolist()
+            result.unique = result.fixed_points_found == [z]
         else:
             result.diagnosis = ("no fixed point reached within "
                                 f"{cfg.max_len} steps")
     else:
         result.fixed_point = z
-        result.exact = False
         result.iterations = trace.steps
-        near_fixed = all(
-            float(space.m(z, T.apply(z, carrier), t)) > 1.0 - cfg.tail_tolerance
-            for t in (grid[-1],))
+        near_fixed = (float(space.m(z, T.apply(z, carrier), grid[-1]))
+                      > 1.0 - cfg.tail_tolerance)
         result.converged = bool(near_fixed or
                                 trace.stop_reason is StopReason.TOLERANCE)
         if not result.converged:

@@ -117,7 +117,7 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
         except ValueError:
             errors.append((path, f"bad grid numbers in {spec!r}"))
             return tuple(default)
-        if n < 1 or hi < lo:
+        if n < 1 or not -np.inf < lo <= hi < np.inf:
             errors.append((path, f"bad grid range in {spec!r}"))
             return tuple(default)
         if parts[0] == "lin":
@@ -139,8 +139,8 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
         return tuple(default)
     if kind == "t":
         for v in grid:
-            if v <= 0:
-                errors.append((path, f"t must be positive, got {v}"))
+            if not 0.0 < v < np.inf:
+                errors.append((path, f"t must be positive and finite, got {v}"))
                 break
     else:
         for v in grid:
@@ -233,20 +233,12 @@ def _build_space(spec: dict) -> FuzzySpace:
     return space
 
 
-_NAMED_MAPS = ("phi-step", "perm-0-1-2-5", "identity")
-
-
 def _validate_map(spec, errors, space_spec) -> None:
     if isinstance(spec, str):
-        if spec in _NAMED_MAPS or spec.startswith(("const:", "expr:")):
-            if spec.startswith("expr:"):
-                from .expressions import ExpressionError, parse_expression
-                try:
-                    parse_expression(spec.split(":", 1)[1])
-                except ExpressionError as exc:
-                    errors.append(("map", f"bad expression: {exc}"))
-            return
-        errors.append(("map", f"unknown map id {spec!r}"))
+        try:
+            self_map(spec)
+        except DomainError as exc:
+            errors.append(("map", str(exc)))
         return
     if not isinstance(spec, dict) or spec.get("kind") != "table":
         errors.append(("map", "must be a map id string or a table object"))

@@ -73,10 +73,12 @@ class Carrier:
     def is_finite(self) -> bool:
         return self.kind is CarrierKind.FINITE
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """Membership of a float, or elementwise of an ndarray; never NaN."""
         if self.is_finite:
-            return x in self.points
-        return self.low <= x <= self.high
+            return (np.isin(x, self.points) if isinstance(x, np.ndarray)
+                    else x in self.points)
+        return (self.low <= x) & (x <= self.high)
 
     def to_dict(self) -> dict:
         if self.is_finite:
@@ -173,10 +175,11 @@ class FuzzySpace:
     provenance: str
 
     def m(self, x, y, t):
-        """Evaluate nearness at scale t > 0; accepts scalars or arrays."""
+        """Evaluate nearness at finite scales t > 0; accepts scalars or
+        arrays."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0):
-            raise DomainError(f"scale t must be positive, got {t!r}")
+        if not ((t_arr > 0.0) & (t_arr < np.inf)).all():
+            raise DomainError(f"scale t must be positive and finite, got {t!r}")
         return self.fn(x, y, t)
 
     def m_scalar(self, x: float, y: float, t: float) -> float:
@@ -273,7 +276,7 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
             out = flat[base + np.zeros(t_arr.shape, dtype=int)]
         else:
             # as np.interp: tabulated values below the first node, at or
-            # beyond the last and at a node; NaN scales stay NaN
+            # beyond the last and at a node
             j = np.searchsorted(nodes, t_arr, side="right") - 1
             lo = np.clip(j, 0, k - 2)
             y0, y1 = flat[base + lo], flat[base + lo + 1]
@@ -283,9 +286,6 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
                 out = slope * (t_arr - x0) + y0
             out = np.where((j < 0) | (t_arr == x0), y0,
                            np.where(j == k - 1, y1, out))
-            nan = np.isnan(t_arr)
-            if nan.any():
-                out = np.where(nan, t_arr, out)
         if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
             return float(out)
         return np.asarray(out)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyfix.algebra import (
     ClassTag,
@@ -20,8 +22,11 @@ from fuzzyfix.contractions import (
     CheckStatus,
     MParams,
     PreconditionError,
+    STRICT_MARGIN,
+    VACUOUS_WINDOW_TOL,
     SelfMap,
     _carrier_pairs,
+    _ThresholdIndex,
     cm_contractive_check,
     equivalence_probe,
     extract_empirical_gauge,
@@ -31,6 +36,8 @@ from fuzzyfix.contractions import (
     self_map,
     table_map,
 )
+from fuzzyfix.defaults import CLASS_TOL, ENDPOINT_CLAMP
+from fuzzyfix.scenario import load_scenario
 from fuzzyfix.spaces import (
     Carrier,
     exponential_fuzzy_metric,
@@ -84,11 +91,107 @@ class TestSelfMaps:
 
     def test_const_and_identity(self):
         assert self_map("const:2")(5.0) == 2.0
+        assert self_map("const:1/2")(5.0) == 0.5
         assert self_map("identity")(0.3) == 0.3
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
             self_map("rot13")
+
+
+_RAY = Carrier.interval(0, 10, 201)
+_QUAD = Carrier.finite([0, 1, 2, 5])
+_STEP_EDGES = [0.0, 1e-10, 1e-9, 0.1, 1 / 3, 0.5, 1.0, 2.0,
+               float(np.nextafter(0.5, 1.0)), float(np.nextafter(1 / 3, 0.0))]
+
+# every built-in map kind, on a carrier that holds all images of its inputs
+_MAP_CASES = {
+    "phi-step": (self_map("phi-step"), _RAY,
+                 st.floats(0, 10) | st.sampled_from(_STEP_EDGES)),
+    "identity": (self_map("identity"), _RAY, st.floats(0, 10)),
+    "const": (self_map("const:1/2"), _RAY, st.floats(0, 10)),
+    "table": (self_map("perm-0-1-2-5"), _QUAD, st.sampled_from(_QUAD.points)),
+    "expr": (self_map("expr:piecewise(x < 1, x^0.5 / 2, "
+                      "exp(0 - x) + ln(x) / 10)"), _RAY, st.floats(0, 10)),
+}
+
+# maps whose images leave the carrier, or whose table misses, on some inputs
+_ERROR_CASES = {
+    "carrier-exit": (self_map("phi-step"), Carrier.interval(0.5, 10, 20),
+                     st.sampled_from([0.2, 0.3, 0.4, 0.6, 0.75, 1.0, 3.0])),
+    "table-miss": (self_map("perm-0-1-2-5"), _QUAD,
+                   st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])),
+    "exit-and-miss": (table_map({0: 0, 1: 7, 2: 0, 5: 2}, name="leaky"), _QUAD,
+                      st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0])),
+}
+
+
+@st.composite
+def _arrays(draw, values):
+    """Arrays of any shape drawn from a few values, so that values repeat."""
+    pool = draw(st.lists(values, min_size=1, max_size=5))
+    flat = draw(st.lists(st.sampled_from(pool), max_size=24))
+    n = len(flat)
+    shapes = [(n,), (1, n), (n, 1)]
+    shapes += [(2, n // 2)] if n % 2 == 0 else []
+    shapes += [()] if n == 1 else []
+    return np.array(flat, dtype=float).reshape(draw(st.sampled_from(shapes)))
+
+
+@pytest.mark.parametrize("kind", sorted(_MAP_CASES))
+@given(data=st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_array_apply_equals_scalar_calls_bit_for_bit(kind, data):
+    T, carrier, values = _MAP_CASES[kind]
+    xs = data.draw(_arrays(values))
+    got = T.apply(xs, carrier)
+    want = np.array([T.apply(float(x), carrier) for x in xs.ravel()])
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_ERROR_CASES))
+@given(data=st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_array_apply_raises_the_first_offenders_error(kind, data):
+    T, carrier, values = _ERROR_CASES[kind]
+    xs = data.draw(_arrays(values))
+    first = None
+    for x in xs.ravel():
+        try:
+            T.apply(float(x), carrier)
+        except DomainError as exc:
+            first = str(exc)
+            break
+    if first is None:
+        T.apply(xs, carrier)
+    else:
+        with pytest.raises(DomainError) as exc:
+            T.apply(xs, carrier)
+        assert str(exc.value) == first
+
+
+def test_cm_check_maps_each_distinct_pair_point_once(monkeypatch):
+    sc = load_scenario("ex62")
+    space, T = sc.build_space(), sc.build_map()
+    want = cm_contractive_check(space, T).to_dict()
+    evaluated = []
+
+    def counted_fn(x):
+        evaluated.append(np.size(x))
+        return T.fn(x)
+    calls = []
+    apply = SelfMap.apply
+
+    def counted_apply(self, x, carrier=None):
+        calls.append(np.shape(x))
+        return apply(self, x, carrier)
+    monkeypatch.setattr(SelfMap, "apply", counted_apply)
+    got = cm_contractive_check(space, SelfMap(T.name, counted_fn))
+    xs, ys, _ = _carrier_pairs(space.carrier)
+    assert got.to_dict() == want
+    assert calls == [xs.shape, ys.shape]
+    assert sum(evaluated) == len(np.unique(xs)) + len(np.unique(ys))
 
 
 class TestMValue:
@@ -115,6 +218,86 @@ class TestMValue:
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             MParams(-1, 0)
+
+
+class TestStrictMargin:
+    # nearness on an exponential space at t = 0.01 lies far below any
+    # absolute margin; x/2 improves M(x,y,t) to M(x,y,t)^(1/2)
+    @pytest.fixture
+    def exp_unit(self):
+        return exponential_fuzzy_metric(Carrier.interval(0, 1, 101),
+                                        metric("euclidean"))
+
+    def test_halving_map_improves_at_tiny_nearness(self, exp_unit):
+        T = self_map("expr:x/2")
+        psi = psi_contractive_check(exp_unit, T, gauge("power:5/7"))
+        cm = cm_contractive_check(exp_unit, T)
+        assert psi.satisfied, psi.to_dict()["conditions"][0]["witness"]
+        assert cm.satisfied, cm.to_dict()["conditions"][0]["witness"]
+
+    @pytest.mark.parametrize("spec", ["identity",
+                                      "expr:piecewise(x < 0.5, x/2, x)"])
+    def test_violated_witness_replays(self, exp_unit, spec):
+        T = self_map(spec)
+        cond = cm_contractive_check(exp_unit, T).condition("strict-improvement")
+        assert cond.status is CheckStatus.VIOLATED
+        w = cond.witness
+        before = exp_unit.m_scalar(w["x"], w["y"], w["t"])
+        after = exp_unit.m_scalar(T(w["x"]), T(w["y"]), w["t"])
+        assert (before, after) == (w["before"], w["after"])
+        assert w["x"] != w["y"]
+        assert not after > before + STRICT_MARGIN * before
+
+
+def _brute_search(F, E, r, onesided, finite):
+    """_ThresholdIndex.search by a scan over the pairs in their own order."""
+    threshold = 1.0 - r
+    window = [k for k in range(len(F)) if onesided or F[k] < threshold]
+    if not window:
+        return ({"r": r, "rho": 1.0 - ENDPOINT_CLAMP, "vacuous": True,
+                 "reason": "no pairs below threshold"}, None)
+    bad = [k for k in window if E[k] < threshold - CLASS_TOL]
+    if not bad:
+        return {"r": r, "rho": 1.0 - ENDPOINT_CLAMP, "vacuous": False}, None
+    v = max(F[k] for k in bad)
+    witness = max(k for k in bad if F[k] == v)   # the last of the ties
+    rho = 1.0 - v
+    if rho <= r + CLASS_TOL:
+        return None, witness
+    if any(F[k] > v for k in window):
+        return {"r": r, "rho": rho, "vacuous": False}, None
+    if finite:
+        return {"r": r, "rho": rho, "vacuous": True, "reason": "gap"}, None
+    if threshold - v <= VACUOUS_WINDOW_TOL:
+        return ({"r": r, "rho": rho, "vacuous": True,
+                 "reason": "sub-resolution window"}, None)
+    return None, witness
+
+
+@st.composite
+def _threshold_cases(draw):
+    r = draw(st.sampled_from([0.1, 0.3, 0.5]))
+    threshold = 1.0 - r
+    near = [threshold, threshold - CLASS_TOL, threshold + CLASS_TOL,
+            float(np.nextafter(threshold - CLASS_TOL, 0.0)),
+            float(np.nextafter(threshold, 1.0)),
+            threshold - VACUOUS_WINDOW_TOL, 1.0 - (r + CLASS_TOL)]
+    value = st.sampled_from(near) | st.floats(0.0, 1.0)
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    n = draw(st.integers(0, 16))
+    F = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    E = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return r, np.array(F, dtype=float), np.array(E, dtype=float)
+
+
+@pytest.mark.parametrize("onesided", [False, True])
+@pytest.mark.parametrize("finite", [True, False])
+@given(case=_threshold_cases())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_threshold_search_equals_brute_force(onesided, finite, case):
+    r, F, E = case
+    got = _ThresholdIndex(F, E).search(r, onesided=onesided, finite=finite)
+    assert got == _brute_search(F.tolist(), E.tolist(), r, onesided, finite)
 
 
 class TestPsiContractive:
@@ -338,7 +521,7 @@ class TestEquivalenceProbe:
         images = []
 
         def counted(x):
-            images.append(x)
+            images.extend(np.atleast_1d(x).tolist())
             return step_map(x)
         report = equivalence_probe(ray_space, SelfMap("counted", counted),
                                    r_grid=SMALL_R, t_grid=SMALL_T)

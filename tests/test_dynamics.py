@@ -89,6 +89,11 @@ class TestPicardOrbit:
         assert trace.points == (0.0,)
         assert trace.stop_reason is StopReason.START_FIXED
 
+    def test_prescribed_single_point_has_empty_series(self, quad_space):
+        trace = OrbitTrace.from_points(quad_space, [2.0], GRID_1_100)
+        assert trace.step_nearness.shape == (0, len(GRID_1_100))
+        assert trace.rows() == [{"n": 0, "x": 2.0}]
+
     def test_ray_orbit_prefix(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=10,
                              t_grid=GRID_1_100)

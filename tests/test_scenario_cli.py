@@ -96,6 +96,17 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError, match="bad expression"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("spec", ["const:abc", "const:1/0", "const:nan"])
+    def test_bad_const_map_is_a_schema_error(self, spec):
+        with pytest.raises(SchemaError, match="number"):
+            parse_scenario(json.dumps({"map": spec}))
+
+    @pytest.mark.parametrize("grid", [[float("nan")], [1.0, float("inf")]])
+    def test_non_finite_t_grid_rejected(self, grid):
+        doc = {"grids": {"t": grid}}
+        with pytest.raises(SchemaError, match="positive and finite"):
+            parse_scenario(json.dumps(doc))
+
     def test_table_space_from_path(self, tmp_path):
         table = tmp_path / "nearness.json"
         table.write_text(json.dumps({
@@ -236,11 +247,39 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["gauge", "--gauge", "power-phi:2", "--eval", "1e200"],
-        ["gauge", "--gauge", "step-psi", "--tolerance", "2"]])
+        ["gauge", "--gauge", "step-psi", "--tolerance", "2"],
+        ["gauge", "--gauge", "power:abc"],
+        ["gauge", "--gauge", "power:1/0"],
+        ["gauge", "--gauge", "power:nan"]])
     def test_gauge_domain_errors_exit_two(self, argv):
         code, out = run_command(argv)
         assert code == 2
         assert out.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-space", "--scenario", "ex63", "--t-grid", "nan"],
+        ["check-space", "--scenario", "ex63", "--t-grid", "inf"],
+        ["check-space", "--scenario", "ex63", "--t-grid", "1,abc"],
+        ["check-space", "--scenario", "ex63", "--t-grid", "lin:1:inf:3"],
+        ["classify-map", "--scenario", "ex63", "--r-grid", "abc"]])
+    def test_bad_grid_exits_two(self, argv):
+        code, out = run_command(argv)
+        assert code == 2
+        assert out.startswith("schema error at --")
+        assert len(out.splitlines()) == 1
+
+    def test_relative_strictness_margin(self, tmp_path):
+        # exp nearness at t = 0.01 reaches 4.8e-25; x/2 still improves it
+        path = tmp_path / "halving.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "interval", "low": 0, "high": 1,
+                                  "samples": 101},
+                      "fuzzy": "exp:euclidean"},
+            "map": "expr:x/2", "gauges": {"psi": "power:5/7"}}))
+        for route in ("psi", "cm"):
+            code, out = run_command(["classify-map", "--scenario", str(path),
+                                     "--route", route])
+            assert code == 0, out
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_table_value_exits_two(self, tmp_path, bad):

@@ -51,6 +51,18 @@ class TestCarrier:
         assert not c.contains(10.5)
         assert len(c.points) == 11
 
+    def test_contains_takes_arrays_and_rejects_nan(self):
+        xs = np.array([[-1.0, 0.0, 2.0], [5.0, 10.5, math.nan]])
+        interval = Carrier.interval(0, 10, 11)
+        finite = Carrier.finite([0, 1, 2, 5])
+        assert interval.contains(xs).tolist() == [[False, True, True],
+                                                  [True, False, False]]
+        assert finite.contains(xs).tolist() == [[False, True, True],
+                                                [True, False, False]]
+        for c in (interval, finite):
+            assert [c.contains(float(x)) for x in xs.ravel()] \
+                == c.contains(xs).ravel().tolist()
+
 
 class TestBaseMetrics:
     def test_euclidean(self):
@@ -99,6 +111,14 @@ class TestStandardConstruction:
             space.m_scalar(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             space.m_scalar(0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_t_must_be_finite(self, ray_carrier, bad):
+        space = standard_fuzzy_metric(ray_carrier, metric("euclidean"))
+        with pytest.raises(DomainError, match="positive and finite"):
+            space.m_scalar(0.0, 1.0, bad)
+        with pytest.raises(DomainError, match="positive and finite"):
+            space.m(0.0, 1.0, np.array([1.0, bad]))
 
 
 class TestExponentialConstruction:
