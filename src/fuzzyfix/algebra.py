@@ -399,8 +399,9 @@ def gauge(spec: str) -> Gauge:
     if spec.startswith("power-phi:"):
         return power_phi_gauge(_parse_number(spec.split(":", 1)[1]))
     if spec.startswith("conj:"):
-        _, eta_id, g_id = spec.split(":", 2)
-        return conjugate_gauge(gauge(eta_id), gauge(g_id))
+        parts = spec.split(":", 2)
+        if len(parts) == 3:
+            return conjugate_gauge(gauge(parts[1]), gauge(parts[2]))
     raise DomainError(f"unknown gauge id {spec!r}")
 
 

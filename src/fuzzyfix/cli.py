@@ -14,6 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -134,12 +135,9 @@ def _cmd_classify_map(args, scenario):
         report = cm_contractive_check(space, T, r_grid, t_grid,
                                       form=args.form)
     else:
-        solver = scenario.solver
-        params = MParams(float(solver.get("alpha", 0.0)),
-                         float(solver.get("beta", 0.0)))
-        psi = scenario.build_gauges().get("psi")
-        report = m_contractive_check(space, T, params, psi=psi,
-                                     r_grid=r_grid, t_grid=t_grid)
+        cfg = scenario.solver_config()
+        report = m_contractive_check(space, T, MParams(cfg.alpha, cfg.beta),
+                                     psi=cfg.psi, r_grid=r_grid, t_grid=t_grid)
     return report.satisfied, {"classification": report.to_dict()}
 
 
@@ -193,8 +191,8 @@ def _cmd_solve(args, scenario):
     space = scenario.build_space()
     T = scenario.build_map()
     t_grid, r_grid = _grids(args, scenario)
-    cfg = scenario.solver_config()
-    cfg.t_grid, cfg.r_grid = t_grid, r_grid
+    cfg = dataclasses.replace(scenario.solver_config(), t_grid=t_grid,
+                              r_grid=r_grid)
     x0 = args.x0 if args.x0 is not None else scenario.x0
     if x0 is None:
         raise SchemaError([("--x0", "no start point given and the scenario "

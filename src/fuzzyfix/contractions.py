@@ -41,7 +41,12 @@ from .algebra import (
     class_membership,
 )
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
-from .expressions import ExpressionError, evaluate, parse_expression
+from .expressions import (
+    ExpressionError,
+    evaluate,
+    free_variables,
+    parse_expression,
+)
 from .spaces import Carrier, FuzzySpace
 
 # Strictness margin on sampled continuous carriers, relative because small
@@ -153,8 +158,19 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
             tree = parse_expression(spec.split(":", 1)[1])
         except ExpressionError as exc:
             raise DomainError(f"bad expression: {exc}") from None
-        return SelfMap(spec, _elementwise(lambda x: evaluate(tree, {"x": x})),
-                       continuous=True, continuity_source="declared")
+        unbound = free_variables(tree) - {"x"}
+        if unbound:
+            raise DomainError(f"map {spec} may use only the variable x, "
+                              f"not {', '.join(sorted(unbound))}")
+
+        def image(x: float) -> float:
+            try:
+                return evaluate(tree, {"x": x})
+            except ExpressionError as exc:
+                raise DomainError(f"map {spec} cannot be evaluated at "
+                                  f"{x!r}: {exc}") from None
+        return SelfMap(spec, _elementwise(image), continuous=True,
+                       continuity_source="declared")
     raise DomainError(f"unknown map id {spec!r}")
 
 

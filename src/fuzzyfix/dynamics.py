@@ -437,6 +437,10 @@ class Route(Enum):
     CM_GENERAL = "cm-general"
     M_FINAL = "m-final"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown route {value!r}")
+
 
 @dataclass
 class SolverConfig:

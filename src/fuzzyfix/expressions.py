@@ -1,4 +1,4 @@
-"""A small arithmetic expression language for maps and gauges.
+"""A small arithmetic expression language for ``expr:`` self-maps.
 
 Grammar (operator precedence low to high, ``^`` right-associative):
 
@@ -11,7 +11,7 @@ Grammar (operator precedence low to high, ``^`` right-associative):
 Builtins: ``min``, ``max`` (two or more arguments), ``exp``, ``ln``,
 ``abs`` (one argument), ``piecewise(condition, a, b)``.  Comparisons are
 only valid as the first argument of ``piecewise``.  Free variables are
-restricted to ``x``, ``t``, ``tau``, ``s``.  There is no recursion and no
+restricted to ``x``, ``t``, ``tau``, ``s``; a self-map may use only ``x``.  There is no recursion and no
 looping; evaluation is total on the declared domain or raises a domain
 error carrying the source span.
 """
@@ -256,7 +256,7 @@ def evaluate(tree, env: dict) -> float:
 
     Only the selected branch of a piecewise is evaluated.  Raises
     :class:`ExpressionError` for missing variables and domain failures
-    (division by zero, log of a nonpositive value).
+    (division by zero, log of a nonpositive value, overflow).
     """
     if isinstance(tree, Num):
         return tree.value
@@ -300,7 +300,11 @@ def evaluate(tree, env: dict) -> float:
         if tree.name == "max":
             return max(args)
         if tree.name == "exp":
-            return math.exp(args[0])
+            try:
+                return math.exp(args[0])
+            except OverflowError:
+                raise ExpressionError(f"exp of {args[0]!r} overflows",
+                                      tree.span.line, tree.span.column) from None
         if tree.name == "abs":
             return abs(args[0])
         if tree.name == "ln":

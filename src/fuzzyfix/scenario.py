@@ -1,10 +1,13 @@
-"""Scenario documents: parsing, validation, and object builders.
+"""Scenario documents: one decoder from JSON to the objects they declare.
 
 A scenario is a JSON document declaring a space (carrier, constructor id,
 t-norm, completeness and strongness flags), a self-map, gauges by role,
-grids, and solver settings.  Validation reports every schema problem with
-the path to the offending key.  Three scenarios are built in under the ids
-``ex61``, ``ex62`` and ``ex63``.
+grids, and solver settings.  :func:`parse_scenario` decodes each section
+once into its object: the space, the map on its carrier, the gauges and
+the solver settings.  The constructors judge ids and values, four readers
+judge JSON types, and every problem is reported with its path in one
+:class:`SchemaError`, a table file's at ``space.fuzzy``.  Three scenarios
+are built in: ``ex61``, ``ex62`` and ``ex63``.
 
 Grid specs are either the string ``default``, ``lin:<lo>:<hi>:<n>``,
 ``log:<lo>:<hi>:<n>``, or an explicit JSON array of numbers.
@@ -14,13 +17,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import DomainError, Gauge, gauge, tnorm
+from .algebra import DomainError, Gauge, _parse_number, gauge, tnorm
 from .contractions import SelfMap, self_map, table_map
 from .defaults import DEFAULT_R_GRID, DEFAULT_T_GRID
 from .dynamics import Route, SolverConfig
@@ -43,62 +48,43 @@ class SchemaError(ValueError):
         super().__init__(f"invalid scenario: {lines}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A decoded scenario: each declared object, built once."""
+
     name: str
     seed: int
-    space_spec: Optional[dict]
-    map_spec: Optional[object]
-    gauges: dict
+    space: Optional[FuzzySpace]
+    map: Optional[SelfMap]
+    gauges: dict[str, Gauge]
     t_grid: tuple[float, ...]
     r_grid: tuple[float, ...]
-    solver: dict = field(default_factory=dict)
+    route: Route
+    x0: Optional[float]
+    _config: SolverConfig
 
     def build_space(self) -> FuzzySpace:
-        if self.space_spec is None:
+        if self.space is None:
             raise SchemaError([("space", "scenario declares no space")])
-        return _build_space(self.space_spec)
+        return self.space
 
     def build_map(self) -> SelfMap:
-        if self.map_spec is None:
+        if self.map is None:
             raise SchemaError([("map", "scenario declares no map")])
-        carrier = (self.build_space().carrier
-                   if self.space_spec is not None else None)
-        return _build_map(self.map_spec, carrier)
+        return self.map
 
     def build_gauges(self) -> dict[str, Gauge]:
-        return {role: gauge(spec) for role, spec in self.gauges.items()}
+        return dict(self.gauges)
 
     def solver_config(self) -> SolverConfig:
-        s = self.solver
-        psi = gauge(self.gauges["psi"]) if "psi" in self.gauges else None
-        return SolverConfig(
-            max_len=int(s.get("max_len", 10000)),
-            stop_tolerance=float(s.get("stop_tolerance", 1e-9)),
-            tail_tolerance=float(s.get("tail_tolerance", 1e-6)),
-            i_max=int(s.get("i_max", 50)),
-            t_grid=self.t_grid,
-            r_grid=self.r_grid,
-            complete=bool(self.space_spec.get("complete", True)
-                          if self.space_spec else True),
-            alpha=float(s.get("alpha", 0.0)),
-            beta=float(s.get("beta", 0.0)),
-            psi=psi)
+        """A copy of the solver settings, which callers may change."""
+        return dataclasses.replace(self._config)
 
     @property
-    def route(self) -> Route:
-        return Route(self.solver.get("route", "auto"))
-
-    @property
-    def x0(self) -> Optional[float]:
-        v = self.solver.get("x0")
-        return None if v is None else float(v)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "seed": self.seed, "space": self.space_spec,
-                "map": self.map_spec, "gauges": self.gauges,
-                "grids": {"t": list(self.t_grid), "r": list(self.r_grid)},
-                "solver": self.solver}
+    def solver(self) -> dict:
+        """The solver section's settings as decoded, by document key."""
+        settings = {key: getattr(self._config, key) for key in _SOLVER_SETTINGS}
+        return {"route": self.route.value, "x0": self.x0, **settings}
 
 
 def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
@@ -131,7 +117,7 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
     elif isinstance(spec, (list, tuple)):
         try:
             grid = tuple(float(v) for v in spec)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append((path, "grid list must contain numbers"))
             return tuple(default)
     else:
@@ -150,127 +136,147 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
     return grid
 
 
-def _validate_carrier(spec, errors) -> None:
-    if not isinstance(spec, dict):
-        errors.append(("space.carrier", "must be an object"))
-        return
-    kind = spec.get("kind")
+# Readers of JSON values: a wrong type is a DomainError naming the key.
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float, NaN and infinities included."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
+
+
+def _read(value, key: str, ok: bool, expected: str):
+    if not ok:
+        raise DomainError(f"missing {key}" if value is None
+                          else f"{key} must be {expected}, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    return float(_read(value, key, _is_number(value) and math.isfinite(value),
+                       "a finite number"))
+
+
+def _integer(value, key: str) -> int:
+    return _read(value, key, isinstance(value, int)
+                 and not isinstance(value, bool), "an integer")
+
+
+def _boolean(value, key: str) -> bool:
+    return _read(value, key, isinstance(value, bool), "true or false")
+
+
+def _string(value, key: str) -> str:
+    return _read(value, key, isinstance(value, str), "a string")
+
+
+def _record(errors: list, path: str, decode: Callable, *args):
+    """``decode(*args)``, or None with its DomainError kept at ``path``."""
+    try:
+        return decode(*args)
+    except DomainError as exc:
+        errors.append((path, str(exc)))
+        return None
+
+
+def _carrier(spec) -> Carrier:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "finite":
-        pts = spec.get("points")
-        if not isinstance(pts, list) or not pts:
-            errors.append(("space.carrier.points", "needs a nonempty list"))
-        elif len(set(pts)) != len(pts):
-            errors.append(("space.carrier.points", "points must be distinct"))
-    elif kind == "interval":
-        for key in ("low", "high"):
-            if not isinstance(spec.get(key), (int, float)):
-                errors.append((f"space.carrier.{key}", "missing number"))
-        if isinstance(spec.get("low"), (int, float)) and \
-                isinstance(spec.get("high"), (int, float)) and \
-                spec["high"] <= spec["low"]:
-            errors.append(("space.carrier", "needs high > low"))
-    else:
-        errors.append(("space.carrier.kind",
-                       f"unknown carrier kind {kind!r}"))
+        points = spec.get("points")
+        _read(points, "points", isinstance(points, list), "a list")
+        return Carrier.finite([_number(p, "a point") for p in points])
+    if kind == "interval":
+        return Carrier.interval(_number(spec.get("low"), "low"),
+                                _number(spec.get("high"), "high"),
+                                _integer(spec.get("samples", 101), "samples"))
+    raise DomainError(f"unknown carrier kind {kind!r}"
+                      if isinstance(spec, dict) else "must be an object")
 
 
-def _build_carrier(spec: dict) -> Carrier:
-    if spec["kind"] == "finite":
-        return Carrier.finite(spec["points"])
-    return Carrier.interval(spec["low"], spec["high"],
-                            int(spec.get("samples", 101)))
+def _read_table(path: str) -> tuple[list, dict]:
+    """The t nodes and the (x, y) -> values entries of a table file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read table file {path!r}: {exc}") from None
+    nodes, entries = (doc.get(key) if isinstance(doc, dict) else None
+                      for key in ("t_nodes", "entries"))
+    _read(nodes, "table key 't_nodes'",
+          isinstance(nodes, list) and all(map(_is_number, nodes)),
+          "a list of numbers")
+    _read(entries, "table key 'entries'", isinstance(entries, list), "a list")
+    table = {}
+    for entry in entries:
+        x, y, values = ((entry.get(key) for key in ("x", "y", "values"))
+                        if isinstance(entry, dict) else (None,) * 3)
+        _read(entry, "a table entry", isinstance(values, list)
+              and all(map(_is_number, [x, y, *values])),
+              "numbers x and y with a list of numbers 'values'")
+        table[x, y] = values
+    return nodes, table
 
 
-_FUZZY_IDS = ("standard", "exp", "table")
-_METRIC_IDS = ("euclidean", "max-jachymski")
+_CONSTRUCTORS = {"standard": standard_fuzzy_metric,
+                 "exp": exponential_fuzzy_metric}
 
 
-def _validate_space(spec, errors) -> None:
+def _fuzzy(fuzzy_id, carrier: Optional[Carrier]) -> Optional[FuzzySpace]:
+    """The space a constructor id builds on ``carrier``; None without one."""
+    head, _, rest = _string(fuzzy_id, "fuzzy").partition(":")
+    if head == "table":
+        nodes, table = _read_table(rest)
+        return (None if carrier is None
+                else table_fuzzy_metric(carrier, nodes, table))
+    if head not in _CONSTRUCTORS:
+        raise DomainError(f"unknown constructor {head!r}")
+    d = metric(rest)
+    return None if carrier is None else _CONSTRUCTORS[head](carrier, d)
+
+
+def _space(spec, errors: list) -> tuple[Optional[FuzzySpace], bool]:
+    """The declared space, and whether the document declares it complete."""
     if not isinstance(spec, dict):
         errors.append(("space", "must be an object"))
-        return
-    if "carrier" not in spec:
-        errors.append(("space.carrier", "missing key"))
-    else:
-        _validate_carrier(spec["carrier"], errors)
-    fuzzy = spec.get("fuzzy")
-    if not isinstance(fuzzy, str):
-        errors.append(("space.fuzzy", "missing constructor id"))
-    else:
-        head = fuzzy.split(":", 1)[0]
-        if head not in _FUZZY_IDS:
-            errors.append(("space.fuzzy", f"unknown constructor {head!r}"))
-        elif head in ("standard", "exp"):
-            rest = fuzzy.split(":", 1)
-            if len(rest) != 2 or rest[1] not in _METRIC_IDS:
-                errors.append(("space.fuzzy",
-                               f"unknown metric id in {fuzzy!r}"))
-    norm_id = spec.get("tnorm", "product")
-    try:
-        tnorm(norm_id)
-    except DomainError:
-        errors.append(("space.tnorm", f"unknown t-norm id {norm_id!r}"))
+        return None, True
+    carrier = _record(errors, "space.carrier", _carrier, spec.get("carrier"))
+    norm = _record(errors, "space.tnorm", lambda v: tnorm(_string(v, "tnorm")),
+                   spec.get("tnorm", "product"))
+    complete = _record(errors, "space.complete", _boolean,
+                       spec.get("complete", True), "complete")
+    strong = (_record(errors, "space.strong", _boolean, spec["strong"],
+                      "strong") if "strong" in spec else None)
+    space = _record(errors, "space.fuzzy", _fuzzy, spec.get("fuzzy"), carrier)
+    if space is None or norm is None:
+        return None, complete
+    strong = space.strong if strong is None else strong
+    return dataclasses.replace(space, tnorm=norm, strong=strong), complete
 
 
-def _build_space(spec: dict) -> FuzzySpace:
-    carrier = _build_carrier(spec["carrier"])
-    fuzzy = spec["fuzzy"]
-    head, _, rest = fuzzy.partition(":")
-    if head == "standard":
-        space = standard_fuzzy_metric(carrier, metric(rest))
-    elif head == "exp":
-        space = exponential_fuzzy_metric(carrier, metric(rest))
-    else:
-        doc = json.loads(Path(rest).read_text())
-        entries = {(e["x"], e["y"]): e["values"] for e in doc["entries"]}
-        space = table_fuzzy_metric(carrier, doc["t_nodes"], entries,
-                                   norm=tnorm(spec.get("tnorm", "product")),
-                                   strong=bool(spec.get("strong", False)))
-    if spec.get("tnorm", "product") != "product" and head != "table":
-        space = dataclasses.replace(space, tnorm=tnorm(spec["tnorm"]))
-    if "strong" in spec and bool(spec["strong"]) != space.strong:
-        space = dataclasses.replace(space, strong=bool(spec["strong"]))
-    return space
-
-
-def _validate_map(spec, errors, space_spec) -> None:
-    if isinstance(spec, str):
-        try:
-            self_map(spec)
-        except DomainError as exc:
-            errors.append(("map", str(exc)))
-        return
-    if not isinstance(spec, dict) or spec.get("kind") != "table":
-        errors.append(("map", "must be a map id string or a table object"))
-        return
-    mapping = spec.get("mapping")
-    if not isinstance(mapping, dict):
-        errors.append(("map.mapping", "missing table"))
-        return
-    if space_spec and isinstance(space_spec.get("carrier"), dict) \
-            and space_spec["carrier"].get("kind") == "finite":
-        points = space_spec["carrier"].get("points") or []
-        covered = set()
-        for k in mapping:
-            try:
-                covered.add(float(k))
-            except (TypeError, ValueError):
-                errors.append(("map.mapping", f"bad point key {k!r}"))
-        for p in points:
-            if float(p) not in covered:
-                errors.append(("map.mapping",
-                               f"missing image of point {p}"))
-
-
-def _build_map(spec, carrier: Optional[Carrier]) -> SelfMap:
+def _map(spec, carrier: Optional[Carrier]) -> SelfMap:
     if isinstance(spec, str):
         return self_map(spec, carrier)
-    mapping = {float(k): float(v) for k, v in spec["mapping"].items()}
-    return table_map(mapping, carrier, name=spec.get("name", "table"))
+    mapping = (spec.get("mapping")
+               if isinstance(spec, dict) and spec.get("kind") == "table"
+               else None)
+    if not isinstance(mapping, dict):
+        raise DomainError("must be a map id string or a table object "
+                          "{\"kind\": \"table\", \"mapping\": {...}}")
+    images = {_parse_number(key): _number(value, f"the image of {key}")
+              for key, value in mapping.items()}
+    return table_map(images, carrier, _string(spec.get("name", "table"),
+                                              "name"))
+
+
+_SECTIONS = ("seed", "space", "map", "gauges", "grids", "solver", "name")
+
+# the solver keys other than route and x0, with their readers
+_SOLVER_SETTINGS = {"max_len": _integer, "stop_tolerance": _number,
+                    "tail_tolerance": _number, "i_max": _integer,
+                    "alpha": _number, "beta": _number}
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse and validate a scenario document.
+    """Decode a scenario document into the objects it declares.
 
     Raises :class:`SchemaError` listing every problem with its path.
     """
@@ -281,35 +287,22 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError([("$", "scenario must be a JSON object")])
 
-    errors: list[tuple[str, str]] = []
-    known = {"seed", "space", "map", "gauges", "grids", "solver", "name"}
-    for key in doc:
-        if key not in known:
-            errors.append((key, "unknown key"))
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append(("seed", "must be an integer"))
-        seed = 0
-
-    space_spec = doc.get("space")
-    if space_spec is not None:
-        _validate_space(space_spec, errors)
-
-    map_spec = doc.get("map")
-    if map_spec is not None:
-        _validate_map(map_spec, errors, space_spec)
+    errors = [(key, "unknown key") for key in doc if key not in _SECTIONS]
+    name = _record(errors, "name", _string, doc.get("name", name), "name")
+    seed = _record(errors, "seed", _integer, doc.get("seed", 0), "seed")
+    space, complete = ((None, True) if doc.get("space") is None
+                       else _space(doc["space"], errors))
+    T = (None if doc.get("map") is None else
+         _record(errors, "map", _map, doc["map"],
+                 space.carrier if space else None))
 
     gauges = doc.get("gauges", {})
     if not isinstance(gauges, dict):
         errors.append(("gauges", "must be an object of role -> gauge id"))
         gauges = {}
-    else:
-        for role, spec in gauges.items():
-            try:
-                gauge(spec)
-            except (DomainError, TypeError) as exc:
-                errors.append((f"gauges.{role}", str(exc)))
+    gauges = {role: _record(errors, f"gauges.{role}",
+                            lambda v: gauge(_string(v, "a gauge id")), spec)
+              for role, spec in gauges.items()}
 
     grids = doc.get("grids", {})
     if not isinstance(grids, dict):
@@ -322,17 +315,20 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not isinstance(solver, dict):
         errors.append(("solver", "must be an object"))
         solver = {}
-    elif "route" in solver:
-        try:
-            Route(solver["route"])
-        except ValueError:
-            errors.append(("solver.route",
-                           f"unknown route {solver['route']!r}"))
+    settings = {key: _record(errors, f"solver.{key}", read, solver[key], key)
+                for key, read in _SOLVER_SETTINGS.items() if key in solver}
+    route = _record(errors, "solver.route",
+                    lambda v: Route(_string(v, "route")),
+                    solver.get("route", "auto"))
+    x0 = (None if solver.get("x0") is None else
+          _record(errors, "solver.x0", _number, solver["x0"], "x0"))
 
     if errors:
         raise SchemaError(errors)
-    return Scenario(doc.get("name", name), seed, space_spec, map_spec,
-                    gauges, t_grid, r_grid, solver)
+    config = SolverConfig(t_grid=t_grid, r_grid=r_grid, complete=complete,
+                          psi=gauges.get("psi"), **settings)
+    return Scenario(name, seed, space, T, gauges, t_grid, r_grid, route, x0,
+                    config)
 
 
 # ---------------------------------------------------------------------------
@@ -398,4 +394,8 @@ def load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if not path.exists():
         raise SchemaError([("$", f"no built-in scenario or file named {ref!r}")])
-    return parse_scenario(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise SchemaError([("$", f"not UTF-8 text: {exc}")]) from None
+    return parse_scenario(text, name=path.stem)

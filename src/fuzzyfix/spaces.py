@@ -19,6 +19,7 @@ is approximated by a bounded-jump test on a refined scale grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -54,6 +55,8 @@ class Carrier:
     @classmethod
     def finite(cls, points: Sequence[float]) -> "Carrier":
         pts = tuple(float(p) for p in points)
+        if not np.isfinite(pts).all():
+            raise DomainError("carrier points must be finite")
         if len(set(pts)) != len(pts):
             raise DomainError("carrier points must be pairwise distinct")
         if not pts:
@@ -62,12 +65,15 @@ class Carrier:
 
     @classmethod
     def interval(cls, low: float, high: float, samples: int = 101) -> "Carrier":
+        low, high = float(low), float(high)
+        if not math.isfinite(high - low):    # NaN or infinite bounds or span
+            raise DomainError("interval carrier needs finite bounds and span")
         if not high > low:
             raise DomainError("interval carrier needs high > low")
         if samples < 2:
             raise DomainError("interval carrier needs at least 2 samples")
         pts = tuple(float(v) for v in np.linspace(low, high, samples))
-        return cls(CarrierKind.INTERVAL, pts, float(low), float(high))
+        return cls(CarrierKind.INTERVAL, pts, low, high)
 
     @property
     def is_finite(self) -> bool:

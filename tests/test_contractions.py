@@ -1,6 +1,7 @@
 """Tests for the contraction classifiers and empirical gauge extraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestSelfMaps:
     def test_unknown_id(self):
         with pytest.raises(DomainError):
             self_map("rot13")
+
+    @pytest.mark.parametrize("spec, x", [
+        ("expr:1/x", 0.0), ("expr:ln(x)", -1.0), ("expr:x^1000", 10.0),
+        ("expr:exp(x)", 1000.0)])
+    def test_expression_failure_names_map_and_point(self, spec, x):
+        T = self_map(spec)
+        message = f"map {re.escape(spec)} cannot be evaluated at {x!r}"
+        with pytest.raises(DomainError, match=message):
+            T(x)
+        with pytest.raises(DomainError, match=message):
+            T.apply(np.array([1.0, x, x]))
+
+    def test_expression_variables_other_than_x_rejected(self):
+        with pytest.raises(DomainError, match="only the variable x, not t"):
+            self_map("expr:x*t")
+        assert self_map("expr:1/2")(3.0) == 0.5
 
 
 _RAY = Carrier.interval(0, 10, 201)

@@ -91,6 +91,10 @@ class TestEvaluation:
         with pytest.raises(ExpressionError, match="ln of nonpositive"):
             evaluate(parse_expression("ln(x)"), {"x": -1.0})
 
+    def test_exp_overflow(self):
+        with pytest.raises(ExpressionError, match="exp of 1000.0 overflows"):
+            evaluate(parse_expression("exp(x)"), {"x": 1000.0})
+
     def test_unselected_branch_not_evaluated(self):
         tree = parse_expression("piecewise(x > 0, ln(x), 0)")
         assert evaluate(tree, {"x": -5.0}) == 0.0

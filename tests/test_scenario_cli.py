@@ -1,9 +1,12 @@
 """Tests for scenario parsing/validation and the command-line interface."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from fuzzyfix import scenario as scenario_mod
 from fuzzyfix.cli import main, run_command
 from fuzzyfix.scenario import (
     SCENARIO_LIBRARY,
@@ -13,8 +16,21 @@ from fuzzyfix.scenario import (
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def error_paths(exc: SchemaError) -> list:
     return [path for path, _ in exc.errors]
+
+
+def quad_table(path: Path, values=None) -> Path:
+    """A nearness table file exp(-|x-y|/t) on the points 0, 1, 2, 5."""
+    pts, nodes = [0, 1, 2, 5], [1.0, 2.0]
+    entries = [{"x": x, "y": y, "values": values or
+                [math.exp(-abs(x - y) / t) for t in nodes]}
+               for i, x in enumerate(pts) for y in pts[i + 1:]]
+    path.write_text(json.dumps({"t_nodes": nodes, "entries": entries}))
+    return path
 
 
 class TestScenarioParsing:
@@ -53,7 +69,7 @@ class TestScenarioParsing:
     def test_table_map_missing_point_named(self):
         doc = json.loads(SCENARIO_LIBRARY["ex63"])
         doc["map"] = {"kind": "table", "mapping": {"0": 0, "1": 5, "2": 0}}
-        with pytest.raises(SchemaError, match="missing image of point 5"):
+        with pytest.raises(SchemaError, match="missing the image of point 5"):
             parse_scenario(json.dumps(doc))
 
     def test_unknown_ids_reported_with_paths(self):
@@ -107,6 +123,22 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError, match="positive and finite"):
             parse_scenario(json.dumps(doc))
 
+    def test_objects_decoded_once(self):
+        sc = load_scenario("ex63")
+        assert sc.build_space() is sc.build_space()
+        assert sc.build_map() is sc.build_map()
+        assert sc.build_gauges()["psi"] is sc.solver_config().psi
+
+    def test_solver_config_is_a_copy(self):
+        sc = load_scenario("ex62")
+        cfg = sc.solver_config()
+        cfg.t_grid, cfg.max_len = (1.0,), 5
+        assert sc.solver_config().t_grid == sc.t_grid
+        assert sc.solver_config().max_len == 10000
+        assert sc.solver == {"route": "cm-strong", "x0": 0.7, "max_len": 10000,
+                             "stop_tolerance": 1e-9, "tail_tolerance": 1e-6,
+                             "i_max": 50, "alpha": 0.0, "beta": 0.0}
+
     def test_table_space_from_path(self, tmp_path):
         table = tmp_path / "nearness.json"
         table.write_text(json.dumps({
@@ -120,7 +152,106 @@ class TestScenarioParsing:
         assert not space.strong
 
 
+# A malformed scenario document: the key path its error names, and the edits
+# to ex63 (by dotted key) that make it; "{tmp}" is the test's directory.
+MALFORMED = {
+    "interval-samples-not-integer": ("space.carrier", {"space.carrier": {
+        "kind": "interval", "low": 0, "high": 1, "samples": "abc"}}),
+    "interval-high-overflows": ("space.carrier", {"space.carrier": {
+        "kind": "interval", "low": 0, "high": 1e400}}),
+    "point-not-number": ("space.carrier", {"space.carrier.points": ["a", 1]}),
+    "point-nested-list": ("space.carrier", {"space.carrier.points": [[1]]}),
+    "point-nan": ("space.carrier", {"space.carrier.points": [0, math.nan]}),
+    "complete-string": ("space.complete", {"space.complete": "false"}),
+    "strong-number": ("space.strong", {"space.strong": 1}),
+    "fuzzy-not-string": ("space.fuzzy", {"space.fuzzy": ["exp"]}),
+    "table-file-missing": ("space.fuzzy",
+                           {"space.fuzzy": "table:{tmp}/absent.json"}),
+    "table-not-json": ("space.fuzzy", {"space.fuzzy": "table:{tmp}/bad.txt"}),
+    "table-without-entries": ("space.fuzzy",
+                              {"space.fuzzy": "table:{tmp}/nodes.json"}),
+    "table-string-value": ("space.fuzzy",
+                           {"space.fuzzy": "table:{tmp}/string.json"}),
+    "table-nan-value": ("space.fuzzy", {"space.fuzzy": "table:{tmp}/nan.json"}),
+    "map-free-variable": ("map", {"map": "expr:x*t"}),
+    "map-image-not-number": ("map", {"map": {"kind": "table", "mapping": {
+        "0": "a", "1": 5, "2": 0, "5": 2}}}),
+    "map-point-key-not-number": ("map", {"map": {"kind": "table", "mapping": {
+        "zero": 0, "1": 5, "2": 0, "5": 2}}}),
+    "gauge-number": ("gauges.psi", {"gauges.psi": 5}),
+    "gauge-conj-short": ("gauges.psi", {"gauges.psi": "conj:eta-neglog"}),
+    "x0-string": ("solver.x0", {"solver.x0": "abc"}),
+    "max-len-string": ("solver.max_len", {"solver.max_len": "abc"}),
+    "max-len-boolean": ("solver.max_len", {"solver.max_len": True}),
+    "alpha-null": ("solver.alpha", {"solver.alpha": None}),
+    "route-unknown": ("solver.route", {"solver.route": "newton"}),
+    "route-number": ("solver.route", {"solver.route": 3}),
+    "seed-boolean": ("seed", {"seed": True}),
+    "seed-float": ("seed", {"seed": 1.5}),
+    "name-number": ("name", {"name": 5}),
+    "grid-integer-overflows": ("grids.t", {"grids.t": [10 ** 400]}),
+}
+
+
+@pytest.fixture
+def malformed_dir(tmp_path):
+    (tmp_path / "bad.txt").write_text("t_nodes: [1]")
+    (tmp_path / "nodes.json").write_text('{"t_nodes": [1.0]}')
+    quad_table(tmp_path / "string.json", ["a", 0.5])
+    quad_table(tmp_path / "nan.json", [0.5, math.nan])
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", ["check-space", "solve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_a_schema_error(malformed_dir, case, command):
+    path, edits = MALFORMED[case]
+    doc = json.loads(SCENARIO_LIBRARY["ex63"])
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = (value.format(tmp=malformed_dir)
+                     if isinstance(value, str) else value)
+    scenario = malformed_dir / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    code, out = run_command([command, "--scenario", str(scenario)])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines
+    assert all(line.startswith(f"schema error at {path}: ") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [["classify-map", "--route", "m"],
+                                  ["solve", "--route", "auto"]])
+def test_table_space_built_once_per_command(tmp_path, monkeypatch, argv):
+    calls = []
+    build = scenario_mod.table_fuzzy_metric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(scenario_mod, "table_fuzzy_metric", counted)
+    doc = json.loads(SCENARIO_LIBRARY["ex63"])
+    doc["space"]["fuzzy"] = f"table:{quad_table(tmp_path / 'table.json')}"
+    doc["grids"]["t"] = [1.0, 2.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_command(argv + ["--scenario", str(path)])
+    assert code in (0, 1), out
+    assert len(calls) == 1
+
+
 class TestCli:
+    def test_paper_matches_golden_output(self):
+        # the behaviour gate: an intended change to this output replaces the
+        # file and names the reason in CHANGES.md
+        code, out = run_command(["paper", "--format", "json-like", "--seed",
+                                 "7"])
+        assert code == 0
+        assert out.encode() == (GOLDEN / "paper-seed7.json").read_bytes()
+
     def test_paper_json_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         code1, _ = run_command(["paper", "--format", "json-like", "--seed",
@@ -238,6 +369,13 @@ class TestCli:
         assert code == 2
         assert "r must lie in (0,1)" in out
 
+    def test_non_utf8_scenario_exit_two(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        code, out = run_command(["check-space", "--scenario", str(bad)])
+        assert code == 2
+        assert out.startswith("schema error at $: not UTF-8 text")
+
     def test_malformed_json_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -250,7 +388,8 @@ class TestCli:
         ["gauge", "--gauge", "step-psi", "--tolerance", "2"],
         ["gauge", "--gauge", "power:abc"],
         ["gauge", "--gauge", "power:1/0"],
-        ["gauge", "--gauge", "power:nan"]])
+        ["gauge", "--gauge", "power:nan"],
+        ["gauge", "--gauge", "conj:eta-neglog"]])
     def test_gauge_domain_errors_exit_two(self, argv):
         code, out = run_command(argv)
         assert code == 2
@@ -293,7 +432,19 @@ class TestCli:
                       "fuzzy": f"table:{table}"}}))
         code, out = run_command(["check-space", "--scenario", str(path)])
         assert code == 2
-        assert out == "error: table entry (0, 1) has a non-finite value\n"
+        assert out == ("schema error at space.fuzzy: table entry (0, 1) has a "
+                       "non-finite value\n")
+
+    def test_expression_map_failure_exits_two(self, tmp_path):
+        path = tmp_path / "reciprocal.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "interval", "low": 0, "high": 1},
+                      "fuzzy": "standard:euclidean"},
+            "map": "expr:1/x"}))
+        code, out = run_command(["classify-map", "--scenario", str(path)])
+        assert code == 2
+        assert out.startswith("error: map expr:1/x cannot be evaluated at 0.0")
+        assert len(out.splitlines()) == 1
 
     def test_usage_error_exit_two(self, capsys):
         code, _ = run_command(["classify-map", "--route", "bogus"])

@@ -45,6 +45,19 @@ class TestCarrier:
         with pytest.raises(DomainError):
             Carrier.finite([1, 1, 2])
 
+    @pytest.mark.parametrize("points", [[0, math.nan], [1, math.inf],
+                                        [-math.inf, 0]])
+    def test_non_finite_points_rejected(self, points):
+        with pytest.raises(DomainError, match="finite"):
+            Carrier.finite(points)
+
+    @pytest.mark.parametrize("low, high", [(0, math.inf), (math.nan, 1),
+                                           (-math.inf, 0), (-1e308, 1e308)])
+    def test_non_finite_interval_rejected(self, low, high):
+        # the last pair has finite bounds but a span that overflows
+        with pytest.raises(DomainError, match="finite"):
+            Carrier.interval(low, high)
+
     def test_interval_contains_interior(self):
         c = Carrier.interval(0, 10, 11)
         assert c.contains(3.7)
