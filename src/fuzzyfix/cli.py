@@ -104,7 +104,10 @@ def _grids(args, scenario):
             grids.append(scenario.t_grid if kind == "t" else scenario.r_grid)
             continue
         if spec is not None and ":" not in spec and spec != "default":
-            spec = spec.split(",")     # parse_grid reports bad entries
+            try:
+                spec = [float(v) for v in spec.split(",")]
+            except ValueError:
+                pass                   # parse_grid reports the bad spec
         grids.append(parse_grid(spec, kind, f"--{kind}-grid", errors))
     if errors:
         raise SchemaError(errors)

@@ -9,7 +9,8 @@ about the observed prefix:
   scale sequence (threshold at the tail only, since genuinely uniform
   behaviour effectively requires eventually constant orbits),
 * ``m_cauchy_check`` looks, per (threshold, scale), for the smallest cut
-  N such that every observed pair beyond it clears the nearness bound,
+  N such that every observed pair beyond it clears the nearness bound;
+  each scale is one nearness call over the pairs i < j alone,
 * ``g_cauchy_check`` does the same for fixed index gaps, the weaker
   notion that the harmonic-sums counterexample separates from the former,
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
@@ -82,12 +83,9 @@ class OrbitTrace:
 
     def rows(self) -> list[dict]:
         """Tabular records (n, x_n, step nearness per grid scale)."""
-        out = []
-        for n, x in enumerate(self.points):
-            row = {"n": n, "x": x}
-            if n < self.steps:
-                row["step_nearness"] = [float(v) for v in self.step_nearness[n]]
-            out.append(row)
+        out = [{"n": n, "x": x} for n, x in enumerate(self.points)]
+        for row, near in zip(out, self.step_nearness.tolist()):
+            row["step_nearness"] = near
         return out
 
     @classmethod
@@ -104,6 +102,12 @@ class OrbitTrace:
         return cls(pts, grid, series, StopReason.PRESCRIBED, map_name)
 
 
+# picard_orbit evaluates step nearness once per block of steps; blocks
+# double from the first size to the last.
+_FIRST_BLOCK = 16
+_LAST_BLOCK = 2048
+
+
 def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
                  max_len: int = DEFAULT_MAX_LEN,
                  stop_tolerance: float = DEFAULT_STOP_TOLERANCE,
@@ -112,7 +116,16 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
 
     Stops early when the iterate repeats exactly (the repeat is kept in the
     trace), or when the worst step nearness over the scale grid exceeds
-    1 - ``stop_tolerance``.  A fixed start yields a single-point trace.
+    1 - ``stop_tolerance``; a repeat on the stopping step is a fixed point.
+    A fixed start yields a single-point trace.
+
+    The map is applied one float at a time, with the repeat test after
+    each step, but step nearness is evaluated once per block of steps (16,
+    doubling up to 2048) by one broadcast call.  A tolerance stop is thus
+    found once its block is mapped: past it, the map is applied at most
+    15 times more than the steps kept, and those steps are dropped.  An
+    error raised by the map is re-raised only when no earlier step stops
+    the orbit, so the trace or error is that of a step-by-step loop.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -125,21 +138,41 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
         return OrbitTrace((float(x0),), grid, np.zeros((0, len(grid))),
                           StopReason.START_FIXED, T.name)
     points = [float(x0)]
-    rows = []
-    reason = StopReason.MAX_LEN
-    for _ in range(max_len):
-        x = points[-1]
-        x_next = T.apply(x, carrier)
-        points.append(x_next)
-        near = np.asarray(space.m(x, x_next, ts), dtype=float)
-        rows.append(near)
-        if x_next == x:
+    blocks = []
+    block = _FIRST_BLOCK
+    while True:
+        start = len(points) - 1
+        error = None
+        try:
+            for _ in range(min(block, max_len - start)):
+                x = points[-1]
+                points.append(T.apply(x, carrier))
+                if points[-1] == x:
+                    break
+        except Exception as exc:    # deferred: an earlier step may stop first
+            error = exc
+        p = np.array(points[start:])[:, None]
+        near = np.asarray(space.m(p[:-1], p[1:], ts), dtype=float)
+        stops = np.flatnonzero(near.min(axis=1) > 1.0 - stop_tolerance)
+        last = len(points) - 2 - start         # the block's final step
+        if stops.size and stops[0] < last:
+            reason, last = StopReason.TOLERANCE, int(stops[0])
+        elif points[-1] == points[-2]:
             reason = StopReason.FIXED_POINT
-            break
-        if float(near.min()) > 1.0 - stop_tolerance:
+        elif stops.size:
             reason = StopReason.TOLERANCE
-            break
-    return OrbitTrace(tuple(points), grid, np.array(rows), reason, T.name)
+        elif error is not None:
+            raise error
+        elif len(points) - 1 == max_len:
+            reason = StopReason.MAX_LEN
+        else:
+            blocks.append(near)
+            block = min(2 * block, _LAST_BLOCK)
+            continue
+        blocks.append(near[:last + 1])
+        del points[start + last + 2:]
+        return OrbitTrace(tuple(points), grid, np.concatenate(blocks), reason,
+                          T.name)
 
 
 def _tail_converges_to_zero(deficits: np.ndarray, tol: float) -> bool:
@@ -292,26 +325,23 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     pts = np.array(trace.points)[idx]
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
-    n = len(pts)
-    above = np.triu(np.ones((n, n), dtype=bool), k=1)
+    # the pairs i < j in row-major order, and where each row i starts
+    i, j = np.triu_indices(len(pts), 1)
+    starts = np.searchsorted(i, np.arange(len(pts) - 1))
     for t in grid:
-        near = np.asarray(space.m(pts[:, None], pts[None, :], t), dtype=float)
-        upper = np.where(above, near, np.inf)
-        row_min = np.full(n, np.inf)
-        row_min[:-1] = upper[:-1].min(axis=1)
+        near = np.asarray(space.m(pts[i], pts[j], t), dtype=float)
         # g[k] = worst nearness among pairs fully beyond cut k
-        g = np.minimum.accumulate(row_min[::-1])[::-1]
+        g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
         for r in rs:
-            bound = 1.0 - r
-            valid = np.nonzero(g[:n - 1] > bound)[0]
+            valid = np.nonzero(g > 1.0 - r)[0]
             if valid.size:
                 cert.records.append({"t": t, "r": r, "N": int(idx[valid[0]])})
             else:
-                # row-major first occurrence, as over the triangle alone
-                i, j = np.unravel_index(np.argmin(upper), upper.shape)
+                # the first minimal pair in row-major order
+                k = int(np.argmin(near))
                 cert.verdict = CauchyVerdict.VIOLATED
-                cert.witness = {"t": t, "r": r, "n": int(idx[i]),
-                                "m": int(idx[j]), "nearness": float(near[i, j])}
+                cert.witness = {"t": t, "r": r, "n": int(idx[i[k]]),
+                                "m": int(idx[j[k]]), "nearness": float(near[k])}
                 return cert
     return cert
 

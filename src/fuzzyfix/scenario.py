@@ -5,9 +5,10 @@ t-norm, completeness and strongness flags), a self-map, gauges by role,
 grids, and solver settings.  :func:`parse_scenario` decodes each section
 once into its object: the space, the map on its carrier, the gauges and
 the solver settings.  The constructors judge ids and values, four readers
-judge JSON types, and every problem is reported with its path in one
-:class:`SchemaError`, a table file's at ``space.fuzzy``.  Three scenarios
-are built in: ``ex61``, ``ex62`` and ``ex63``.
+judge JSON types, a key that its object does not define is an unknown key,
+and every problem is reported with its path in one :class:`SchemaError`, a
+table file's at ``space.fuzzy``.  Three scenarios are built in: ``ex61``,
+``ex62`` and ``ex63``.
 
 Grid specs are either the string ``default``, ``lin:<lo>:<hi>:<n>``,
 ``log:<lo>:<hi>:<n>``, or an explicit JSON array of numbers.
@@ -115,11 +116,10 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
             values = np.logspace(np.log10(lo), np.log10(hi), n)
         grid = tuple(float(v) for v in values)
     elif isinstance(spec, (list, tuple)):
-        try:
-            grid = tuple(float(v) for v in spec)
-        except (TypeError, ValueError, OverflowError):
+        if not all(map(_is_number, spec)):
             errors.append((path, "grid list must contain numbers"))
             return tuple(default)
+        grid = tuple(float(v) for v in spec)
     else:
         errors.append((path, f"bad grid spec {spec!r}"))
         return tuple(default)
@@ -168,6 +168,14 @@ def _boolean(value, key: str) -> bool:
 
 def _string(value, key: str) -> str:
     return _read(value, key, isinstance(value, str), "a string")
+
+
+def _unknown_keys(spec, allowed, prefix: str = "") -> list[tuple[str, str]]:
+    """The keys of an object ``spec`` that are not ``allowed``, as errors
+    at their paths (``prefix`` + key)."""
+    if not isinstance(spec, dict):
+        return []
+    return [(prefix + key, "unknown key") for key in spec if key not in allowed]
 
 
 def _record(errors: list, path: str, decode: Callable, *args):
@@ -238,6 +246,9 @@ def _space(spec, errors: list) -> tuple[Optional[FuzzySpace], bool]:
     if not isinstance(spec, dict):
         errors.append(("space", "must be an object"))
         return None, True
+    errors += _unknown_keys(spec, _SPACE_KEYS, "space.")
+    errors += _unknown_keys(spec.get("carrier"), _CARRIER_KEYS,
+                            "space.carrier.")
     carrier = _record(errors, "space.carrier", _carrier, spec.get("carrier"))
     norm = _record(errors, "space.tnorm", lambda v: tnorm(_string(v, "tnorm")),
                    spec.get("tnorm", "product"))
@@ -268,6 +279,9 @@ def _map(spec, carrier: Optional[Carrier]) -> SelfMap:
 
 
 _SECTIONS = ("seed", "space", "map", "gauges", "grids", "solver", "name")
+_SPACE_KEYS = ("carrier", "fuzzy", "tnorm", "complete", "strong")
+_CARRIER_KEYS = ("kind", "points", "low", "high", "samples")
+_TABLE_MAP_KEYS = ("kind", "name", "mapping")
 
 # the solver keys other than route and x0, with their readers
 _SOLVER_SETTINGS = {"max_len": _integer, "stop_tolerance": _number,
@@ -287,7 +301,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError([("$", "scenario must be a JSON object")])
 
-    errors = [(key, "unknown key") for key in doc if key not in _SECTIONS]
+    errors = _unknown_keys(doc, _SECTIONS)
     name = _record(errors, "name", _string, doc.get("name", name), "name")
     seed = _record(errors, "seed", _integer, doc.get("seed", 0), "seed")
     space, complete = ((None, True) if doc.get("space") is None
@@ -295,6 +309,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     T = (None if doc.get("map") is None else
          _record(errors, "map", _map, doc["map"],
                  space.carrier if space else None))
+    errors += _unknown_keys(doc.get("map"), _TABLE_MAP_KEYS, "map.")
 
     gauges = doc.get("gauges", {})
     if not isinstance(gauges, dict):
@@ -308,6 +323,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not isinstance(grids, dict):
         errors.append(("grids", "must be an object"))
         grids = {}
+    errors += _unknown_keys(grids, ("t", "r"), "grids.")
     t_grid = parse_grid(grids.get("t"), "t", "grids.t", errors)
     r_grid = parse_grid(grids.get("r"), "r", "grids.r", errors)
 
@@ -315,6 +331,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not isinstance(solver, dict):
         errors.append(("solver", "must be an object"))
         solver = {}
+    errors += _unknown_keys(solver, ("route", "x0", *_SOLVER_SETTINGS),
+                            "solver.")
     settings = {key: _record(errors, f"solver.{key}", read, solver[key], key)
                 for key, read in _SOLVER_SETTINGS.items() if key in solver}
     route = _record(errors, "solver.route",

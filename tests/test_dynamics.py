@@ -11,6 +11,7 @@ from fuzzyfix import dynamics
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.contractions import (
     MParams,
+    SelfMap,
     _blend,
     _ThresholdIndex,
     cm_contractive_check,
@@ -34,6 +35,7 @@ from fuzzyfix.dynamics import (
 from fuzzyfix.scenario import load_scenario
 from fuzzyfix.spaces import (
     Carrier,
+    FuzzySpace,
     exponential_fuzzy_metric,
     metric,
     standard_fuzzy_metric,
@@ -629,3 +631,270 @@ class TestSolver:
         result = solve_fixed_point(quad_space, perm_map, 1, Route.M_FINAL, cfg)
         assert not result.audit_passed
         assert result.failing_condition() == "declared-complete"
+
+
+# ---------------------------------------------------------------------------
+# blocked orbits and the triangle-only M-Cauchy check against the loops they
+# replace
+# ---------------------------------------------------------------------------
+
+def _reference_orbit(space, T, x0, max_len, stop_tolerance, t_grid):
+    """The step-by-step orbit loop: one nearness call per step."""
+    grid = scale_grid(t_grid)
+    carrier = space.carrier
+    ts = np.array(grid)
+    if T.apply(x0, carrier) == x0:
+        return OrbitTrace((float(x0),), grid, np.zeros((0, len(grid))),
+                          StopReason.START_FIXED, T.name)
+    points = [float(x0)]
+    rows = []
+    reason = StopReason.MAX_LEN
+    for _ in range(max_len):
+        x = points[-1]
+        x_next = T.apply(x, carrier)
+        points.append(x_next)
+        near = np.asarray(space.m(x, x_next, ts), dtype=float)
+        rows.append(near)
+        if x_next == x:
+            reason = StopReason.FIXED_POINT
+            break
+        if float(near.min()) > 1.0 - stop_tolerance:
+            reason = StopReason.TOLERANCE
+            break
+    return OrbitTrace(tuple(points), grid, np.array(rows), reason, T.name)
+
+
+def _reference_m_cauchy(space, trace, r_grid=None, t_grid=None):
+    """The M-Cauchy check over the dense pair matrix."""
+    rs = threshold_grid(r_grid)
+    grid = scale_grid(t_grid, trace.t_grid)
+    idx = dynamics._cert_indices(trace.length)
+    pts = np.array(trace.points)[idx]
+    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
+                                      CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
+    n = len(pts)
+    above = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for t in grid:
+        near = np.asarray(space.m(pts[:, None], pts[None, :], t), dtype=float)
+        upper = np.where(above, near, np.inf)
+        row_min = np.full(n, np.inf)
+        row_min[:-1] = upper[:-1].min(axis=1)
+        g = np.minimum.accumulate(row_min[::-1])[::-1]
+        for r in rs:
+            valid = np.nonzero(g[:n - 1] > 1.0 - r)[0]
+            if valid.size:
+                cert.records.append({"t": t, "r": r, "N": int(idx[valid[0]])})
+            else:
+                i, j = np.unravel_index(np.argmin(upper), upper.shape)
+                cert.verdict = CauchyVerdict.VIOLATED
+                cert.witness = {"t": t, "r": r, "n": int(idx[i]),
+                                "m": int(idx[j]), "nearness": float(near[i, j])}
+                return cert
+    return cert
+
+
+_INTERVAL = Carrier.interval(0, 10, 201)
+_QUAD = Carrier.finite([0, 1, 2, 5])
+_ORBIT_SPACES = {
+    f"{build.__name__}-{d}": build(_INTERVAL, metric(d))
+    for build in (standard_fuzzy_metric, exponential_fuzzy_metric)
+    for d in ("euclidean", "max-jachymski")}
+_QUAD_SPACES = [build(_QUAD, metric(d))
+                for build in (standard_fuzzy_metric, exponential_fuzzy_metric)
+                for d in ("euclidean", "max-jachymski")]
+_QUAD_SPACES.append(table_fuzzy_metric(
+    _QUAD, (0.5, 2.0, 8.0),
+    {(0, 1): (0.3, 0.6, 0.9), (0, 2): (0.2, 0.5, 0.8),
+     (0, 5): (0.1, 0.3, 0.6), (1, 2): (0.4, 0.7, 0.95),
+     (1, 5): (0.2, 0.4, 0.7), (2, 5): (0.3, 0.5, 0.8)}))
+_INTERVAL_MAPS = ("phi-step", "expr:x/(1+0.75*x)", "expr:x/2")
+_ORBIT_GRID = (1.0, 2.5, 10.0, 40.0)
+
+
+def _assert_same_orbit(space, T, x0, max_len, stop_tolerance,
+                       t_grid=_ORBIT_GRID, r_grid=SMALL_R):
+    new = picard_orbit(space, T, x0, max_len, stop_tolerance, t_grid)
+    old = _reference_orbit(space, T, x0, max_len, stop_tolerance, t_grid)
+    assert new.points == old.points
+    assert new.stop_reason is old.stop_reason
+    assert new.step_nearness.shape == old.step_nearness.shape
+    assert np.array_equal(new.step_nearness.view(np.int64),
+                          old.step_nearness.view(np.int64))
+    if new.length >= 2:
+        assert (m_cauchy_check(space, new, r_grid).to_dict()
+                == _reference_m_cauchy(space, old, r_grid).to_dict())
+    return new
+
+
+def _tolerance_stopping_at(space, T, x0, row):
+    """A stop tolerance on which the step-by-step loop stops at ``row``."""
+    free = _reference_orbit(space, T, x0, row + 1, 0.0, _ORBIT_GRID)
+    worst = free.step_nearness.min(axis=1)
+    assert np.all(np.diff(worst) > 0)
+    tol = 1.0 - (worst[row - 1] + worst[row]) / 2 if row else 1.0 - worst[0] / 2
+    stopped = _reference_orbit(space, T, x0, 10000, tol, _ORBIT_GRID)
+    assert stopped.stop_reason is StopReason.TOLERANCE
+    assert stopped.steps == row + 1
+    return tol
+
+
+class TestBlockedOrbit:
+    @pytest.mark.parametrize("name", sorted(_ORBIT_SPACES))
+    @pytest.mark.parametrize("spec", _INTERVAL_MAPS)
+    @pytest.mark.parametrize("max_len", [1, 15, 16, 17, 10000])
+    def test_interval_orbits_match_step_loop(self, name, spec, max_len):
+        space = _ORBIT_SPACES[name]
+        trace = _assert_same_orbit(space, self_map(spec), 7.0, max_len, 1e-9)
+        if max_len < 10000:
+            assert trace.stop_reason is StopReason.MAX_LEN
+
+    @pytest.mark.parametrize("space", _QUAD_SPACES,
+                             ids=lambda space: space.provenance)
+    @pytest.mark.parametrize("x0, reason", [(0, StopReason.START_FIXED),
+                                            (1, StopReason.FIXED_POINT),
+                                            (2, StopReason.FIXED_POINT)])
+    @pytest.mark.parametrize("max_len", [1, 15, 16, 17, 10000])
+    def test_quad_orbits_match_step_loop(self, space, x0, reason, max_len):
+        trace = _assert_same_orbit(space, self_map("perm-0-1-2-5"), x0,
+                                   max_len, 1e-9)
+        assert trace.stop_reason in (reason, StopReason.MAX_LEN)
+
+    def test_every_stop_reason_is_reached(self):
+        space = _ORBIT_SPACES["standard_fuzzy_metric-euclidean"]
+        seen = {_assert_same_orbit(space, self_map(spec), x0, max_len,
+                                   1e-9).stop_reason
+                for spec, x0, max_len in [("expr:x/2", 0.0, 100),
+                                          ("expr:x/2", 7.0, 10000),
+                                          ("expr:x/2", 7.0, 17),
+                                          ("phi-step", 0.7, 10000)]}
+        seen.add(_assert_same_orbit(_QUAD_SPACES[0], self_map("perm-0-1-2-5"),
+                                    1, 10000, 1e-9).stop_reason)
+        assert seen == {StopReason.START_FIXED, StopReason.FIXED_POINT,
+                        StopReason.TOLERANCE, StopReason.MAX_LEN}
+
+    # rows 0, 16, 48 and 112 open a block; rows 15, 47 and 111 close one
+    @pytest.mark.parametrize("row", [0, 1, 15, 16, 47, 48, 111, 112])
+    @pytest.mark.parametrize("name", sorted(_ORBIT_SPACES))
+    def test_tolerance_stop_on_block_edges(self, name, row):
+        space = _ORBIT_SPACES[name]
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return x / (1 + 0.75 * x)
+        T = SelfMap("counted", counted)
+        tol = _tolerance_stopping_at(space, T, 7.0, row)
+        trace = _assert_same_orbit(space, T, 7.0, 10000, tol)
+        assert trace.stop_reason is StopReason.TOLERANCE
+        assert trace.steps == row + 1
+        calls.clear()
+        picard_orbit(space, T, 7.0, 10000, tol, _ORBIT_GRID)
+        # one start check, the kept steps, then the rest of the stop's block
+        assert len(calls) - 1 - trace.steps <= trace.steps + 15
+
+    def test_fixed_repeat_on_the_stopping_row_is_a_fixed_point(self):
+        # 1 -> 5 -> 2 -> 0 -> 0: the repeat's row is all ones and is the
+        # first to clear a tolerance halfway to the earlier rows' best
+        space = _QUAD_SPACES[0]
+        T = self_map("perm-0-1-2-5")
+        free = _reference_orbit(space, T, 1, 10, 0.0, _ORBIT_GRID)
+        tol = (1.0 - free.step_nearness[:-1].min(axis=1).max()) / 2
+        trace = _assert_same_orbit(space, T, 1, 10000, tol)
+        assert trace.stop_reason is StopReason.FIXED_POINT
+
+    @given(x0=st.floats(0.05, 10.0), c=st.floats(0.1, 4.0),
+           tol=st.floats(1e-12, 0.5), max_len=st.sampled_from([1, 15, 16, 17,
+                                                              10000]),
+           exp=st.booleans())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_random_orbits_match_step_loop(self, x0, c, tol, max_len, exp):
+        space = _ORBIT_SPACES["exponential_fuzzy_metric-euclidean" if exp
+                              else "standard_fuzzy_metric-max-jachymski"]
+        _assert_same_orbit(space, self_map(f"expr:x/(1+{c!r}*x)"), x0,
+                           max_len, tol)
+
+    @pytest.mark.parametrize("spec, low, x0", [("expr:x/2", 1e-3, 4.0),
+                                               ("expr:x-1/64", 0.0, 4.0)])
+    def test_map_error_raised_only_when_no_step_stops(self, spec, low, x0):
+        space = standard_fuzzy_metric(Carrier.interval(low, 4, 101),
+                                      metric("euclidean"))
+        T = self_map(spec)
+        trace = _assert_same_orbit(space, T, x0, 10000, 0.5)
+        assert trace.stop_reason is StopReason.TOLERANCE
+        with pytest.raises(DomainError) as old:
+            _reference_orbit(space, T, x0, 10000, 1e-15, _ORBIT_GRID)
+        with pytest.raises(DomainError) as new:
+            picard_orbit(space, T, x0, 10000, 1e-15, _ORBIT_GRID)
+        assert str(new.value) == str(old.value)
+        assert "outside the carrier" in str(new.value)
+
+    def test_map_error_after_a_stop_in_its_block_is_dropped(self):
+        # x/2 leaves [1e-3, 4] at step 12, inside the first block
+        space = standard_fuzzy_metric(Carrier.interval(1e-3, 4, 101),
+                                      metric("euclidean"))
+        T = self_map("expr:x/2")
+        for row in range(11):
+            tol = _tolerance_stopping_at(space, T, 4.0, row)
+            trace = _assert_same_orbit(space, T, 4.0, 10000, tol)
+            assert trace.steps == row + 1
+
+    def test_ex62_orbit_matches_step_loop(self):
+        sc = load_scenario("ex62")
+        cfg = sc.solver_config()
+        _assert_same_orbit(sc.build_space(), sc.build_map(), sc.x0,
+                           cfg.max_len, cfg.stop_tolerance, sc.t_grid,
+                           sc.r_grid)
+
+    @pytest.mark.parametrize("points", [[0, 1] * 30, list(range(50)),
+                                        [5, 2, 5, 1, 0, 0, 1],
+                                        np.cumsum(1.0 / np.arange(1, 700))])
+    def test_m_cauchy_matches_dense_check(self, line_space, points):
+        trace = OrbitTrace.from_points(line_space, points, GRID_1_100)
+        for rs in (SMALL_R, None, (0.999,)):
+            assert (m_cauchy_check(line_space, trace, rs).to_dict()
+                    == _reference_m_cauchy(line_space, trace, rs).to_dict())
+
+    def test_rows_match_elementwise_export(self, ray_space, step_map):
+        trace = picard_orbit(ray_space, step_map, 0.7, 100, 1e-9, GRID_1_100)
+        assert trace.rows() == [
+            {"n": n, "x": x, **({"step_nearness": [
+                float(v) for v in trace.step_nearness[n]]}
+                if n < trace.steps else {})}
+            for n, x in enumerate(trace.points)]
+
+
+class _NearnessCount:
+    """Counts ``FuzzySpace.m`` calls and the elements each evaluates."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        m = FuzzySpace.m
+
+        def counted(space, x, y, t):
+            self.sizes.append(np.broadcast(x, y, t).size)
+            return m(space, x, y, t)
+        monkeypatch.setattr(FuzzySpace, "m", counted)
+
+
+class TestOrbitWorkCounts:
+    def test_ex62_orbit_evaluates_nearness_per_block(self, monkeypatch):
+        sc = load_scenario("ex62")
+        cfg = sc.solver_config()
+        count = _NearnessCount(monkeypatch)
+        trace = picard_orbit(sc.build_space(), sc.build_map(), sc.x0,
+                             cfg.max_len, cfg.stop_tolerance, sc.t_grid)
+        assert trace.steps == 10000
+        assert len(count.sizes) <= 12
+        assert sum(count.sizes) == 10000 * len(sc.t_grid)
+
+    def test_m_cauchy_evaluates_the_upper_triangle_once_per_scale(
+            self, monkeypatch):
+        sc = load_scenario("ex62")
+        space = sc.build_space()
+        points = 1.0 / np.arange(1, 10002)
+        trace = OrbitTrace.from_points(space, points, sc.t_grid)
+        count = _NearnessCount(monkeypatch)
+        cert = m_cauchy_check(space, trace, sc.r_grid)
+        assert cert.holds
+        n = dynamics.PAIR_CERT_CAP
+        assert count.sizes == [n * (n - 1) // 2] * len(sc.t_grid)

@@ -190,6 +190,15 @@ MALFORMED = {
     "seed-float": ("seed", {"seed": 1.5}),
     "name-number": ("name", {"name": 5}),
     "grid-integer-overflows": ("grids.t", {"grids.t": [10 ** 400]}),
+    "grid-boolean": ("grids.t", {"grids.t": [True, 2]}),
+    "grid-numeric-string": ("grids.r", {"grids.r": ["0.5"]}),
+    "solver-unknown-key": ("solver.max-len", {"solver.max-len": 3}),
+    "grids-unknown-key": ("grids.s", {"grids.s": "default"}),
+    "space-unknown-key": ("space.metric", {"space.metric": "euclidean"}),
+    "carrier-unknown-key": ("space.carrier.step", {"space.carrier.step": 1}),
+    "table-map-unknown-key": ("map.images", {"map": {
+        "kind": "table", "mapping": {"0": 0, "1": 5, "2": 0, "5": 2},
+        "images": {}}}),
 }
 
 
@@ -221,6 +230,28 @@ def test_malformed_document_is_a_schema_error(malformed_dir, case, command):
     lines = out.splitlines()
     assert lines
     assert all(line.startswith(f"schema error at {path}: ") for line in lines)
+
+
+def test_misspelled_solver_key_is_not_ignored(tmp_path):
+    doc = json.loads(SCENARIO_LIBRARY["ex62"])
+    doc["solver"]["max-len"] = 3
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_command(["iterate", "--scenario", str(path)])
+    assert (code, out) == (2, "schema error at solver.max-len: unknown key\n")
+
+
+def test_every_documented_key_is_known(tmp_path):
+    doc = json.loads(SCENARIO_LIBRARY["ex63"])
+    doc["space"]["carrier"].update(low=0, high=5, samples=11)
+    doc["map"] = {"kind": "table", "name": "cycle",
+                  "mapping": {"0": 0, "1": 5, "2": 0, "5": 2}}
+    doc["grids"] = {"t": [1.0, 2.0], "r": "default"}
+    doc["solver"] = {"route": "m-final", "x0": 1, "max_len": 10,
+                     "stop_tolerance": 1e-9, "tail_tolerance": 1e-6,
+                     "i_max": 5, "alpha": 2, "beta": 2}
+    sc = parse_scenario(json.dumps(doc))
+    assert sc.solver["max_len"] == 10 and sc.map.name == "cycle"
 
 
 @pytest.mark.parametrize("argv", [["classify-map", "--route", "m"],
