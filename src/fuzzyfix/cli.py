@@ -6,15 +6,19 @@ file path), ``--format`` (``text`` or ``json-like``), ``--seed``,
 ``--t-grid``, ``--r-grid``, ``--tolerance``, ``--out``.
 
 Exit status: 0 when every verdict/assertion passes, 1 when any check is
-violated or failed, 2 on usage or schema errors.  Reports carry a
-versioned schema; given identical inputs the machine-readable output is
-byte-identical.
+violated or failed, 2 on usage or schema errors, on a map or gauge that
+cannot be evaluated, and on a file that cannot be read or written.
+Reports carry a versioned schema; given identical inputs the
+machine-readable output is byte-identical.  With ``--format json-like``
+that output is exactly ``json.dumps(report, sort_keys=True, indent=2)``
+plus a newline, written mostly by json's C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -220,6 +224,69 @@ _COMMANDS = {"check-space": (_cmd_check_space, True),
              "paper": (_cmd_paper, False)}
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder that writes a flat container's members ``depth`` deep.
+
+    Built as ``json.dumps`` builds its own, with the separators that
+    ``indent=2`` puts between members at that depth; it leaves the
+    brackets on the members' lines, and :func:`_emit_json` moves them."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * depth, True, False, True)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: converted to text, quoted."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = "".join(_encoder(0)(key, 0))
+    return json.encoder.encode_basestring_ascii(key)
+
+
+def _emit_json(obj, depth: int, out: list) -> None:
+    """Append the pieces of ``obj`` rendered ``depth`` containers deep."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        out.extend(_encoder(depth)(obj, depth))
+        return
+    pad = "\n" + "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        flat = "".join(_encoder(depth + 1)(obj, depth + 1))
+        out += (flat[0], pad, flat[1:-1], pad[:-2], flat[-1])
+        return
+    out.append("{" if is_dict else "[")
+    sep = pad
+    for item in (sorted(obj.items()) if is_dict else obj):
+        out.append(sep)
+        sep = "," + pad
+        if is_dict:
+            out += (_json_key(item[0]), ": ")
+            item = item[1]
+        _emit_json(item, depth + 1, out)
+    out += (pad[:-2], "}" if is_dict else "]")
+
+
+def _render_json(report: dict) -> str:
+    """Exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
+
+    With ``indent``, ``json.dumps`` runs its pure-Python encoder on every
+    value.  Here containers are walked in Python, but each non-empty list
+    or dict whose members are all plain scalars goes whole to the C encoder
+    that ``json.dumps`` uses without ``indent``, so that the floats of a
+    long orbit are written in C.  Every piece goes into one list, joined
+    once, so no level holds a copy of its subtree's text."""
+    out: list = []
+    _emit_json(report, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     if report.get("scenario"):
@@ -275,12 +342,15 @@ def run_command(argv: Optional[Sequence[str]] = None) -> tuple[int, str]:
               "scenario": scenario.name if scenario else None,
               "seed": args.seed, "passed": bool(passed), "body": body}
     if args.fmt == "json-like":
-        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        rendered = _render_json(report)
     else:
         rendered = _render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            return 2, f"error: {exc}\n"
         rendered_out = f"report written to {args.out}\n"
     else:
         rendered_out = rendered

@@ -43,7 +43,7 @@ from .algebra import (
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
 from .expressions import (
     ExpressionError,
-    evaluate,
+    _compile,
     free_variables,
     parse_expression,
 )
@@ -162,10 +162,11 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
         if unbound:
             raise DomainError(f"map {spec} may use only the variable x, "
                               f"not {', '.join(sorted(unbound))}")
+        compiled = _compile(tree)
 
         def image(x: float) -> float:
             try:
-                return evaluate(tree, {"x": x})
+                return compiled({"x": x})
             except ExpressionError as exc:
                 raise DomainError(f"map {spec} cannot be evaluated at "
                                   f"{x!r}: {exc}") from None

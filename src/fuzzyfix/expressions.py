@@ -14,14 +14,22 @@ only valid as the first argument of ``piecewise``.  Free variables are
 restricted to ``x``, ``t``, ``tau``, ``s``; a self-map may use only ``x``.  There is no recursion and no
 looping; evaluation is total on the declared domain or raises a domain
 error carrying the source span.
+
+A tree is compiled once into nested closures, one per node, and a call
+runs only the float operations of the nodes it reaches: ``self_map``
+compiles an ``expr:`` map when it is built, and :func:`evaluate` compiles
+and calls.  The operations are ``math.exp``, ``math.log`` and float
+arithmetic, never numpy, whose ``exp``, ``log`` and ``power`` need not
+agree with them in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 ALLOWED_VARIABLES = ("x", "t", "tau", "s")
 
@@ -256,63 +264,98 @@ def evaluate(tree, env: dict) -> float:
 
     Only the selected branch of a piecewise is evaluated.  Raises
     :class:`ExpressionError` for missing variables and domain failures
-    (division by zero, log of a nonpositive value, overflow).
+    (division by zero, log of a nonpositive value, overflow, a power with
+    no real value).
     """
+    return _compile(tree)(env)
+
+
+def _compile(tree) -> Callable[[dict], float]:
+    """The closure that evaluates ``tree`` in an environment.
+
+    Built once per node: a call runs the node's own float operation on its
+    operands' results, left before right, with no dispatch on node type.
+    """
+    if not isinstance(tree, (Num, Var, BinOp, Cmp, Call)):
+        raise TypeError(f"not an expression node: {tree!r}")
     if isinstance(tree, Num):
-        return tree.value
+        value = tree.value
+        return lambda env: value
+    line, column = tree.span.line, tree.span.column
     if isinstance(tree, Var):
-        try:
-            return float(env[tree.name])
-        except KeyError:
-            raise ExpressionError(f"variable {tree.name!r} is not bound",
-                                  tree.span.line, tree.span.column) from None
-    if isinstance(tree, BinOp):
-        left = evaluate(tree.left, env)
-        right = evaluate(tree.right, env)
-        if tree.op == "+":
-            return left + right
-        if tree.op == "-":
-            return left - right
-        if tree.op == "*":
-            return left * right
-        if tree.op == "/":
-            if right == 0.0:
-                raise ExpressionError("division by zero", tree.span.line,
-                                      tree.span.column)
-            return left / right
-        try:
-            return float(left ** right)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise ExpressionError(f"power failed: {exc}", tree.span.line,
-                                  tree.span.column) from None
-    if isinstance(tree, Cmp):
-        left = evaluate(tree.left, env)
-        right = evaluate(tree.right, env)
-        return {"<": left < right, "<=": left <= right, ">": left > right,
-                ">=": left >= right, "==": left == right}[tree.op]
-    if isinstance(tree, Call):
-        if tree.name == "piecewise":
-            cond = evaluate(tree.args[0], env)
-            return evaluate(tree.args[1] if cond else tree.args[2], env)
-        args = [evaluate(a, env) for a in tree.args]
-        if tree.name == "min":
-            return min(args)
-        if tree.name == "max":
-            return max(args)
-        if tree.name == "exp":
+        name = tree.name
+
+        def var(env):
             try:
-                return math.exp(args[0])
+                return float(env[name])
+            except KeyError:
+                raise ExpressionError(f"variable {name!r} is not bound",
+                                      line, column) from None
+        return var
+    if isinstance(tree, Cmp):
+        left, right = _compile(tree.left), _compile(tree.right)
+        compare = _COMPARE[tree.op]
+        return lambda env: compare(left(env), right(env))
+    if isinstance(tree, BinOp):
+        left, right = _compile(tree.left), _compile(tree.right)
+        if tree.op == "+":
+            return lambda env: left(env) + right(env)
+        if tree.op == "-":
+            return lambda env: left(env) - right(env)
+        if tree.op == "*":
+            return lambda env: left(env) * right(env)
+        if tree.op == "/":
+            def divide(env):
+                a, b = left(env), right(env)
+                if b == 0.0:
+                    raise ExpressionError("division by zero", line, column)
+                return a / b
+            return divide
+
+        def power(env):
+            a, b = left(env), right(env)
+            try:
+                value = a ** b
+            except (OverflowError, ValueError, ZeroDivisionError) as exc:
+                raise ExpressionError(f"power failed: {exc}", line,
+                                      column) from None
+            if isinstance(value, complex):
+                raise ExpressionError(f"power failed: {a!r} ^ {b!r} has no "
+                                      "real value", line, column)
+            return float(value)
+        return power
+    args = [_compile(a) for a in tree.args]
+    if tree.name == "piecewise":
+        cond, then, other = args
+        return lambda env: then(env) if cond(env) else other(env)
+    if tree.name in ("min", "max"):
+        pick = min if tree.name == "min" else max
+        return lambda env: pick([a(env) for a in args])
+    arg = args[0]
+    if tree.name == "abs":
+        return lambda env: abs(arg(env))
+    if tree.name == "exp":
+        def exp(env):
+            a = arg(env)
+            try:
+                return math.exp(a)
             except OverflowError:
-                raise ExpressionError(f"exp of {args[0]!r} overflows",
-                                      tree.span.line, tree.span.column) from None
-        if tree.name == "abs":
-            return abs(args[0])
-        if tree.name == "ln":
-            if args[0] <= 0.0:
-                raise ExpressionError(f"ln of nonpositive value {args[0]!r}",
-                                      tree.span.line, tree.span.column)
-            return math.log(args[0])
-    raise TypeError(f"not an expression node: {tree!r}")
+                raise ExpressionError(f"exp of {a!r} overflows", line,
+                                      column) from None
+        return exp
+    if tree.name == "ln":
+        def ln(env):
+            a = arg(env)
+            if a <= 0.0:
+                raise ExpressionError(f"ln of nonpositive value {a!r}", line,
+                                      column)
+            return math.log(a)
+        return ln
+    raise TypeError(f"unknown builtin in {tree!r}")
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq}
 
 
 def pretty(tree) -> str:

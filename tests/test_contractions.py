@@ -101,7 +101,7 @@ class TestSelfMaps:
 
     @pytest.mark.parametrize("spec, x", [
         ("expr:1/x", 0.0), ("expr:ln(x)", -1.0), ("expr:x^1000", 10.0),
-        ("expr:exp(x)", 1000.0)])
+        ("expr:exp(x)", 1000.0), ("expr:x^0.5", -1.0)])
     def test_expression_failure_names_map_and_point(self, spec, x):
         T = self_map(spec)
         message = f"map {re.escape(spec)} cannot be evaluated at {x!r}"

@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from fuzzyfix import contractions, expressions
+from fuzzyfix.contractions import self_map
 from fuzzyfix.expressions import (
     BinOp,
     Call,
     Cmp,
     ExpressionError,
     Num,
+    Span,
     Var,
     evaluate,
     free_variables,
@@ -106,6 +111,11 @@ class TestEvaluation:
     def test_abs(self):
         assert evaluate(parse_expression("abs(0 - 3)"), {}) == 3.0
 
+    def test_power_with_no_real_value_is_an_error_at_the_caret(self):
+        with pytest.raises(ExpressionError, match="power failed") as exc:
+            evaluate(parse_expression("1 + x ^ 0.5"), {"x": -1.0})
+        assert (exc.value.line, exc.value.column) == (1, 7)
+
 
 class TestPretty:
     CASES = [
@@ -134,3 +144,172 @@ def test_arithmetic_matches_python(x, t):
     tree = parse_expression("x * t + x / t - t ^ 2")
     assert evaluate(tree, {"x": x, "t": t}) == pytest.approx(
         x * t + x / t - t ** 2, rel=1e-12, abs=1e-9)
+
+
+def tree_walk(tree, env: dict) -> float:
+    """The tree-walking evaluator the compiled closures replace, kept as
+    the reference they must match."""
+    if isinstance(tree, Num):
+        return tree.value
+    if isinstance(tree, Var):
+        try:
+            return float(env[tree.name])
+        except KeyError:
+            raise ExpressionError(f"variable {tree.name!r} is not bound",
+                                  tree.span.line, tree.span.column) from None
+    if isinstance(tree, BinOp):
+        left = tree_walk(tree.left, env)
+        right = tree_walk(tree.right, env)
+        if tree.op == "+":
+            return left + right
+        if tree.op == "-":
+            return left - right
+        if tree.op == "*":
+            return left * right
+        if tree.op == "/":
+            if right == 0.0:
+                raise ExpressionError("division by zero", tree.span.line,
+                                      tree.span.column)
+            return left / right
+        try:
+            return float(left ** right)
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise ExpressionError(f"power failed: {exc}", tree.span.line,
+                                  tree.span.column) from None
+    if isinstance(tree, Cmp):
+        left = tree_walk(tree.left, env)
+        right = tree_walk(tree.right, env)
+        return {"<": left < right, "<=": left <= right, ">": left > right,
+                ">=": left >= right, "==": left == right}[tree.op]
+    if isinstance(tree, Call):
+        if tree.name == "piecewise":
+            cond = tree_walk(tree.args[0], env)
+            return tree_walk(tree.args[1] if cond else tree.args[2], env)
+        args = [tree_walk(a, env) for a in tree.args]
+        if tree.name == "min":
+            return min(args)
+        if tree.name == "max":
+            return max(args)
+        if tree.name == "exp":
+            try:
+                return math.exp(args[0])
+            except OverflowError:
+                raise ExpressionError(f"exp of {args[0]!r} overflows",
+                                      tree.span.line, tree.span.column) from None
+        if tree.name == "abs":
+            return abs(args[0])
+        if tree.name == "ln":
+            if args[0] <= 0.0:
+                raise ExpressionError(f"ln of nonpositive value {args[0]!r}",
+                                      tree.span.line, tree.span.column)
+            return math.log(args[0])
+    raise TypeError(f"not an expression node: {tree!r}")
+
+
+def outcome(fn, tree, env):
+    try:
+        return "value", float.hex(fn(tree, env))
+    except ExpressionError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 3.0,
+                                    709.0, 710.0, 1e308, -1e308, 5e-324]),
+                   st.floats())
+SPANS = st.builds(Span, st.integers(1, 3), st.integers(1, 40))
+LEAVES = st.one_of(st.builds(Num, VALUES, SPANS),
+                   st.builds(Var, st.sampled_from(["x", "x", "t", "t", "s"]),
+                             SPANS))
+
+
+def _nodes(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        st.builds(lambda op, ab, sp: BinOp(op, *ab, sp),
+                  st.sampled_from("+-*/^^"), pair, SPANS),
+        st.builds(Call, st.sampled_from(["min", "max"]),
+                  st.lists(children, min_size=2, max_size=4).map(tuple), SPANS),
+        st.builds(lambda name, a, sp: Call(name, (a,), sp),
+                  st.sampled_from(["exp", "ln", "abs"]), children, SPANS),
+        st.builds(lambda op, ab, sp, then, other, sp2: Call(
+                      "piecewise", (Cmp(op, *ab, sp), then, other), sp2),
+                  st.sampled_from(["<", "<=", ">", ">=", "=="]), pair, SPANS,
+                  children, children, SPANS))
+
+
+TREES = st.recursive(LEAVES, _nodes, max_leaves=12)
+
+
+def assert_matches_tree_walk(tree, env):
+    try:
+        expected = outcome(tree_walk, tree, env)
+    except TypeError:
+        # the tree walk crashed on a power with a complex value; the
+        # compiled form reports a power failure at the caret
+        with pytest.raises(ExpressionError, match="power failed: .* has no "
+                                                  "real value"):
+            evaluate(tree, env)
+        return
+    assert outcome(evaluate, tree, env) == expected
+
+
+@given(TREES, VALUES, VALUES)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_compiled_evaluation_matches_the_tree_walk(tree, x, t):
+    # "s" stays unbound, so unbound-variable errors are exercised too
+    assert_matches_tree_walk(tree, {"x": x, "t": t})
+
+
+@given(VALUES, VALUES)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_compiled_power_matches_the_tree_walk(x, t):
+    tree = BinOp("^", Var("x"), Var("t"), Span(2, 5))
+    assert_matches_tree_walk(tree, {"x": x, "t": t})
+    if -math.inf < x < 0.0 and math.isfinite(t) and t != math.floor(t):
+        with pytest.raises(ExpressionError) as exc:
+            evaluate(tree, {"x": x, "t": t})
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
+
+def test_compiled_evaluation_matches_the_tree_walk_on_each_failure():
+    cases = {"1 / (x - x)": "division by zero",
+             "ln(0 - abs(x))": "ln of nonpositive value",
+             "exp(x * 1000)": "overflows",
+             "x ^ 10000": "power failed",
+             "0 ^ (0 - 1)": "power failed",
+             "max(x, 1) + s": "not bound"}
+    for src, message in cases.items():
+        tree = parse_expression(src)
+        expected = outcome(tree_walk, tree, {"x": 2.0})
+        assert expected[0] == "error" and message in expected[1]
+        assert outcome(evaluate, tree, {"x": 2.0}) == expected
+
+
+def test_expression_map_compiles_once(monkeypatch):
+    parses, compiles, nodes = [], [], []
+    parse, compile_ = expressions.parse_expression, expressions._compile
+
+    def counted_parse(src):
+        parses.append(src)
+        return parse(src)
+
+    def counted_compile(tree):
+        compiles.append(tree)
+        return compile_(tree)
+
+    def counted_node(tree):
+        nodes.append(tree)
+        return compile_(tree)
+    monkeypatch.setattr(contractions, "parse_expression", counted_parse)
+    monkeypatch.setattr(contractions, "_compile", counted_compile)
+    monkeypatch.setattr(expressions, "_compile", counted_node)
+    T = self_map("expr:x/(1+2*x)")
+    # one parse and one compile, which builds a closure for the root and
+    # one for each of its 6 descendants
+    assert (len(parses), len(compiles), len(nodes)) == (1, 1, 6)
+    xs = np.linspace(0.0, 3.0, 7)
+    images = T.apply(np.concatenate([xs, xs]))
+    assert T(1.5) == 1.5 / (1 + 2 * 1.5)
+    assert (len(parses), len(compiles), len(nodes)) == (1, 1, 6)
+    assert [float.hex(v) for v in images[:7]] == \
+        [float.hex(x / (1 + 2 * x)) for x in xs.tolist()]

@@ -5,7 +5,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuzzyfix import cli
 from fuzzyfix import scenario as scenario_mod
 from fuzzyfix.cli import main, run_command
 from fuzzyfix.scenario import (
@@ -477,6 +480,28 @@ class TestCli:
         assert out.startswith("error: map expr:1/x cannot be evaluated at 0.0")
         assert len(out.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["classify-map", "solve"])
+    def test_power_with_no_real_value_exits_two(self, tmp_path, command):
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "interval", "low": -1, "high": 1},
+                      "fuzzy": "standard:euclidean"},
+            "map": "expr:x^0.5", "solver": {"x0": -0.5}}))
+        code, out = run_command([command, "--scenario", str(path)])
+        assert code == 2
+        assert out.startswith("error: map expr:x^0.5 cannot be evaluated at")
+        assert "power failed" in out and "(line 1, column 2)" in out
+        assert len(out.splitlines()) == 1
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out = run_command(["gauge", "--gauge", "power:1/2", "--out",
+                                 str(target)])
+        assert code == 2
+        assert out.startswith("error: ") and str(target) in out
+        assert len(out.splitlines()) == 1
+        assert not target.exists()
+
     def test_usage_error_exit_two(self, capsys):
         code, _ = run_command(["classify-map", "--route", "bogus"])
         assert code == 2
@@ -497,3 +522,83 @@ class TestCli:
         assert code == 0
         assert out.startswith("command: check-space")
         assert "passed: True" in out
+
+
+# ---------------------------------------------------------------------------
+# json-like rendering
+# ---------------------------------------------------------------------------
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                     1 / 3, 0.1, 1e-300, -1.5e308]))
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'
+                                         '\U0001f600\U0010ffff'),
+                         st.characters()), max_size=6)
+SCALARS = st.one_of(st.none(), st.booleans(),
+                    st.integers(-2 ** 70, 2 ** 70), FLOATS, TEXT)
+
+
+def json_like(depth: int):
+    """Nested dicts, lists and tuples up to ``depth`` containers deep.
+
+    Each dict has keys of one type, as the reports do: text, floats (the
+    paper suite writes keys such as "0.0") or integers."""
+    if depth == 0:
+        return SCALARS
+    child = json_like(depth - 1)
+    dicts = [st.dictionaries(keys, child, max_size=5)
+             for keys in (TEXT, st.floats(allow_nan=False),
+                          st.integers(-2 ** 70, 2 ** 70))]
+    return st.one_of(SCALARS, st.lists(SCALARS, max_size=8),
+                     st.lists(child, max_size=4),
+                     st.lists(child, max_size=4).map(tuple), *dicts)
+
+
+@given(json_like(6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_json_renderer_matches_json_dumps(obj):
+    assert cli._render_json(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": [], "b": {}, "c": ()}, [[[]]], {"k": {"k": {"k": 1}}},
+    {0.0: 1, -1.5: [2.0], 1e16: {}}, [None, True, False, -0.0, 2 ** 80],
+    {"x": "\"\\\x00\U0001f600"}, 3.5, "text", None])
+def test_json_renderer_edge_cases(obj):
+    assert cli._render_json(obj) == dumps(obj)
+
+
+def test_json_renderer_rejects_what_json_dumps_rejects():
+    for obj in ({(1, 2): 1}, [object()], {"a": {1j: 0}}):
+        with pytest.raises(TypeError):
+            dumps(obj)
+        with pytest.raises(TypeError):
+            cli._render_json(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--scenario", "ex62", "--max-len", "200"],
+    ["solve", "--scenario", "ex62"],
+    ["solve", "--scenario", "ex63", "--t-grid", "log:0.5:50:8"],
+    ["classify-map", "--scenario", "ex63", "--route", "cm"],
+    ["classify-map", "--scenario", "ex62", "--route", "psi"],
+    ["classify-map", "--scenario", "ex63", "--route", "m"],
+    ["check-space", "--scenario", "ex62"],
+    ["gauge", "--scenario", "ex61", "--eval", "0.3"],
+    ["paper", "--seed", "7"]])
+def test_cli_json_output_is_json_dumps_of_the_report(monkeypatch, argv):
+    seen = []
+    render = cli._render_json
+
+    def spy(report):
+        seen.append((report, render(report)))
+        return seen[-1][1]
+    monkeypatch.setattr(cli, "_render_json", spy)
+    _, out = run_command(argv + ["--format", "json-like"])
+    [(report, rendered)] = seen
+    assert out == rendered == dumps(report)
