@@ -11,8 +11,8 @@ The module provides:
   Psi1 and the generator family H.
 
 Every gauge evaluates a float to a float and an ndarray elementwise to an
-ndarray, with the same domain checks on both; the class checks make one
-call per sample window.
+ndarray, with the same domain checks on both; the Psi1 and Phi1 checks
+evaluate all sample windows of a bisection step in one call.
 
 Membership verdicts are certificates over the tested grid, not proofs:
 the class conditions quantify over uncountable sets, so a ``member``
@@ -504,107 +504,100 @@ class MembershipCertificate:
                 "note": self.note}
 
 
-def _interval_samples(lo: float, hi: float, resolution: float) -> np.ndarray:
-    """Midpoint samples strictly inside the open interval (lo, hi).
+def _sample_windows(g: Gauge, lo, hi, bound, above: bool, resolution: float):
+    """Evaluate ``g`` once on midpoint samples strictly inside every open
+    window (lo[i], hi[i]), laid out as one ragged array.
 
-    The count is capped: full resolution matters only near the accept
-    boundary of a bisection, where the interval is already narrow.
+    A window holds ceil(width / resolution) samples, at least 16 and at most
+    512: full resolution matters only near the accept boundary of a
+    bisection, where the window is already narrow.  Returns the samples,
+    their values and, per window, the index of its first sample on the wrong
+    side of ``bound[i]`` (above it when ``above``, else below it, beyond
+    CLASS_TOL), or the sample count when there is none.
     """
     width = hi - lo
-    k = int(min(max(math.ceil(width / resolution), 16), 512))
-    return lo + (np.arange(k) + 0.5) * (width / k)
+    k = np.clip(np.ceil(width / resolution), 16, 512).astype(np.intp)
+    starts = np.cumsum(k) - k
+    j = np.arange(k.sum()) - np.repeat(starts, k)
+    taus = np.repeat(lo, k) + (j + 0.5) * np.repeat(width / k, k)
+    vals = g.eval(taus)
+    b = np.repeat(bound, k)
+    bad = vals > b + CLASS_TOL if above else vals < b - CLASS_TOL
+    first = np.minimum.reduceat(np.where(bad, np.arange(bad.size), bad.size), starts)
+    return taus, vals, first
 
 
-def _psi1_holds(g: Gauge, r: float, rho: float, resolution: float) -> bool:
-    taus = _interval_samples(1.0 - rho, 1.0 - r, resolution)
-    return not (g.eval(taus) < (1.0 - r) - CLASS_TOL).any()
-
-
-def _phi1_holds(g: Gauge, eps: float, delta: float, resolution: float) -> bool:
-    return not (g.eval(_interval_samples(eps, delta, resolution))
-                > eps + CLASS_TOL).any()
-
-
-def _bisect_threshold(holds, lo: float, hi: float):
-    """Largest accepted value in (lo, hi) for a downward-monotone predicate."""
-    best = None
+def _bisect_grid(g: Gauge, x: np.ndarray, resolution: float, phi: bool):
+    """Per threshold, the largest midpoint a BISECT_ITERS-step bisection
+    accepts, or NaN if none; the thresholds move in lockstep, one gauge
+    evaluation per step.  Psi1 bisects rho in (r + resolution, 1) and accepts
+    it when psi >= 1-r on (1-rho, 1-r); Phi1 (``phi``) bisects delta in
+    (eps + resolution, eps + max(1, eps)) and accepts it when phi <= eps on
+    (eps, delta).  The resolution offset keeps a gauge from passing
+    vacuously on a sub-resolution window.
+    """
+    if phi:
+        lo, hi, bound = x + resolution, x + np.maximum(1.0, x), x
+    else:
+        lo = np.minimum(x + resolution, 1.0 - ENDPOINT_CLAMP)
+        hi, bound = np.full_like(x, 1.0 - ENDPOINT_CLAMP), 1.0 - x
+    best = np.full_like(x, np.nan)
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if holds(mid):
-            best = mid
-            lo = mid
-        else:
-            hi = mid
+        window = (x, mid) if phi else (1.0 - mid, bound)
+        taus, _, first = _sample_windows(g, *window, bound, phi, resolution)
+        ok = first == taus.size
+        best = np.where(ok, mid, best)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return best
 
 
-def _shrinking_witness(g: Gauge, boundary: float, bound: float, resolution: float,
+def _shrinking_witness(g: Gauge, boundary: float, resolution: float,
                        above: bool, steps: int = 8):
-    """Violating samples in intervals shrinking toward ``boundary``.
-
-    Returns the sample list when every shrinking interval contains one,
-    otherwise None.  ``above=False`` scans intervals (boundary-w, boundary)
-    for values below ``bound``; ``above=True`` scans (boundary, boundary+w)
-    for values above it.
+    """The first violating sample of every window shrinking toward
+    ``boundary``, or None when some window holds none.  ``above=False``
+    scans (boundary-w, boundary) for values below ``boundary``; ``above=True``
+    scans (boundary, boundary+w) for values above it.  One evaluation serves
+    all windows.
     """
-    width = 0.5 * boundary if not above else max(0.5 * boundary, 0.25)
-    taus, values = [], []
-    for k in range(steps):
-        w = width * 2.0 ** (-k)
-        lo, hi = (boundary - w, boundary) if not above else (boundary, boundary + w)
-        samples = _interval_samples(lo, hi, resolution)
-        vals = g.eval(samples)
-        bad = vals < bound - CLASS_TOL if not above else vals > bound + CLASS_TOL
-        if not bad.any():
-            return None
-        i = int(bad.argmax())
-        taus.append(float(samples[i]))
-        values.append(float(vals[i]))
-    return {"taus": taus, "values": values}
+    w = np.ldexp(max(0.5 * boundary, 0.25) if above else 0.5 * boundary,
+                 -np.arange(steps))
+    edge = np.full(steps, boundary)
+    lo, hi = (edge, edge + w) if above else (edge - w, edge)
+    taus, vals, first = _sample_windows(g, lo, hi, edge, above, resolution)
+    if (first == taus.size).any():
+        return None
+    return {"taus": taus[first].tolist(), "values": vals[first].tolist()}
 
 
-def _check_psi1(g: Gauge, grid, resolution: float) -> MembershipCertificate:
-    records, witness = [], None
-    verdict = Verdict.MEMBER
-    for r in grid:
-        # a certified rho must exceed r by at least the sampling resolution,
-        # otherwise any gauge would pass vacuously on a sub-resolution interval
-        rho = _bisect_threshold(
-            lambda rho: _psi1_holds(g, r, rho, resolution),
-            min(r + resolution, 1.0 - ENDPOINT_CLAMP), 1.0 - ENDPOINT_CLAMP)
-        if rho is not None:
-            records.append({"r": r, "rho": rho})
+def _check_threshold_class(g: Gauge, grid, resolution: float,
+                           class_tag: ClassTag) -> MembershipCertificate:
+    """Psi1 or Phi1: bisect every grid threshold in lockstep, then read the
+    records in grid order up to the first non-member threshold."""
+    phi = class_tag is ClassTag.PHI1
+    key, value_key = ("epsilon", "delta") if phi else ("r", "rho")
+    x = np.array(grid, dtype=float)
+    try:
+        found = _bisect_grid(g, x, resolution, phi).__getitem__
+    except (ValueError, ArithmeticError, InversionError):
+        # a gauge failed on some threshold's window: search one threshold at
+        # a time, so the error surfaces only if the reading below reaches it
+        def found(i):
+            return _bisect_grid(g, x[i:i + 1], resolution, phi)[0]
+    records, witness, verdict = [], None, Verdict.MEMBER
+    for i, v in enumerate(grid):
+        best = found(i)
+        if not np.isnan(best):
+            records.append({key: v, value_key: float(best)})
             continue
-        seq = _shrinking_witness(g, 1.0 - r, 1.0 - r, resolution, above=False)
+        seq = _shrinking_witness(g, v if phi else 1.0 - v, resolution, above=phi)
         if seq is not None:
-            witness = {"r": r, **seq}
+            witness = {key: v, **seq}
             verdict = Verdict.NON_MEMBER
             break
         verdict = Verdict.INCONCLUSIVE
-        records.append({"r": r, "rho": None})
-    return MembershipCertificate(g.name, ClassTag.PSI1, verdict, tuple(grid),
-                                 resolution, records, witness)
-
-
-def _check_phi1(g: Gauge, grid, resolution: float) -> MembershipCertificate:
-    records, witness = [], None
-    verdict = Verdict.MEMBER
-    for eps in grid:
-        hi = eps + max(1.0, eps)
-        delta = _bisect_threshold(
-            lambda d: _phi1_holds(g, eps, d, resolution),
-            eps + resolution, hi)
-        if delta is not None:
-            records.append({"epsilon": eps, "delta": delta})
-            continue
-        seq = _shrinking_witness(g, eps, eps, resolution, above=True)
-        if seq is not None:
-            witness = {"epsilon": eps, **seq}
-            verdict = Verdict.NON_MEMBER
-            break
-        verdict = Verdict.INCONCLUSIVE
-        records.append({"epsilon": eps, "delta": None})
-    return MembershipCertificate(g.name, ClassTag.PHI1, verdict, tuple(grid),
+        records.append({key: v, value_key: None})
+    return MembershipCertificate(g.name, class_tag, verdict, tuple(grid),
                                  resolution, records, witness)
 
 
@@ -682,8 +675,14 @@ def class_membership(g: Gauge, class_tag: ClassTag,
 
     For Psi1 the check searches, per grid threshold r, a rho in (r,1) by
     bisection such that every sampled tau in (1-rho, 1-r) satisfies
-    psi(tau) >= 1-r; Phi1 runs the dual search for delta > epsilon.  Psi
-    checks nondecreasing, strictly-above-identity and a documented
+    psi(tau) >= 1-r; Phi1 runs the dual search for delta > epsilon.  The
+    grid thresholds are bisected in lockstep, one gauge evaluation per step,
+    and give the records of a per-threshold bisection, read in grid order up
+    to the first non-member.  The whole grid is searched before that reading,
+    so a gauge rejected at its first threshold still bisects all of them.  If
+    the gauge raises on some window, the grid is searched one threshold at a
+    time, and the error surfaces only at a threshold the reading reaches.
+    Psi checks nondecreasing, strictly-above-identity and a documented
     continuity proxy.  H checks the generator-family shape.
     """
     if not tau_resolution > 0:
@@ -697,13 +696,13 @@ def class_membership(g: Gauge, class_tag: ClassTag,
             raise DomainError(f"{g.name} is not psi-style")
         grid = threshold_grid(r_grid)
         if class_tag is ClassTag.PSI1:
-            return _check_psi1(g, grid, tau_resolution)
+            return _check_threshold_class(g, grid, tau_resolution, class_tag)
         return _check_psi(g, grid, tau_resolution)
     if class_tag is ClassTag.PHI1:
         if g.domain is not GaugeDomain.PHI:
             raise DomainError(f"{g.name} is not phi-style")
         grid = clamp_positive_grid(r_grid if r_grid is not None else DEFAULT_EPS_GRID)
-        return _check_phi1(g, grid, tau_resolution)
+        return _check_threshold_class(g, grid, tau_resolution, class_tag)
     if class_tag is ClassTag.H:
         if g.domain is not GaugeDomain.ETA:
             raise DomainError(f"{g.name} is not eta-style")

@@ -31,6 +31,7 @@ from fuzzyfix.algebra import (
     tnorm_apply,
     tnorm_axiom_check,
 )
+from fuzzyfix.defaults import BISECT_ITERS, CLASS_TOL, ENDPOINT_CLAMP
 
 TOL = 1e-12
 
@@ -256,10 +257,15 @@ class TestClassMembership:
         for tau, val in zip(w["taus"], w["values"]):
             assert tau < 0.5 and val == tau  # identity stays below the threshold
         # each shrinking interval (0.5 - w, 0.5) reports its first sample
-        from fuzzyfix.algebra import _interval_samples
+        from fuzzyfix.algebra import _sample_windows
+
+        def first_sample(lo, hi):
+            taus, _, _ = _sample_windows(identity_gauge(), np.array([lo]),
+                                         np.array([hi]), np.array([hi]),
+                                         False, 1e-4)
+            return float(taus[0])
         widths = [0.25 * 2.0 ** -k for k in range(8)]
-        assert w["taus"] == [float(_interval_samples(0.5 - d, 0.5, 1e-4)[0])
-                             for d in widths]
+        assert w["taus"] == [first_sample(0.5 - d, 0.5) for d in widths]
 
     def test_power_gauge_in_psi_and_psi1(self):
         g = power_gauge(5 / 7)
@@ -522,3 +528,234 @@ def test_continuity_scan_matches_loop(jumps):
     g = Gauge("stepped", GaugeDomain.PSI, fn)
     cert = class_membership(g, ClassTag.PSI, tau_resolution=res)
     assert cert.witness == _loop_continuity_witness(g, res)
+
+
+# ---------------------------------------------------------------------------
+# Psi1/Phi1 threshold searches: the lockstep bisection against a per-threshold
+# reference loop
+# ---------------------------------------------------------------------------
+
+def _ref_interval_samples(lo, hi, resolution):
+    width = hi - lo
+    k = int(min(max(math.ceil(width / resolution), 16), 512))
+    return lo + (np.arange(k) + 0.5) * (width / k)
+
+
+def _ref_violated(g, lo, hi, bound, above, resolution):
+    vals = g.eval(_ref_interval_samples(lo, hi, resolution))
+    return (vals > bound + CLASS_TOL if above else vals < bound - CLASS_TOL).any()
+
+
+def _ref_bisect(holds, lo, hi):
+    best = None
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            best = mid
+            lo = mid
+        else:
+            hi = mid
+    return best
+
+
+def _ref_witness(g, boundary, resolution, above, steps=8):
+    width = 0.5 * boundary if not above else max(0.5 * boundary, 0.25)
+    taus, values = [], []
+    for k in range(steps):
+        w = width * 2.0 ** (-k)
+        lo, hi = (boundary - w, boundary) if not above else (boundary, boundary + w)
+        samples = _ref_interval_samples(lo, hi, resolution)
+        vals = g.eval(samples)
+        bad = vals < boundary - CLASS_TOL if not above else vals > boundary + CLASS_TOL
+        if not bad.any():
+            return None
+        i = int(bad.argmax())
+        taus.append(float(samples[i]))
+        values.append(float(vals[i]))
+    return {"taus": taus, "values": values}
+
+
+def _ref_check(g, grid, resolution, phi):
+    """The Psi1/Phi1 check as one bisection per threshold, in grid order."""
+    records, witness, verdict = [], None, Verdict.MEMBER
+    key, value_key = ("epsilon", "delta") if phi else ("r", "rho")
+    for x in grid:
+        if phi:
+            best = _ref_bisect(
+                lambda d: not _ref_violated(g, x, d, x, True, resolution),
+                x + resolution, x + max(1.0, x))
+        else:
+            best = _ref_bisect(
+                lambda rho: not _ref_violated(g, 1.0 - rho, 1.0 - x, 1.0 - x,
+                                              False, resolution),
+                min(x + resolution, 1.0 - ENDPOINT_CLAMP), 1.0 - ENDPOINT_CLAMP)
+        if best is not None:
+            records.append({key: x, value_key: best})
+            continue
+        seq = _ref_witness(g, x if phi else 1.0 - x, resolution, above=phi)
+        if seq is not None:
+            witness = {key: x, **seq}
+            verdict = Verdict.NON_MEMBER
+            break
+        verdict = Verdict.INCONCLUSIVE
+        records.append({key: x, value_key: None})
+    return verdict, records, witness
+
+
+def _comb(bands, phi):
+    """A test gauge that violates its class condition inside the open bands
+    and is clean elsewhere: the identity in a band, else 1 (psi-style) or
+    0 (phi-style)."""
+    def fn(t):
+        inside = np.zeros(np.shape(t), dtype=bool)
+        for lo, hi in bands:
+            inside |= (lo < t) & (t < hi)
+        return np.where(inside, t, 0.0 if phi else 1.0)
+    return Gauge(f"comb{bands}", GaugeDomain.PHI if phi else GaugeDomain.PSI, fn)
+
+
+def _assert_matches_reference(g, cert, phi):
+    verdict, records, witness = _ref_check(g, cert.grid, cert.tau_resolution, phi)
+    # repr tells apart float bits, -0.0 and numpy scalars
+    assert (cert.verdict, repr(cert.records), repr(cert.witness)) == \
+        (verdict, repr(records), repr(witness))
+
+
+_exponents = st.sampled_from(["1/3", "1/2", "5/7", "0.9", "1", "2", "3"]) | \
+    st.floats(min_value=0.05, max_value=4.0).map(repr)
+_etas = st.sampled_from(["eta-reciprocal", "eta-neglog"])
+_bands = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-4, 0.2))
+                  .map(lambda cw: (cw[0] - cw[1], cw[0] + cw[1])), max_size=4)
+
+
+@st.composite
+def _grids(draw, top):
+    edges = st.sampled_from([0.0, 1e-9, ENDPOINT_CLAMP, 1e-3, 0.5, 1.0 - 1e-3,
+                             1.0 - ENDPOINT_CLAMP, 1.0 - 1e-9, 1.0])
+    values = draw(st.lists(edges | st.floats(0.0, top), min_size=1, max_size=25))
+    # repeats
+    return values + draw(st.lists(st.sampled_from(values), max_size=3))
+
+
+@st.composite
+def _psi_gauges(draw):
+    kind = draw(st.sampled_from(["power", "step-psi", "identity", "conj", "comb"]))
+    if kind == "power":
+        return gauge(f"power:{draw(_exponents)}")
+    if kind == "conj":
+        return gauge(f"conj:{draw(_etas)}:step-phi")
+    if kind == "comb":
+        return _comb(draw(_bands), phi=False)
+    return gauge(kind)
+
+
+@st.composite
+def _phi_gauges(draw):
+    kind = draw(st.sampled_from(["step-phi", "power-phi", "conj", "comb"]))
+    if kind == "power-phi":
+        return gauge(f"power-phi:{draw(_exponents)}")
+    if kind == "conj":
+        return gauge(f"conj:{draw(_etas)}:power:{draw(_exponents)}")
+    if kind == "comb":
+        return _comb([(6 * lo, 6 * hi) for lo, hi in draw(_bands)], phi=True)
+    return gauge(kind)
+
+
+_resolutions = st.floats(min_value=1e-4, max_value=0.1)
+
+
+@given(g=_psi_gauges(), grid=_grids(1.0), resolution=_resolutions)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_psi1_lockstep_equals_per_threshold_bisection(g, grid, resolution):
+    cert = class_membership(g, ClassTag.PSI1, r_grid=grid,
+                            tau_resolution=resolution)
+    _assert_matches_reference(g, cert, phi=False)
+
+
+@given(g=_phi_gauges(), grid=_grids(6.0), resolution=_resolutions)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_phi1_lockstep_equals_per_threshold_bisection(g, grid, resolution):
+    cert = class_membership(g, ClassTag.PHI1, r_grid=grid,
+                            tau_resolution=resolution)
+    _assert_matches_reference(g, cert, phi=True)
+
+
+def test_comb_gauge_records_member_inconclusive_then_breaks():
+    # r = 0.1 is clean; the band just below 0.7 lies inside every bisection
+    # window of r = 0.3 but outside the narrowest witness windows, so that
+    # row is inconclusive; the band up to 0.5 rejects r = 0.5, and r = 0.7
+    # is never read
+    g = _comb([(0.682, 0.695), (0.3, 0.5)], phi=False)
+    cert = class_membership(g, ClassTag.PSI1, r_grid=[0.1, 0.3, 0.5, 0.7],
+                            tau_resolution=0.01)
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert [rec["r"] for rec in cert.records] == [0.1, 0.3]
+    assert cert.records[0]["rho"] is not None
+    assert cert.records[1]["rho"] is None
+    assert cert.witness["r"] == 0.5
+    _assert_matches_reference(g, cert, phi=False)
+
+
+def test_gauge_error_past_a_non_member_threshold_is_not_reached():
+    # 7.5 ** 400 overflows in the first step at eps = 5, but eps = 1 is
+    # rejected first, as in a per-threshold search
+    g = gauge("power-phi:400")
+    cert = class_membership(g, ClassTag.PHI1)
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert cert.witness["epsilon"] == 1.0
+    _assert_matches_reference(g, cert, phi=True)
+    with pytest.raises(DomainError, match="overflows a float"):
+        class_membership(g, ClassTag.PHI1, r_grid=[5.0])
+
+
+def _counting(g):
+    """``g`` with a list that grows by one per evaluation."""
+    calls = []
+
+    def fn(v):
+        calls.append(np.size(v))
+        return g.fn(v)
+    return Gauge(g.name, g.domain, fn), calls
+
+
+@pytest.mark.parametrize("gauge_id, tag, expected", [
+    ("power:1/2", ClassTag.PSI1, BISECT_ITERS),
+    ("step-psi", ClassTag.PSI1, BISECT_ITERS),
+    ("step-phi", ClassTag.PHI1, BISECT_ITERS),
+    # the non-member's witness windows take one more evaluation
+    ("identity", ClassTag.PSI1, BISECT_ITERS + 1),
+])
+def test_threshold_search_makes_one_evaluation_per_step(gauge_id, tag, expected):
+    g, calls = _counting(gauge(gauge_id))
+    cert = class_membership(g, tag)
+    assert len(calls) == expected
+    # one lockstep array holds at most 512 samples per grid threshold
+    assert max(calls) <= len(cert.grid) * 512
+
+
+_BUILTIN_PSI_IDS = [
+    "step-psi", "identity", "power:1/3", "power:1/2", "power:5/7", "power:0.9",
+    "power:1", "power:2", "conj:eta-reciprocal:step-phi",
+    "conj:eta-neglog:step-phi", "conj:eta-reciprocal:power-phi:2",
+    "conj:eta-neglog:power-phi:2", "conj:eta-reciprocal:power-phi:1/2",
+    "conj:eta-neglog:power-phi:1/2"]
+
+
+def test_psi_members_are_psi1_members_and_the_containment_is_strict():
+    """The abstract's containment of classes: Psi is contained in Psi1, and
+    strictly.  Every built-in psi-style gauge the continuous-class check
+    certifies must also be certified by the threshold-class check on the
+    default grid; the step gauge and both step-phi conjugates are threshold
+    members but not continuous members."""
+    verdicts = {}
+    for gauge_id in _BUILTIN_PSI_IDS:
+        g = gauge(gauge_id)
+        verdicts[gauge_id] = (class_membership(g, ClassTag.PSI).verdict,
+                              class_membership(g, ClassTag.PSI1).verdict)
+    psi_members = [i for i, (psi, _) in verdicts.items() if psi is Verdict.MEMBER]
+    assert psi_members    # the implication is not vacuous
+    for gauge_id in psi_members:
+        assert verdicts[gauge_id][1] is Verdict.MEMBER, gauge_id
+    for gauge_id in ("step-psi", "conj:eta-reciprocal:step-phi",
+                     "conj:eta-neglog:step-phi"):
+        assert verdicts[gauge_id] == (Verdict.NON_MEMBER, Verdict.MEMBER)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyfix import contractions
 from fuzzyfix.algebra import (
     ClassTag,
     DomainError,
+    Gauge,
     Verdict,
     conjugate_gauge,
     eta_reciprocal,
@@ -27,6 +29,7 @@ from fuzzyfix.contractions import (
     VACUOUS_WINDOW_TOL,
     SelfMap,
     _carrier_pairs,
+    _make_envelope,
     _ThresholdIndex,
     cm_contractive_check,
     equivalence_probe,
@@ -37,7 +40,7 @@ from fuzzyfix.contractions import (
     self_map,
     table_map,
 )
-from fuzzyfix.defaults import CLASS_TOL, ENDPOINT_CLAMP
+from fuzzyfix.defaults import BISECT_ITERS, CLASS_TOL, ENDPOINT_CLAMP
 from fuzzyfix.scenario import load_scenario
 from fuzzyfix.spaces import (
     Carrier,
@@ -549,6 +552,29 @@ class TestEquivalenceProbe:
             emp = extract_empirical_gauge(ray_space, step_map, t=entry["t"],
                                           r_grid=SMALL_R)
             assert entry["verdict"] == emp.certificate.verdict.value
+
+    def test_envelope_certificates_take_one_evaluation_per_step(self,
+                                                                monkeypatch):
+        # each scale's envelope is bisected over the whole r grid in
+        # lockstep; a non-member scale adds one evaluation for its witness
+        calls = []
+
+        def counted_envelope(F, E):
+            env = _make_envelope(F, E)
+
+            def fn(tau):
+                calls.append(env.name)
+                return env.fn(tau)
+            return Gauge(env.name, env.domain, fn)
+        monkeypatch.setattr(contractions, "_make_envelope", counted_envelope)
+        scenario = load_scenario("ex62")
+        report = equivalence_probe(scenario.build_space(), scenario.build_map(),
+                                   scenario.r_grid, scenario.t_grid)
+        verdicts = [c["verdict"] for c in report.envelope_certs]
+        assert len(verdicts) == len(scenario.t_grid) == 40
+        assert verdicts.count("non_member") == 1
+        assert "inconclusive" not in verdicts
+        assert len(calls) == len(scenario.t_grid) * BISECT_ITERS + 1
 
     def test_decreasing_map_rejected(self, quad_space, perm_map):
         with pytest.raises(PreconditionError) as exc:
