@@ -667,6 +667,23 @@ def _check_h(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     return cert
 
 
+# The psi and h checks evaluate the gauge on one dense tau grid, about
+# 1/tau_resolution samples in (0, 1); a resolution needing more samples than
+# this is refused rather than allocated.
+MAX_DENSE_TAU_SAMPLES = 10**6
+
+
+def _tau_sample_count(resolution: float) -> float:
+    """len(np.arange(resolution, 1.0, resolution)) for a positive
+    resolution, without building the grid: numpy takes the ceiling of the
+    span over the step.  An infinite quotient counts as infinitely many
+    samples and a NaN one (an infinite resolution) as none."""
+    quotient = (1.0 - resolution) / resolution
+    if not quotient > 0:
+        return 0
+    return math.ceil(quotient) if math.isfinite(quotient) else math.inf
+
+
 def class_membership(g: Gauge, class_tag: ClassTag,
                      r_grid: Optional[Sequence[float]] = None,
                      tau_resolution: float = DEFAULT_TAU_RESOLUTION,
@@ -683,14 +700,25 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     the gauge raises on some window, the grid is searched one threshold at a
     time, and the error surfaces only at a threshold the reading reaches.
     Psi checks nondecreasing, strictly-above-identity and a documented
-    continuity proxy.  H checks the generator-family shape.
+    continuity proxy.  H checks the generator-family shape.  Psi and H
+    refuse a resolution finer than ``MAX_DENSE_TAU_SAMPLES`` samples allow,
+    and Psi1 and Phi1 an empty grid.
     """
     if not tau_resolution > 0:
         raise DomainError("tau_resolution must be positive")
-    if len(np.arange(tau_resolution, 1.0, tau_resolution)) < 2:
+    samples = _tau_sample_count(tau_resolution)
+    if samples < 2:
         # the checks sample tau on this grid; one sample is no evidence
         raise DomainError(f"tau_resolution {tau_resolution!r} leaves fewer "
                           f"than two tau samples in (0, 1)")
+    if (class_tag in (ClassTag.PSI, ClassTag.H)
+            and samples > MAX_DENSE_TAU_SAMPLES):
+        raise DomainError(f"tau_resolution {tau_resolution!r} needs more than "
+                          f"{MAX_DENSE_TAU_SAMPLES} tau samples in (0, 1)")
+    if (class_tag in (ClassTag.PSI1, ClassTag.PHI1) and r_grid is not None
+            and len(r_grid) == 0):
+        # a threshold class verdict rests on its grid's records
+        raise DomainError(f"{class_tag.value} needs at least one threshold")
     if class_tag in (ClassTag.PSI1, ClassTag.PSI):
         if g.domain is not GaugeDomain.PSI:
             raise DomainError(f"{g.name} is not psi-style")

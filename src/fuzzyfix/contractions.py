@@ -336,16 +336,6 @@ class _ThresholdIndex:
         self.E = E[order]
         self.order = order
 
-    def restrict(self, keep: np.ndarray) -> "_ThresholdIndex":
-        """The index of the pairs whose sorted positions ``keep`` selects.
-
-        Masking a stable order gives the stable order of the kept pairs, so
-        nothing is re-sorted, and ``order`` still names the original pairs.
-        """
-        sub = object.__new__(type(self))
-        sub.F, sub.E, sub.order = self.F[keep], self.E[keep], self.order[keep]
-        return sub
-
     def search(self, r: float, onesided: bool = False, finite: bool = True):
         """Certify "premise window implies conclusion >= 1-r" at threshold r.
 
@@ -620,8 +610,14 @@ class EmpiricalGauge:
 def _make_envelope(F: np.ndarray, E: np.ndarray) -> Gauge:
     order = np.argsort(F, kind="stable")
     Fs, Es = F[order], E[order]
+    # the envelope at tau is the least after-value over before-values at or
+    # above tau; it changes only past the last sample of each run of equal
+    # suffix minima, so those samples alone are searched
+    lows = np.minimum.accumulate(Es[::-1])[::-1]
+    ends = np.flatnonzero(np.append(lows[1:] != lows[:-1], lows.size > 0))
+    Fs = Fs[ends]
     # the appended 1.0 is the value past the last observation
-    values = np.append(np.minimum.accumulate(Es[::-1])[::-1], 1.0)
+    values = np.append(lows[ends], 1.0)
     return Gauge("empirical-envelope", GaugeDomain.PSI,
                  lambda tau: values[np.searchsorted(Fs, tau, side="left")])
 

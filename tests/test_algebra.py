@@ -13,9 +13,11 @@ from fuzzyfix.algebra import (
     Gauge,
     GaugeDomain,
     InversionError,
+    MAX_DENSE_TAU_SAMPLES,
     Verdict,
     _step_phi_fn,
     _step_psi_fn,
+    _tau_sample_count,
     class_membership,
     conjugate_gauge,
     eta_neglog,
@@ -308,6 +310,29 @@ class TestClassMembership:
         # one tau sample or none is no evidence for any verdict
         with pytest.raises(DomainError, match="tau_resolution"):
             class_membership(g, tag, tau_resolution=resolution)
+
+    @pytest.mark.parametrize("g, tag", [(identity_gauge(), ClassTag.PSI1),
+                                        (power_gauge(0.5), ClassTag.PSI1),
+                                        (step_phi(), ClassTag.PHI1)])
+    def test_empty_threshold_grid_raises(self, g, tag):
+        # no thresholds give no records, and no records are no evidence
+        with pytest.raises(DomainError, match="at least one threshold"):
+            class_membership(g, tag, r_grid=[])
+
+    @pytest.mark.parametrize("g, tag", [(power_gauge(0.5), ClassTag.PSI),
+                                        (eta_neglog(), ClassTag.H)])
+    def test_dense_grid_beyond_the_sample_cap_raises(self, g, tag):
+        for resolution in (1e-300, 5e-324, 0.5 / MAX_DENSE_TAU_SAMPLES):
+            with pytest.raises(DomainError, match="tau samples"):
+                class_membership(g, tag, tau_resolution=resolution)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.floats(min_value=1e-6, max_value=3.0)
+           | st.sampled_from((1e-4, 7e-4, 1.1e-4, 3e-3, 1.1e-2, 0.01, 0.02,
+                              0.45, 0.5, 0.7, 1.0, 1e-6)))
+    def test_tau_sample_count_is_the_grid_length(self, resolution):
+        assert _tau_sample_count(resolution) == len(
+            np.arange(resolution, 1.0, resolution))
 
     def test_two_tau_samples_suffice(self):
         assert len(np.arange(0.45, 1.0, 0.45)) == 2

@@ -515,6 +515,33 @@ class TestEmpiricalGauge:
             assert emp.envelope_at(f) >= f ** (5 / 7) - TOL
 
 
+def _full_array_envelope(F, E):
+    """The envelope searched over every sorted before-value."""
+    order = np.argsort(F, kind="stable")
+    Fs, Es = F[order], E[order]
+    values = np.append(np.minimum.accumulate(Es[::-1])[::-1], 1.0)
+    return lambda tau: values[np.searchsorted(Fs, tau, side="left")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.75, 1.0)) | st.floats(0, 1),
+             min_size=n, max_size=n),
+    st.lists(st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0, 1),
+             min_size=n, max_size=n))))
+def test_envelope_on_breakpoints_equals_full_array_envelope(arrays):
+    # ties in F and in the suffix minima come from the sampled values; tau
+    # sits at, just below and just above every sample, and at the ends
+    F, E = (np.array(a, dtype=float) for a in arrays)
+    env, ref = _make_envelope(F, E), _full_array_envelope(F, E)
+    taus = np.concatenate([F, np.nextafter(F, -1.0), np.nextafter(F, 2.0),
+                           [0.0, 1.0, 2.0]])
+    got, want = env.fn(taus), ref(taus)
+    assert got.tobytes() == want.tobytes()
+    for tau in taus:
+        assert env.fn(float(tau)) == ref(float(tau))
+
+
 class TestEquivalenceProbe:
     def test_step_map_uniform_rho_exists(self, ray_space, step_map):
         report = equivalence_probe(ray_space, step_map, r_grid=SMALL_R,

@@ -471,21 +471,6 @@ class TestCriterionCutSearch:
             assert success[-1] == (not np.any(fatal & sel))
         assert success == sorted(success)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
-        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=n,
-                 max_size=n),
-        st.lists(st.floats(0, 1), min_size=n, max_size=n),
-        st.lists(st.booleans(), min_size=n, max_size=n))))
-    def test_restrict_equals_fresh_index(self, arrays):
-        F, E, mask = (np.array(a) for a in arrays)
-        index = _ThresholdIndex(F, E)
-        kept = index.restrict(mask[index.order])
-        fresh = _ThresholdIndex(F[mask], E[mask])
-        assert np.array_equal(kept.F, fresh.F)
-        assert np.array_equal(kept.E, fresh.E)
-        assert np.array_equal(kept.order, np.nonzero(mask)[0][fresh.order])
-
     def test_one_sorted_index_per_scale_on_adversarial_trace(self,
                                                              monkeypatch):
         built = []
@@ -519,6 +504,158 @@ class TestCriterionCutSearch:
         assert cert.verdict is CauchyVerdict.VIOLATED
         assert cert.witness == {"t": 1.0, "r": 0.5, "n": 0, "m": 3,
                                 "nearness": 0.2}
+
+
+def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
+                             r_grid=None, t_grid=None):
+    """The per-(t, r) cut search: one sorted index per scale, then per
+    threshold a fatal mask over it and a search over its stable order
+    masked to the first valid cut's window."""
+    rs = threshold_grid(r_grid)
+    grid = scale_grid(t_grid, trace.t_grid)
+    pts = np.array(trace.points)
+    sub = dynamics._cert_indices(trace.length - 1)
+    cuts = sub[:-1]
+    xi, yi = np.triu_indices(len(sub), k=0)
+    xi, yi = sub[xi], sub[yi]
+    xs, ys = pts[xi], pts[yi]
+    nxs, nys = pts[xi + 1], pts[yi + 1]
+    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
+                                      CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
+    min_idx = np.minimum(xi, yi)
+    for t in grid:
+        if f_kind == "plain":
+            F = np.asarray(space.m(xs, ys, t), dtype=float)
+        else:
+            F = _blend(space, params, xs, ys, nxs, nys, t)
+        E = np.asarray(space.m(nxs, nys, t), dtype=float)
+        index = _ThresholdIndex(F, E)
+        lows = min_idx[index.order]
+        for r in rs:
+            fatal = ((index.E < (1.0 - r) - CLASS_TOL)
+                     & (1.0 - index.F <= r + CLASS_TOL))
+            first = (int(np.searchsorted(cuts, lows[fatal].max(), side="right"))
+                     if fatal.any() else 0)
+            if first == len(cuts):
+                _, k = index.search(r, onesided=True, finite=True)
+                cert.verdict = CauchyVerdict.VIOLATED
+                cert.witness = {"t": t, "r": r, "p": int(xi[k]),
+                                "q": int(yi[k]), "blend": float(F[k]),
+                                "next_nearness": float(E[k])}
+                return cert
+            keep = lows >= cuts[first]
+            window = object.__new__(_ThresholdIndex)
+            window.F, window.E = index.F[keep], index.E[keep]
+            window.order = index.order[keep]
+            rec, _ = window.search(r, onesided=True, finite=True)
+            cert.records.append({"t": t, "N": int(cuts[first]), **rec})
+    return cert
+
+
+LONG = dynamics.PAIR_CERT_CAP + 189       # 701 points, certified on 512
+# even points at 0, odd ones at 1 or 2: with alpha = 1, beta = 0 every
+# blend is at most 1/2, reached by violators, so the windows end in gaps
+GAP_SPACE = table_fuzzy_metric(Carrier.finite([0, 1, 2]), (1.0,),
+                               {(0, 1): (0.5,), (0, 2): (0.5,),
+                                (1, 2): (0.1,)})
+
+
+def _long_cluster_trace():
+    rng = np.random.default_rng(5)
+    head = [float(x) for x in rng.choice(CLUSTER, 400)]
+    return CRITERION_SPACE, OrbitTrace.from_points(
+        CRITERION_SPACE, head + [2.0 + 2.0 ** -j for j in range(LONG - 400)],
+        CRITERION_T)
+
+
+def _long_gap_trace():
+    rng = np.random.default_rng(0)
+    points = [0 if i % 2 == 0 else int(rng.integers(1, 3))
+              for i in range(LONG)]
+    return GAP_SPACE, OrbitTrace.from_points(GAP_SPACE, points, (1.0,))
+
+
+def _long_refuted_trace():
+    # the last certified pair (698, 699) is near, its successors are far
+    points = [2.0 + 2.0 ** -j for j in range(LONG - 3)] + [2.0, 2.01, 7.0]
+    return CRITERION_SPACE, OrbitTrace.from_points(CRITERION_SPACE, points,
+                                                   (5.0, 0.5))
+
+
+class TestCriterionLockstep:
+    @pytest.mark.parametrize("make, f_kind, params, r_grid", [
+        (_long_cluster_trace, "plain", None, SMALL_R),
+        (_long_cluster_trace, "m_generalized", MParams(1, 2), SMALL_R),
+        (_long_gap_trace, "plain", None, (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_gap_trace, "m_generalized", MParams(1, 0),
+         (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_gap_trace, "m_generalized", MParams(1, 2),
+         (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_refuted_trace, "plain", None, (0.9, 0.5, 0.05)),
+    ], ids=["cluster-plain", "cluster-blend", "gap-plain", "gap-blend-1-0",
+            "gap-blend-1-2", "refuted-at-every-cut"])
+    def test_matches_per_threshold_search(self, make, f_kind, params, r_grid):
+        space, trace = make()
+        assert trace.length > dynamics.PAIR_CERT_CAP + 1
+        got = cauchy_criterion_check(space, trace, f_kind, params,
+                                     r_grid=r_grid)
+        ref = _per_threshold_criterion(space, trace, f_kind, params,
+                                       r_grid=r_grid)
+        assert got.to_dict() == ref.to_dict()
+
+    def test_cases_cover_every_record_kind_and_a_refutation(self):
+        kinds, verdicts = set(), set()
+        for make, f_kind, params, r_grid in (
+                (_long_cluster_trace, "plain", None, SMALL_R),
+                (_long_gap_trace, "m_generalized", MParams(1, 0), (0.3, 0.9)),
+                (_long_refuted_trace, "plain", None, (0.9, 0.5, 0.05))):
+            space, trace = make()
+            cert = cauchy_criterion_check(space, trace, f_kind, params,
+                                          r_grid=r_grid)
+            verdicts.add(cert.verdict)
+            kinds |= {(rec["vacuous"], rec["N"] > 0) for rec in cert.records}
+        assert verdicts == {CauchyVerdict.HOLDS_ON_PREFIX,
+                            CauchyVerdict.VIOLATED}
+        assert {(False, False), (False, True), (True, False)} <= kinds
+
+    @pytest.mark.parametrize("below, verdict", [
+        (False, CauchyVerdict.HOLDS_ON_PREFIX),
+        (True, CauchyVerdict.VIOLATED)])
+    def test_conclusion_exactly_at_the_target_is_no_violation(self, below,
+                                                              verdict):
+        # the pair (1, 2) is near; its successors' nearness sits on
+        # (1 - r) - CLASS_TOL, or one double below it
+        e = (1.0 - 0.5) - CLASS_TOL
+        if below:
+            e = float(np.nextafter(e, 0.0))
+        space = table_fuzzy_metric(
+            Carrier.finite([0, 1, 2, 3]), (1.0,),
+            {(0, 1): (0.9,), (0, 2): (0.9,), (0, 3): (0.9,),
+             (1, 2): (0.9,), (1, 3): (0.9,), (2, 3): (e,)})
+        trace = OrbitTrace.from_points(space, [0, 1, 2, 3], (1.0,))
+        # 0.5 is the loosest threshold, so the pair sits on the bound that
+        # decides which pairs can violate at all
+        got = cauchy_criterion_check(space, trace, r_grid=(0.9, 0.5))
+        assert got.verdict is verdict
+        ref = _reference_criterion(space, trace, r_grid=(0.9, 0.5))
+        assert got.to_dict() == ref.to_dict()
+
+    def test_holding_trace_builds_no_sorted_index(self, monkeypatch):
+        built = []
+
+        class CountingIndex(_ThresholdIndex):
+            def __init__(self, F, E):
+                built.append(len(F))
+                super().__init__(F, E)
+
+        monkeypatch.setattr(dynamics, "_ThresholdIndex", CountingIndex)
+        space, trace = _long_cluster_trace()
+        assert cauchy_criterion_check(space, trace, r_grid=SMALL_R).holds
+        assert built == []
+        space, trace = _long_refuted_trace()
+        cert = cauchy_criterion_check(space, trace, r_grid=(0.9, 0.5, 0.05))
+        assert cert.verdict is CauchyVerdict.VIOLATED
+        assert len(built) == 1
 
 
 class TestContractionTraceInvariants:

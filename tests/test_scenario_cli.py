@@ -420,6 +420,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["gauge", "--gauge", "power-phi:2", "--eval", "1e200"],
         ["gauge", "--gauge", "step-psi", "--tolerance", "2"],
+        ["gauge", "--gauge", "power:0.5", "--tolerance", "1e-300"],
+        ["gauge", "--gauge", "power:0.5", "--tolerance", "inf"],
         ["gauge", "--gauge", "power:abc"],
         ["gauge", "--gauge", "power:1/0"],
         ["gauge", "--gauge", "power:nan"],
@@ -428,6 +430,7 @@ class TestCli:
         code, out = run_command(argv)
         assert code == 2
         assert out.startswith("error: ")
+        assert out.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["check-space", "--scenario", "ex63", "--t-grid", "nan"],
