@@ -702,7 +702,7 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     Psi checks nondecreasing, strictly-above-identity and a documented
     continuity proxy.  H checks the generator-family shape.  Psi and H
     refuse a resolution finer than ``MAX_DENSE_TAU_SAMPLES`` samples allow,
-    and Psi1 and Phi1 an empty grid.
+    and Psi1, Phi1 and Psi an empty grid.
     """
     if not tau_resolution > 0:
         raise DomainError("tau_resolution must be positive")
@@ -715,10 +715,6 @@ def class_membership(g: Gauge, class_tag: ClassTag,
             and samples > MAX_DENSE_TAU_SAMPLES):
         raise DomainError(f"tau_resolution {tau_resolution!r} needs more than "
                           f"{MAX_DENSE_TAU_SAMPLES} tau samples in (0, 1)")
-    if (class_tag in (ClassTag.PSI1, ClassTag.PHI1) and r_grid is not None
-            and len(r_grid) == 0):
-        # a threshold class verdict rests on its grid's records
-        raise DomainError(f"{class_tag.value} needs at least one threshold")
     if class_tag in (ClassTag.PSI1, ClassTag.PSI):
         if g.domain is not GaugeDomain.PSI:
             raise DomainError(f"{g.name} is not psi-style")

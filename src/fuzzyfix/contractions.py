@@ -15,10 +15,12 @@ Checks provided, each over explicit scale and threshold grids:
 Self-maps take floats or whole arrays; every check maps its pair sample
 with one call per coordinate.
 
-All verdicts carry re-checkable witnesses.  A threshold search accepts a
-rho only when some sampled pair actually lies in the premise window (or
-no pair lies below the target threshold at all); this keeps sampled
-continuous carriers from passing vacuously through sub-resolution windows.
+All verdicts carry re-checkable witnesses.  Every rho search, the one of
+the criterion check in :mod:`fuzzyfix.dynamics` included, runs one search
+over a whole threshold grid.  It accepts a rho only when some sampled pair
+actually lies in the premise window (or no pair lies below the target
+threshold at all); this keeps sampled continuous carriers from passing
+vacuously through sub-resolution windows.
 """
 
 from __future__ import annotations
@@ -281,24 +283,24 @@ _SWEEP_RATIO = 3e-4
 _SWEEP_MIN_FRACTION = 1e-5
 
 
-def _carrier_pairs(carrier: Carrier, include_diagonal: bool = True):
+def _carrier_pairs(carrier: Carrier):
     """Pair sample of a carrier: (xs, ys, n_base).
 
     The first ``n_base`` pairs are the regular sample (all pairs of the
-    carrier points, decimated on interval carriers).  Interval carriers
-    additionally get a fine logarithmic distance sweep anchored at the
-    lower endpoint so that narrow premise windows in distance space get
-    probed; sweep pairs sit arbitrarily close to gauge branch edges, so
-    strictness conditions with a fixed margin are checked on the regular
-    sample only.
+    carrier points, the diagonal included, decimated on interval carriers).
+    Interval carriers additionally get a fine logarithmic distance sweep
+    anchored at the lower endpoint so that narrow premise windows in
+    distance space get probed; sweep pairs sit arbitrarily close to gauge
+    branch edges, so strictness conditions with a fixed margin are checked
+    on the regular sample only.
     """
     pts = np.array(carrier.points)
     if carrier.is_finite:
-        i, j = np.triu_indices(len(pts), k=0 if include_diagonal else 1)
+        i, j = np.triu_indices(len(pts))
         return pts[i], pts[j], len(i)
     step = max(1, len(pts) // 80)
     sub = pts[::step]
-    i, j = np.triu_indices(len(sub), k=0 if include_diagonal else 1)
+    i, j = np.triu_indices(len(sub))
     xs, ys = sub[i], sub[j]
     n_base = len(xs)
     span = carrier.high - carrier.low
@@ -327,59 +329,86 @@ def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
 VACUOUS_WINDOW_TOL = 1e-4
 
 
-class _ThresholdIndex:
-    """Sorted (premise, conclusion) pair values for threshold searches."""
+def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
+                      onesided: bool = False, finite: bool = True,
+                      rows: Optional[np.ndarray] = None, cuts: int = 1):
+    """Certify "premise window implies conclusion >= 1-r" for each r of ``rs``.
 
-    def __init__(self, F: np.ndarray, E: np.ndarray):
-        order = np.argsort(F, kind="stable")
-        self.F = F[order]
-        self.E = E[order]
-        self.order = order
+    Pair k has premise F[k] and conclusion E[k].  A rho is valid iff its
+    window (1-rho, 1-r) (two-sided) or (1-rho, 1] (one-sided) holds no
+    violator, a pair whose conclusion misses 1-r, so the sup of valid rho is
+    1 - v with v the largest violator premise; it must exceed r.  A
+    violator-free window needs a satisfying sample inside it, except on
+    finite carriers (a gap is a real feature of a finite value set) or when
+    narrower than ``VACUOUS_WINDOW_TOL``.  The one-sided form may take
+    nondecreasing row labels: cut c < ``cuts`` keeps the rows >= c (each
+    nonempty), and r is read at the first cut past the rows of its fatal
+    violators, those whose premise reaches 1-r.  A plain search is one row.
 
-    def search(self, r: float, onesided: bool = False, finite: bool = True):
-        """Certify "premise window implies conclusion >= 1-r" at threshold r.
-
-        The supremum of valid rho is computed exactly from the samples: a
-        rho is valid iff its premise window (1-rho, 1-r) (two-sided) or
-        (1-rho, 1] (one-sided) contains no violating pair, so the sup is
-        1 - V with V the largest premise value among violators.  Returns
-        ``(record, None)`` when certified and ``(None, witness_index)``
-        when refuted; the witness is the violating pair closest below the
-        threshold, re-checkable by evaluation.
-
-        On finite carriers a violator-free window needs no sample inside it
-        (the gap is a real feature of the finite value set); on sampled
-        continuous carriers it must either contain a satisfying sample or
-        be narrower than ``VACUOUS_WINDOW_TOL``.
-        """
-        threshold = 1.0 - r
-        target = threshold - CLASS_TOL
-        hi = int(np.searchsorted(self.F, threshold, side="left"))
-        end = len(self.F) if onesided else hi
-        if end == 0:
-            return ({"r": r, "rho": 1.0 - ENDPOINT_CLAMP, "vacuous": True,
-                     "reason": "no pairs below threshold"}, None)
-        bad = np.nonzero(self.E[:end] < target)[0]
-        if bad.size == 0:
-            return ({"r": r, "rho": 1.0 - ENDPOINT_CLAMP, "vacuous": False},
-                    None)
-        k = int(bad[-1])              # violator with the largest premise value
-        witness = int(self.order[k])
-        v = float(self.F[k])
-        rho = 1.0 - v
-        if rho <= r + CLASS_TOL:
-            return None, witness      # violator at or above the threshold
-        # satisfying samples strictly inside the violator-free window
-        zone_lo = int(np.searchsorted(self.F, v, side="right"))
-        if zone_lo < end:
-            return ({"r": r, "rho": rho, "vacuous": False}, None)
-        if finite:
-            return ({"r": r, "rho": rho, "vacuous": True, "reason": "gap"},
-                    None)
-        if threshold - v <= VACUOUS_WINDOW_TOL:
-            return ({"r": r, "rho": rho, "vacuous": True,
-                     "reason": "sub-resolution window"}, None)
-        return None, witness
+    All r are answered in lockstep: only pairs violating the loosest r can
+    violate any, and sorted by conclusion they hold each r's violators as a
+    prefix, whose running premise maximum is v.  Returns per r ``(cut,
+    record, None)``, or ``(None, None, k)`` when refuted, k the window's
+    violator with the largest premise (the last such pair among ties).
+    """
+    thresholds = [1.0 - r for r in rs]
+    targets = [threshold - CLASS_TOL for threshold in thresholds]
+    if rows is None:
+        rows = np.broadcast_to(np.intp(0), F.shape)   # nothing allocated
+    keep = E < max(targets)
+    if onesided:
+        # every window at cut 0 holds all pairs; the largest premise among
+        # the pairs beyond each cut
+        counts = [F.size] * len(rs)
+        starts = np.searchsorted(rows, np.arange(cuts)) if cuts > 1 else [0]
+        best = (np.maximum.accumulate(np.maximum.reduceat(F, starts)[::-1])
+                [::-1] if F.size else None)
+    else:
+        below = F < max(thresholds)
+        keep &= below
+        ranked = F[below]           # every window's premises, to count them
+        ranked.sort()
+        counts = np.searchsorted(ranked, thresholds).tolist()
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(E[order], kind="stable")]
+    tops = np.maximum.accumulate(F[order])
+    out = []
+    for i, n in enumerate(np.searchsorted(E[order], targets).tolist()):
+        r, threshold, viol = rs[i], thresholds[i], order[:n]
+        first, v = 0, (float(tops[n - 1]) if n else None)
+        if v is not None and 1.0 - v <= r + CLASS_TOL:
+            # some violator reaches 1-r: rescan the window's violators
+            if not onesided:
+                viol = viol[F[viol] < threshold]
+            fatal = viol[1.0 - F[viol] <= r + CLASS_TOL]
+            if fatal.size:
+                first = min(int(rows[fatal].max()) + 1, cuts)
+            beyond = F[viol[rows[viol] >= first]]
+            v = float(beyond.max()) if beyond.size else None
+        rec = {"r": r}
+        if first == cuts:
+            rec = None
+        elif counts[i] == 0:
+            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=True,
+                       reason="no pairs below threshold")
+        elif v is None:
+            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=False)
+        elif (best[first] > v if onesided else
+              ranked.searchsorted(v, side="right") < counts[i]):
+            rec.update(rho=1.0 - v, vacuous=False)
+        elif finite:
+            rec.update(rho=1.0 - v, vacuous=True, reason="gap")
+        elif threshold - v <= VACUOUS_WINDOW_TOL:
+            rec.update(rho=1.0 - v, vacuous=True,
+                       reason="sub-resolution window")
+        else:
+            rec = None
+        if rec is None:
+            Fv = F[viol]
+            out.append((None, None, int(viol[Fv == Fv.max()].max())))
+        else:
+            out.append((first, rec, None))
+    return out
 
 
 def _strict_improvement(space: FuzzySpace, name: str, t_grid,
@@ -473,10 +502,8 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     for t in grid:
         F = np.asarray(space.m(xs, ys, t), dtype=float)
         E = np.asarray(space.m(txs, tys, t), dtype=float)
-        index = _ThresholdIndex(F, E)
-        for r in rs:
-            rec, k = index.search(r, onesided=(form == "onesided"),
-                                  finite=finite)
+        answers = _threshold_search(F, E, rs, form == "onesided", finite)
+        for r, (_, rec, k) in zip(rs, answers):
             if rec is None:
                 cond2.status = CheckStatus.VIOLATED
                 cond2.witness = {"x": float(xs[k]), "y": float(ys[k]),
@@ -540,36 +567,38 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         return report
 
     # iterate-shift search: premise on the blend of N-step images, conclusion
-    # on the nearness of (N+1)-step images
-    iterates = [(xs, ys)]
-    for _ in range(n_cap + 1):
-        iterates.append(tuple(T.apply(p, carrier) for p in iterates[-1]))
+    # on the nearness of (N+1)-step images; each shift is mapped and
+    # evaluated only while some threshold of the scale is still unresolved
+    iterates = [(xs, ys), (txs, tys)]
     cond2 = ConditionVerdict("iterate-threshold-implication", CheckStatus.SATISFIED)
     finite = carrier.is_finite
     for t in grid:
-        indexes = []
+        found, witness = {}, {}
         for n in range(n_cap + 1):
-            px, py = iterates[n]
-            qx, qy = iterates[n + 1]
+            todo = [i for i in range(len(rs)) if i not in found]
+            if not todo:
+                break
+            if len(iterates) == n + 1:
+                iterates.append(tuple(T.apply(p, carrier)
+                                      for p in iterates[-1]))
+            (px, py), (qx, qy) = iterates[n], iterates[n + 1]
             mv = _blend(space, params, px, py, qx, qy, t)
             concl = np.asarray(space.m(qx, qy, t), dtype=float)
-            indexes.append(_ThresholdIndex(mv, concl))
-        for r in rs:
-            found = witness = None
-            for n, index in enumerate(indexes):
-                rec, k = index.search(r, finite=finite)
+            answers = _threshold_search(mv, concl, [rs[i] for i in todo],
+                                        finite=finite)
+            for i, (_, rec, k) in zip(todo, answers):
                 if rec is not None:
-                    found = {"t": t, "N": n, **rec}
-                    break
-                if witness is None:
-                    witness = k
-            if found is None:
-                k = witness
+                    found[i] = {"t": t, "N": n, **rec}
+                elif n == 0:
+                    witness[i] = k
+        for i, r in enumerate(rs):
+            if i not in found:
+                k = witness[i]
                 cond2.status = CheckStatus.VIOLATED
                 cond2.witness = {"x": float(xs[k]), "y": float(ys[k]),
                                  "t": t, "r": r}
                 break
-            cond2.records.append(found)
+            cond2.records.append(found[i])
         if cond2.status is CheckStatus.VIOLATED:
             break
     return ClassificationReport(T.name, "blended-contraction", [cond1, cond2],
@@ -704,7 +733,8 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     xs, ys, _ = _carrier_pairs(space.carrier)
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
-    indexes = {}
+    report = EquivalenceReport(T.name, grid, rs)
+    finite = space.carrier.is_finite
     for t in grid:
         F = np.asarray(space.m(xs, ys, t), dtype=float)
         E = np.asarray(space.m(txs, tys, t), dtype=float)
@@ -715,18 +745,11 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
                 "nearness decreases under the map",
                 witness={"x": float(xs[i]), "y": float(ys[i]), "t": t,
                          "before": float(F[i]), "after": float(E[i])})
-        indexes[t] = _ThresholdIndex(F, E)
-
-    report = EquivalenceReport(T.name, grid, rs)
-    finite = space.carrier.is_finite
-
-    # the probe holds sampled continuous carriers to a stricter standard
-    # than the classifier: a threshold certified only through an unprobed
-    # sub-resolution window is not counted as satisfied
-    records = {}
-    for t in grid:
-        for r in rs:
-            rec, k = indexes[t].search(r, finite=finite)
+        # the probe holds sampled continuous carriers to a stricter standard
+        # than the classifier: a threshold certified only through an
+        # unprobed sub-resolution window is not counted as satisfied
+        for r, (_, rec, k) in zip(rs, _threshold_search(F, E, rs,
+                                                        finite=finite)):
             entry = {"t": t, "r": r}
             if rec is None or rec.get("reason") == "sub-resolution window":
                 entry["rho"] = None
@@ -735,14 +758,15 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
                 report.pointwise_satisfied = False
             else:
                 entry.update(rec)
-            records[(t, r)] = entry
             report.pointwise.append(entry)
+        cert = class_membership(_make_envelope(F, E), ClassTag.PSI1, r_grid=rs)
+        report.envelope_certs.append({"t": t, "verdict": cert.verdict.value})
 
     # the sup of valid rho per scale is exact, so a uniform rho exists for a
     # threshold exactly when every per-scale search succeeded; its value is
     # the smallest per-scale sup
     for r in rs:
-        per_t = [records[(t, r)] for t in grid]
+        per_t = [e for e in report.pointwise if e["r"] == r]
         if any(e["rho"] is None for e in per_t):
             report.uniform_satisfied = False
             report.uniform.append({"r": r, "rho": None})
@@ -756,10 +780,4 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
             "per-scale thresholds found at every grid point; on a finite "
             "scale grid the uniform threshold then always exists, so the "
             "scale-continuum direction is not probed")
-
-    for t in grid:
-        # the envelope of the samples this scale's index already holds
-        env = _make_envelope(indexes[t].F, indexes[t].E)
-        cert = class_membership(env, ClassTag.PSI1, r_grid=rs)
-        report.envelope_certs.append({"t": t, "verdict": cert.verdict.value})
     return report

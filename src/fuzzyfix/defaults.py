@@ -33,9 +33,17 @@ CLASS_TOL = 1e-12
 BISECT_ITERS = 40
 
 
+def _grid(values, what: str) -> tuple[float, ...]:
+    grid = tuple(values)
+    if not grid:        # a verdict on an empty grid would rest on no record
+        from .algebra import DomainError     # algebra imports this module
+        raise DomainError(f"a grid needs at least one {what}")
+    return grid
+
+
 def scale_grid(t_grid, default=DEFAULT_T_GRID) -> tuple[float, ...]:
     """The scale grid ``t_grid`` as floats, or ``default`` when it is None."""
-    return tuple(float(t) for t in (default if t_grid is None else t_grid))
+    return _grid(map(float, default if t_grid is None else t_grid), "scale")
 
 
 def threshold_grid(r_grid) -> tuple[float, ...]:
@@ -43,9 +51,9 @@ def threshold_grid(r_grid) -> tuple[float, ...]:
     into the open interval (0,1)."""
     lo, hi = ENDPOINT_CLAMP, 1.0 - ENDPOINT_CLAMP
     grid = DEFAULT_R_GRID if r_grid is None else r_grid
-    return tuple(min(max(float(g), lo), hi) for g in grid)
+    return _grid((min(max(float(g), lo), hi) for g in grid), "threshold")
 
 
 def clamp_positive_grid(grid) -> tuple[float, ...]:
     """Clamp grid values to be strictly positive."""
-    return tuple(max(float(g), ENDPOINT_CLAMP) for g in grid)
+    return _grid((max(float(g), ENDPOINT_CLAMP) for g in grid), "threshold")

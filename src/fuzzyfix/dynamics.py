@@ -16,7 +16,8 @@ about the observed prefix:
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
   past 1-rho forces next-step nearness past 1-r" over observed pairs;
   success is monotone in the cut, so the first valid cut is found
-  directly, with two nearness evaluations per scale and no sort,
+  directly, by the threshold search of :mod:`fuzzyfix.contractions` over
+  the pairs' rows, with two nearness evaluations per scale,
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
   on finite carriers; ``auto`` tries the candidate routes over one orbit,
@@ -38,11 +39,11 @@ from .contractions import (
     MParams,
     SelfMap,
     _blend,
-    _ThresholdIndex,
+    _threshold_search,
     cm_contractive_check,
     m_contractive_check,
 )
-from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
+from .defaults import scale_grid, threshold_grid
 from .spaces import FuzzySpace
 
 DEFAULT_MAX_LEN = 10000
@@ -403,11 +404,8 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     ``CLASS_TOL``); raising the cut only drops pairs, so success is
     monotone in the cut.  The first valid cut is the first one above every
     fatal pair's smaller index.  Two nearness evaluations per scale serve
-    the whole threshold grid: only pairs that violate the loosest threshold
-    can be fatal or fix rho, so each threshold's cut and largest kept
-    violator premise are read from those pairs alone, and one running
-    maximum over the rows tells whether a kept premise lies above it.  Only
-    a refuted threshold sorts the pairs, to pick its witness.
+    the whole threshold grid, which the package's one threshold search
+    answers with the pairs' smaller indices as its rows.
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
@@ -419,17 +417,13 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     grid = scale_grid(t_grid, trace.t_grid)
     pts = np.array(trace.points)
     sub = _cert_indices(trace.length - 1)   # pairs need successors
-    # the window beyond a cut must keep at least two indices, so that it
+    # a cut keeps whole rows, a pair's smaller index being its row's; the
+    # window beyond a cut must keep at least two indices, so that it
     # contains a pair of distinct successors
-    last_cut = len(sub) - 1
     rows, yi = np.triu_indices(len(sub), k=0)
     xi, yi = sub[rows], sub[yi]
     xs, ys = pts[xi], pts[yi]
     nxs, nys = pts[xi + 1], pts[yi + 1]
-    # a cut keeps whole rows: a pair's smaller index is its row's
-    starts = np.searchsorted(rows, np.arange(len(sub)))
-    # a pair can violate some threshold only if it violates the loosest
-    loosest = max((1.0 - r) - CLASS_TOL for r in rs)
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
     for t in grid:
@@ -438,39 +432,20 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
         E = np.asarray(space.m(nxs, nys, t), dtype=float)
-        # the best premise among the pairs beyond each cut
-        best = np.maximum.accumulate(np.maximum.reduceat(F, starts)[::-1])[::-1]
-        keep = np.flatnonzero(E < loosest)
-        row, Fv, Ev = rows[keep], F[keep], E[keep]
-        for r in rs:
-            # the implication premise is one-sided: any pair whose blend
-            # clears 1-rho must already improve past 1-r; these are the
-            # float expressions the search itself uses
-            violates = Ev < (1.0 - r) - CLASS_TOL
-            fatal = np.flatnonzero(violates & (1.0 - Fv <= r + CLASS_TOL))
-            # the first valid cut is past the last row holding a fatal pair
-            first = min(row[fatal[-1]] + 1, last_cut) if fatal.size else 0
-            if first == last_cut:
-                # refuted at every cut: report the witness of the first cut,
+        # the implication premise is one-sided: any pair whose blend clears
+        # 1-rho must already improve past 1-r
+        answers = _threshold_search(F, E, rs, onesided=True, rows=rows,
+                                    cuts=len(sub) - 1)
+        for r, (cut, rec, k) in zip(rs, answers):
+            if rec is None:
+                # refuted at every cut: the witness is the first cut's,
                 # whose window holds every pair
-                _, k = _ThresholdIndex(F, E).search(r, onesided=True,
-                                                    finite=True)
                 cert.verdict = CauchyVerdict.VIOLATED
                 cert.witness = {"t": t, "r": r, "p": int(xi[k]),
                                 "q": int(yi[k]), "blend": float(F[k]),
                                 "next_nearness": float(E[k])}
                 return cert
-            rec = {"t": t, "N": int(sub[first]), "r": r}
-            start = np.searchsorted(row, first)
-            kept = Fv[start:][violates[start:]]
-            v = float(kept.max()) if kept.size else None
-            if v is None:           # no violator beyond the cut
-                rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=False)
-            elif best[first] > v:
-                rec.update(rho=1.0 - v, vacuous=False)
-            else:                   # no pair above the largest violator
-                rec.update(rho=1.0 - v, vacuous=True, reason="gap")
-            cert.records.append(rec)
+            cert.records.append({"t": t, "N": int(sub[cut]), **rec})
     return cert
 
 

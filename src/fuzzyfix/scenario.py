@@ -116,8 +116,8 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
             values = np.logspace(np.log10(lo), np.log10(hi), n)
         grid = tuple(float(v) for v in values)
     elif isinstance(spec, (list, tuple)):
-        if not all(map(_is_number, spec)):
-            errors.append((path, "grid list must contain numbers"))
+        if not spec or not all(map(_is_number, spec)):
+            errors.append((path, "grid list must hold numbers, at least one"))
             return tuple(default)
         grid = tuple(float(v) for v in spec)
     else:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyfix import contractions
@@ -30,7 +30,7 @@ from fuzzyfix.contractions import (
     SelfMap,
     _carrier_pairs,
     _make_envelope,
-    _ThresholdIndex,
+    _threshold_search,
     cm_contractive_check,
     equivalence_probe,
     extract_empirical_gauge,
@@ -270,7 +270,8 @@ class TestStrictMargin:
 
 
 def _brute_search(F, E, r, onesided, finite):
-    """_ThresholdIndex.search by a scan over the pairs in their own order."""
+    """One threshold's search by a scan over the pairs in their own order:
+    (record, None), or (None, witness index) when refuted."""
     threshold = 1.0 - r
     window = [k for k in range(len(F)) if onesided or F[k] < threshold]
     if not window:
@@ -294,30 +295,73 @@ def _brute_search(F, E, r, onesided, finite):
     return None, witness
 
 
+def _brute_cuts(F, E, r, rows, cuts):
+    """The one-sided finite search at each cut in turn: (cut, record, None)
+    at the first cut that certifies, or (None, None, witness) of cut 0."""
+    for cut in range(cuts):
+        window = [k for k in range(len(F)) if rows[k] >= cut]
+        rec, _ = _brute_search([F[k] for k in window], [E[k] for k in window],
+                               r, True, True)
+        if rec is not None:
+            return cut, rec, None
+    return None, None, _brute_search(F, E, r, True, True)[1]
+
+
 @st.composite
-def _threshold_cases(draw):
-    r = draw(st.sampled_from([0.1, 0.3, 0.5]))
-    threshold = 1.0 - r
-    near = [threshold, threshold - CLASS_TOL, threshold + CLASS_TOL,
-            float(np.nextafter(threshold - CLASS_TOL, 0.0)),
-            float(np.nextafter(threshold, 1.0)),
-            threshold - VACUOUS_WINDOW_TOL, 1.0 - (r + CLASS_TOL)]
+def _threshold_cases(draw, min_pairs=0):
+    """An unsorted threshold grid with duplicates, and pair values that sit
+    on, one double off and one tolerance off its thresholds."""
+    rs = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.9]), min_size=1,
+                       max_size=5))
+    near = []
+    for r in rs:
+        threshold = 1.0 - r
+        near += [threshold, threshold - CLASS_TOL, threshold + CLASS_TOL,
+                 float(np.nextafter(threshold - CLASS_TOL, 0.0)),
+                 float(np.nextafter(threshold, 1.0)),
+                 threshold - VACUOUS_WINDOW_TOL, 1.0 - (r + CLASS_TOL)]
     value = st.sampled_from(near) | st.floats(0.0, 1.0)
     pool = draw(st.lists(value, min_size=1, max_size=6))
-    n = draw(st.integers(0, 16))
+    n = draw(st.integers(min_pairs, 16))
     F = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     E = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    return r, np.array(F, dtype=float), np.array(E, dtype=float)
+    return rs, np.array(F, dtype=float), np.array(E, dtype=float)
 
 
 @pytest.mark.parametrize("onesided", [False, True])
 @pytest.mark.parametrize("finite", [True, False])
 @given(case=_threshold_cases())
+@example(case=([0.5, 0.1, 0.5], np.array([]), np.array([])))
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_threshold_search_equals_brute_force(onesided, finite, case):
-    r, F, E = case
-    got = _ThresholdIndex(F, E).search(r, onesided=onesided, finite=finite)
-    assert got == _brute_search(F.tolist(), E.tolist(), r, onesided, finite)
+    rs, F, E = case
+    want = []
+    for r in rs:
+        rec, k = _brute_search(F.tolist(), E.tolist(), r, onesided, finite)
+        want.append((None, None, k) if rec is None else (0, rec, None))
+    assert _threshold_search(F, E, rs, onesided, finite) == want
+
+
+@st.composite
+def _row_cases(draw):
+    rs, F, E = draw(_threshold_cases(min_pairs=1))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(F),
+                           max_size=len(F)))
+    # nondecreasing labels with no empty row
+    rows = np.unique(labels, return_inverse=True)[1].ravel()
+    rows.sort()
+    cuts = draw(st.integers(1, int(rows[-1]) + 1))
+    return rs, F, E, rows, cuts
+
+
+@given(case=_row_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_threshold_search_by_rows_equals_cut_by_cut_scan(case):
+    rs, F, E, rows, cuts = case
+    want = [_brute_cuts(F.tolist(), E.tolist(), r, rows.tolist(), cuts)
+            for r in rs]
+    assert _threshold_search(F, E, rs, onesided=True, rows=rows,
+                             cuts=cuts) == want
 
 
 class TestPsiContractive:
@@ -450,6 +494,45 @@ class TestMContractive:
         w = blend.condition("strict-improvement-over-blend").witness
         assert list(w) == ["x", "y", "t", "after", "blend"]
         assert w["blend"] == w["after"]
+
+    def test_iterate_shift_evaluates_only_the_shifts_it_needs(self,
+                                                              monkeypatch):
+        # a scale searches shift after shift, each for the thresholds still
+        # unresolved, up to the last shift one of them needs; the pairs'
+        # iterates are mapped once, up to the deepest shift any scale needs
+        searches, maps = [], []
+        search, apply = contractions._threshold_search, SelfMap.apply
+
+        def counted_search(F, E, rs, *args, **kwargs):
+            searches.append(len(rs))
+            return search(F, E, rs, *args, **kwargs)
+        monkeypatch.setattr(contractions, "_threshold_search", counted_search)
+        monkeypatch.setattr(SelfMap, "apply", lambda self, x, carrier=None:
+                            maps.append(np.shape(x)) or apply(self, x, carrier))
+        sc = load_scenario("ex63")
+        unit = standard_fuzzy_metric(Carrier.interval(0, 1, 41),
+                                     metric("euclidean"))
+        piecewise = self_map("expr:piecewise(x < 0.3, x + 0.5, x/3)")
+        deepest_shifts = []
+        for space, T, params, t_grid, n_cap in (
+                (sc.build_space(), sc.build_map(), MParams(2, 2), None, None),
+                (unit, piecewise, MParams(0, 0), (0.1, 1.0, 10.0), 6)):
+            searches.clear()
+            maps.clear()
+            report = m_contractive_check(space, T, params, t_grid=t_grid,
+                                         n_cap=n_cap)
+            cond = report.condition("iterate-threshold-implication")
+            assert cond.status is CheckStatus.SATISFIED
+            want = []
+            for t in report.t_grid:
+                shifts = [rec["N"] for rec in cond.records if rec["t"] == t]
+                want += [sum(n >= shift for n in shifts)
+                         for shift in range(max(shifts) + 1)]
+            assert searches == want
+            deepest_shifts.append(max(rec["N"] for rec in cond.records))
+            assert len(maps) == 2 + 2 * deepest_shifts[-1]
+        # ex63 needs no shift beyond 0 of its 4; the piecewise map needs two
+        assert deepest_shifts == [0, 2]
 
     def test_zero_exponents_agree_with_onesided_cm(self, quad_space):
         T = self_map("const:0")

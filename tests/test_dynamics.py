@@ -13,12 +13,16 @@ from fuzzyfix.contractions import (
     MParams,
     SelfMap,
     _blend,
-    _ThresholdIndex,
     cm_contractive_check,
     self_map,
     table_map,
 )
-from fuzzyfix.defaults import CLASS_TOL, scale_grid, threshold_grid
+from fuzzyfix.defaults import (
+    CLASS_TOL,
+    ENDPOINT_CLAMP,
+    scale_grid,
+    threshold_grid,
+)
 from fuzzyfix.dynamics import (
     CauchyVerdict,
     OrbitTrace,
@@ -322,9 +326,27 @@ CRITERION_T = (0.5, 5.0)
 CLUSTER = (0.0, 0.01, 2.0, 2.01, 5.0)
 
 
+def _sorted_search(F, E, r):
+    """The one-sided finite search at threshold r over a stably sorted copy
+    of a nonempty pair window: (record, None), or (None, witness index)
+    when refuted, the witness being the last violator in sorted order."""
+    order = np.argsort(F, kind="stable")
+    Fs, Es = F[order], E[order]
+    bad = np.nonzero(Es < (1.0 - r) - CLASS_TOL)[0]
+    if bad.size == 0:
+        return {"r": r, "rho": 1.0 - ENDPOINT_CLAMP, "vacuous": False}, None
+    v = float(Fs[bad[-1]])
+    rho = 1.0 - v
+    if rho <= r + CLASS_TOL:
+        return None, int(order[bad[-1]])
+    if Fs[-1] > v:
+        return {"r": r, "rho": rho, "vacuous": False}, None
+    return {"r": r, "rho": rho, "vacuous": True, "reason": "gap"}, None
+
+
 def _reference_criterion(space, trace, f_kind="plain", params=None,
                          r_grid=None, t_grid=None):
-    """The cut-by-cut scan: a freshly sorted index for every cut."""
+    """The cut-by-cut scan: a freshly sorted search for every cut."""
     rs = threshold_grid(r_grid)
     grid = scale_grid(t_grid, trace.t_grid)
     pts = np.array(trace.points)
@@ -346,8 +368,7 @@ def _reference_criterion(space, trace, f_kind="plain", params=None,
             found = witness = None
             for cut in (c for c in sub if c < sub[-1]):
                 sel = min_idx >= cut
-                rec, k = _ThresholdIndex(F[sel], E[sel]).search(
-                    r, onesided=True, finite=True)
+                rec, k = _sorted_search(F[sel], E[sel], r)
                 if rec is not None:
                     found = {"t": t, "N": int(cut), **rec}
                     break
@@ -465,32 +486,10 @@ class TestCriterionCutSearch:
         success = []
         for cut in sub[:-1]:
             sel = min_idx >= cut
-            rec, _ = _ThresholdIndex(F[sel], E[sel]).search(
-                r, onesided=True, finite=True)
+            rec, _ = _sorted_search(F[sel], E[sel], r)
             success.append(rec is not None)
             assert success[-1] == (not np.any(fatal & sel))
         assert success == sorted(success)
-
-    def test_one_sorted_index_per_scale_on_adversarial_trace(self,
-                                                             monkeypatch):
-        built = []
-
-        class CountingIndex(_ThresholdIndex):
-            def __init__(self, F, E):
-                built.append(len(F))
-                super().__init__(F, E)
-
-        monkeypatch.setattr(dynamics, "_ThresholdIndex", CountingIndex)
-        # 150 points oscillating a quarter apart, then 50 settling ones
-        points = ([2.0 if i % 2 == 0 else 2.25 for i in range(150)]
-                  + [1.0 / (j + 2) for j in range(50)])
-        sc = load_scenario("ex62")
-        space = sc.build_space()
-        trace = OrbitTrace.from_points(space, points, sc.t_grid)
-        cert = cauchy_criterion_check(space, trace, r_grid=sc.r_grid)
-        assert cert.holds
-        assert len(cert.records) == len(cert.t_grid) * len(cert.r_grid)
-        assert len(built) <= len(cert.t_grid)
 
     def test_m_cauchy_witness_is_first_tied_minimal_pair(self):
         # (0, 3) and (1, 2) tie for the least nearness; row-major order over
@@ -508,8 +507,8 @@ class TestCriterionCutSearch:
 
 def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
                              r_grid=None, t_grid=None):
-    """The per-(t, r) cut search: one sorted index per scale, then per
-    threshold a fatal mask over it and a search over its stable order
+    """The per-(t, r) cut search: one stable sort per scale, then per
+    threshold a fatal mask over it and a search over the sorted pairs
     masked to the first valid cut's window."""
     rs = threshold_grid(r_grid)
     grid = scale_grid(t_grid, trace.t_grid)
@@ -529,25 +528,22 @@ def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
         E = np.asarray(space.m(nxs, nys, t), dtype=float)
-        index = _ThresholdIndex(F, E)
-        lows = min_idx[index.order]
+        order = np.argsort(F, kind="stable")
+        Fs, Es, lows = F[order], E[order], min_idx[order]
         for r in rs:
-            fatal = ((index.E < (1.0 - r) - CLASS_TOL)
-                     & (1.0 - index.F <= r + CLASS_TOL))
+            fatal = ((Es < (1.0 - r) - CLASS_TOL)
+                     & (1.0 - Fs <= r + CLASS_TOL))
             first = (int(np.searchsorted(cuts, lows[fatal].max(), side="right"))
                      if fatal.any() else 0)
             if first == len(cuts):
-                _, k = index.search(r, onesided=True, finite=True)
+                _, k = _sorted_search(F, E, r)
                 cert.verdict = CauchyVerdict.VIOLATED
                 cert.witness = {"t": t, "r": r, "p": int(xi[k]),
                                 "q": int(yi[k]), "blend": float(F[k]),
                                 "next_nearness": float(E[k])}
                 return cert
             keep = lows >= cuts[first]
-            window = object.__new__(_ThresholdIndex)
-            window.F, window.E = index.F[keep], index.E[keep]
-            window.order = index.order[keep]
-            rec, _ = window.search(r, onesided=True, finite=True)
+            rec, _ = _sorted_search(Fs[keep], Es[keep], r)
             cert.records.append({"t": t, "N": int(cuts[first]), **rec})
     return cert
 
@@ -640,22 +636,15 @@ class TestCriterionLockstep:
         ref = _reference_criterion(space, trace, r_grid=(0.9, 0.5))
         assert got.to_dict() == ref.to_dict()
 
-    def test_holding_trace_builds_no_sorted_index(self, monkeypatch):
-        built = []
 
-        class CountingIndex(_ThresholdIndex):
-            def __init__(self, F, E):
-                built.append(len(F))
-                super().__init__(F, E)
-
-        monkeypatch.setattr(dynamics, "_ThresholdIndex", CountingIndex)
-        space, trace = _long_cluster_trace()
-        assert cauchy_criterion_check(space, trace, r_grid=SMALL_R).holds
-        assert built == []
-        space, trace = _long_refuted_trace()
-        cert = cauchy_criterion_check(space, trace, r_grid=(0.9, 0.5, 0.05))
-        assert cert.verdict is CauchyVerdict.VIOLATED
-        assert len(built) == 1
+@pytest.mark.parametrize("check", [m_cauchy_check, cauchy_criterion_check])
+@pytest.mark.parametrize("grids", [{"r_grid": []}, {"t_grid": []}])
+def test_cauchy_checks_refuse_an_empty_grid(check, grids):
+    sc = load_scenario("ex62")
+    space = sc.build_space()
+    trace = OrbitTrace.from_points(space, [1.0, 0.5, 0.25, 0.125], sc.t_grid)
+    with pytest.raises(DomainError, match="at least one"):
+        check(space, trace, **grids)
 
 
 class TestContractionTraceInvariants:

@@ -244,6 +244,21 @@ def test_misspelled_solver_key_is_not_ignored(tmp_path):
     assert (code, out) == (2, "schema error at solver.max-len: unknown key\n")
 
 
+@pytest.mark.parametrize("command", ["classify-map", "iterate", "solve",
+                                     "check-space"])
+def test_empty_grid_lists_are_schema_errors(tmp_path, command):
+    # an empty grid leaves a verdict without records, or a traceback
+    doc = json.loads(SCENARIO_LIBRARY["ex62"])
+    doc["grids"] = {"t": [], "r": []}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_command([command, "--scenario", str(path)])
+    assert code == 2
+    assert out.splitlines() == [
+        f"schema error at grids.{kind}: grid list must hold numbers, at "
+        "least one" for kind in "tr"]
+
+
 def test_every_documented_key_is_known(tmp_path):
     doc = json.loads(SCENARIO_LIBRARY["ex63"])
     doc["space"]["carrier"].update(low=0, high=5, samples=11)
