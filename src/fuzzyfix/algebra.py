@@ -12,7 +12,10 @@ The module provides:
 
 Every gauge evaluates a float to a float and an ndarray elementwise to an
 ndarray, with the same domain checks on both; the Psi1 and Phi1 checks
-evaluate all sample windows of a bisection step in one call.
+evaluate all sample windows of a bisection step in one call.  A t-norm
+gives a float for two scalars and a float64 ndarray of the broadcast
+shape otherwise, and the axiom checker makes one call per t-norm value
+over all its probe and seeded tuples.
 
 Membership verdicts are certificates over the tested grid, not proofs:
 the class conditions quantify over uncountable sets, so a ``member``
@@ -22,6 +25,7 @@ while ``non_member`` always carries a concrete violating sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -75,7 +79,12 @@ class TNorm:
     positive: bool
 
     def apply(self, a, b):
-        return self.fn(a, b)
+        """The t-norm of a and b: a float when both are scalars, else a
+        float64 ndarray of their broadcast shape."""
+        out = self.fn(a, b)
+        if np.isscalar(a) and np.isscalar(b):
+            return float(out)
+        return np.asarray(out, dtype=float)
 
     @classmethod
     def product(cls) -> "TNorm":
@@ -120,7 +129,7 @@ def tnorm_apply(norm: TNorm, a: float, b: float) -> float:
     for v in (a, b):
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"t-norm argument {v!r} outside [0,1]")
-    return float(norm.apply(a, b))
+    return norm.apply(a, b)
 
 
 TNORM_AXIOMS = ("identity", "commutativity", "monotonicity", "associativity",
@@ -164,53 +173,55 @@ class TNormAxiomReport:
 _PROBE = tuple(i / 10 for i in range(11))
 
 
+def _axiom(name: str, bad: np.ndarray, witness: Callable) -> AxiomResult:
+    """The result of one axiom: passed when ``bad`` flags no entry, else
+    failed with ``witness`` of the first flagged entry's index in row-major
+    order (one argument per axis)."""
+    if not bad.any():
+        return AxiomResult(name, True)
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return AxiomResult(name, False, witness(*(int(i) for i in first)))
+
+
 def tnorm_axiom_check(norm: TNorm, samples: int = 1000, seed: int = 0,
                       tol: float = 1e-9) -> TNormAxiomReport:
     """Check the t-norm axioms on a fixed probe grid plus seeded random tuples.
 
     Reports pass/fail per axiom (identity, commutativity, monotonicity,
-    associativity, positivity) with the first witness found.  Deterministic
-    given ``seed``.
+    associativity, positivity) with the witness of the first failing tuple,
+    probe tuples first.  Each t-norm value an axiom needs is one array call
+    over all tuples.  Deterministic given ``seed``.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    pairs = [(a, b) for a in _PROBE for b in _PROBE]
-    pairs += [tuple(v) for v in rng.random((samples, 2))]
-    triples = [(a, b, c) for a in _PROBE[::2] for b in _PROBE[::2] for c in _PROBE[::2]]
-    triples += [tuple(v) for v in rng.random((samples, 3))]
+    a, b = np.vstack([list(itertools.product(_PROBE, repeat=2)),
+                      rng.random((samples, 2))]).T
+    ta, tb, tc = np.vstack([list(itertools.product(_PROBE[::2], repeat=3)),
+                            rng.random((samples, 3))]).T
 
-    identity = AxiomResult("identity", True)
-    comm = AxiomResult("commutativity", True)
-    mono = AxiomResult("monotonicity", True)
-    assoc = AxiomResult("associativity", True)
-    pos = AxiomResult("positivity", True)
-
-    for a, b in pairs:
-        va = float(norm.apply(a, 1.0))
-        if identity.passed and abs(va - a) > tol:
-            identity.passed = False
-            identity.witness = {"a": a, "value": va}
-        ab = float(norm.apply(a, b))
-        ba = float(norm.apply(b, a))
-        if comm.passed and abs(ab - ba) > tol:
-            comm.passed = False
-            comm.witness = {"a": a, "b": b, "ab": ab, "ba": ba}
-        if pos.passed and norm.positive is not None and a > 0 and b > 0 and ab <= 0.0:
-            pos.passed = False
-            pos.witness = {"a": a, "b": b, "value": ab}
-
-    for a, b, c in triples:
-        # monotone in each argument: compare (a,b) against (max(a,c), b)
-        lo, hi = min(a, c), max(a, c)
-        if mono.passed and float(norm.apply(lo, b)) > float(norm.apply(hi, b)) + tol:
-            mono.passed = False
-            mono.witness = {"a": lo, "c": hi, "b": b}
-        left = float(norm.apply(norm.apply(a, b), c))
-        right = float(norm.apply(a, norm.apply(b, c)))
-        if assoc.passed and abs(left - right) > tol:
-            assoc.passed = False
-            assoc.witness = {"a": a, "b": b, "c": c, "left": left, "right": right}
+    va = norm.apply(a, 1.0)
+    identity = _axiom("identity", np.abs(va - a) > tol,
+                      lambda i: {"a": float(a[i]), "value": float(va[i])})
+    ab, ba = norm.apply(a, b), norm.apply(b, a)
+    comm = _axiom("commutativity", np.abs(ab - ba) > tol,
+                  lambda i: {"a": float(a[i]), "b": float(b[i]),
+                             "ab": float(ab[i]), "ba": float(ba[i])})
+    pos = _axiom("positivity", (a > 0) & (b > 0) & (ab <= 0.0),
+                 lambda i: {"a": float(a[i]), "b": float(b[i]),
+                            "value": float(ab[i])})
+    # monotone in each argument: compare (a,b) against (max(a,c), b)
+    lo, hi = np.minimum(ta, tc), np.maximum(ta, tc)
+    mono = _axiom("monotonicity",
+                  norm.apply(lo, tb) > norm.apply(hi, tb) + tol,
+                  lambda i: {"a": float(lo[i]), "c": float(hi[i]),
+                             "b": float(tb[i])})
+    left = norm.apply(norm.apply(ta, tb), tc)
+    right = norm.apply(ta, norm.apply(tb, tc))
+    assoc = _axiom("associativity", np.abs(left - right) > tol,
+                   lambda i: {"a": float(ta[i]), "b": float(tb[i]),
+                              "c": float(tc[i]), "left": float(left[i]),
+                              "right": float(right[i])})
 
     results = [identity, comm, mono, assoc, pos]
     return TNormAxiomReport(norm.kind.value, samples, seed, results)

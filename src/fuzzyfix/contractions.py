@@ -189,20 +189,18 @@ class MParams:
             raise DomainError("exponents must be nonnegative")
 
 
-def _blend(space: FuzzySpace, params: MParams, xs, ys, txs, tys,
-           t: float) -> np.ndarray:
+def _blend(space: FuzzySpace, params: MParams, xs, ys, txs, tys, t: float):
     """Blended comparison values of the pairs (xs, ys) with images (txs, tys).
 
-    Elementwise over scalars or arrays.  Nearness values are raised to their
-    exponents as returned: a 0-d array would take numpy's vectorised power,
-    which can differ in the last bit from the C library power that scalar
-    values get.
+    Elementwise over scalars or arrays, with the result type of the nearness
+    and the t-norm: a float for scalars, else an ndarray.  A scalar nearness
+    is a float, so its power is the C library's, which can differ in the
+    last bit from numpy's vectorised power on a 0-d array.
     """
     fx = space.m(xs, txs, t) ** params.alpha
     fy = space.m(ys, tys, t) ** params.beta
     norm = space.tnorm
-    return np.asarray(norm.apply(norm.apply(space.m(xs, ys, t), fx), fy),
-                      dtype=float)
+    return norm.apply(norm.apply(space.m(xs, ys, t), fx), fy)
 
 
 def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
@@ -212,7 +210,7 @@ def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
     Combines M(x,y,t) with M(x,Tx,t)^alpha and M(y,Ty,t)^beta through the
     space's t-norm; exponentiation is real-valued inside each factor.
     """
-    return float(_blend(space, params, x, y, T(x), T(y), t))
+    return _blend(space, params, x, y, T(x), T(y), t)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +419,9 @@ def _strict_improvement(space: FuzzySpace, name: str, t_grid,
     distinct = xs != ys
     verdict = ConditionVerdict(name, CheckStatus.SATISFIED)
     for t in t_grid:
-        F = (np.asarray(space.m(xs, ys, t), dtype=float) if premise is None
+        F = (space.m(xs, ys, t) if premise is None
              else premise(t))
-        E = np.asarray(space.m(txs, tys, t), dtype=float)
+        E = space.m(txs, tys, t)
         bad = distinct & ~(E > F + margin * F)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
@@ -461,8 +459,8 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
                                 txs[:n_base], tys[:n_base])
     cond2 = ConditionVerdict("gauge-bound", CheckStatus.SATISFIED)
     for t in grid:
-        F = np.asarray(space.m(xs, ys, t), dtype=float)
-        E = np.asarray(space.m(txs, tys, t), dtype=float)
+        F = space.m(xs, ys, t)
+        E = space.m(txs, tys, t)
         bound = _gauge_bound(psi, F)
         bad = E < bound - CLASS_TOL
         if bad.any():
@@ -500,8 +498,8 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
     finite = space.carrier.is_finite
     for t in grid:
-        F = np.asarray(space.m(xs, ys, t), dtype=float)
-        E = np.asarray(space.m(txs, tys, t), dtype=float)
+        F = space.m(xs, ys, t)
+        E = space.m(txs, tys, t)
         answers = _threshold_search(F, E, rs, form == "onesided", finite)
         for r, (_, rec, k) in zip(rs, answers):
             if rec is None:
@@ -549,7 +547,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         tightest = math.inf
         for t in grid:
             mv = _blend(space, params, xs, ys, txs, tys, t)
-            E = np.asarray(space.m(txs, tys, t), dtype=float)
+            E = space.m(txs, tys, t)
             bound = _gauge_bound(psi, mv)
             slack = E - bound
             tightest = min(tightest, float(slack.min()))
@@ -583,7 +581,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                                       for p in iterates[-1]))
             (px, py), (qx, qy) = iterates[n], iterates[n + 1]
             mv = _blend(space, params, px, py, qx, qy, t)
-            concl = np.asarray(space.m(qx, qy, t), dtype=float)
+            concl = space.m(qx, qy, t)
             answers = _threshold_search(mv, concl, [rs[i] for i in todo],
                                         finite=finite)
             for i, (_, rec, k) in zip(todo, answers):
@@ -680,9 +678,9 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
         xs = np.array([float(a) for a, _ in pairs])
         ys = np.array([float(b) for _, b in pairs])
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
-    E = np.asarray(space.m(txs, tys, t), dtype=float)
+    E = space.m(txs, tys, t)
     if f_kind == "plain":
-        F = np.asarray(space.m(xs, ys, t), dtype=float)
+        F = space.m(xs, ys, t)
     else:
         F = _blend(space, params, xs, ys, txs, tys, t)
     env = _make_envelope(F, E)
@@ -736,8 +734,8 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     report = EquivalenceReport(T.name, grid, rs)
     finite = space.carrier.is_finite
     for t in grid:
-        F = np.asarray(space.m(xs, ys, t), dtype=float)
-        E = np.asarray(space.m(txs, tys, t), dtype=float)
+        F = space.m(xs, ys, t)
+        E = space.m(txs, tys, t)
         bad = E < F - CLASS_TOL
         if bad.any():
             i = int(np.nonzero(bad)[0][0])

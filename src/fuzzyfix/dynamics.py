@@ -99,7 +99,7 @@ class OrbitTrace:
         if not pts:
             raise DomainError("a trace needs at least one point")
         p = np.array(pts)[:, None]
-        series = np.asarray(space.m(p[:-1], p[1:], np.array(grid)), dtype=float)
+        series = space.m(p[:-1], p[1:], np.array(grid))
         return cls(pts, grid, series, StopReason.PRESCRIBED, map_name)
 
 
@@ -153,7 +153,7 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
         except Exception as exc:    # deferred: an earlier step may stop first
             error = exc
         p = np.array(points[start:])[:, None]
-        near = np.asarray(space.m(p[:-1], p[1:], ts), dtype=float)
+        near = space.m(p[:-1], p[1:], ts)
         stops = np.flatnonzero(near.min(axis=1) > 1.0 - stop_tolerance)
         last = len(points) - 2 - start         # the block's final step
         if stops.size and stops[0] < last:
@@ -176,14 +176,13 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
                           T.name)
 
 
-def _tail_converges_to_zero(deficits: np.ndarray, tol: float) -> bool:
+def _tail_converges_to_zero(d: np.ndarray, tol: float) -> bool:
     """Prefix evidence that a nonnegative series tends to zero.
 
     True when the final value is below ``tol``, or when the tail is
     nonincreasing and still shrinking by ``TREND_DECAY`` across the second
     half of the window.
     """
-    d = np.asarray(deficits, dtype=float)
     if d.size == 0:
         return True
     if d[-1] <= tol:
@@ -194,6 +193,16 @@ def _tail_converges_to_zero(deficits: np.ndarray, tol: float) -> bool:
     if np.any(np.diff(half) > 1e-15):
         return False
     return d[-1] <= TREND_DECAY * half[0]
+
+
+def _step_series(space: FuzzySpace, trace: OrbitTrace, pts: np.ndarray,
+                 t: float) -> np.ndarray:
+    """The step nearness M(x_n, x_{n+1}, t) of a trace whose points are
+    ``pts``: a scale on the trace's grid reads its recorded column, which
+    equals an evaluation at that scale bit for bit."""
+    if t in trace.t_grid:
+        return trace.step_nearness[:, trace.t_grid.index(t)]
+    return space.m(pts[:-1], pts[1:], t)
 
 
 @dataclass
@@ -238,18 +247,14 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     t_base, i_max = float(e_spec[0]), int(e_spec[1])
     if t_base <= 0 or i_max < 1:
         raise DomainError("scale sequence spec must be positive")
-    # a scale on the trace's grid reads its recorded column, which equals a
-    # scalar evaluation bit for bit
-    column = {t: j for j, t in enumerate(trace.t_grid)}
     pts = np.array(trace.points)
     plain = {}
     for t in grid:
-        series = (trace.step_nearness[:, column[t]] if t in column
-                  else np.asarray(space.m(pts[:-1], pts[1:], t), dtype=float))
+        series = _step_series(space, trace, pts, t)
         plain[t] = _tail_converges_to_zero(1.0 - series, tail_tolerance)
     seq = tuple(t_base / i for i in range(1, i_max + 1))
     a, b = trace.points[-2], trace.points[-1]
-    sup = float((1.0 - np.asarray(space.m(a, b, np.array(seq)))).max())
+    sup = float((1.0 - space.m(a, b, np.array(seq))).max())
     return RegularityReport(grid, seq, tail_tolerance, plain, sup,
                             sup <= tail_tolerance)
 
@@ -330,7 +335,7 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     i, j = np.triu_indices(len(pts), 1)
     starts = np.searchsorted(i, np.arange(len(pts) - 1))
     for t in grid:
-        near = np.asarray(space.m(pts[i], pts[j], t), dtype=float)
+        near = space.m(pts[i], pts[j], t)
         # g[k] = worst nearness among pairs fully beyond cut k
         g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
         for r in rs:
@@ -369,8 +374,8 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     for m in gaps:
         xs, ys = pts[:-m], pts[m:]
         for t in grid:
-            series = np.asarray(space.m(xs, ys, t), dtype=float)
-            deficits = 1.0 - series
+            deficits = 1.0 - (_step_series(space, trace, pts, t) if m == 1
+                              else space.m(xs, ys, t))
             ok = _tail_converges_to_zero(deficits, tail_tolerance)
             rec = {"m": m, "t": t, "converged": bool(ok),
                    "final_deficit": float(deficits[-1])}
@@ -428,10 +433,10 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                              rs, grid)
     for t in grid:
         if f_kind == "plain":
-            F = np.asarray(space.m(xs, ys, t), dtype=float)
+            F = space.m(xs, ys, t)
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
-        E = np.asarray(space.m(nxs, nys, t), dtype=float)
+        E = space.m(nxs, nys, t)
         # the implication premise is one-sided: any pair whose blend clears
         # 1-rho must already improve past 1-r
         answers = _threshold_search(F, E, rs, onesided=True, rows=rows,
@@ -617,7 +622,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
     else:
         result.fixed_point = z
         result.iterations = trace.steps
-        near_fixed = (float(space.m(z, T.apply(z, carrier), grid[-1]))
+        near_fixed = (space.m(z, T.apply(z, carrier), grid[-1])
                       > 1.0 - cfg.tail_tolerance)
         result.converged = bool(near_fixed or
                                 trace.stop_reason is StopReason.TOLERANCE)

@@ -36,6 +36,7 @@ from .contractions import (
 from .defaults import DEFAULT_T_GRID
 from .dynamics import m_cauchy_check, picard_orbit, solve_fixed_point
 from .scenario import load_scenario
+from .spaces import axiom_check
 
 ABS_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-9
@@ -129,8 +130,6 @@ def run_example_step_gauge(seed: int = 7) -> SuiteReport:
 def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
     """The step self-map on the max-metric ray: threshold-contractive and
     solvable, but out of reach of any continuous gauge."""
-    from .spaces import axiom_check
-
     report = SuiteReport("ex62")
     scenario = load_scenario("ex62")
     space = scenario.build_space()
@@ -141,10 +140,10 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
                  axioms.passed and axioms.strong_verdict,
                  axioms.strong_verdict, True)
 
-    m_before = space.m_scalar(1.0, 1.5, 1.0)
+    m_before = space.m(1.0, 1.5, 1.0)
     report.check("nearness-before", "nearness of (1, 1.5) at scale 1 is 0.4",
                  m_before == 0.4, m_before, 0.4)
-    m_after = space.m_scalar(T(1.0), T(1.5), 1.0)
+    m_after = space.m(T(1.0), T(1.5), 1.0)
     report.check("nearness-after",
                  "nearness of the images at scale 1 is exactly 1/2",
                  m_after == 0.5, m_after, 0.5)
@@ -181,7 +180,7 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
                  result.audit_passed, result.audit_passed, True)
     z = result.fixed_point
     # the best-scale deficit of the final iterate must be inside tolerance
-    deficit = min(1.0 - space.m_scalar(z, 0.0, t) for t in scenario.t_grid) \
+    deficit = min(1.0 - space.m(z, 0.0, t) for t in scenario.t_grid) \
         if z != 0.0 else 0.0
     report.check("solver-converges",
                  "orbit reaches the fixed point 0 within tolerance at the "
@@ -193,8 +192,6 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
 
 def run_example_final(seed: int = 7) -> SuiteReport:
     """The four-point cycle: contractive only in the blended sense."""
-    from .spaces import axiom_check
-
     report = SuiteReport("ex63")
     scenario = load_scenario("ex63")
     space = scenario.build_space()
@@ -211,7 +208,7 @@ def run_example_final(seed: int = 7) -> SuiteReport:
     for i, x in enumerate(points):
         for y in points[i + 1:]:
             for t in DEFAULT_T_GRID:
-                after = space.m_scalar(T(x), T(y), t)
+                after = space.m(T(x), T(y), t)
                 blend = m_value(space, T, params, x, y, t)
                 worst_slack = min(worst_slack, after - blend ** (5 / 7))
     report.check("power-bound",
@@ -219,7 +216,7 @@ def run_example_final(seed: int = 7) -> SuiteReport:
                  "all pairs and scales",
                  worst_slack >= -ABS_TOL, worst_slack, ">= 0 up to 1e-12")
 
-    lhs = space.m_scalar(T(0.0), T(1.0), 1.0)
+    lhs = space.m(T(0.0), T(1.0), 1.0)
     rhs = m_value(space, T, params, 0.0, 1.0, 1.0) ** (5 / 7)
     report.check("spot-pair",
                  "pair (0,1) at scale 1: exp(-5) against exp(-45/7)",
@@ -229,7 +226,7 @@ def run_example_final(seed: int = 7) -> SuiteReport:
                  {"after": math.exp(-5), "bound": math.exp(-45 / 7)})
 
     strictly_below = all(
-        space.m_scalar(T(0.0), T(1.0), t) < space.m_scalar(0.0, 1.0, t)
+        space.m(T(0.0), T(1.0), t) < space.m(0.0, 1.0, t)
         for t in DEFAULT_T_GRID)
     report.check("plain-contraction-fails",
                  "the (0,1) pair strictly loses nearness at every scale",

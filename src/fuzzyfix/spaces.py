@@ -8,13 +8,16 @@ product t-norm, and both satisfying the same-scale triangle inequality
 (the "strong" form).  Custom spaces are given as finite nearness tables
 interpolated linearly in t.
 
-Every nearness function takes scalars or numpy arrays that broadcast
-together and evaluates the whole array in one call; scalar arguments give
-a float.  A table space raises DomainError at a point off its carrier.
+``FuzzySpace.m`` takes scalars or numpy arrays that broadcast together and
+evaluates the whole array in one call.  It decides the result type for
+every space: a float when x, y and t are all scalars, else a float64
+ndarray of the broadcast shape.  A table space raises DomainError at a
+point off its carrier.
 
-``axiom_check`` certifies the space axioms on sampled triples and records
-the strongness verdict separately from the declared flag.  Continuity in t
-is approximated by a bounded-jump test on a refined scale grid.
+``axiom_check`` certifies the space axioms on sampled triples, one
+nearness call per axiom quantity over all grid scales, and records the
+strongness verdict separately from the declared flag.  Continuity in t is
+approximated by a bounded-jump test on a refined scale grid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AxiomResult, DomainError, TNorm
+from .algebra import AxiomResult, DomainError, TNorm, _axiom
 from .defaults import scale_grid
 
 # Documented stand-in for continuity in t: maximum allowed nearness jump
@@ -143,31 +146,27 @@ def metric(metric_id: str) -> BaseMetric:
 
 def base_metric_check(d: BaseMetric, carrier: Carrier, samples: int = 200,
                       seed: int = 0, tol: float = 1e-12) -> list[AxiomResult]:
-    """Sampled checks of the classical metric axioms on a carrier."""
+    """Sampled checks of the classical metric axioms on a carrier, one
+    metric evaluation per quantity over all points or sampled triples; each
+    witness is the first failing point or triple."""
     rng = np.random.default_rng(seed)
     pts = np.array(carrier.points)
-    results = [AxiomResult("identity", True), AxiomResult("symmetry", True),
-               AxiomResult("separation", True), AxiomResult("triangle", True)]
-    ident, sym, sep, tri = results
-    for x in pts:
-        if ident.passed and float(d.eval(x, x)) != 0.0:
-            ident.passed = False
-            ident.witness = {"x": float(x), "value": float(d.eval(x, x))}
+    dxx = d.eval(pts, pts)
+    ident = _axiom("identity", dxx != 0.0,
+                   lambda i: {"x": float(pts[i]), "value": float(dxx[i])})
     idx = rng.integers(0, len(pts), size=(samples, 3))
-    for i, j, k in idx:
-        x, y, z = float(pts[i]), float(pts[j]), float(pts[k])
-        dxy, dyx = float(d.eval(x, y)), float(d.eval(y, x))
-        if sym.passed and abs(dxy - dyx) > tol:
-            sym.passed = False
-            sym.witness = {"x": x, "y": y, "dxy": dxy, "dyx": dyx}
-        if sep.passed and x != y and dxy <= 0.0:
-            sep.passed = False
-            sep.witness = {"x": x, "y": y, "value": dxy}
-        dxz = float(d.eval(x, z))
-        if tri.passed and dxz > dxy + float(d.eval(y, z)) + tol:
-            tri.passed = False
-            tri.witness = {"x": x, "y": y, "z": z}
-    return results
+    xs, ys, zs = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
+    dxy, dyx = d.eval(xs, ys), d.eval(ys, xs)
+    sym = _axiom("symmetry", np.abs(dxy - dyx) > tol,
+                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
+                            "dxy": float(dxy[i]), "dyx": float(dyx[i])})
+    sep = _axiom("separation", (xs != ys) & (dxy <= 0.0),
+                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
+                            "value": float(dxy[i])})
+    tri = _axiom("triangle", d.eval(xs, zs) > dxy + d.eval(ys, zs) + tol,
+                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
+                            "z": float(zs[i])})
+    return [ident, sym, sep, tri]
 
 
 @dataclass(frozen=True)
@@ -181,15 +180,15 @@ class FuzzySpace:
     provenance: str
 
     def m(self, x, y, t):
-        """Evaluate nearness at finite scales t > 0; accepts scalars or
-        arrays."""
+        """Nearness at finite scales t > 0: a float when x, y and t are all
+        scalars, else a float64 ndarray of their broadcast shape."""
         t_arr = np.asarray(t, dtype=float)
         if not ((t_arr > 0.0) & (t_arr < np.inf)).all():
             raise DomainError(f"scale t must be positive and finite, got {t!r}")
-        return self.fn(x, y, t)
-
-    def m_scalar(self, x: float, y: float, t: float) -> float:
-        return float(self.m(x, y, t))
+        out = self.fn(x, y, t)
+        if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
+            return float(out)
+        return np.asarray(out, dtype=float)
 
     def to_dict(self) -> dict:
         return {"carrier": self.carrier.to_dict(), "tnorm": self.tnorm.kind.value,
@@ -209,7 +208,8 @@ def exponential_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
     """Space with nearness exp(-d(x,y)/t) over the product t-norm; strong."""
     def fn(x, y, t):
         dist = d.eval(x, y)
-        return np.exp(-dist / t)
+        with np.errstate(over="ignore"):    # d/t past the float range
+            return np.exp(-dist / t)
     return FuzzySpace(carrier, TNorm.product(), fn, strong=True,
                       provenance=f"exp({d.kind.value})")
 
@@ -227,8 +227,8 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
     whole array at once: the table is one flat array indexed by (row,
     column, node), and each call gathers the two bracketing values of every
     element and interpolates with ``np.interp``'s own float expressions, so
-    each value equals ``np.interp`` on its pair's row bit for bit.  Scalar
-    arguments give a float.  A point off the carrier raises DomainError.
+    each value equals ``np.interp`` on its pair's row bit for bit.  A point
+    off the carrier raises DomainError.
     """
     if not carrier.is_finite:
         raise DomainError("table spaces need a finite carrier")
@@ -292,9 +292,7 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
                 out = slope * (t_arr - x0) + y0
             out = np.where((j < 0) | (t_arr == x0), y0,
                            np.where(j == k - 1, y1, out))
-        if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
-            return float(out)
-        return np.asarray(out)
+        return out
 
     return FuzzySpace(carrier, norm or TNorm.product(), fn, strong=strong,
                       provenance="table")
@@ -349,9 +347,11 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
 
     Positivity, symmetry and both triangle forms are checked with tolerance
     ``tol`` on ``triple_samples`` seeded random triples per grid scale.
-    The identity axiom is checked exhaustively over carrier sample pairs.
-    Continuity in t is approximated by the bounded-jump test on a refined
-    grid.  Both pair checks make one nearness call per carrier row.  The
+    The identity axiom is checked on the diagonal at every grid scale and
+    exhaustively over carrier sample pairs.  Continuity in t is
+    approximated by the bounded-jump test on a refined grid.  Each
+    nearness quantity of an axiom is one call over all grid scales and
+    samples; only the two pair checks make one call per carrier row.  The
     strongness verdict is recorded separately from the declared flag.
     Deterministic given (seed, t_grid, triple_samples).
     """
@@ -362,12 +362,7 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     pts = np.array(space.carrier.points)
     report = SpaceAxiomReport(space.provenance, triple_samples, seed, grid,
                               strong_declared=space.strong)
-    pos = AxiomResult("positivity", True)
-    ident = AxiomResult("identity-of-indiscernibles", True)
-    sym = AxiomResult("symmetry", True)
     cont = AxiomResult("t-continuity", True)
-    tri = AxiomResult("triangle", True)
-    strong = AxiomResult("strong-triangle", True)
 
     ts = np.array(grid)
     idx = rng.integers(0, len(pts), size=(triple_samples, 3))
@@ -376,38 +371,31 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     t_idx = rng.integers(0, len(ts), size=triple_samples)
     ss, tts = ts[s_idx], ts[t_idx]
 
-    def first_witness(mask, **arrays):
-        i = int(np.nonzero(mask)[0][0])
-        return {k: float(v[i]) for k, v in arrays.items()}
-
-    # positivity and symmetry over all sampled triples x grid scales
-    for t in grid:
-        mxy = np.asarray(space.m(xs, ys, t), dtype=float)
-        myx = np.asarray(space.m(ys, xs, t), dtype=float)
-        bad = mxy <= 0.0
-        if pos.passed and bad.any():
-            pos.passed = False
-            pos.witness = {**first_witness(bad, x=xs, y=ys), "t": t}
-        bad = np.abs(mxy - myx) > tol
-        if sym.passed and bad.any():
-            sym.passed = False
-            sym.witness = {**first_witness(bad, x=xs, y=ys), "t": t}
+    # positivity, symmetry, the diagonal identity and the strong triangle
+    # each over grid scales x samples (x points for the diagonal) in one
+    # call; a witness is the first flagged (scale, sample) in row-major
+    # order, the order of a loop over scales
+    col = ts[:, None]
+    m_xy = space.m(xs, ys, col)
+    m_yx = space.m(ys, xs, col)
+    pos = _axiom("positivity", m_xy <= 0.0,
+                 lambda s, i: {"x": float(xs[i]), "y": float(ys[i]),
+                               "t": grid[s]})
+    sym = _axiom("symmetry", np.abs(m_xy - m_yx) > tol,
+                 lambda s, i: {"x": float(xs[i]), "y": float(ys[i]),
+                               "t": grid[s]})
 
     # identity of indiscernibles, exhaustive on carrier samples: M = 1 on the
     # diagonal for every grid t, and for x != y some grid t has M < 1
-    for t in grid:
-        mxx = np.asarray(space.m(pts, pts, t), dtype=float)
-        bad = np.abs(mxx - 1.0) > tol
-        if ident.passed and bad.any():
-            ident.passed = False
-            ident.witness = {**first_witness(bad, x=pts), "t": t,
-                             "reason": "M(x,x,t) != 1"}
+    mxx = space.m(pts, pts, col)
+    ident = _axiom("identity-of-indiscernibles", np.abs(mxx - 1.0) > tol,
+                   lambda s, i: {"x": float(pts[i]), "t": grid[s],
+                                 "reason": "M(x,x,t) != 1"})
     if ident.passed:
         sub = _carrier_sample(pts, 40)
         for x in sub:
             others = sub[sub != x]
-            vals = np.asarray(space.m(x, others[:, None], ts[None, :]),
-                              dtype=float)
+            vals = space.m(x, others[:, None], ts[None, :])
             all_one = np.all(np.abs(vals - 1.0) <= tol, axis=1)
             if all_one.any():
                 ident.passed = False
@@ -417,27 +405,22 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
                 break
 
     # triangle across scales and the same-scale strong form
-    m_xy_s = np.asarray(space.m(xs, ys, ss), dtype=float)
-    m_yz_t = np.asarray(space.m(ys, zs, tts), dtype=float)
-    m_xz_st = np.asarray(space.m(xs, zs, ss + tts), dtype=float)
-    lower = np.asarray(space.tnorm.apply(m_xy_s, m_yz_t), dtype=float)
-    bad = m_xz_st < lower - tol
-    if bad.any():
-        tri.passed = False
-        tri.witness = {**first_witness(bad, x=xs, y=ys, z=zs, s=ss, t=tts),
-                       "lhs": float(m_xz_st[bad][0]), "rhs": float(lower[bad][0])}
-    for t in grid:
-        m_xy = np.asarray(space.m(xs, ys, t), dtype=float)
-        m_yz = np.asarray(space.m(ys, zs, t), dtype=float)
-        m_xz = np.asarray(space.m(xs, zs, t), dtype=float)
-        lower = np.asarray(space.tnorm.apply(m_xy, m_yz), dtype=float)
-        bad = m_xz < lower - tol
-        if strong.passed and bad.any():
-            strong.passed = False
-            strong.witness = {**first_witness(bad, x=xs, y=ys, z=zs), "t": t,
-                              "lhs": float(m_xz[bad][0]),
-                              "rhs": float(lower[bad][0])}
-            break
+    m_xy_s = space.m(xs, ys, ss)
+    m_yz_t = space.m(ys, zs, tts)
+    m_xz_st = space.m(xs, zs, ss + tts)
+    lower_st = space.tnorm.apply(m_xy_s, m_yz_t)
+    tri = _axiom("triangle", m_xz_st < lower_st - tol,
+                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
+                            "z": float(zs[i]), "s": float(ss[i]),
+                            "t": float(tts[i]), "lhs": float(m_xz_st[i]),
+                            "rhs": float(lower_st[i])})
+    m_xz = space.m(xs, zs, col)
+    lower = space.tnorm.apply(m_xy, space.m(ys, zs, col))
+    strong = _axiom("strong-triangle", m_xz < lower - tol,
+                    lambda s, i: {"x": float(xs[i]), "y": float(ys[i]),
+                                  "z": float(zs[i]), "t": grid[s],
+                                  "lhs": float(m_xz[s, i]),
+                                  "rhs": float(lower[s, i])})
 
     # continuity in t as a bounded jump on the refined grid
     refined = []
@@ -447,8 +430,7 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     refined = np.array(refined)
     sub = _carrier_sample(pts, 30)
     for x in sub:
-        vals = np.asarray(space.m(x, sub[:, None], refined[None, :]),
-                          dtype=float)
+        vals = space.m(x, sub[:, None], refined[None, :])
         jumps = np.abs(np.diff(vals, axis=1))
         bad = np.any(jumps > T_CONTINUITY_JUMP_TOL, axis=1)
         if bad.any():

@@ -67,10 +67,10 @@ def test_criterion_01_blended_power_inequality(ex63):
     for i, x in enumerate(points):
         for y in points[i + 1:]:
             for t in DEFAULT_T_GRID:
-                after = space.m_scalar(T(x), T(y), t)
+                after = space.m(T(x), T(y), t)
                 blend = m_value(space, T, params, x, y, t)
                 worst = min(worst, after - blend ** (5 / 7))
-    spot_left = space.m_scalar(T(0.0), T(1.0), 1.0)
+    spot_left = space.m(T(0.0), T(1.0), 1.0)
     spot_right = m_value(space, T, params, 0.0, 1.0, 1.0) ** (5 / 7)
     ok = (worst >= -1e-12
           and spot_left == math.exp(-5)
@@ -81,7 +81,7 @@ def test_criterion_01_blended_power_inequality(ex63):
 
 def test_criterion_02_plain_contraction_obstruction(ex63):
     _, space, T = ex63
-    ok = all(space.m_scalar(T(0.0), T(1.0), t) < space.m_scalar(0.0, 1.0, t)
+    ok = all(space.m(T(0.0), T(1.0), t) < space.m(0.0, 1.0, t)
              for t in DEFAULT_T_GRID)
     verdict(2, "the (0,1) pair strictly loses nearness at every grid scale",
             ok)
@@ -103,8 +103,8 @@ def test_criterion_03_blended_route_solver(ex63):
 
 def test_criterion_04_golden_values_and_envelope(ex62):
     _, space, T = ex62
-    golden_before = space.m_scalar(1.0, 1.5, 1.0)
-    golden_after = space.m_scalar(T(1.0), T(1.5), 1.0)
+    golden_before = space.m(1.0, 1.5, 1.0)
+    golden_after = space.m(T(1.0), T(1.5), 1.0)
     deltas = [1.0, 0.5, 0.1, 0.01]
     pairs = [(1.0, 1.0 + d / 2) for d in deltas]
     pairs += [(float(x), float(y)) for x in np.linspace(0, 10, 41)
@@ -129,7 +129,7 @@ def test_criterion_05_classification_and_convergence(ex62):
     result = solve_fixed_point(space, T, sc.x0, sc.route, sc.solver_config())
     assert result.trace.steps <= 10000
     z = result.fixed_point
-    best_deficit = min(1.0 - space.m_scalar(z, 0.0, t) for t in sc.t_grid)
+    best_deficit = min(1.0 - space.m(z, 0.0, t) for t in sc.t_grid)
     ok = (classified and result.converged and abs(z) < 1e-3
           and best_deficit < 1e-6)
     verdict(5, "threshold-implication satisfied on default grids with "
@@ -192,8 +192,8 @@ def test_criterion_08_cauchy_machinery(ex62):
     m_cert = m_cauchy_check(line, harmonic)     # default r grid, trace grid
     w = m_cert.witness
     witness_ok = (m_cert.verdict is CauchyVerdict.VIOLATED and w is not None
-                  and line.m_scalar(harmonic.points[w["n"]],
-                                    harmonic.points[w["m"]], w["t"])
+                  and line.m(harmonic.points[w["n"]],
+                             harmonic.points[w["m"]], w["t"])
                   <= 1.0 - w["r"])
     verdict(8, "the 60-step orbit prefix is all-pairs certified on the full "
                "scenario grids; harmonic partial sums are fixed-gap "

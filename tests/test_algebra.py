@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyfix.algebra import (
+    AxiomResult,
     ClassTag,
     DomainError,
     Gauge,
     GaugeDomain,
     InversionError,
     MAX_DENSE_TAU_SAMPLES,
+    TNorm,
+    TNormAxiomReport,
     Verdict,
+    _PROBE,
     _step_phi_fn,
     _step_psi_fn,
     _tau_sample_count,
@@ -111,6 +115,98 @@ class TestTNormAxioms:
         v = tnorm_apply(n, a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(tnorm_apply(n, b, a), abs=TOL)
+
+
+def _box(v, lo, hi):
+    return (lo < v) & (v < hi)
+
+
+def _late_failing_norm(a, b):
+    """The product, spoilt on small boxes between the probe values, so that
+    only seeded tuples fail: one box breaks commutativity, monotonicity and
+    associativity, one positivity and one identity."""
+    out = a * b + 0.01 * (_box(a, 0.91, 0.95) & _box(b, 0.01, 0.05))
+    out = out - out * (_box(a, 0.61, 0.65) & _box(b, 0.61, 0.65))
+    return out + 0.01 * (_box(a, 0.41, 0.45) & (b == 1.0))
+
+
+_CONTRACT_NORMS = {**{name: (lambda name=name: tnorm(name)) for name in
+                      ("product", "minimum", "lukasiewicz", "hamacher")},
+                   "custom": lambda: TNorm.custom(_late_failing_norm)}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_NORMS))
+def test_tnorm_result_type_follows_the_arguments(name):
+    norm = _CONTRACT_NORMS[name]()
+    a, b = 0.3, 0.8
+    scalar = norm.apply(a, b)
+    assert type(scalar) is float
+    assert type(norm.apply(np.float64(a), b)) is float
+    zero_d = norm.apply(np.array(a), np.array(b))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d.dtype == np.float64
+    mixed = norm.apply(a, np.array(b))
+    assert isinstance(mixed, np.ndarray) and mixed.shape == ()
+    grid = norm.apply(np.array([[a], [b], [a]]), np.array([b, a]))
+    assert grid.dtype == np.float64 and grid.shape == (3, 2)
+    assert _same_bits(zero_d, scalar) and _same_bits(mixed, scalar)
+    assert _same_bits(grid[0, 0], scalar) and _same_bits(grid[2, 0], scalar)
+    assert _same_bits(grid[1, 1], norm.apply(b, a))
+
+
+def _tuple_loop_check(norm, samples, seed, tol=1e-9):
+    """tnorm_axiom_check as the per-tuple loop that made one scalar t-norm
+    call per value, with the same probe and seeded tuples."""
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in _PROBE for b in _PROBE]
+    pairs += [tuple(v) for v in rng.random((samples, 2))]
+    triples = [(a, b, c) for a in _PROBE[::2] for b in _PROBE[::2]
+               for c in _PROBE[::2]]
+    triples += [tuple(v) for v in rng.random((samples, 3))]
+    identity = AxiomResult("identity", True)
+    comm = AxiomResult("commutativity", True)
+    mono = AxiomResult("monotonicity", True)
+    assoc = AxiomResult("associativity", True)
+    pos = AxiomResult("positivity", True)
+    for a, b in pairs:
+        va = float(norm.apply(a, 1.0))
+        if identity.passed and abs(va - a) > tol:
+            identity.passed = False
+            identity.witness = {"a": a, "value": va}
+        ab = float(norm.apply(a, b))
+        ba = float(norm.apply(b, a))
+        if comm.passed and abs(ab - ba) > tol:
+            comm.passed = False
+            comm.witness = {"a": a, "b": b, "ab": ab, "ba": ba}
+        if pos.passed and a > 0 and b > 0 and ab <= 0.0:
+            pos.passed = False
+            pos.witness = {"a": a, "b": b, "value": ab}
+    for a, b, c in triples:
+        lo, hi = min(a, c), max(a, c)
+        if mono.passed and float(norm.apply(lo, b)) > float(norm.apply(hi, b)) + tol:
+            mono.passed = False
+            mono.witness = {"a": lo, "c": hi, "b": b}
+        left = float(norm.apply(norm.apply(a, b), c))
+        right = float(norm.apply(a, norm.apply(b, c)))
+        if assoc.passed and abs(left - right) > tol:
+            assoc.passed = False
+            assoc.witness = {"a": a, "b": b, "c": c, "left": left,
+                             "right": right}
+    return TNormAxiomReport(norm.kind.value, samples, seed,
+                            [identity, comm, mono, assoc, pos])
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_NORMS))
+@pytest.mark.parametrize("seed", [0, 4])
+def test_tnorm_axiom_check_matches_the_tuple_loop(name, seed):
+    norm = _CONTRACT_NORMS[name]()
+    got = tnorm_axiom_check(norm, samples=3000, seed=seed).to_dict()
+    assert got == _tuple_loop_check(norm, 3000, seed).to_dict()
+    if name == "custom":
+        # every axiom fails, and only past the 121 probe pairs
+        assert not any(a["passed"] for a in got["axioms"])
+        w = got["axioms"][0]["witness"]
+        assert 0.41 < w["a"] < 0.45
 
 
 class TestStepGauges:

@@ -225,7 +225,7 @@ class TestMValue:
         for (x, y) in [(0, 1), (1, 5), (2, 5)]:
             for t in SMALL_T:
                 assert m_value(quad_space, perm_map, MParams(0, 0), x, y, t) \
-                    == pytest.approx(quad_space.m_scalar(x, y, t), abs=TOL)
+                    == pytest.approx(quad_space.m(x, y, t), abs=TOL)
 
     def test_fixed_point_blend_is_one(self, quad_space, perm_map):
         for t in SMALL_T:
@@ -262,8 +262,8 @@ class TestStrictMargin:
         cond = cm_contractive_check(exp_unit, T).condition("strict-improvement")
         assert cond.status is CheckStatus.VIOLATED
         w = cond.witness
-        before = exp_unit.m_scalar(w["x"], w["y"], w["t"])
-        after = exp_unit.m_scalar(T(w["x"]), T(w["y"]), w["t"])
+        before = exp_unit.m(w["x"], w["y"], w["t"])
+        after = exp_unit.m(T(w["x"]), T(w["y"]), w["t"])
         assert (before, after) == (w["before"], w["after"])
         assert w["x"] != w["y"]
         assert not after > before + STRICT_MARGIN * before
@@ -392,8 +392,8 @@ class TestPsiContractive:
         report = psi_contractive_check(quad_space, perm_map,
                                        gauge("power:5/7"), t_grid=SMALL_T)
         w = report.condition("strict-improvement").witness
-        before = quad_space.m_scalar(w["x"], w["y"], w["t"])
-        after = quad_space.m_scalar(perm_map(w["x"]), perm_map(w["y"]), w["t"])
+        before = quad_space.m(w["x"], w["y"], w["t"])
+        after = quad_space.m(perm_map(w["x"]), perm_map(w["y"]), w["t"])
         assert after <= before
         assert before == pytest.approx(w["before"], abs=TOL)
         assert after == pytest.approx(w["after"], abs=TOL)
@@ -452,7 +452,7 @@ class TestMContractive:
 
     def test_hand_computed_pair_at_unit_scale(self, quad_space, perm_map):
         # pair (0,1), t=1: after = e^-5, blend^(5/7) = e^(-45/7)
-        after = quad_space.m_scalar(0, 5, 1.0)
+        after = quad_space.m(0, 5, 1.0)
         blend = m_value(quad_space, perm_map, MParams(2, 2), 0, 1, 1.0)
         assert after == pytest.approx(math.exp(-5), abs=TOL)
         assert blend ** (5 / 7) == pytest.approx(math.exp(-45 / 7), rel=1e-12)
@@ -478,7 +478,7 @@ class TestMContractive:
         w = cond.witness
         assert (w["x"], w["y"], w["t"], w["bound"]) == (0.0, 1.0, 0.01, 0.5)
         assert w["bound"] == step_psi().eval(float(np.nextafter(0.0, 1.0)))
-        assert w["after"] == quad_space.m_scalar(0.0, 5.0, 0.01)
+        assert w["after"] == quad_space.m(0.0, 5.0, 0.01)
         assert w["after"] < w["bound"]
 
     def test_strict_improvement_witness_keys(self, quad_space):

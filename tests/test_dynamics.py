@@ -209,7 +209,7 @@ def test_step_nearness_columns_equal_scalar_nearness(space, data):
     for j, t in enumerate(trace.t_grid):
         for n in range(trace.steps):
             a, b = trace.points[n], trace.points[n + 1]
-            assert trace.step_nearness[n, j] == space.m_scalar(a, b, t)
+            assert trace.step_nearness[n, j] == space.m(a, b, t)
 
 
 class TestMCauchy:
@@ -233,8 +233,8 @@ class TestMCauchy:
         assert cert.verdict is CauchyVerdict.VIOLATED
         w = cert.witness
         # witness pair re-evaluates below the bound
-        near = line_space.m_scalar(trace.points[w["n"]], trace.points[w["m"]],
-                                   w["t"])
+        near = line_space.m(trace.points[w["n"]], trace.points[w["m"]],
+                            w["t"])
         assert near <= 1 - w["r"]
 
     def test_constant_tail_cut_at_stabilization(self, quad_space, perm_map):
@@ -311,9 +311,9 @@ class TestCauchyCriterion:
                                       r_grid=(0.05,), t_grid=(10.0,))
         assert cert.verdict is CauchyVerdict.VIOLATED
         w = cert.witness
-        blend = space.m_scalar(trace.points[w["p"]], trace.points[w["q"]], w["t"])
-        nxt = space.m_scalar(trace.points[w["p"] + 1], trace.points[w["q"] + 1],
-                             w["t"])
+        blend = space.m(trace.points[w["p"]], trace.points[w["q"]], w["t"])
+        nxt = space.m(trace.points[w["p"] + 1], trace.points[w["q"] + 1],
+                      w["t"])
         assert blend == pytest.approx(w["blend"], abs=1e-12)
         assert nxt < 1 - w["r"]
 
@@ -1024,3 +1024,16 @@ class TestOrbitWorkCounts:
         assert cert.holds
         n = dynamics.PAIR_CERT_CAP
         assert count.sizes == [n * (n - 1) // 2] * len(sc.t_grid)
+
+    def test_g_cauchy_reads_the_gap_one_series_from_the_trace(
+            self, ray_space, monkeypatch):
+        points = 5.0 * 0.5 ** np.arange(60)
+        trace = OrbitTrace.from_points(ray_space, points, GRID_1_100)
+        off_grid = OrbitTrace.from_points(ray_space, points, (0.5, 150.0))
+        fresh = g_cauchy_check(ray_space, off_grid, t_grid=GRID_1_100)
+        count = _NearnessCount(monkeypatch)
+        cert = g_cauchy_check(ray_space, trace)
+        assert cert.holds
+        # gaps 2 and 5 per scale; gap 1 is the trace's recorded columns
+        assert len(count.sizes) == 2 * len(GRID_1_100)
+        assert cert.to_dict() == fresh.to_dict()

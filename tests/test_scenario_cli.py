@@ -151,7 +151,7 @@ class TestScenarioParsing:
                          "fuzzy": f"table:{table}", "strong": False}}
         sc = parse_scenario(json.dumps(doc))
         space = sc.build_space()
-        assert space.m_scalar(0, 1, 1.5) == pytest.approx(0.5, abs=1e-12)
+        assert space.m(0, 1, 1.5) == pytest.approx(0.5, abs=1e-12)
         assert not space.strong
 
 
@@ -458,6 +458,15 @@ class TestCli:
         assert code == 2
         assert out.startswith("schema error at --")
         assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check-space", "classify-map"])
+    def test_subnormal_scale_on_exp_space_warns_nothing(self, command):
+        # d/t overflows at t = 1e-310 and exp(-inf) = 0 is the nearness; a
+        # RuntimeWarning fails the test under the pytest configuration
+        code, out = run_command([command, "--scenario", "ex63", "--t-grid",
+                                 "1e-310"])
+        assert code == 1
+        assert "1e-310" in out
 
     def test_relative_strictness_margin(self, tmp_path):
         # exp nearness at t = 0.01 reaches 4.8e-25; x/2 still improves it

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyfix.algebra import AxiomResult, DomainError, TNorm
+from fuzzyfix.algebra import AxiomResult, DomainError, TNorm, tnorm
 from fuzzyfix.defaults import scale_grid
 from fuzzyfix.spaces import (
     T_CONTINUITY_JUMP_TOL,
     T_REFINE,
+    BaseMetric,
     Carrier,
     FuzzySpace,
+    MetricKind,
     axiom_check,
     base_metric_check,
     exponential_fuzzy_metric,
@@ -104,13 +106,13 @@ class TestStandardConstruction:
     def test_golden_values(self, ray_carrier):
         space = standard_fuzzy_metric(ray_carrier, metric("max-jachymski"))
         # nearness of 1 and 1.5 at scale 1 is 1/(1+1.5)
-        assert space.m_scalar(1.0, 1.5, 1.0) == 0.4
-        assert space.m_scalar(3.0, 3.0, 7.0) == 1.0
+        assert space.m(1.0, 1.5, 1.0) == 0.4
+        assert space.m(3.0, 3.0, 7.0) == 1.0
 
     def test_euclidean_half(self):
         c = Carrier.finite([0, 1])
         space = standard_fuzzy_metric(c, metric("euclidean"))
-        assert space.m_scalar(0.0, 1.0, 1.0) == 0.5
+        assert space.m(0.0, 1.0, 1.0) == 0.5
 
     def test_flags(self, ray_carrier):
         space = standard_fuzzy_metric(ray_carrier, metric("max-jachymski"))
@@ -121,15 +123,15 @@ class TestStandardConstruction:
     def test_t_must_be_positive(self, ray_carrier):
         space = standard_fuzzy_metric(ray_carrier, metric("euclidean"))
         with pytest.raises(DomainError):
-            space.m_scalar(0.0, 1.0, 0.0)
+            space.m(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            space.m_scalar(0.0, 1.0, -1.0)
+            space.m(0.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_t_must_be_finite(self, ray_carrier, bad):
         space = standard_fuzzy_metric(ray_carrier, metric("euclidean"))
         with pytest.raises(DomainError, match="positive and finite"):
-            space.m_scalar(0.0, 1.0, bad)
+            space.m(0.0, 1.0, bad)
         with pytest.raises(DomainError, match="positive and finite"):
             space.m(0.0, 1.0, np.array([1.0, bad]))
 
@@ -137,8 +139,8 @@ class TestStandardConstruction:
 class TestExponentialConstruction:
     def test_golden_values(self, quad_carrier):
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
-        assert space.m_scalar(0.0, 5.0, 1.0) == pytest.approx(math.exp(-5), abs=TOL)
-        assert space.m_scalar(2.0, 2.0, 0.3) == 1.0
+        assert space.m(0.0, 5.0, 1.0) == pytest.approx(math.exp(-5), abs=TOL)
+        assert space.m(2.0, 2.0, 0.3) == 1.0
 
     def test_monotone_in_t(self, quad_carrier):
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
@@ -204,15 +206,15 @@ class TestTableSpace:
     def test_interpolates_between_nodes(self):
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [0.4, 0.8]})
-        assert space.m_scalar(0, 1, 1.0) == 0.4
-        assert space.m_scalar(0, 1, 2.0) == pytest.approx(0.6, abs=TOL)
-        assert space.m_scalar(0, 1, 3.0) == 0.8
+        assert space.m(0, 1, 1.0) == 0.4
+        assert space.m(0, 1, 2.0) == pytest.approx(0.6, abs=TOL)
+        assert space.m(0, 1, 3.0) == 0.8
 
     def test_constant_extrapolation(self):
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [0.4, 0.8]})
-        assert space.m_scalar(0, 1, 0.5) == 0.4
-        assert space.m_scalar(0, 1, 50.0) == 0.8
+        assert space.m(0, 1, 0.5) == 0.4
+        assert space.m(0, 1, 50.0) == 0.8
 
     def test_missing_pair_detected(self):
         carrier = Carrier.finite([0, 1, 2])
@@ -222,7 +224,7 @@ class TestTableSpace:
     def test_diagonal_defaults_to_one(self):
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0], {(0, 1): [0.5]})
-        assert space.m_scalar(1, 1, 2.0) == 1.0
+        assert space.m(1, 1, 2.0) == 1.0
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_given_entries_override_the_defaults(self, order):
@@ -232,7 +234,7 @@ class TestTableSpace:
                    ((0, 2), [0.3]), ((0, 7), [0.1])]
         space = table_fuzzy_metric(Carrier.finite([0, 1, 2]), [1.0],
                                    dict(entries[::order]) | {(1, 2): [0.2]})
-        got = {(x, y): space.m_scalar(x, y, 1.0)
+        got = {(x, y): space.m(x, y, 1.0)
                for x in (0, 1, 2) for y in (0, 1, 2)}
         assert got == {(0, 0): 1.0, (0, 1): 0.4, (0, 2): 0.3,
                        (1, 0): 0.6, (1, 1): 0.9, (1, 2): 0.2,
@@ -243,7 +245,7 @@ class TestTableSpace:
         space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [0.4, 0.8]})
         for x, y in ((0.5, 1.0), (0.0, math.nan)):
             with pytest.raises(DomainError, match="not on the table's carrier"):
-                space.m_scalar(x, y, 2.0)
+                space.m(x, y, 2.0)
         with pytest.raises(DomainError, match="point 7.0 is not"):
             space.m(np.array([0.0, 7.0]), 1.0, np.array([1.0, 2.0]))
 
@@ -256,7 +258,7 @@ class TestTableSpace:
     def test_out_of_range_values_accepted_for_the_axiom_check(self):
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [-0.5, 1.5]})
-        assert space.m_scalar(0, 1, 2.0) == 0.5
+        assert space.m(0, 1, 2.0) == 0.5
         assert not axiom_check(space, triple_samples=50).passed
 
     def test_nodes_must_be_positive_increasing(self):
@@ -443,8 +445,191 @@ def test_axiom_check_calls_scale_with_rows_not_pairs(monkeypatch, t_grid):
     report = axiom_check(space, triple_samples=50, t_grid=t_grid)
     assert report.passed and report.strong_verdict
     g = len(scale_grid(t_grid))
-    # per grid scale: positivity and symmetry 2, diagonal 1, strong form 3;
-    # the triangle 3; one call per carrier row for identity and continuity
-    assert len(calls) == 6 * g + 3 + 48 + 48
+    # one call over scales x samples each for positivity (reused by the
+    # strong form), symmetry and the strong form's other two, one over
+    # scales x points for the diagonal; the triangle 3; one call per
+    # carrier row for identity and continuity
+    assert len(calls) == 5 + 3 + 48 + 48
+    assert calls.count((g, 50)) == 4 and calls.count((g, 48)) == 1
     assert calls.count((47, g)) == 48
     assert calls.count((48, 4 * (g - 1) + 1)) == 48
+
+
+_CONTRACT_SPACES = {
+    "standard euclidean": lambda: standard_fuzzy_metric(
+        Carrier.interval(0.0, 10.0, 11), metric("euclidean")),
+    "standard max": lambda: standard_fuzzy_metric(
+        Carrier.interval(0.0, 10.0, 11), metric("max-jachymski")),
+    "exp euclidean": lambda: exponential_fuzzy_metric(
+        Carrier.finite([0, 1, 2, 5]), metric("euclidean")),
+    "exp max": lambda: exponential_fuzzy_metric(
+        Carrier.finite([0, 1, 2, 5]), metric("max-jachymski")),
+    "table": lambda: _exp_table(6),
+    "one-node table": lambda: _exp_table(6, nodes=(1.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACT_SPACES))
+def test_nearness_result_type_follows_the_arguments(case):
+    space = _CONTRACT_SPACES[case]()
+    pts = space.carrier.points
+    x, y, t = pts[1], pts[3], 0.7
+    scalar = space.m(x, y, t)
+    assert type(scalar) is float
+    assert type(space.m(np.float64(x), y, np.float64(t))) is float
+    zero_d = space.m(np.array(x), np.array(y), np.array(t))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d.dtype == np.float64
+    mixed = space.m(x, y, np.array(t))
+    assert isinstance(mixed, np.ndarray) and mixed.shape == ()
+    grid = space.m(np.array([x, y]), np.array([[y], [x], [y]]), t)
+    assert grid.dtype == np.float64 and grid.shape == (3, 2)
+    scales = space.m(x, y, np.array([[t, 2 * t]]))
+    assert scales.dtype == np.float64 and scales.shape == (1, 2)
+    assert _same_bits(zero_d, scalar) and _same_bits(mixed, scalar)
+    assert _same_bits(grid[0, 0], scalar) and _same_bits(grid[2, 0], scalar)
+    assert _same_bits(grid[1, 1], space.m(y, x, t))
+    assert _same_bits(scales[0, 0], scalar)
+
+
+def _scale_loop_results(space, triple_samples, t_grid, seed, tol=1e-12):
+    """Positivity, symmetry and the strong triangle of axiom_check as the
+    per-scale loops that made one nearness call per grid scale, on the same
+    seeded triples; the diagonal identity loop is in _pair_loop_results."""
+    grid = scale_grid(t_grid)
+    rng = np.random.default_rng(seed)
+    pts = np.array(space.carrier.points)
+    idx = rng.integers(0, len(pts), size=(triple_samples, 3))
+    xs, ys, zs = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
+    pos = AxiomResult("positivity", True)
+    sym = AxiomResult("symmetry", True)
+    strong = AxiomResult("strong-triangle", True)
+
+    def first_witness(mask, **arrays):
+        i = int(np.nonzero(mask)[0][0])
+        return {k: float(v[i]) for k, v in arrays.items()}
+
+    for t in grid:
+        mxy = np.asarray(space.m(xs, ys, t), dtype=float)
+        myx = np.asarray(space.m(ys, xs, t), dtype=float)
+        bad = mxy <= 0.0
+        if pos.passed and bad.any():
+            pos.passed = False
+            pos.witness = {**first_witness(bad, x=xs, y=ys), "t": t}
+        bad = np.abs(mxy - myx) > tol
+        if sym.passed and bad.any():
+            sym.passed = False
+            sym.witness = {**first_witness(bad, x=xs, y=ys), "t": t}
+    for t in grid:
+        m_xy = np.asarray(space.m(xs, ys, t), dtype=float)
+        m_yz = np.asarray(space.m(ys, zs, t), dtype=float)
+        m_xz = np.asarray(space.m(xs, zs, t), dtype=float)
+        lower = np.asarray(space.tnorm.apply(m_xy, m_yz), dtype=float)
+        bad = m_xz < lower - tol
+        if bad.any():
+            strong.passed = False
+            strong.witness = {**first_witness(bad, x=xs, y=ys, z=zs), "t": t,
+                              "lhs": float(m_xz[bad][0]),
+                              "rhs": float(lower[bad][0])}
+            break
+    return pos, sym, strong
+
+
+def _late_table(spoil):
+    """Twelve points with nearness 0.3, 0.6, 0.9 at t = 0.1, 1, 10 except
+    on the pairs ``spoil`` names, which break an axiom only towards the
+    last scales.  With 300 samples and seeds 1 and 5, (6, 9) is first drawn
+    as (x, y) past sample 130 and (0, 11) as (x, z) past sample 110."""
+    pts = [float(k) for k in range(12)]
+    table = {(a, b): [0.3, 0.6, 0.9] for i, a in enumerate(pts)
+             for b in pts[i + 1:]}
+    table.update(spoil)
+    return table_fuzzy_metric(Carrier.finite(pts), [0.1, 1.0, 10.0], table,
+                              norm=tnorm("hamacher"), strong=True)
+
+
+_LATE_CASES = {
+    "positivity": {(6.0, 9.0): [0.3, 0.6, 0.0]},
+    "symmetry": {(9.0, 6.0): [0.3, 0.6, 0.8]},
+    "diagonal": {(10.0, 10.0): [1.0, 1.0, 0.9]},
+    "strong": {(0.0, 11.0): [0.3, 0.6, 0.05]},
+}
+_LATE_GRID = [0.05, 0.5, 2.0, 6.0, 20.0]
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_CASES))
+@pytest.mark.parametrize("seed", [1, 5])
+def test_scale_checks_match_per_scale_loops(case, seed):
+    space = _late_table(_LATE_CASES[case])
+    got = axiom_check(space, triple_samples=300, t_grid=_LATE_GRID,
+                      seed=seed).to_dict()
+    loops = {r.name: r.to_dict() for r in (
+        *_scale_loop_results(space, 300, _LATE_GRID, seed),
+        *_pair_loop_results(space, _LATE_GRID))}
+    assert [loops.get(a["name"], a) for a in got["axioms"]] == got["axioms"]
+    name = {"positivity": "positivity", "symmetry": "symmetry",
+            "diagonal": "identity-of-indiscernibles",
+            "strong": "strong-triangle"}[case]
+    failed = {a["name"]: a["witness"] for a in got["axioms"]
+              if not a["passed"]}
+    w = failed[name]
+    assert w["t"] > _LATE_GRID[1]
+    # the spoilt pair: (x, y), (x, z) for the strong form, x on the diagonal
+    pair = {w["x"], w["z"] if case == "strong" else w.get("y", w["x"])}
+    assert pair == {"positivity": {6.0, 9.0}, "symmetry": {6.0, 9.0},
+                    "diagonal": {10.0}, "strong": {0.0, 11.0}}[case]
+
+
+def _late_failing_metric(x, y):
+    """|x - y| on 0..9 but d(9, 9) = 0.5, d(6, 8) = 5 against d(8, 6) = 2,
+    and d(3, 4) = d(4, 3) = 0: identity fails at the last point, and
+    symmetry, separation and the triangle each on one late pair."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d = np.abs(x - y)
+    d = np.where((x == 9.0) & (y == 9.0), 0.5, d)
+    d = np.where((x == 6.0) & (y == 8.0), 5.0, d)
+    return np.where(((x == 3.0) & (y == 4.0)) | ((x == 4.0) & (y == 3.0)),
+                    0.0, d)
+
+
+def _triple_loop_check(d, carrier, samples, seed, tol=1e-12):
+    """base_metric_check as the per-point and per-triple loops that made
+    one scalar metric call per value, on the same seeded triples."""
+    rng = np.random.default_rng(seed)
+    pts = np.array(carrier.points)
+    results = [AxiomResult("identity", True), AxiomResult("symmetry", True),
+               AxiomResult("separation", True), AxiomResult("triangle", True)]
+    ident, sym, sep, tri = results
+    for x in pts:
+        if ident.passed and float(d.eval(x, x)) != 0.0:
+            ident.passed = False
+            ident.witness = {"x": float(x), "value": float(d.eval(x, x))}
+    idx = rng.integers(0, len(pts), size=(samples, 3))
+    for i, j, k in idx:
+        x, y, z = float(pts[i]), float(pts[j]), float(pts[k])
+        dxy, dyx = float(d.eval(x, y)), float(d.eval(y, x))
+        if sym.passed and abs(dxy - dyx) > tol:
+            sym.passed = False
+            sym.witness = {"x": x, "y": y, "dxy": dxy, "dyx": dyx}
+        if sep.passed and x != y and dxy <= 0.0:
+            sep.passed = False
+            sep.witness = {"x": x, "y": y, "value": dxy}
+        dxz = float(d.eval(x, z))
+        if tri.passed and dxz > dxy + float(d.eval(y, z)) + tol:
+            tri.passed = False
+            tri.witness = {"x": x, "y": y, "z": z}
+    return results
+
+
+@pytest.mark.parametrize("name", ["euclidean", "max-jachymski", "late"])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_base_metric_check_matches_the_triple_loop(name, seed):
+    d = (BaseMetric(MetricKind.EUCLIDEAN, _late_failing_metric)
+         if name == "late" else metric(name))
+    carrier = Carrier.finite(range(10))
+    got = [r.to_dict() for r in base_metric_check(d, carrier, 400, seed)]
+    want = [r.to_dict() for r in _triple_loop_check(d, carrier, 400, seed)]
+    assert got == want
+    assert all(r["passed"] for r in got) is (name != "late")
+    if name == "late":
+        assert got[0]["witness"] == {"x": 9.0, "value": 0.5}
