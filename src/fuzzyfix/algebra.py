@@ -76,7 +76,6 @@ class TNorm:
 
     kind: TNormKind
     fn: Callable
-    positive: bool
 
     def apply(self, a, b):
         """The t-norm of a and b: a float when both are scalars, else a
@@ -88,24 +87,24 @@ class TNorm:
 
     @classmethod
     def product(cls) -> "TNorm":
-        return cls(TNormKind.PRODUCT, lambda a, b: a * b, positive=True)
+        return cls(TNormKind.PRODUCT, lambda a, b: a * b)
 
     @classmethod
     def minimum(cls) -> "TNorm":
-        return cls(TNormKind.MINIMUM, np.minimum, positive=True)
+        return cls(TNormKind.MINIMUM, np.minimum)
 
     @classmethod
     def lukasiewicz(cls) -> "TNorm":
-        return cls(TNormKind.LUKASIEWICZ, lambda a, b: np.maximum(0.0, a + b - 1.0),
-                   positive=False)
+        return cls(TNormKind.LUKASIEWICZ,
+                   lambda a, b: np.maximum(0.0, a + b - 1.0))
 
     @classmethod
     def hamacher(cls) -> "TNorm":
-        return cls(TNormKind.HAMACHER, _hamacher, positive=True)
+        return cls(TNormKind.HAMACHER, _hamacher)
 
     @classmethod
-    def custom(cls, fn: Callable, positive: bool = False) -> "TNorm":
-        return cls(TNormKind.CUSTOM, fn, positive=positive)
+    def custom(cls, fn: Callable) -> "TNorm":
+        return cls(TNormKind.CUSTOM, fn)
 
 
 _TNORMS = {

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from .algebra import ClassTag, DomainError, GaugeDomain, class_membership, gauge
@@ -287,6 +288,25 @@ def _render_json(report: dict) -> str:
     return "".join(out)
 
 
+# The text rendering shows the first _PREVIEW entries of a list; the
+# outcomes of the hidden entries are tallied by the first of these keys
+# each entry has.
+_PREVIEW = 24
+_OUTCOME_KEYS = ("status", "verdict", "passed", "converged")
+
+
+def _hidden_tallies(entries) -> list[str]:
+    """One "hidden <key>: <value> <count>, ..." line per outcome key."""
+    tallies: dict = {}
+    for entry in entries:
+        if isinstance(entry, dict):
+            key = next((k for k in _OUTCOME_KEYS if k in entry), None)
+            if key is not None:
+                tallies.setdefault(key, Counter())[entry[key]] += 1
+    return [f"hidden {key}: " + ", ".join(f"{v} {n}" for v, n in tally.items())
+            for key, tally in tallies.items()]
+
+
 def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     if report.get("scenario"):
@@ -303,15 +323,17 @@ def _render_text(report: dict) -> str:
                 else:
                     lines.append(f"{pad}{k}: {v}")
         elif isinstance(obj, list):
-            preview = obj if len(obj) <= 24 else obj[:24]
-            for item in preview:
+            for item in obj[:_PREVIEW]:
                 if isinstance(item, (dict, list)):
                     lines.append(f"{pad}-")
                     walk(item, indent + 1)
                 else:
                     lines.append(f"{pad}- {item}")
-            if len(obj) > 24:
-                lines.append(f"{pad}... ({len(obj) - 24} more)")
+            hidden = obj[_PREVIEW:]
+            if hidden:
+                lines.append(f"{pad}... ({len(hidden)} more)")
+                lines.extend(f"{pad}  {line}"
+                             for line in _hidden_tallies(hidden))
 
     walk(report["body"])
     return "\n".join(lines) + "\n"

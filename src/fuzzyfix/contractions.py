@@ -13,7 +13,10 @@ Checks provided, each over explicit scale and threshold grids:
 * an equivalence probe relating the uniform-in-t and per-t variants.
 
 Self-maps take floats or whole arrays; every check maps its pair sample
-with one call per coordinate.
+with one call per coordinate and prepares the nearness of its pair sets
+once (:meth:`FuzzySpace.pairs`), so a scale costs only the scale stage.
+Strict improvement reads the regular prefix of the arrays the second
+condition evaluates at the same scale.
 
 All verdicts carry re-checkable witnesses.  Every rho search, the one of
 the criterion check in :mod:`fuzzyfix.dynamics` included, runs one search
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -189,18 +193,30 @@ class MParams:
             raise DomainError("exponents must be nonnegative")
 
 
-def _blend(space: FuzzySpace, params: MParams, xs, ys, txs, tys, t: float):
-    """Blended comparison values of the pairs (xs, ys) with images (txs, tys).
+def _blend(space: FuzzySpace, params: MParams, near: Callable,
+           near_x: Callable, near_y: Callable) -> Callable:
+    """Blended comparison of pairs (x, y) with images (Tx, Ty) as a function
+    of the scale, from the prepared pair stages of (x, y), (x, Tx) and
+    (y, Ty).
 
     Elementwise over scalars or arrays, with the result type of the nearness
     and the t-norm: a float for scalars, else an ndarray.  A scalar nearness
     is a float, so its power is the C library's, which can differ in the
     last bit from numpy's vectorised power on a 0-d array.
     """
-    fx = space.m(xs, txs, t) ** params.alpha
-    fy = space.m(ys, tys, t) ** params.beta
     norm = space.tnorm
-    return norm.apply(norm.apply(space.m(xs, ys, t), fx), fy)
+
+    def at(t):
+        fx = near_x(t) ** params.alpha
+        fy = near_y(t) ** params.beta
+        return norm.apply(norm.apply(near(t), fx), fy)
+    return at
+
+
+def _blended(space: FuzzySpace, params: MParams, xs, ys, txs, tys) -> Callable:
+    """:func:`_blend` of the pairs (xs, ys) with images (txs, tys)."""
+    return _blend(space, params, space.pairs(xs, ys), space.pairs(xs, txs),
+                  space.pairs(ys, tys))
 
 
 def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
@@ -210,7 +226,7 @@ def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
     Combines M(x,y,t) with M(x,Tx,t)^alpha and M(y,Ty,t)^beta through the
     space's t-norm; exponentiation is real-valued inside each factor.
     """
-    return _blend(space, params, x, y, T(x), T(y), t)
+    return _blended(space, params, x, y, T(x), T(y))(t)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +425,52 @@ def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
     return out
 
 
-def _strict_improvement(space: FuzzySpace, name: str, t_grid,
-                        xs, ys, txs, tys, premise=None,
-                        key: str = "before") -> ConditionVerdict:
-    """Condition: at every scale, distinct pairs' images are strictly nearer
-    than ``premise(t)`` (default: the pairs' own nearness), which the
-    witness names ``key``, ``before`` or ``blend``."""
+def _improvement_scan(space: FuzzySpace, grid, pairs, n_base: int,
+                      cond1: ConditionVerdict, cond2: ConditionVerdict,
+                      premise: Optional[Callable] = None, key: str = "before"):
+    """The scale loop of a check whose first condition is strict improvement.
+
+    ``pairs`` is the pair sample (xs, ys) with its images (txs, tys), whose
+    first ``n_base`` pairs are the regular sample; ``premise(xs, ys, txs,
+    tys)`` prepares a sample's premise as a function of the scale, by
+    default the pairs' own nearness.  The premise and the images' nearness
+    are prepared once.  While ``cond2`` holds, each scale t evaluates both
+    over the whole sample, F and E, and yields (t, F, E) for the caller to
+    check ``cond2``; a caller marks ``cond2`` violated and lets the loop
+    run out rather than breaking it.  ``cond1`` requires, at every scale,
+    distinct regular pairs' images to be strictly nearer than the premise,
+    which its witness names ``key`` (``before`` or ``blend``).  It reads
+    the regular prefix of F and E; once ``cond2`` is violated it goes on
+    over the regular sample alone, prepared again.
+    """
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
-    distinct = xs != ys
-    verdict = ConditionVerdict(name, CheckStatus.SATISFIED)
-    for t in t_grid:
-        F = (space.m(xs, ys, t) if premise is None
-             else premise(t))
-        E = space.m(txs, tys, t)
-        bad = distinct & ~(E > F + margin * F)
-        if bad.any():
-            i = int(np.nonzero(bad)[0][0])
-            verdict.status = CheckStatus.VIOLATED
-            values = ({"before": float(F[i]), "after": float(E[i])}
-                      if key == "before" else
-                      {"after": float(E[i]), "blend": float(F[i])})
-            verdict.witness = {"x": float(xs[i]), "y": float(ys[i]), "t": t,
-                               **values}
-            break
-    return verdict
+    premise = premise or (lambda xs, ys, txs, tys: space.pairs(xs, ys))
+    xs, ys, txs, tys = pairs
+    distinct = xs[:n_base] != ys[:n_base]
+    near, after = premise(*pairs), space.pairs(txs, tys)
+    whole = True
+    for t in grid:
+        if whole and cond2.status is CheckStatus.VIOLATED:
+            whole = False
+            if n_base < len(xs):
+                base = [a[:n_base] for a in pairs]
+                near, after = premise(*base), space.pairs(*base[2:])
+        if not whole and cond1.status is CheckStatus.VIOLATED:
+            return
+        F, E = near(t), after(t)
+        if cond1.status is CheckStatus.SATISFIED:
+            f, e = F[:n_base], E[:n_base]
+            bad = distinct & ~(e > f + margin * f)
+            if bad.any():
+                i = int(np.nonzero(bad)[0][0])
+                cond1.status = CheckStatus.VIOLATED
+                values = ({"before": float(f[i]), "after": float(e[i])}
+                          if key == "before" else
+                          {"after": float(e[i]), "blend": float(f[i])})
+                cond1.witness = {"x": float(xs[i]), "y": float(ys[i]),
+                                 "t": t, **values}
+        if whole:
+            yield t, F, E
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +492,10 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
     xs, ys, n_base = _carrier_pairs(space.carrier)
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
-    cond1 = _strict_improvement(space, "strict-improvement", grid,
-                                xs[:n_base], ys[:n_base],
-                                txs[:n_base], tys[:n_base])
+    cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("gauge-bound", CheckStatus.SATISFIED)
-    for t in grid:
-        F = space.m(xs, ys, t)
-        E = space.m(txs, tys, t)
+    for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
+                                     cond1, cond2):
         bound = _gauge_bound(psi, F)
         bad = E < bound - CLASS_TOL
         if bad.any():
@@ -468,7 +503,6 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
             cond2.status = CheckStatus.VIOLATED
             cond2.witness = {"x": float(xs[i]), "y": float(ys[i]), "t": t,
                              "after": float(E[i]), "bound": float(bound[i])}
-            break
     return ClassificationReport(T.name, f"psi-contractive({psi.name})",
                                 [cond1, cond2], grid)
 
@@ -492,14 +526,11 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     xs, ys, n_base = _carrier_pairs(space.carrier)
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
-    cond1 = _strict_improvement(space, "strict-improvement", grid,
-                                xs[:n_base], ys[:n_base],
-                                txs[:n_base], tys[:n_base])
+    cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
     finite = space.carrier.is_finite
-    for t in grid:
-        F = space.m(xs, ys, t)
-        E = space.m(txs, tys, t)
+    for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
+                                     cond1, cond2):
         answers = _threshold_search(F, E, rs, form == "onesided", finite)
         for r, (_, rec, k) in zip(rs, answers):
             if rec is None:
@@ -509,8 +540,6 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
                                  "after": float(E[k])}
                 break
             cond2.records.append({"t": t, **rec})
-        if cond2.status is CheckStatus.VIOLATED:
-            break
     return ClassificationReport(T.name, f"threshold-implication({form})",
                                 [cond1, cond2], grid, rs)
 
@@ -535,19 +564,16 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         n_cap = len(carrier.points) if carrier.is_finite else 50
     xs, ys, n_base = _carrier_pairs(carrier)
     txs, tys = T.apply(xs, carrier), T.apply(ys, carrier)
-
-    bxs, bys = xs[:n_base], ys[:n_base]
-    btxs, btys = txs[:n_base], tys[:n_base]
-    cond1 = _strict_improvement(
-        space, "strict-improvement-over-blend", grid, bxs, bys, btxs, btys,
-        lambda t: _blend(space, params, bxs, bys, btxs, btys, t), key="blend")
+    cond1 = ConditionVerdict("strict-improvement-over-blend",
+                             CheckStatus.SATISFIED)
+    blended = partial(_blended, space, params)
 
     if psi is not None:
         cond2 = ConditionVerdict("gauge-bound-over-blend", CheckStatus.SATISFIED)
         tightest = math.inf
-        for t in grid:
-            mv = _blend(space, params, xs, ys, txs, tys, t)
-            E = space.m(txs, tys, t)
+        for t, mv, E in _improvement_scan(space, grid, (xs, ys, txs, tys),
+                                          n_base, cond1, cond2, blended,
+                                          key="blend"):
             bound = _gauge_bound(psi, mv)
             slack = E - bound
             tightest = min(tightest, float(slack.min()))
@@ -557,7 +583,6 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                 cond2.status = CheckStatus.VIOLATED
                 cond2.witness = {"x": float(xs[i]), "y": float(ys[i]), "t": t,
                                  "after": float(E[i]), "bound": float(bound[i])}
-                break
         report = ClassificationReport(
             T.name, f"blended-contraction({psi.name})", [cond1, cond2],
             grid, rs, details={"alpha": params.alpha, "beta": params.beta,
@@ -565,23 +590,32 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
         return report
 
     # iterate-shift search: premise on the blend of N-step images, conclusion
-    # on the nearness of (N+1)-step images; each shift is mapped and
-    # evaluated only while some threshold of the scale is still unresolved
-    iterates = [(xs, ys), (txs, tys)]
+    # on the nearness of (N+1)-step images.  Shift 0 is the scan's; a later
+    # shift is mapped and prepared once, when a scale first needs it, and
+    # its conclusion is the next shift's pair nearness
+    shifts = []             # (premise, conclusion) of shifts 1, 2, ...
+    last = (txs, tys)
     cond2 = ConditionVerdict("iterate-threshold-implication", CheckStatus.SATISFIED)
     finite = carrier.is_finite
-    for t in grid:
+    for t, mv, concl in _improvement_scan(space, grid, (xs, ys, txs, tys),
+                                          n_base, cond1, cond2, blended,
+                                          key="blend"):
         found, witness = {}, {}
         for n in range(n_cap + 1):
             todo = [i for i in range(len(rs)) if i not in found]
             if not todo:
                 break
-            if len(iterates) == n + 1:
-                iterates.append(tuple(T.apply(p, carrier)
-                                      for p in iterates[-1]))
-            (px, py), (qx, qy) = iterates[n], iterates[n + 1]
-            mv = _blend(space, params, px, py, qx, qy, t)
-            concl = space.m(qx, qy, t)
+            if n > len(shifts):
+                px, py = last
+                near = shifts[-1][1] if shifts else space.pairs(px, py)
+                last = (T.apply(px, carrier), T.apply(py, carrier))
+                shifts.append((_blend(space, params, near,
+                                      space.pairs(px, last[0]),
+                                      space.pairs(py, last[1])),
+                               space.pairs(*last)))
+            if n:
+                premise, conclusion = shifts[n - 1]
+                mv, concl = premise(t), conclusion(t)
             answers = _threshold_search(mv, concl, [rs[i] for i in todo],
                                         finite=finite)
             for i, (_, rec, k) in zip(todo, answers):
@@ -597,8 +631,6 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                                  "t": t, "r": r}
                 break
             cond2.records.append(found[i])
-        if cond2.status is CheckStatus.VIOLATED:
-            break
     return ClassificationReport(T.name, "blended-contraction", [cond1, cond2],
                                 grid, rs,
                                 details={"alpha": params.alpha,
@@ -682,7 +714,7 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
     if f_kind == "plain":
         F = space.m(xs, ys, t)
     else:
-        F = _blend(space, params, xs, ys, txs, tys, t)
+        F = _blended(space, params, xs, ys, txs, tys)(t)
     env = _make_envelope(F, E)
     cert = class_membership(env, ClassTag.PSI1, r_grid=r_grid) if certify else None
     return EmpiricalGauge(t, f_kind, F, E, env, cert)
@@ -733,9 +765,9 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
 
     report = EquivalenceReport(T.name, grid, rs)
     finite = space.carrier.is_finite
+    near, after = space.pairs(xs, ys), space.pairs(txs, tys)
     for t in grid:
-        F = space.m(xs, ys, t)
-        E = space.m(txs, tys, t)
+        F, E = near(t), after(t)
         bad = E < F - CLASS_TOL
         if bad.any():
             i = int(np.nonzero(bad)[0][0])

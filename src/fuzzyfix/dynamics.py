@@ -10,14 +10,16 @@ about the observed prefix:
   behaviour effectively requires eventually constant orbits),
 * ``m_cauchy_check`` looks, per (threshold, scale), for the smallest cut
   N such that every observed pair beyond it clears the nearness bound;
-  each scale is one nearness call over the pairs i < j alone,
+  the pairs i < j alone are prepared once (see :mod:`fuzzyfix.spaces`),
+  and each scale is one scale-stage evaluation over them,
 * ``g_cauchy_check`` does the same for fixed index gaps, the weaker
   notion that the harmonic-sums counterexample separates from the former,
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
   past 1-rho forces next-step nearness past 1-r" over observed pairs;
   success is monotone in the cut, so the first valid cut is found
   directly, by the threshold search of :mod:`fuzzyfix.contractions` over
-  the pairs' rows, with two nearness evaluations per scale,
+  the pairs' rows, with two pair sets prepared once and evaluated per
+  scale,
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
   on finite carriers; ``auto`` tries the candidate routes over one orbit,
@@ -38,7 +40,7 @@ from .contractions import (
     ClassificationReport,
     MParams,
     SelfMap,
-    _blend,
+    _blended,
     _threshold_search,
     cm_contractive_check,
     m_contractive_check,
@@ -334,8 +336,9 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     # the pairs i < j in row-major order, and where each row i starts
     i, j = np.triu_indices(len(pts), 1)
     starts = np.searchsorted(i, np.arange(len(pts) - 1))
+    pair_nearness = space.pairs(pts[i], pts[j])
     for t in grid:
-        near = space.m(pts[i], pts[j], t)
+        near = pair_nearness(t)
         # g[k] = worst nearness among pairs fully beyond cut k
         g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
         for r in rs:
@@ -372,10 +375,10 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     cert = CauchyCertificate(CauchyKind.G_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              (), grid, m_grid=gaps)
     for m in gaps:
-        xs, ys = pts[:-m], pts[m:]
+        near = space.pairs(pts[:-m], pts[m:]) if m > 1 else None
         for t in grid:
             deficits = 1.0 - (_step_series(space, trace, pts, t) if m == 1
-                              else space.m(xs, ys, t))
+                              else near(t))
             ok = _tail_converges_to_zero(deficits, tail_tolerance)
             rec = {"m": m, "t": t, "converged": bool(ok),
                    "final_deficit": float(deficits[-1])}
@@ -408,9 +411,10 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     successors miss 1-r although its premise reaches 1-r (both up to
     ``CLASS_TOL``); raising the cut only drops pairs, so success is
     monotone in the cut.  The first valid cut is the first one above every
-    fatal pair's smaller index.  Two nearness evaluations per scale serve
-    the whole threshold grid, which the package's one threshold search
-    answers with the pairs' smaller indices as its rows.
+    fatal pair's smaller index.  The premise and successor pairs are
+    prepared once; their two evaluations per scale serve the whole
+    threshold grid, which the package's one threshold search answers with
+    the pairs' smaller indices as its rows.
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
@@ -429,14 +433,14 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     xi, yi = sub[rows], sub[yi]
     xs, ys = pts[xi], pts[yi]
     nxs, nys = pts[xi + 1], pts[yi + 1]
+    premise = (space.pairs(xs, ys) if f_kind == "plain"
+               else _blended(space, params, xs, ys, nxs, nys))
+    after = space.pairs(nxs, nys)
+    del xs, ys, nxs, nys        # the scale loop needs only the pair stages
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
     for t in grid:
-        if f_kind == "plain":
-            F = space.m(xs, ys, t)
-        else:
-            F = _blend(space, params, xs, ys, nxs, nys, t)
-        E = space.m(nxs, nys, t)
+        F, E = premise(t), after(t)
         # the implication premise is one-sided: any pair whose blend clears
         # 1-rho must already improve past 1-r
         answers = _threshold_search(F, E, rs, onesided=True, rows=rows,

@@ -8,11 +8,17 @@ product t-norm, and both satisfying the same-scale triangle inequality
 (the "strong" form).  Custom spaces are given as finite nearness tables
 interpolated linearly in t.
 
-``FuzzySpace.m`` takes scalars or numpy arrays that broadcast together and
-evaluates the whole array in one call.  It decides the result type for
-every space: a float when x, y and t are all scalars, else a float64
-ndarray of the broadcast shape.  A table space raises DomainError at a
-point off its carrier.
+Nearness is evaluated in two stages.  The pair stage,
+``FuzzySpace.pairs(x, y)``, does the scale-free work once for a pair set:
+the base distance d(x,y) for the built-in spaces, the carrier check and the
+flat cell index of each pair for a table space, which raises DomainError
+at a point off its carrier.  It returns the scale stage, a function of t
+that evaluates the same float expressions over the prepared pairs, so a
+check that loops over a scale grid on fixed pairs prepares them once.
+``FuzzySpace.m(x, y, t)`` is ``pairs(x, y)(t)`` with the scale checked
+first.  Both take scalars or numpy arrays that broadcast together and
+decide the result type for every space: a float when x, y and t are all
+scalars, else a float64 ndarray of the broadcast shape.
 
 ``axiom_check`` certifies the space axioms on sampled triples, one
 nearness call per axiom quantity over all grid scales, and records the
@@ -169,9 +175,18 @@ def base_metric_check(d: BaseMetric, carrier: Carrier, samples: int = 200,
     return [ident, sym, sep, tri]
 
 
+def _check_scale(t) -> None:
+    t_arr = np.asarray(t, dtype=float)
+    if not ((t_arr > 0.0) & (t_arr < np.inf)).all():
+        raise DomainError(f"scale t must be positive and finite, got {t!r}")
+
+
 @dataclass(frozen=True)
 class FuzzySpace:
-    """Carrier + t-norm + nearness function M(x,y,t), with declared flags."""
+    """Carrier + t-norm + nearness M(x,y,t), with declared flags.
+
+    ``fn(x, y)`` is the pair stage of the nearness: it prepares the pairs
+    and returns their nearness as a function of the scale."""
 
     carrier: Carrier
     tnorm: TNorm
@@ -179,16 +194,25 @@ class FuzzySpace:
     strong: bool
     provenance: str
 
+    def pairs(self, x, y) -> Callable:
+        """The nearness of the pairs (x, y) as a function of finite scales
+        t > 0: a float when x, y and t are all scalars, else a float64
+        ndarray of their broadcast shape."""
+        at = self.fn(x, y)
+        scalar = np.isscalar(x) and np.isscalar(y)
+
+        def scale(t):
+            _check_scale(t)
+            out = at(t)
+            if scalar and np.isscalar(t):
+                return float(out)
+            return np.asarray(out, dtype=float)
+        return scale
+
     def m(self, x, y, t):
-        """Nearness at finite scales t > 0: a float when x, y and t are all
-        scalars, else a float64 ndarray of their broadcast shape."""
-        t_arr = np.asarray(t, dtype=float)
-        if not ((t_arr > 0.0) & (t_arr < np.inf)).all():
-            raise DomainError(f"scale t must be positive and finite, got {t!r}")
-        out = self.fn(x, y, t)
-        if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
-            return float(out)
-        return np.asarray(out, dtype=float)
+        """Nearness at finite scales t > 0, as :meth:`pairs`."""
+        _check_scale(t)     # a bad scale is reported before a bad point
+        return self.pairs(x, y)(t)
 
     def to_dict(self) -> dict:
         return {"carrier": self.carrier.to_dict(), "tnorm": self.tnorm.kind.value,
@@ -197,19 +221,22 @@ class FuzzySpace:
 
 def standard_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
     """Space with nearness t/(t+d(x,y)) over the product t-norm; strong."""
-    def fn(x, y, t):
+    def fn(x, y):
         dist = d.eval(x, y)
-        return t / (t + dist)
+        return lambda t: t / (t + dist)
     return FuzzySpace(carrier, TNorm.product(), fn, strong=True,
                       provenance=f"standard({d.kind.value})")
 
 
 def exponential_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
     """Space with nearness exp(-d(x,y)/t) over the product t-norm; strong."""
-    def fn(x, y, t):
-        dist = d.eval(x, y)
-        with np.errstate(over="ignore"):    # d/t past the float range
-            return np.exp(-dist / t)
+    def fn(x, y):
+        neg = -d.eval(x, y)
+
+        def at(t):
+            with np.errstate(over="ignore"):    # d/t past the float range
+                return np.exp(neg / t)
+        return at
     return FuzzySpace(carrier, TNorm.product(), fn, strong=True,
                       provenance=f"exp({d.kind.value})")
 
@@ -275,12 +302,13 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
                               f"table's carrier")
         return i
 
-    def fn(x, y, t):
-        t_arr = np.asarray(t, dtype=float)
+    def fn(x, y):
         base = (index(x) * n + index(y)) * k
-        if k == 1:
-            out = flat[base + np.zeros(t_arr.shape, dtype=int)]
-        else:
+
+        def at(t):
+            t_arr = np.asarray(t, dtype=float)
+            if k == 1:
+                return flat[base + np.zeros(t_arr.shape, dtype=int)]
             # as np.interp: tabulated values below the first node, at or
             # beyond the last and at a node
             j = np.searchsorted(nodes, t_arr, side="right") - 1
@@ -290,9 +318,9 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
             with np.errstate(all="ignore"):    # lanes np.where discards
                 slope = (y1 - y0) / (nodes[lo + 1] - x0)
                 out = slope * (t_arr - x0) + y0
-            out = np.where((j < 0) | (t_arr == x0), y0,
-                           np.where(j == k - 1, y1, out))
-        return out
+            return np.where((j < 0) | (t_arr == x0), y0,
+                            np.where(j == k - 1, y1, out))
+        return at
 
     return FuzzySpace(carrier, norm or TNorm.product(), fn, strong=strong,
                       provenance="table")

@@ -12,7 +12,7 @@ from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.contractions import (
     MParams,
     SelfMap,
-    _blend,
+    _carrier_pairs,
     cm_contractive_check,
     self_map,
     table_map,
@@ -342,6 +342,14 @@ def _sorted_search(F, E, r):
     if Fs[-1] > v:
         return {"r": r, "rho": rho, "vacuous": False}, None
     return {"r": r, "rho": rho, "vacuous": True, "reason": "gap"}, None
+
+
+def _blend(space, params, xs, ys, txs, tys, t):
+    """The blended comparison at scale t, one nearness call per factor."""
+    fx = space.m(xs, txs, t) ** params.alpha
+    fy = space.m(ys, tys, t) ** params.beta
+    norm = space.tnorm
+    return norm.apply(norm.apply(space.m(xs, ys, t), fx), fy)
 
 
 def _reference_criterion(space, trace, f_kind="plain", params=None,
@@ -990,16 +998,25 @@ class TestBlockedOrbit:
 
 
 class _NearnessCount:
-    """Counts ``FuzzySpace.m`` calls and the elements each evaluates."""
+    """Counts nearness work in its two stages: the size of each pair set
+    ``FuzzySpace.pairs`` prepares, and the elements each scale-stage call
+    evaluates.  ``FuzzySpace.m`` is one call of each."""
 
     def __init__(self, monkeypatch):
-        self.sizes = []
-        m = FuzzySpace.m
+        self.pairs, self.scales = [], []
+        prepare = FuzzySpace.pairs
 
-        def counted(space, x, y, t):
-            self.sizes.append(np.broadcast(x, y, t).size)
-            return m(space, x, y, t)
-        monkeypatch.setattr(FuzzySpace, "m", counted)
+        def counted(space, x, y):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            self.pairs.append(math.prod(shape))
+            at = prepare(space, x, y)
+
+            def scale(t):
+                self.scales.append(
+                    math.prod(np.broadcast_shapes(shape, np.shape(t))))
+                return at(t)
+            return scale
+        monkeypatch.setattr(FuzzySpace, "pairs", counted)
 
 
 class TestOrbitWorkCounts:
@@ -1010,8 +1027,9 @@ class TestOrbitWorkCounts:
         trace = picard_orbit(sc.build_space(), sc.build_map(), sc.x0,
                              cfg.max_len, cfg.stop_tolerance, sc.t_grid)
         assert trace.steps == 10000
-        assert len(count.sizes) <= 12
-        assert sum(count.sizes) == 10000 * len(sc.t_grid)
+        assert len(count.scales) <= 12
+        assert len(count.pairs) == len(count.scales)
+        assert sum(count.scales) == 10000 * len(sc.t_grid)
 
     def test_m_cauchy_evaluates_the_upper_triangle_once_per_scale(
             self, monkeypatch):
@@ -1023,7 +1041,9 @@ class TestOrbitWorkCounts:
         cert = m_cauchy_check(space, trace, sc.r_grid)
         assert cert.holds
         n = dynamics.PAIR_CERT_CAP
-        assert count.sizes == [n * (n - 1) // 2] * len(sc.t_grid)
+        assert n * (n - 1) // 2 == 130816
+        assert count.pairs == [130816]
+        assert count.scales == [130816] * len(sc.t_grid) == [130816] * 40
 
     def test_g_cauchy_reads_the_gap_one_series_from_the_trace(
             self, ray_space, monkeypatch):
@@ -1034,6 +1054,22 @@ class TestOrbitWorkCounts:
         count = _NearnessCount(monkeypatch)
         cert = g_cauchy_check(ray_space, trace)
         assert cert.holds
-        # gaps 2 and 5 per scale; gap 1 is the trace's recorded columns
-        assert len(count.sizes) == 2 * len(GRID_1_100)
+        # gaps 2 and 5 prepared once and evaluated per scale; gap 1 is the
+        # trace's recorded columns
+        assert count.pairs == [len(points) - 2, len(points) - 5]
+        assert len(count.scales) == 2 * len(GRID_1_100)
         assert cert.to_dict() == fresh.to_dict()
+
+    def test_cm_check_prepares_two_pair_sets(self, monkeypatch):
+        # the pairs and their images are prepared once; both conditions
+        # read the same two arrays per scale, where they used to evaluate
+        # four
+        sc = load_scenario("ex62")
+        space, T = sc.build_space(), sc.build_map()
+        count = _NearnessCount(monkeypatch)
+        report = cm_contractive_check(space, T)
+        assert report.satisfied
+        n_pairs = len(_carrier_pairs(space.carrier)[0])
+        assert n_pairs == 43528
+        assert count.pairs == [n_pairs, n_pairs]
+        assert count.scales == [n_pairs] * (2 * len(report.t_grid))

@@ -550,6 +550,21 @@ class TestCli:
         assert out.startswith("command: check-space")
         assert "passed: True" in out
 
+    def test_text_format_tallies_hidden_outcomes(self):
+        records = ([{"t": 1.0, "status": "satisfied"}] * 30
+                   + [{"t": 2.0, "status": "violated"}, {"t": 3.0},
+                      {"m": 1, "converged": False}, 0.5])
+        out = cli._render_text({"command": "x", "passed": False,
+                                "body": {"records": records}})
+        lines = out.splitlines()
+        assert lines.count("      status: satisfied") == 24
+        assert lines[-3:] == ["    ... (10 more)",
+                              "      hidden status: satisfied 6, violated 1",
+                              "      hidden converged: False 1"]
+        short = cli._render_text({"command": "x", "passed": True,
+                                  "body": {"records": records[:24]}})
+        assert "more)" not in short and "hidden" not in short
+
 
 # ---------------------------------------------------------------------------
 # json-like rendering

@@ -321,6 +321,112 @@ def test_table_nearness_matches_interp_bit_for_bit(drawn):
                 assert _same_bits(scalar, want) and _same_bits(zero_d, want)
 
 
+def _one_stage(kind, d=None, points=None, nodes=None, table=None):
+    """The nearness ``fn(x, y, t)`` of a space as one stage, before the
+    pair and scale stages were split, with the result type of ``m``."""
+    if kind == "table":
+        pts, nodes = np.array(points), np.array(nodes)
+        n, k = len(pts), len(nodes)
+        cube = np.ones((n, n, k))
+        for (a, b), vs in table.items():
+            i, j = np.searchsorted(pts, (a, b))
+            cube[i, j] = cube[j, i] = vs
+        flat = cube.ravel()
+
+    def fn(x, y, t):
+        if kind == "standard":
+            dist = d.eval(x, y)
+            return t / (t + dist)
+        if kind == "exp":
+            dist = d.eval(x, y)
+            with np.errstate(over="ignore"):
+                return np.exp(-dist / t)
+        t_arr = np.asarray(t, dtype=float)
+        base = (np.searchsorted(pts, x) * n + np.searchsorted(pts, y)) * k
+        if k == 1:
+            return flat[base + np.zeros(t_arr.shape, dtype=int)]
+        j = np.searchsorted(nodes, t_arr, side="right") - 1
+        lo = np.clip(j, 0, k - 2)
+        y0, y1 = flat[base + lo], flat[base + lo + 1]
+        x0 = nodes[lo]
+        with np.errstate(all="ignore"):
+            slope = (y1 - y0) / (nodes[lo + 1] - x0)
+            out = slope * (t_arr - x0) + y0
+        return np.where((j < 0) | (t_arr == x0), y0,
+                        np.where(j == k - 1, y1, out))
+
+    def m(x, y, t):
+        out = fn(x, y, t)
+        if np.isscalar(x) and np.isscalar(y) and np.isscalar(t):
+            return float(out)
+        return np.asarray(out, dtype=float)
+    return m
+
+
+_BUILT_IN = {"standard": standard_fuzzy_metric, "exp": exponential_fuzzy_metric}
+_SCALES = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def _two_stage_cases(draw):
+    kind = draw(st.sampled_from(["standard", "exp", "table"]))
+    if kind == "table":
+        nodes, table, ts = draw(_tables())
+        points = (0.0, 1.0, 2.5)
+        space = table_fuzzy_metric(Carrier.finite(points), nodes, table)
+        ref = _one_stage(kind, points=points, nodes=nodes, table=table)
+        point = st.sampled_from(points)
+        scale = st.sampled_from(list(ts)) | _SCALES
+    else:
+        d = metric(draw(st.sampled_from(["euclidean", "max-jachymski"])))
+        space = _BUILT_IN[kind](Carrier.interval(0.0, 10.0, 11), d)
+        ref = _one_stage(kind, d=d)
+        point = st.floats(min_value=0.0, max_value=10.0)
+        scale = _SCALES
+    shape = draw(st.sampled_from(["scalar", "0-d", "broadcast"]))
+    if shape == "scalar":
+        x, y, t = draw(point), draw(point), draw(scale)
+    elif shape == "0-d":
+        x, y, t = (np.array(draw(v)) for v in (point, point, scale))
+    else:
+        x = np.array(draw(st.lists(point, min_size=1, max_size=4)))
+        y = np.array(draw(st.lists(point, min_size=1, max_size=3)))[:, None]
+        t = np.array(draw(st.lists(scale, min_size=1, max_size=3)))
+        t = t[:, None, None]
+    return space, ref, x, y, t
+
+
+@given(_two_stage_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_two_stage_nearness_equals_the_one_stage_function(case):
+    space, ref, x, y, t = case
+    want = ref(x, y, t)
+    for got in (space.pairs(x, y)(t), space.m(x, y, t)):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert _same_bits(got, want)
+    # a bad scale is named before a bad point: x - 0.25 is off the carrier
+    # of every table drawn here
+    with pytest.raises(DomainError, match="scale t must be positive"):
+        space.m(np.asarray(x) - 0.25, y, -np.asarray(t))
+
+
+@pytest.mark.parametrize("bad_t", [0.0, -1.0, math.inf, math.nan])
+def test_a_bad_scale_is_reported_before_a_bad_point(bad_t):
+    space = table_fuzzy_metric(Carrier.finite([0, 1]), [1.0, 3.0],
+                               {(0, 1): [0.4, 0.8]})
+    with pytest.raises(DomainError, match="scale t must be positive"):
+        space.m(0.5, 1.0, bad_t)
+    with pytest.raises(DomainError, match="scale t must be positive"):
+        space.m(np.array([0.0, 7.0]), 1.0, np.array([1.0, bad_t]))
+    # the pair stage alone sees only the point
+    with pytest.raises(DomainError, match="not on the table's carrier"):
+        space.pairs(0.5, 1.0)
+    at = space.pairs(0.0, 1.0)
+    with pytest.raises(DomainError, match="scale t must be positive"):
+        at(bad_t)
+
+
 def _pair_loop_results(space, t_grid=None, tol=1e-12):
     """The identity and t-continuity checks of axiom_check as the per-pair
     loops that evaluated one carrier pair per nearness call."""
@@ -434,16 +540,23 @@ def test_row_checks_match_pair_loops(case):
 @pytest.mark.parametrize("t_grid", [None, list(np.logspace(-2.0, 2.0, 80))])
 def test_axiom_check_calls_scale_with_rows_not_pairs(monkeypatch, t_grid):
     space = _exp_table(48)
-    calls = []
-    real_m = FuzzySpace.m
+    prepared, calls = [], []
+    real_pairs = FuzzySpace.pairs
 
-    def counting_m(self, x, y, t):
-        calls.append(np.broadcast_shapes(np.shape(x), np.shape(y),
-                                         np.shape(t)))
-        return real_m(self, x, y, t)
-    monkeypatch.setattr(FuzzySpace, "m", counting_m)
+    def counting_pairs(self, x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        prepared.append(shape)
+        at = real_pairs(self, x, y)
+
+        def counting_scale(t):
+            calls.append(np.broadcast_shapes(shape, np.shape(t)))
+            return at(t)
+        return counting_scale
+    monkeypatch.setattr(FuzzySpace, "pairs", counting_pairs)
     report = axiom_check(space, triple_samples=50, t_grid=t_grid)
     assert report.passed and report.strong_verdict
+    # every call is FuzzySpace.m: one pair stage and one scale stage
+    assert len(prepared) == len(calls)
     g = len(scale_grid(t_grid))
     # one call over scales x samples each for positivity (reused by the
     # strong form), symmetry and the strong form's other two, one over
