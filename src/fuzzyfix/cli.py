@@ -41,6 +41,7 @@ REPORT_VERSION = 1
 __all__ = ["main", "run_command"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="built-in scenario id or file path")

@@ -286,12 +286,6 @@ class CauchyCertificate:
     def holds(self) -> bool:
         return self.verdict is CauchyVerdict.HOLDS_ON_PREFIX
 
-    def record_for(self, **keys) -> Optional[dict]:
-        for rec in self.records:
-            if all(rec.get(k) == v for k, v in keys.items()):
-                return rec
-        return None
-
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "verdict": self.verdict.value,
                 "r_grid": list(self.r_grid), "t_grid": list(self.t_grid),

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -116,23 +117,18 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
             values = np.logspace(np.log10(lo), np.log10(hi), n)
         grid = tuple(float(v) for v in values)
     elif isinstance(spec, (list, tuple)):
-        if not spec or not all(map(_is_number, spec)):
+        if not spec or not _all_numbers(spec):
             errors.append((path, "grid list must hold numbers, at least one"))
             return tuple(default)
         grid = tuple(float(v) for v in spec)
     else:
         errors.append((path, f"bad grid spec {spec!r}"))
         return tuple(default)
-    if kind == "t":
-        for v in grid:
-            if not 0.0 < v < np.inf:
-                errors.append((path, f"t must be positive and finite, got {v}"))
-                break
-    else:
-        for v in grid:
-            if not 0.0 < v < 1.0:
-                errors.append((path, "r must lie in (0,1), got " + repr(v)))
-                break
+    high, rule = (np.inf, "be positive and finite") if kind == "t" else (
+        1.0, "lie in (0,1)")
+    bad = [v for v in grid if not 0.0 < v < high]
+    if bad:
+        errors.append((path, f"{kind} must {rule}, got {bad[0]!r}"))
     return grid
 
 
@@ -143,6 +139,14 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or (
         isinstance(value, int) and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max)
+
+
+def _all_numbers(values: list) -> bool:
+    """Whether every one of ``values`` decoded from JSON is a number, as
+    :func:`_is_number` judges, by one scan of their types."""
+    kinds = set(map(type, values))
+    return kinds <= {int, float} and (int not in kinds or all(
+        abs(v) <= sys.float_info.max for v in values if type(v) is int))
 
 
 def _read(value, key: str, ok: bool, expected: str):
@@ -202,7 +206,9 @@ def _carrier(spec) -> Carrier:
 
 
 def _read_table(path: str) -> tuple[list, dict]:
-    """The t nodes and the (x, y) -> values entries of a table file."""
+    """The t nodes and the (x, y) -> values entries of a table file.  One
+    type scan checks every entry; only when it fails are the entries walked
+    in file order, to name the first bad one."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -210,18 +216,21 @@ def _read_table(path: str) -> tuple[list, dict]:
     nodes, entries = (doc.get(key) if isinstance(doc, dict) else None
                       for key in ("t_nodes", "entries"))
     _read(nodes, "table key 't_nodes'",
-          isinstance(nodes, list) and all(map(_is_number, nodes)),
-          "a list of numbers")
+          isinstance(nodes, list) and _all_numbers(nodes), "a list of numbers")
     _read(entries, "table key 'entries'", isinstance(entries, list), "a list")
-    table = {}
-    for entry in entries:
-        x, y, values = ((entry.get(key) for key in ("x", "y", "values"))
+    xs = ys = values = [None]       # the scan fails on a non-object entry
+    if set(map(type, entries)) <= {dict}:
+        xs, ys, values = (list(map(dict.get, entries, repeat(key)))
+                          for key in ("x", "y", "values"))
+    if not (set(map(type, values)) <= {list} and _all_numbers(
+            [*xs, *ys, *chain.from_iterable(values)])):
+        for entry in entries:
+            x, y, vs = ((entry.get(key) for key in ("x", "y", "values"))
                         if isinstance(entry, dict) else (None,) * 3)
-        _read(entry, "a table entry", isinstance(values, list)
-              and all(map(_is_number, [x, y, *values])),
-              "numbers x and y with a list of numbers 'values'")
-        table[x, y] = values
-    return nodes, table
+            _read(entry, "a table entry", isinstance(vs, list)
+                  and _all_numbers([x, y, *vs]),
+                  "numbers x and y with a list of numbers 'values'")
+    return nodes, dict(zip(zip(xs, ys), values))
 
 
 _CONSTRUCTORS = {"standard": standard_fuzzy_metric,

@@ -95,12 +95,6 @@ class Carrier:
                     else x in self.points)
         return (self.low <= x) & (x <= self.high)
 
-    def to_dict(self) -> dict:
-        if self.is_finite:
-            return {"kind": "finite", "points": list(self.points)}
-        return {"kind": "interval", "low": self.low, "high": self.high,
-                "samples": len(self.points)}
-
 
 class MetricKind(Enum):
     EUCLIDEAN = "euclidean"
@@ -177,8 +171,10 @@ def base_metric_check(d: BaseMetric, carrier: Carrier, samples: int = 200,
 
 def _check_scale(t) -> None:
     t_arr = np.asarray(t, dtype=float)
-    if not ((t_arr > 0.0) & (t_arr < np.inf)).all():
-        raise DomainError(f"scale t must be positive and finite, got {t!r}")
+    ok = (t_arr > 0.0) & (t_arr < np.inf)
+    if not ok.all():
+        bad = t if np.isscalar(t) else float(t_arr[~ok][0])
+        raise DomainError(f"scale t must be positive and finite, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -214,10 +210,6 @@ class FuzzySpace:
         _check_scale(t)     # a bad scale is reported before a bad point
         return self.pairs(x, y)(t)
 
-    def to_dict(self) -> dict:
-        return {"carrier": self.carrier.to_dict(), "tnorm": self.tnorm.kind.value,
-                "strong": self.strong, "provenance": self.provenance}
-
 
 def standard_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
     """Space with nearness t/(t+d(x,y)) over the product t-norm; strong."""
@@ -248,7 +240,9 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
 
     ``table`` maps (x, y) to a sequence of finite nearness values, one per
     node in ``t_nodes``.  Values are interpolated linearly between nodes and
-    held constant beyond them.  Missing diagonal entries default to 1.
+    held constant beyond them.  Missing diagonal entries default to 1.  One
+    sorted search of all keys into the carrier finds the entries' cells;
+    an entry whose x or y is not exactly a carrier point is unused.
 
     Evaluation takes scalars or arrays that broadcast together and treats a
     whole array at once: the table is one flat array indexed by (row,
@@ -264,10 +258,10 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
         raise DomainError("t nodes must be nonempty, positive and increasing")
     points = carrier.points
     n, k = len(points), len(nodes)
-    for (a, b), vs in table.items():
-        if len(vs) != k:
-            raise DomainError(f"table entry {(a, b)} has {len(vs)} values, "
-                              f"expected {k}")
+    if not set(map(len, table.values())) <= {k}:
+        (a, b), vs = next(e for e in table.items() if len(e[1]) != k)
+        raise DomainError(f"table entry {(a, b)} has {len(vs)} values, "
+                          f"expected {k}")
     given = np.fromiter(chain.from_iterable(table.values()), float,
                         len(table) * k).reshape(-1, k)
     finite = np.isfinite(given).all(axis=1)
@@ -275,22 +269,21 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
         a, b = list(table)[int(np.argmin(finite))]
         raise DomainError(f"table entry {(a, b)} has a non-finite value")
     # (row, column) of each entry on the carrier; entries off it are unused
-    position = {p: i for i, p in enumerate(points)}
-    rc = np.array([(position[float(a)], position[float(b)], e)
-                   for e, (a, b) in enumerate(table)
-                   if float(a) in position and float(b) in position],
-                  dtype=int).reshape(-1, 3)
+    pts = np.array(points)
+    keys = np.array(list(table), dtype=float).reshape(-1, 2)
+    cells = np.minimum(np.searchsorted(pts, keys), n - 1)
+    on = np.flatnonzero((pts[cells] == keys).all(axis=1))
+    rows, cols = cells[on].T
     # the diagonal defaults to 1 and (b, a) to the entry (a, b); an entry
     # given explicitly overrides both.  NaN marks a missing pair.
     cube = np.full((n, n, k), np.nan)
     cube[np.arange(n), np.arange(n)] = 1.0
-    cube[rc[:, 1], rc[:, 0]] = given[rc[:, 2]]
-    cube[rc[:, 0], rc[:, 1]] = given[rc[:, 2]]
+    cube[cols, rows] = given[on]
+    cube[rows, cols] = given[on]
     missing = np.isnan(cube[:, :, 0])
     if missing.any():
         i, j = divmod(int(np.argmax(missing)), n)
         raise DomainError(f"table is missing pair ({points[i]}, {points[j]})")
-    pts = np.array(points)
     flat = cube.ravel()
 
     def index(v):
@@ -381,11 +374,14 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     nearness quantity of an axiom is one call over all grid scales and
     samples; only the two pair checks make one call per carrier row.  The
     strongness verdict is recorded separately from the declared flag.
-    Deterministic given (seed, t_grid, triple_samples).
+    Deterministic given (seed, t_grid, triple_samples).  A grid whose
+    scales s + t overflow is a DomainError.
     """
     grid = scale_grid(t_grid)
-    if any(t <= 0 for t in grid):
-        raise DomainError("t grid values must be positive")
+    _check_scale(grid)
+    if not math.isfinite(2 * max(grid)):
+        raise DomainError(f"t grid value {max(grid)!r} is too large: the "
+                          "triangle's scale s + t overflows")
     rng = np.random.default_rng(seed)
     pts = np.array(space.carrier.points)
     report = SpaceAxiomReport(space.provenance, triple_samples, seed, grid,

@@ -2,8 +2,10 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,6 +294,143 @@ def test_table_space_built_once_per_command(tmp_path, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def _per_entry_table_error(path: Path):
+    """The first error of a table file under per-entry validation, the
+    reference for the one-scan reader: each entry's members judged one at a
+    time, then each entry's value count, then its values' finiteness.  None
+    for a good file."""
+    def is_number(v):
+        return isinstance(v, float) or (
+            isinstance(v, int) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+    doc = json.loads(path.read_text())
+    k = len(doc["t_nodes"])
+    table = {}
+    for entry in doc["entries"]:
+        x, y, values = ((entry.get(key) for key in ("x", "y", "values"))
+                        if isinstance(entry, dict) else (None,) * 3)
+        if not (isinstance(values, list)
+                and all(map(is_number, [x, y, *values]))):
+            return ("missing a table entry" if entry is None else
+                    "a table entry must be numbers x and y with a list of "
+                    f"numbers 'values', got {entry!r}")
+        table[x, y] = values
+    for (a, b), vs in table.items():
+        if len(vs) != k:
+            return f"table entry {(a, b)} has {len(vs)} values, expected {k}"
+    for (a, b), vs in table.items():
+        if not all(map(math.isfinite, vs)):
+            return f"table entry {(a, b)} has a non-finite value"
+    return None
+
+
+def _spoil(kind: str, entry: dict):
+    """The table entry ``entry`` made malformed in the way ``kind`` names."""
+    entry = dict(entry, values=list(entry["values"]))
+    if kind == "bool-value":
+        entry["values"][1] = True
+    elif kind == "bool-key":
+        entry["x"] = False
+    elif kind == "string-value":
+        entry["values"][0] = "0.5"
+    elif kind == "string-key":
+        entry["y"] = "1"
+    elif kind == "null-value":
+        entry["values"][1] = None
+    elif kind == "null-entry":
+        return None
+    elif kind == "nested-list":
+        entry["values"][0] = [0.5]
+    elif kind == "values-not-list":
+        entry["values"] = 0.5
+    elif kind == "int-beyond-float":
+        entry["values"][0] = 10 ** 400
+    elif kind == "key-beyond-float":
+        entry["x"] = -(10 ** 309)
+    elif kind == "missing-key":
+        del entry["y"]
+    elif kind == "not-object":
+        return [entry["x"], entry["y"], entry["values"]]
+    elif kind == "wrong-count":
+        entry["values"].append(0.9)
+    elif kind == "non-finite":
+        entry["values"][1] = math.inf
+    elif kind == "nan":
+        entry["values"][0] = math.nan
+    else:
+        raise ValueError(kind)
+    return entry
+
+
+_SPOILS = ("bool-value", "bool-key", "string-value", "string-key",
+           "null-value", "null-entry", "nested-list", "values-not-list",
+           "int-beyond-float", "key-beyond-float", "missing-key",
+           "not-object", "wrong-count", "non-finite", "nan")
+
+
+def _table_scenario(tmp_path: Path, table: Path) -> Path:
+    doc = json.loads(SCENARIO_LIBRARY["ex63"])
+    doc["space"]["fuzzy"] = f"table:{table}"
+    doc["grids"]["t"] = [1.0, 2.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("position", [0, 3, 5])
+@pytest.mark.parametrize("kind", _SPOILS)
+def test_bad_table_entry_reported_as_by_per_entry_validation(
+        tmp_path, kind, position):
+    table = quad_table(tmp_path / "table.json")
+    doc = json.loads(table.read_text())
+    doc["entries"][position] = _spoil(kind, doc["entries"][position])
+    # a second, later bad entry of another kind is never the one named
+    if position < 5:
+        doc["entries"][5] = _spoil("string-value", doc["entries"][5])
+    table.write_text(json.dumps(doc))
+    want = _per_entry_table_error(table)
+    assert want is not None
+    for command in ("check-space", "classify-map", "solve"):
+        code, out = run_command([command, "--scenario",
+                                 str(_table_scenario(tmp_path, table))])
+        assert (code, out) == (2, f"schema error at space.fuzzy: {want}\n")
+
+
+def test_int_typed_table_loads_to_the_same_space(tmp_path):
+    # ints as coordinates and values, the carrier given as floats
+    values = [[0.25, 1], [0.5, 0.75]]
+    ints, floats = ({"t_nodes": [1, 2] if typed is int else [1.0, 2.0],
+                     "entries": [{"x": typed(x), "y": typed(y),
+                                  "values": vs}
+                                 for (x, y), vs in zip([(0, 1), (1, 2)],
+                                                       values)]
+                     + [{"x": typed(2), "y": typed(0),
+                         "values": [typed(1), 0.5]}]}
+                    for typed in (int, float))
+    spaces = []
+    for name, doc in (("ints", ints), ("floats", floats)):
+        table = tmp_path / f"{name}.json"
+        table.write_text(json.dumps(doc))
+        assert _per_entry_table_error(table) is None
+        nodes, entries = scenario_mod._read_table(str(table))
+        assert nodes == doc["t_nodes"]
+        assert [(key, vs, [type(v) for v in (*key, *vs)])
+                for key, vs in entries.items()] == [
+            ((e["x"], e["y"]), e["values"],
+             [type(v) for v in (e["x"], e["y"], *e["values"])])
+            for e in doc["entries"]]
+        spec = {"space": {"carrier": {"kind": "finite",
+                                      "points": [0.0, 1.0, 2.0]},
+                          "fuzzy": f"table:{table}"}}
+        spaces.append(parse_scenario(json.dumps(spec)).build_space())
+    pts = np.array([0.0, 1.0, 2.0])
+    ts = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    a, b = (space.m(pts[:, None, None], pts[None, :, None], ts)
+            for space in spaces)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestCli:
     def test_paper_matches_golden_output(self):
         # the behaviour gate: an intended change to this output replaces the
@@ -467,6 +606,14 @@ class TestCli:
                                  "1e-310"])
         assert code == 1
         assert "1e-310" in out
+
+    def test_scale_near_the_float_maximum_is_a_one_line_error(self):
+        # s + t overflows for t = 1e308; the sum would warn, an error under
+        # the pytest configuration
+        code, out = run_command(["check-space", "--scenario", "ex62",
+                                 "--t-grid", "1e308"])
+        assert (code, out) == (2, "error: t grid value 1e+308 is too large: "
+                               "the triangle's scale s + t overflows\n")
 
     def test_relative_strictness_margin(self, tmp_path):
         # exp nearness at t = 0.01 reaches 4.8e-25; x/2 still improves it
@@ -644,3 +791,42 @@ def test_cli_json_output_is_json_dumps_of_the_report(monkeypatch, argv):
     _, out = run_command(argv + ["--format", "json-like"])
     [(report, rendered)] = seen
     assert out == rendered == dumps(report)
+
+
+# command lines for the cached parser: options given and left out in turn,
+# and a usage error in the middle
+PARSER_SEQUENCE = [
+    ["check-space", "--scenario", "ex63", "--seed", "3", "--format",
+     "json-like"],
+    ["check-space", "--scenario", "ex63", "--format", "json-like"],
+    ["iterate", "--scenario", "ex62", "--x0", "0.3", "--max-len", "20"],
+    ["iterate", "--scenario", "ex62", "--max-len", "20"],
+    ["classify-map", "--scenario", "ex63", "--t-grid", "1,2", "--route",
+     "m", "--format", "json-like"],
+    ["classify-map", "--route", "bogus", "--scenario", "ex63"],
+    ["classify-map", "--scenario", "ex63", "--format", "json-like"],
+    ["solve", "--scenario", "ex63", "--x0", "2", "--t-grid", "lin:1:4:4"],
+    ["solve", "--scenario", "ex63"],
+    ["gauge", "--gauge", "power:5/7", "--seed", "4", "--eval", "0.5"],
+    ["gauge", "--scenario", "ex61"],
+]
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    def run(fresh: bool):
+        outputs = []
+        for argv in PARSER_SEQUENCE:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, out = run_command(argv)
+            outputs.append((code, out, capsys.readouterr()))
+        return outputs
+
+    fresh = run(True)
+    cli._build_parser.cache_clear()
+    cached = run(False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 2, 1, 0, 0,
+                                               0, 1]
+    assert "invalid choice: 'bogus'" in cached[5][2].err

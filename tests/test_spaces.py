@@ -1,6 +1,7 @@
 """Tests for carriers, base metrics, and fuzzy metric space constructions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,91 @@ def test_table_nearness_matches_interp_bit_for_bit(drawn):
                 assert _same_bits(scalar, want) and _same_bits(zero_d, want)
 
 
+def _per_entry_cube(carrier, nodes, table):
+    """Reference (row, column, node) table: each entry's cell found by a
+    dict lookup of ``float(x)`` and ``float(y)`` among the carrier points,
+    with the defaults and overrides of ``table_fuzzy_metric``."""
+    points = carrier.points
+    n, k = len(points), len(nodes)
+    given = np.array([[float(v) for v in vs] for vs in table.values()],
+                     dtype=float).reshape(-1, k)
+    position = {p: i for i, p in enumerate(points)}
+    rc = np.array([(position[float(a)], position[float(b)], e)
+                   for e, (a, b) in enumerate(table)
+                   if float(a) in position and float(b) in position],
+                  dtype=int).reshape(-1, 3)
+    cube = np.full((n, n, k), np.nan)
+    cube[np.arange(n), np.arange(n)] = 1.0
+    cube[rc[:, 1], rc[:, 0]] = given[rc[:, 2]]
+    cube[rc[:, 0], rc[:, 1]] = given[rc[:, 2]]
+    missing = np.isnan(cube[:, :, 0])
+    if missing.any():
+        i, j = divmod(int(np.argmax(missing)), n)
+        raise DomainError(f"table is missing pair ({points[i]}, {points[j]})")
+    return cube
+
+
+# carrier points, and keys that are never on a carrier drawn from them,
+# some a float step or a rounding error below a point
+_TABLE_POINTS = (-3.0, -0.5, 0.0, 1.0, 2.0, 2.25, 5.0, 7.0)
+_OFF_POINTS = (-1.0, 0.75, math.nextafter(1.0, 0.0), 2.125, 0.1 + 0.2,
+               7.0 - 1e-12, 1e9, math.nan, math.inf)
+
+
+@st.composite
+def _keyed_tables(draw):
+    """A carrier, nodes and a table whose keys mix int and float spellings
+    (and -0.0 for 0.0) of carrier points, with off-carrier entries,
+    explicit (b, a) overrides and diagonal entries in any order."""
+    pts = draw(st.lists(st.sampled_from(_TABLE_POINTS), min_size=1,
+                        max_size=6, unique=True))
+    nodes = sorted(draw(st.lists(st.floats(min_value=0.01, max_value=100.0),
+                                 min_size=1, max_size=5, unique=True)))
+    values = st.lists(st.floats(min_value=0.0, max_value=1.0),
+                      min_size=len(nodes), max_size=len(nodes))
+
+    def spelled(p):
+        forms = [p] + ([int(p)] if p.is_integer() else []) + (
+            [-0.0] if p == 0.0 else [])
+        return draw(st.sampled_from(forms))
+
+    pairs = []
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            given = draw(st.sampled_from(["ab", "ba", "both", "both",
+                                          "none"]))
+            pairs += ([(a, b)] if given in ("ab", "both") else []) + (
+                [(b, a)] if given in ("ba", "both") else [])
+        if draw(st.booleans()):
+            pairs.append((a, a))
+    for _ in range(draw(st.integers(0, 4))):
+        off = draw(st.sampled_from(_OFF_POINTS))
+        pairs.append(draw(st.sampled_from([(off, pts[0]), (pts[-1], off)])))
+    pairs = draw(st.permutations(pairs))
+    table = {(spelled(a), spelled(b)): draw(values) for a, b in pairs}
+    return Carrier.finite(pts), nodes, table
+
+
+@given(_keyed_tables())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_table_construction_matches_the_per_entry_reference(drawn):
+    carrier, nodes, table = drawn
+    try:
+        cube = _per_entry_cube(carrier, nodes, table)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            table_fuzzy_metric(carrier, nodes, table)
+        return
+    space = table_fuzzy_metric(carrier, nodes, table)
+    ts = np.array([*nodes, nodes[0] / 2, nodes[-1] * 2,
+                   *((a + b) / 2 for a, b in zip(nodes, nodes[1:]))])
+    pts = np.array(carrier.points)
+    got = space.m(pts[:, None, None], pts[None, :, None], ts)
+    want = [[np.interp(ts, nodes, cube[i, j]) for j in range(len(pts))]
+            for i in range(len(pts))]
+    assert _same_bits(got, want)
+
+
 def _one_stage(kind, d=None, points=None, nodes=None, table=None):
     """The nearness ``fn(x, y, t)`` of a space as one stage, before the
     pair and scale stages were split, with the result type of ``m``."""
@@ -425,6 +511,26 @@ def test_a_bad_scale_is_reported_before_a_bad_point(bad_t):
     at = space.pairs(0.0, 1.0)
     with pytest.raises(DomainError, match="scale t must be positive"):
         at(bad_t)
+
+
+def test_a_bad_scale_array_is_named_by_its_first_bad_value():
+    space = standard_fuzzy_metric(Carrier.finite([0, 1]), metric("euclidean"))
+    t = np.array([1.0, math.inf, -1.0] + [math.inf] * 500)
+    for call in (lambda: space.m(0.0, 1.0, t), lambda: space.pairs(0, 1)(t)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == "scale t must be positive and finite, got inf"
+
+
+def test_axiom_check_refuses_a_grid_whose_triangle_scale_overflows():
+    # the triangle evaluates nearness at s + t, which is inf for s = t =
+    # 1e308; the sum would warn (an error under the pytest configuration)
+    space = standard_fuzzy_metric(Carrier.finite([0, 1]), metric("euclidean"))
+    with pytest.raises(DomainError) as err:
+        axiom_check(space, triple_samples=20, t_grid=[1.0, 1e308])
+    assert str(err.value) == ("t grid value 1e+308 is too large: the "
+                              "triangle's scale s + t overflows")
+    axiom_check(space, triple_samples=20, t_grid=[1.0, 8e307])
 
 
 def _pair_loop_results(space, t_grid=None, tol=1e-12):
