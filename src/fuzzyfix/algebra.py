@@ -2,7 +2,7 @@
 
 The module provides:
 
-* continuous t-norms on [0,1] with a sampled axiom checker,
+* continuous t-norms on [0,1],
 * the three gauge families used by the contraction classifiers
   (phi-style gauges on [0,inf), psi-style gauges on (0,1], and eta-style
   generators, i.e. strictly decreasing bijections (0,1] -> [0,inf)),
@@ -14,8 +14,7 @@ Every gauge evaluates a float to a float and an ndarray elementwise to an
 ndarray, with the same domain checks on both; the Psi1 and Phi1 checks
 evaluate all sample windows of a bisection step in one call.  A t-norm
 gives a float for two scalars and a float64 ndarray of the broadcast
-shape otherwise, and the axiom checker makes one call per t-norm value
-over all its probe and seeded tuples.
+shape otherwise.
 
 Membership verdicts are certificates over the tested grid, not proofs:
 the class conditions quantify over uncountable sets, so a ``member``
@@ -25,7 +24,6 @@ while ``non_member`` always carries a concrete violating sample.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -123,18 +121,6 @@ def tnorm(norm_id: str) -> TNorm:
         raise DomainError(f"unknown t-norm id {norm_id!r}") from None
 
 
-def tnorm_apply(norm: TNorm, a: float, b: float) -> float:
-    """Apply a t-norm to two unit-interval values with domain validation."""
-    for v in (a, b):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"t-norm argument {v!r} outside [0,1]")
-    return norm.apply(a, b)
-
-
-TNORM_AXIOMS = ("identity", "commutativity", "monotonicity", "associativity",
-                "positivity")
-
-
 @dataclass
 class AxiomResult:
     name: str
@@ -145,33 +131,6 @@ class AxiomResult:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-@dataclass
-class TNormAxiomReport:
-    kind: str
-    samples: int
-    seed: int
-    results: list[AxiomResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> AxiomResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "samples": self.samples, "seed": self.seed,
-                "passed": self.passed,
-                "axioms": [r.to_dict() for r in self.results]}
-
-
-# Probe points guarantee reproducible witnesses independent of the seed.
-_PROBE = tuple(i / 10 for i in range(11))
-
-
 def _axiom(name: str, bad: np.ndarray, witness: Callable) -> AxiomResult:
     """The result of one axiom: passed when ``bad`` flags no entry, else
     failed with ``witness`` of the first flagged entry's index in row-major
@@ -180,50 +139,6 @@ def _axiom(name: str, bad: np.ndarray, witness: Callable) -> AxiomResult:
         return AxiomResult(name, True)
     first = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return AxiomResult(name, False, witness(*(int(i) for i in first)))
-
-
-def tnorm_axiom_check(norm: TNorm, samples: int = 1000, seed: int = 0,
-                      tol: float = 1e-9) -> TNormAxiomReport:
-    """Check the t-norm axioms on a fixed probe grid plus seeded random tuples.
-
-    Reports pass/fail per axiom (identity, commutativity, monotonicity,
-    associativity, positivity) with the witness of the first failing tuple,
-    probe tuples first.  Each t-norm value an axiom needs is one array call
-    over all tuples.  Deterministic given ``seed``.
-    """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    a, b = np.vstack([list(itertools.product(_PROBE, repeat=2)),
-                      rng.random((samples, 2))]).T
-    ta, tb, tc = np.vstack([list(itertools.product(_PROBE[::2], repeat=3)),
-                            rng.random((samples, 3))]).T
-
-    va = norm.apply(a, 1.0)
-    identity = _axiom("identity", np.abs(va - a) > tol,
-                      lambda i: {"a": float(a[i]), "value": float(va[i])})
-    ab, ba = norm.apply(a, b), norm.apply(b, a)
-    comm = _axiom("commutativity", np.abs(ab - ba) > tol,
-                  lambda i: {"a": float(a[i]), "b": float(b[i]),
-                             "ab": float(ab[i]), "ba": float(ba[i])})
-    pos = _axiom("positivity", (a > 0) & (b > 0) & (ab <= 0.0),
-                 lambda i: {"a": float(a[i]), "b": float(b[i]),
-                            "value": float(ab[i])})
-    # monotone in each argument: compare (a,b) against (max(a,c), b)
-    lo, hi = np.minimum(ta, tc), np.maximum(ta, tc)
-    mono = _axiom("monotonicity",
-                  norm.apply(lo, tb) > norm.apply(hi, tb) + tol,
-                  lambda i: {"a": float(lo[i]), "c": float(hi[i]),
-                             "b": float(tb[i])})
-    left = norm.apply(norm.apply(ta, tb), tc)
-    right = norm.apply(ta, norm.apply(tb, tc))
-    assoc = _axiom("associativity", np.abs(left - right) > tol,
-                   lambda i: {"a": float(ta[i]), "b": float(tb[i]),
-                              "c": float(tc[i]), "left": float(left[i]),
-                              "right": float(right[i])})
-
-    results = [identity, comm, mono, assoc, pos]
-    return TNormAxiomReport(norm.kind.value, samples, seed, results)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +414,6 @@ class MembershipCertificate:
     @property
     def is_member(self) -> bool:
         return self.verdict is Verdict.MEMBER
-
-    def record_for(self, r: float) -> Optional[dict]:
-        for rec in self.records:
-            if rec.get("r") == r or rec.get("epsilon") == r:
-                return rec
-        return None
 
     def to_dict(self) -> dict:
         return {"gauge": self.gauge_name, "class": self.class_tag.value,

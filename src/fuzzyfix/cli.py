@@ -349,6 +349,9 @@ def run_command(argv: Optional[Sequence[str]] = None) -> tuple[int, str]:
         # argparse already printed the usage message
         return (0 if exc.code == 0 else 2), ""
     try:
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError([("--seed", "must be a nonnegative integer, "
+                                f"got {args.seed}")])
         scenario = (load_scenario(args.scenario)
                     if args.scenario is not None else None)
         fn, needs_scenario = _COMMANDS[args.command]

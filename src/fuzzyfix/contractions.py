@@ -9,7 +9,7 @@ Checks provided, each over explicit scale and threshold grids:
 * the generalized form whose comparison value blends the pair nearness
   with each point's self-displacement nearness raised to fixed exponents,
 * empirical gauge extraction: the monotone lower envelope of observed
-  (before, after) nearness samples, with class certification,
+  (before, after) nearness samples, returned as a gauge to certify,
 * an equivalence probe relating the uniform-in-t and per-t variants.
 
 Self-maps take floats or whole arrays; every check maps its pair sample
@@ -41,7 +41,6 @@ from .algebra import (
     DomainError,
     Gauge,
     GaugeDomain,
-    MembershipCertificate,
     _parse_number,
     _step_phi_fn,
     class_membership,
@@ -641,31 +640,6 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
 # empirical gauges
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EmpiricalGauge:
-    """Monotone lower envelope of observed (before, after) nearness samples."""
-
-    t: float
-    f_kind: str
-    F: np.ndarray
-    E: np.ndarray
-    envelope: Gauge
-    certificate: Optional[MembershipCertificate] = None
-
-    def envelope_at(self, tau: float) -> float:
-        return self.envelope.eval(tau)
-
-    def dominates_samples(self) -> bool:
-        """Each recorded after-value sits on or above the envelope at its before-value."""
-        return bool((self.E >= self.envelope.eval(self.F) - CLASS_TOL).all())
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "f_kind": self.f_kind,
-                "samples": len(self.F),
-                "certificate": self.certificate.to_dict()
-                if self.certificate else None}
-
-
 def _make_envelope(F: np.ndarray, E: np.ndarray) -> Gauge:
     order = np.argsort(F, kind="stable")
     Fs, Es = F[order], E[order]
@@ -681,43 +655,25 @@ def _make_envelope(F: np.ndarray, E: np.ndarray) -> Gauge:
                  lambda tau: values[np.searchsorted(Fs, tau, side="left")])
 
 
-def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
-                            f_kind: str = "plain", t: float = 1.0,
-                            params: Optional[MParams] = None,
-                            pairs: Optional[Sequence[tuple]] = None,
-                            certify: bool = True,
-                            r_grid: Optional[Sequence[float]] = None,
-                            ) -> EmpiricalGauge:
-    """Build the envelope gauge from pair samples at one scale.
+def extract_empirical_gauge(space: FuzzySpace, T: SelfMap, t: float = 1.0,
+                            pairs: Optional[Sequence[tuple]] = None) -> Gauge:
+    """The envelope gauge of pair samples at one scale.
 
-    ``f_kind`` selects the before-value: plain nearness, or the blended
-    comparison when ``m_generalized`` (then ``params`` is required).  On
-    finite carriers the default sample set is exhaustive over pairs.
+    On finite carriers the default sample set is exhaustive over pairs.
     The envelope is the pointwise infimum of after-values over samples
     with before-value at or above the argument, a nondecreasing step
-    function; when ``certify`` is set it is checked for the
-    threshold-improvement class.
+    function, returned as a psi-style gauge that :func:`class_membership`
+    certifies like any other.
     """
     if t <= 0:
         raise DomainError("scale t must be positive")
-    if f_kind not in ("plain", "m_generalized"):
-        raise DomainError(f"unknown f_kind {f_kind!r}")
-    if f_kind == "m_generalized" and params is None:
-        raise DomainError("m_generalized needs params")
     if pairs is None:
         xs, ys, _ = _carrier_pairs(space.carrier)
     else:
         xs = np.array([float(a) for a, _ in pairs])
         ys = np.array([float(b) for _, b in pairs])
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
-    E = space.m(txs, tys, t)
-    if f_kind == "plain":
-        F = space.m(xs, ys, t)
-    else:
-        F = _blended(space, params, xs, ys, txs, tys)(t)
-    env = _make_envelope(F, E)
-    cert = class_membership(env, ClassTag.PSI1, r_grid=r_grid) if certify else None
-    return EmpiricalGauge(t, f_kind, F, E, env, cert)
+    return _make_envelope(space.m(xs, ys, t), space.m(txs, tys, t))
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,6 @@ class SuiteReport:
             SuiteAssertion(check_id, description, bool(passed), observed,
                            expected))
 
-    def assertion(self, check_id: str) -> SuiteAssertion:
-        for a in self.assertions:
-            if a.check_id == check_id:
-                return a
-        raise KeyError(check_id)
-
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
                 "assertions": [a.to_dict() for a in self.assertions]}
@@ -162,13 +156,13 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
     pairs = [(1.0, 1.0 + d / 2) for d in deltas]
     pairs += [(float(x), float(y)) for x in np.linspace(0, 10, 41)
               for y in np.linspace(0, 10, 41) if x < y]
-    emp = extract_empirical_gauge(space, T, t=1.0, pairs=pairs, certify=False)
-    env_vals = [emp.envelope_at(1.0 / (2.0 + d / 2.0)) for d in deltas]
+    env = extract_empirical_gauge(space, T, t=1.0, pairs=pairs)
+    env_vals = [env.eval(1.0 / (2.0 + d / 2.0)) for d in deltas]
     report.check("envelope-pinned-at-half",
                  "envelope equals 1/2 exactly where the witness pairs "
                  "accumulate",
                  all(v == 0.5 for v in env_vals), env_vals, [0.5] * 4)
-    env_cert = class_membership(emp.envelope, ClassTag.PSI)
+    env_cert = class_membership(env, ClassTag.PSI)
     report.check("no-continuous-gauge",
                  "the envelope fails the continuous-class requirements",
                  env_cert.verdict is Verdict.NON_MEMBER,

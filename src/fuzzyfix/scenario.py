@@ -166,6 +166,11 @@ def _integer(value, key: str) -> int:
                  and not isinstance(value, bool), "an integer")
 
 
+def _seed(value) -> int:
+    return _read(value, "seed", _integer(value, "seed") >= 0,
+                 "a nonnegative integer")
+
+
 def _boolean(value, key: str) -> bool:
     return _read(value, key, isinstance(value, bool), "true or false")
 
@@ -312,7 +317,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     errors = _unknown_keys(doc, _SECTIONS)
     name = _record(errors, "name", _string, doc.get("name", name), "name")
-    seed = _record(errors, "seed", _integer, doc.get("seed", 0), "seed")
+    seed = _record(errors, "seed", _seed, doc.get("seed", 0))
     space, complete = ((None, True) if doc.get("space") is None
                        else _space(doc["space"], errors))
     T = (None if doc.get("map") is None else

@@ -144,31 +144,6 @@ def metric(metric_id: str) -> BaseMetric:
         raise DomainError(f"unknown metric id {metric_id!r}") from None
 
 
-def base_metric_check(d: BaseMetric, carrier: Carrier, samples: int = 200,
-                      seed: int = 0, tol: float = 1e-12) -> list[AxiomResult]:
-    """Sampled checks of the classical metric axioms on a carrier, one
-    metric evaluation per quantity over all points or sampled triples; each
-    witness is the first failing point or triple."""
-    rng = np.random.default_rng(seed)
-    pts = np.array(carrier.points)
-    dxx = d.eval(pts, pts)
-    ident = _axiom("identity", dxx != 0.0,
-                   lambda i: {"x": float(pts[i]), "value": float(dxx[i])})
-    idx = rng.integers(0, len(pts), size=(samples, 3))
-    xs, ys, zs = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
-    dxy, dyx = d.eval(xs, ys), d.eval(ys, xs)
-    sym = _axiom("symmetry", np.abs(dxy - dyx) > tol,
-                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
-                            "dxy": float(dxy[i]), "dyx": float(dyx[i])})
-    sep = _axiom("separation", (xs != ys) & (dxy <= 0.0),
-                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
-                            "value": float(dxy[i])})
-    tri = _axiom("triangle", d.eval(xs, zs) > dxy + d.eval(ys, zs) + tol,
-                 lambda i: {"x": float(xs[i]), "y": float(ys[i]),
-                            "z": float(zs[i])})
-    return [ident, sym, sep, tri]
-
-
 def _check_scale(t) -> None:
     t_arr = np.asarray(t, dtype=float)
     ok = (t_arr > 0.0) & (t_arr < np.inf)
@@ -374,9 +349,13 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     nearness quantity of an axiom is one call over all grid scales and
     samples; only the two pair checks make one call per carrier row.  The
     strongness verdict is recorded separately from the declared flag.
-    Deterministic given (seed, t_grid, triple_samples).  A grid whose
-    scales s + t overflow is a DomainError.
+    Deterministic given (seed, t_grid, triple_samples).  A tolerance
+    outside [0, inf), NaN included, and a grid whose scales s + t overflow
+    are DomainErrors.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, "
+                          f"got {tol!r}")
     grid = scale_grid(t_grid)
     _check_scale(grid)
     if not math.isfinite(2 * max(grid)):

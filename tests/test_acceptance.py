@@ -109,9 +109,9 @@ def test_criterion_04_golden_values_and_envelope(ex62):
     pairs = [(1.0, 1.0 + d / 2) for d in deltas]
     pairs += [(float(x), float(y)) for x in np.linspace(0, 10, 41)
               for y in np.linspace(0, 10, 41) if x < y]
-    emp = extract_empirical_gauge(space, T, t=1.0, pairs=pairs, certify=False)
-    env_ok = all(emp.envelope_at(1.0 / (2.0 + d / 2.0)) == 0.5 for d in deltas)
-    env_cert = class_membership(emp.envelope, ClassTag.PSI)
+    env = extract_empirical_gauge(space, T, t=1.0, pairs=pairs)
+    env_ok = all(env.eval(1.0 / (2.0 + d / 2.0)) == 0.5 for d in deltas)
+    env_cert = class_membership(env, ClassTag.PSI)
     ok = (golden_before == 0.4 and golden_after == 0.5 and env_ok
           and env_cert.verdict is Verdict.NON_MEMBER)
     verdict(4, "golden nearness 0.4 -> 0.5 at scale 1, envelope exactly 1/2 "

@@ -14,6 +14,7 @@ from fuzzyfix.algebra import (
     DomainError,
     Gauge,
     Verdict,
+    class_membership,
     conjugate_gauge,
     eta_reciprocal,
     gauge,
@@ -543,28 +544,35 @@ class TestMContractive:
         assert a.satisfied == b.satisfied
 
 
+def _before_after(space, T, t):
+    """The before- and after-nearness of the default pair sample."""
+    xs, ys, _ = _carrier_pairs(space.carrier)
+    return space.m(xs, ys, t), space.m(T(xs), T(ys), t)
+
+
 class TestEmpiricalGauge:
     def test_identity_envelope_is_identity_on_samples(self, quad_space):
-        emp = extract_empirical_gauge(quad_space, self_map("identity"), t=1.0,
-                                      certify=False)
-        for f in emp.F:
-            assert emp.envelope_at(float(f)) == pytest.approx(float(f), abs=TOL)
+        env = extract_empirical_gauge(quad_space, self_map("identity"), t=1.0)
+        F, _ = _before_after(quad_space, self_map("identity"), 1.0)
+        for f in F:
+            assert env.eval(float(f)) == pytest.approx(float(f), abs=TOL)
 
     def test_identity_envelope_rejected_on_dense_samples(self, ray_space):
         # with densely sampled pairs the envelope hugs the identity, which
         # the threshold-improvement class rejects
-        emp = extract_empirical_gauge(ray_space, self_map("identity"), t=1.0,
-                                      r_grid=SMALL_R)
-        assert emp.certificate.verdict is Verdict.NON_MEMBER
+        env = extract_empirical_gauge(ray_space, self_map("identity"), t=1.0)
+        cert = class_membership(env, ClassTag.PSI1, r_grid=SMALL_R)
+        assert cert.verdict is Verdict.NON_MEMBER
 
     def test_envelope_dominates_own_samples(self, quad_space, perm_map):
-        emp = extract_empirical_gauge(quad_space, perm_map, t=1.0)
-        assert emp.dominates_samples()
+        env = extract_empirical_gauge(quad_space, perm_map, t=1.0)
+        F, E = _before_after(quad_space, perm_map, 1.0)
+        assert (E >= env.eval(F) - CLASS_TOL).all()
 
     def test_envelope_monotone(self, quad_space, perm_map):
-        emp = extract_empirical_gauge(quad_space, perm_map, t=1.0)
+        env = extract_empirical_gauge(quad_space, perm_map, t=1.0)
         taus = np.linspace(0.01, 1.0, 97)
-        vals = [emp.envelope_at(float(t)) for t in taus]
+        vals = [env.eval(float(t)) for t in taus]
         assert all(b >= a - TOL for a, b in zip(vals, vals[1:]))
 
     def test_ray_envelope_pinned_at_half(self, ray_space, step_map):
@@ -575,27 +583,18 @@ class TestEmpiricalGauge:
         pairs = [(1.0, 1.0 + d / 2) for d in deltas]
         pairs += [(float(x), float(y)) for x in np.linspace(0, 10, 41)
                   for y in np.linspace(0, 10, 41) if x < y]
-        emp = extract_empirical_gauge(ray_space, step_map, t=1.0, pairs=pairs,
-                                      certify=False)
+        env = extract_empirical_gauge(ray_space, step_map, t=1.0, pairs=pairs)
         for d in deltas:
             tau = 1.0 / (2.0 + d / 2.0)
-            assert emp.envelope_at(tau) == 0.5
+            assert env.eval(tau) == 0.5
 
     def test_ray_envelope_not_continuous_class(self, ray_space, step_map):
-        from fuzzyfix.algebra import class_membership
-        emp = extract_empirical_gauge(ray_space, step_map, t=1.0,
-                                      r_grid=SMALL_R)
-        assert emp.certificate.verdict is Verdict.MEMBER  # threshold class
-        cert = class_membership(emp.envelope, ClassTag.PSI)
+        env = extract_empirical_gauge(ray_space, step_map, t=1.0)
+        cert = class_membership(env, ClassTag.PSI1, r_grid=SMALL_R)
+        assert cert.verdict is Verdict.MEMBER  # threshold class
+        cert = class_membership(env, ClassTag.PSI)
         assert cert.verdict is Verdict.NON_MEMBER
         assert cert.witness["reason"] == "discontinuity"
-
-    def test_blended_envelope_dominates_power_gauge(self, quad_space, perm_map):
-        emp = extract_empirical_gauge(quad_space, perm_map,
-                                      f_kind="m_generalized", t=1.0,
-                                      params=MParams(2, 2), certify=False)
-        for f in sorted(set(float(v) for v in emp.F)):
-            assert emp.envelope_at(f) >= f ** (5 / 7) - TOL
 
 
 def _full_array_envelope(F, E):
@@ -659,9 +658,9 @@ class TestEquivalenceProbe:
         xs, ys, _ = _carrier_pairs(ray_space.carrier)
         assert len(images) == len(np.unique(xs)) + len(np.unique(ys))
         for entry in report.envelope_certs:
-            emp = extract_empirical_gauge(ray_space, step_map, t=entry["t"],
-                                          r_grid=SMALL_R)
-            assert entry["verdict"] == emp.certificate.verdict.value
+            env = extract_empirical_gauge(ray_space, step_map, t=entry["t"])
+            cert = class_membership(env, ClassTag.PSI1, r_grid=SMALL_R)
+            assert entry["verdict"] == cert.verdict.value
 
     def test_envelope_certificates_take_one_evaluation_per_step(self,
                                                                 monkeypatch):

@@ -1,13 +1,17 @@
 """Static checks run with the tests, as no linter is a test dependency: every
-module-level import of a package module is used by that module, and every
-private top-level function or class is referenced by some package module."""
+module-level import of a package module is used by that module, every
+private top-level function or class is referenced by some package module,
+and every public one is reached by the package, its own module or the
+benchmark, or is allowlisted with a reason."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fuzzyfix"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fuzzyfix"
+PERFBENCH = ROOT / "perfbench"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(p.name for p in SRC.glob("*.py"))
 
@@ -73,3 +77,80 @@ def test_the_check_sees_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {m: (SRC / m).read_text() for m in PACKAGE}
     assert unreferenced_private_definitions(sources) == []
+
+
+def _reads(nodes) -> set[str]:
+    """Names read under ``nodes``: loaded names and attributes, and the
+    names that ``from ... import`` statements bind."""
+    read = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return read
+
+
+def unreached_public_definitions(package: dict, bench: dict) -> list[str]:
+    """Top-level public functions and classes of the ``package`` modules
+    (name to source, ``__init__.py`` left out) that no other package module
+    reads, that their own module reads nowhere outside their definition,
+    and that no ``bench`` source reads as a name, as an attribute or as a
+    ``"<module>.<name>"`` string literal.  A longer dotted string, such as
+    the metric name ``"algebra.tnorm_apply.elements"``, reaches nothing."""
+    trees = {m: ast.parse(src) for m, src in package.items()
+             if m != "__init__.py"}
+    module_reads = {m: _reads(tree.body) for m, tree in trees.items()}
+    bench_trees = [ast.parse(src) for src in bench.values()]
+    bench_reads = _reads(bench_trees)
+    literals = {n.value for tree in bench_trees for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unreached = []
+    for module, tree in trees.items():
+        layer = module.removesuffix(".py")
+        others = set().union(*(r for m, r in module_reads.items()
+                               if m != module))
+        for i, node in enumerate(tree.body):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            name = node.name
+            own = _reads(tree.body[:i] + tree.body[i + 1:])
+            if not (name in others or name in own or name in bench_reads
+                    or f"{layer}.{name}" in literals):
+                unreached.append(f"{module}:{name}")
+    return unreached
+
+
+# Public definitions that nothing in the package or the benchmark reads,
+# kept on purpose, each with its reason.
+REACHABLE_BY_DESIGN = {
+    "expressions.py:pretty": "the inverse of parse_expression, which the "
+                             "parser's round-trip property test needs",
+}
+
+
+def test_the_check_sees_an_unreached_public_definition():
+    package = {
+        "__init__.py": "from .a import idle, used\n",
+        "a.py": "def used():\n    pass\n\n\ndef idle():\n    return idle\n"
+                "\n\ndef local():\n    pass\n\n\nx = local\n\n\n"
+                "class Bench:\n    pass\n\n\ndef traced():\n    pass\n",
+        "b.py": "from .a import used\n\n\nclass Shown:\n    pass\n",
+    }
+    bench = {"run.py": "import fuzzyfix.a\n\nfuzzyfix.a.Bench()\n"
+                       "COUNTED = {'a.traced', 'b.Shown.calls'}\n"}
+    assert unreached_public_definitions(package, bench) == ["a.py:idle",
+                                                            "b.py:Shown"]
+
+
+def test_every_public_definition_is_reached():
+    package = {m: (SRC / m).read_text() for m in PACKAGE}
+    bench = {str(p): p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))}
+    unreached = unreached_public_definitions(package, bench)
+    assert sorted(set(unreached) - set(REACHABLE_BY_DESIGN)) == []
+    # an allowlisted name that is reached after all needs no entry
+    assert sorted(set(REACHABLE_BY_DESIGN) - set(unreached)) == []

@@ -13,6 +13,11 @@ from fuzzyfix.papersuite import (
 )
 
 
+def _assertion(report, check_id):
+    """The report's assertion with this id."""
+    return next(a for a in report.assertions if a.check_id == check_id)
+
+
 @pytest.fixture(scope="module")
 def step_gauge_report():
     return run_example_step_gauge(7)
@@ -40,7 +45,7 @@ class TestStepGaugeSuite:
         assert failing == []
 
     def test_jump_value(self, step_gauge_report):
-        a = step_gauge_report.assertion("jump-at-half")
+        a = _assertion(step_gauge_report, "jump-at-half")
         assert a.observed == pytest.approx(1 / 6, abs=1e-12)
 
 
@@ -51,11 +56,11 @@ class TestExtensionSuite:
         assert failing == []
 
     def test_golden_nearness_values(self, extension_report):
-        assert extension_report.assertion("nearness-before").observed == 0.4
-        assert extension_report.assertion("nearness-after").observed == 0.5
+        assert _assertion(extension_report, "nearness-before").observed == 0.4
+        assert _assertion(extension_report, "nearness-after").observed == 0.5
 
     def test_envelope_values_exact(self, extension_report):
-        assert extension_report.assertion("envelope-pinned-at-half").observed \
+        assert _assertion(extension_report, "envelope-pinned-at-half").observed \
             == [0.5, 0.5, 0.5, 0.5]
 
 
@@ -65,13 +70,13 @@ class TestFinalSuite:
         assert failing == []
 
     def test_spot_pair_closed_forms(self, final_report):
-        spot = final_report.assertion("spot-pair").observed
+        spot = _assertion(final_report, "spot-pair").observed
         assert spot["after"] == math.exp(-5)
         assert spot["bound"] == pytest.approx(math.exp(-45 / 7), rel=1e-13)
         assert spot["after"] > spot["bound"]
 
     def test_solver_outcomes(self, final_report):
-        outcomes = final_report.assertion("solver-all-starts").observed
+        outcomes = _assertion(final_report, "solver-all-starts").observed
         assert set(outcomes) == {0.0, 1.0, 2.0, 5.0}
         assert outcomes[1.0]["iterations"] == 3
         assert outcomes[0.0]["iterations"] == 0

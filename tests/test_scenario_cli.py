@@ -193,6 +193,7 @@ MALFORMED = {
     "route-number": ("solver.route", {"solver.route": 3}),
     "seed-boolean": ("seed", {"seed": True}),
     "seed-float": ("seed", {"seed": 1.5}),
+    "seed-negative": ("seed", {"seed": -1}),
     "name-number": ("name", {"name": 5}),
     "grid-integer-overflows": ("grids.t", {"grids.t": [10 ** 400]}),
     "grid-boolean": ("grids.t", {"grids.t": [True, 2]}),
@@ -642,6 +643,38 @@ class TestCli:
         assert code == 2
         assert out == ("schema error at space.fuzzy: table entry (0, 1) has a "
                        "non-finite value\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-space", "--scenario", "ex62", "--seed", "-1"],
+        ["paper", "--seed", "-1"]])
+    def test_negative_seed_exits_two(self, argv):
+        assert run_command(argv) == (
+            2, "schema error at --seed: must be a nonnegative integer, "
+               "got -1\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_that_cannot_fail_a_check_exits_two(self, tmp_path,
+                                                           tol):
+        # M(0, 1) = 0.5 against M(1, 0) = 0.6: symmetry fails at any
+        # finite nonnegative tolerance below 0.1
+        table = tmp_path / "nearness.json"
+        table.write_text(json.dumps({
+            "t_nodes": [1.0, 2.0],
+            "entries": [{"x": 0, "y": 1, "values": [0.5, 0.5]},
+                        {"x": 1, "y": 0, "values": [0.6, 0.6]}]}))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "finite", "points": [0, 1]},
+                      "fuzzy": f"table:{table}"}}))
+        code, out = run_command(["check-space", "--scenario", str(path),
+                                 "--format", "json-like"])
+        assert code == 1
+        axioms = json.loads(out)["body"]["axiom_report"]["axioms"]
+        assert not next(a for a in axioms if a["name"] == "symmetry")["passed"]
+        code, out = run_command(["check-space", "--scenario", str(path),
+                                 "--tolerance", tol])
+        assert (code, out) == (2, "error: tolerance must be finite and "
+                               f"nonnegative, got {float(tol)!r}\n")
 
     def test_expression_map_failure_exits_two(self, tmp_path):
         path = tmp_path / "reciprocal.json"
