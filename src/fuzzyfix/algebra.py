@@ -184,9 +184,10 @@ class Gauge:
 
 
 def _step_phi_fn(s):
-    # The scalar branch stays beside the array one: the phi-step self-map
-    # calls it on every orbit step, where numpy on one float costs about a
-    # hundred times as much.  Both use the same float expressions, bit for bit.
+    # The scalar branch stays beside the array one: picard_orbit calls the
+    # phi-step self-map's function on one float per orbit step, where numpy
+    # costs about a hundred times as much.  Both use the same float
+    # expressions, bit for bit.
     if isinstance(s, np.ndarray):
         # lanes of the special cases compute junk that np.select discards
         with np.errstate(all="ignore"):
@@ -194,6 +195,8 @@ def _step_phi_fn(s):
             for _ in range(4):
                 dec = (n > 1) & (s > 1.0 / n)
                 inc = s <= 1.0 / (n + 1)
+                if not (dec | inc).any():     # no lane moves again
+                    break
                 n = n - dec + inc     # dec and inc never both hold
             return np.select([s == 0.0, s > 1.0, s < 1e-9],
                              [0.0, 1.0, s / (1.0 + s)], 1.0 / (n + 1))
@@ -226,6 +229,8 @@ def _step_psi_fn(tau):
         for _ in range(4):
             dec = (n > 1) & (t < n / (n + 1.0))
             inc = t >= (n + 1.0) / (n + 2.0)
+            if not (dec | inc).any():     # no lane moves again
+                break
             n = n - dec + inc     # dec and inc never both hold
         out = np.select([t == 1.0, t < 0.5], [1.0, 0.5], (n + 1.0) / (n + 2.0))
     return out if isinstance(tau, np.ndarray) else float(out)

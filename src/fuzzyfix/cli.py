@@ -3,7 +3,8 @@
 Commands: ``check-space``, ``classify-map``, ``gauge``, ``iterate``,
 ``solve``, ``paper``.  Common flags: ``--scenario`` (a built-in id or a
 file path), ``--format`` (``text`` or ``json-like``), ``--seed``,
-``--t-grid``, ``--r-grid``, ``--tolerance``, ``--out``.
+``--t-grid``, ``--r-grid``, ``--out``; ``check-space``, ``gauge`` and
+``iterate`` also take ``--tolerance``.
 
 Exit status: 0 when every verdict/assertion passes, 1 when any check is
 violated or failed, 2 on usage or schema errors, on a map or gauge that
@@ -53,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "or comma-separated values")
     common.add_argument("--r-grid", dest="r_grid", default=None,
                         help="same forms as --t-grid, values in (0,1)")
-    common.add_argument("--tolerance", type=float, default=None)
     common.add_argument("--out", default=None, help="write the report here")
 
     parser = argparse.ArgumentParser(
@@ -62,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fixed-point certification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check-space", parents=[common],
+    # only the commands that read it take --tolerance
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=None)
+
+    sub.add_parser("check-space", parents=[common, tolerance],
                    help="certify the space axioms of a scenario")
 
     p = sub.add_parser("classify-map", parents=[common],
@@ -72,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("between", "onesided"),
                    default="between")
 
-    p = sub.add_parser("gauge", parents=[common],
+    p = sub.add_parser("gauge", parents=[common, tolerance],
                        help="certify gauge class membership")
     p.add_argument("--gauge", dest="gauge_id", default=None,
                    help="gauge id; defaults to the scenario's gauges")
@@ -81,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", dest="eval_at", type=float, default=None,
                    help="also evaluate the gauge at this point")
 
-    p = sub.add_parser("iterate", parents=[common],
+    p = sub.add_parser("iterate", parents=[common, tolerance],
                        help="run the orbit of the scenario map")
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)

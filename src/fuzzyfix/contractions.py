@@ -100,13 +100,43 @@ class SelfMap:
                 for v in x.ravel().tolist():
                     self.apply(v, carrier)
             return images[inv.ravel()].reshape(x.shape)
-        # A float keeps the scalar path: picard_orbit calls it on each of up
-        # to 10,000 steps per orbit, where numpy would cost more than the map.
         y = float(self.fn(x))
         if carrier is not None and not carrier.contains(y):
-            raise DomainError(f"map {self.name} sends {x!r} to {y!r} "
-                              "outside the carrier")
+            raise self._off_carrier(x, y)
         return y
+
+    def _off_carrier(self, x, y) -> DomainError:
+        return DomainError(f"map {self.name} sends {x!r} to {y!r} "
+                           "outside the carrier")
+
+    def _orbit_block(self, x: float, steps: int,
+                     carrier: Carrier) -> tuple[list, Optional[Exception]]:
+        """The images of up to ``steps`` iterations from ``x``, ending after
+        a repeat, and the error that ends them early, or None.
+
+        ``fn`` is called once per step and the carrier is checked once,
+        over the block's images: past an image outside it the steps run on
+        to the block's end or the map's own error, but the images returned
+        stop before it and the error is the one :meth:`apply` raises there.
+        """
+        fn, start = self.fn, x
+        images = []
+        error = None
+        try:
+            for _ in range(steps):
+                y = float(fn(x))
+                images.append(y)
+                if y == x:
+                    break
+                x = y
+        except Exception as exc:    # the caller decides whether it counts
+            error = exc
+        off = np.flatnonzero(~carrier.contains(np.array(images)))
+        if off.size:
+            k = int(off[0])
+            error = self._off_carrier(images[k - 1] if k else start, images[k])
+            del images[k:]
+        return images, error
 
 
 def _elementwise(scalar_fn: Callable) -> Callable:
@@ -193,39 +223,52 @@ class MParams:
 
 
 def _blend(space: FuzzySpace, params: MParams, near: Callable,
-           near_x: Callable, near_y: Callable) -> Callable:
+           near_x: Callable, near_y: Callable, power: Callable = pow
+           ) -> Callable:
     """Blended comparison of pairs (x, y) with images (Tx, Ty) as a function
     of the scale, from the prepared pair stages of (x, y), (x, Tx) and
     (y, Ty).
 
     Elementwise over scalars or arrays, with the result type of the nearness
-    and the t-norm: a float for scalars, else an ndarray.  A scalar nearness
-    is a float, so its power is the C library's, which can differ in the
-    last bit from numpy's vectorised power on a 0-d array.
+    and the t-norm: a float for scalars, else an ndarray.  ``power`` raises
+    the self-displacement factors.  A scalar nearness is a float, so with
+    ``pow`` its power is the C library's, which can differ in the last bit
+    from numpy's vectorised power on an array.
     """
     norm = space.tnorm
 
     def at(t):
-        fx = near_x(t) ** params.alpha
-        fy = near_y(t) ** params.beta
+        fx = power(near_x(t), params.alpha)
+        fy = power(near_y(t), params.beta)
         return norm.apply(norm.apply(near(t), fx), fy)
     return at
 
 
-def _blended(space: FuzzySpace, params: MParams, xs, ys, txs, tys) -> Callable:
+def _blended(space: FuzzySpace, params: MParams, xs, ys, txs, tys,
+             power: Callable = pow) -> Callable:
     """:func:`_blend` of the pairs (xs, ys) with images (txs, tys)."""
     return _blend(space, params, space.pairs(xs, ys), space.pairs(xs, txs),
-                  space.pairs(ys, tys))
+                  space.pairs(ys, tys), power)
 
 
-def m_value(space: FuzzySpace, T: SelfMap, params: MParams,
-            x: float, y: float, t: float) -> float:
+def _libm_power(v, p):
+    """``v ** p`` by the C library's pow, element by element on an ndarray,
+    whose vectorised power can differ from it in the last bit."""
+    if isinstance(v, np.ndarray):
+        return np.array([e ** p for e in v.ravel().tolist()]).reshape(v.shape)
+    return v ** p
+
+
+def m_value(space: FuzzySpace, T: SelfMap, params: MParams, x, y, t):
     """Blended comparison value at scale t.
 
     Combines M(x,y,t) with M(x,Tx,t)^alpha and M(y,Ty,t)^beta through the
-    space's t-norm; exponentiation is real-valued inside each factor.
+    space's t-norm; exponentiation is real-valued inside each factor.  A
+    float for scalars; on arrays of x, y and t that broadcast together, an
+    ndarray whose elements equal the scalar values bit for bit, the powers
+    being the C library's element by element.
     """
-    return _blended(space, params, x, y, T(x), T(y))(t)
+    return _blended(space, params, x, y, T(x), T(y), _libm_power)(t)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .contractions import (
     m_contractive_check,
 )
 from .defaults import scale_grid, threshold_grid
-from .spaces import FuzzySpace
+from .spaces import FuzzySpace, _check_tolerance
 
 DEFAULT_MAX_LEN = 10000
 DEFAULT_STOP_TOLERANCE = 1e-9
@@ -122,16 +122,22 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
     1 - ``stop_tolerance``; a repeat on the stopping step is a fixed point.
     A fixed start yields a single-point trace.
 
-    The map is applied one float at a time, with the repeat test after
-    each step, but step nearness is evaluated once per block of steps (16,
-    doubling up to 2048) by one broadcast call.  A tolerance stop is thus
-    found once its block is mapped: past it, the map is applied at most
-    15 times more than the steps kept, and those steps are dropped.  An
-    error raised by the map is re-raised only when no earlier step stops
-    the orbit, so the trace or error is that of a step-by-step loop.
+    The orbit runs in blocks of steps (16, doubling up to 2048).  Within a
+    block the map's own function is called once per step, with the repeat
+    test after each; the block's images are then checked against the
+    carrier together, and their step nearness is evaluated by one
+    broadcast call.  A tolerance stop is thus found once its block is
+    mapped: past it, the map is applied at most 15 times more than the
+    steps kept, and those steps are dropped.  An image off the carrier or
+    an error raised by the map ends its block; that error is re-raised
+    only when no earlier step stops the orbit, so the trace or error is
+    that of a step-by-step loop of :meth:`SelfMap.apply`.
+
+    ``stop_tolerance`` must lie in [0, inf); NaN is a DomainError too.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    _check_tolerance(stop_tolerance)
     grid = scale_grid(t_grid)
     carrier = space.carrier
     if not carrier.contains(x0):
@@ -145,15 +151,10 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
     block = _FIRST_BLOCK
     while True:
         start = len(points) - 1
-        error = None
-        try:
-            for _ in range(min(block, max_len - start)):
-                x = points[-1]
-                points.append(T.apply(x, carrier))
-                if points[-1] == x:
-                    break
-        except Exception as exc:    # deferred: an earlier step may stop first
-            error = exc
+        # the error is deferred: an earlier step may stop the orbit first
+        images, error = T._orbit_block(points[-1], min(block, max_len - start),
+                                       carrier)
+        points += images
         p = np.array(points[start:])[:, None]
         near = space.m(p[:-1], p[1:], ts)
         stops = np.flatnonzero(near.min(axis=1) > 1.0 - stop_tolerance)
@@ -331,14 +332,16 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     i, j = np.triu_indices(len(pts), 1)
     starts = np.searchsorted(i, np.arange(len(pts) - 1))
     pair_nearness = space.pairs(pts[i], pts[j])
+    bounds = [1.0 - r for r in rs]
     for t in grid:
         near = pair_nearness(t)
-        # g[k] = worst nearness among pairs fully beyond cut k
+        # g[k] = worst nearness among pairs fully beyond cut k; it is
+        # nondecreasing, so each bound's first cut above it is one search
         g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
-        for r in rs:
-            valid = np.nonzero(g > 1.0 - r)[0]
-            if valid.size:
-                cert.records.append({"t": t, "r": r, "N": int(idx[valid[0]])})
+        cuts = np.searchsorted(g, bounds, side="right").tolist()
+        for r, cut in zip(rs, cuts):
+            if cut < len(g):
+                cert.records.append({"t": t, "r": r, "N": int(idx[cut])})
             else:
                 # the first minimal pair in row-major order
                 k = int(np.argmin(near))

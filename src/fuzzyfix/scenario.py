@@ -161,6 +161,12 @@ def _number(value, key: str) -> float:
                        "a finite number"))
 
 
+def _tolerance(value, key: str) -> float:
+    return float(_read(value, key, _is_number(value)
+                       and 0.0 <= value < math.inf,
+                       "a finite nonnegative number"))
+
+
 def _integer(value, key: str) -> int:
     return _read(value, key, isinstance(value, int)
                  and not isinstance(value, bool), "an integer")
@@ -298,8 +304,8 @@ _CARRIER_KEYS = ("kind", "points", "low", "high", "samples")
 _TABLE_MAP_KEYS = ("kind", "name", "mapping")
 
 # the solver keys other than route and x0, with their readers
-_SOLVER_SETTINGS = {"max_len": _integer, "stop_tolerance": _number,
-                    "tail_tolerance": _number, "i_max": _integer,
+_SOLVER_SETTINGS = {"max_len": _integer, "stop_tolerance": _tolerance,
+                    "tail_tolerance": _tolerance, "i_max": _integer,
                     "alpha": _number, "beta": _number}
 
 

@@ -152,6 +152,12 @@ def _check_scale(t) -> None:
         raise DomainError(f"scale t must be positive and finite, got {bad!r}")
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, "
+                          f"got {tol!r}")
+
+
 @dataclass(frozen=True)
 class FuzzySpace:
     """Carrier + t-norm + nearness M(x,y,t), with declared flags.
@@ -353,9 +359,7 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     outside [0, inf), NaN included, and a grid whose scales s + t overflow
     are DomainErrors.
     """
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be finite and nonnegative, "
-                          f"got {tol!r}")
+    _check_tolerance(tol)
     grid = scale_grid(t_grid)
     _check_scale(grid)
     if not math.isfinite(2 * max(grid)):

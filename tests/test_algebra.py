@@ -477,6 +477,41 @@ def _step_psi_loop(tau: float) -> float:
     return (n + 1.0) / (n + 2.0)
 
 
+def _four_pass_phi(s: np.ndarray) -> np.ndarray:
+    """step-phi's array branch with all four refinement passes run."""
+    with np.errstate(all="ignore"):
+        n = np.floor(1.0 / s)
+        for _ in range(4):
+            dec = (n > 1) & (s > 1.0 / n)
+            inc = s <= 1.0 / (n + 1)
+            n = n - dec + inc
+        return np.select([s == 0.0, s > 1.0, s < 1e-9],
+                         [0.0, 1.0, s / (1.0 + s)], 1.0 / (n + 1))
+
+
+def _four_pass_psi(t: np.ndarray) -> np.ndarray:
+    """step-psi's array branch with all four refinement passes run."""
+    with np.errstate(all="ignore"):
+        n = np.maximum(np.floor(t / (1.0 - t)), 1.0)
+        for _ in range(4):
+            dec = (n > 1) & (t < n / (n + 1.0))
+            inc = t >= (n + 1.0) / (n + 2.0)
+            n = n - dec + inc
+        return np.select([t == 1.0, t < 0.5], [1.0, 0.5], (n + 1.0) / (n + 2.0))
+
+
+def _near_edge(n: int, reciprocal: bool, ulps: int) -> float:
+    """The double ``ulps`` steps from the branch edge 1/n or n/(n+1)."""
+    v = 1.0 / n if reciprocal else n / (n + 1)
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, math.copysign(math.inf, ulps)))
+    return v
+
+
+edge_values = st.builds(_near_edge, st.integers(1, 10 ** 15), st.booleans(),
+                        st.integers(-2, 2))
+
+
 def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
                           np.asarray(b, dtype=float).view(np.uint64))
@@ -505,6 +540,14 @@ class TestArrayContract:
         xs = np.array(values)
         assert _same_bits(_step_psi_fn(xs), [_step_psi_loop(v) for v in values])
         assert _same_bits([_step_psi_fn(v) for v in values], _step_psi_fn(xs))
+
+    @given(values=st.lists(edge_values | st.floats(1e-12, 1.0), min_size=1,
+                           max_size=40))
+    @settings(max_examples=200, derandomize=True)
+    def test_step_refinement_stops_without_changing_bits(self, values):
+        xs = np.array(values)
+        assert _same_bits(_step_phi_fn(xs), _four_pass_phi(xs))
+        assert _same_bits(_step_psi_fn(xs), _four_pass_psi(xs))
 
     # numpy's vectorised pow, log and exp may differ from the C library's
     # scalar ones in the last bit, so non-step gauges agree within 4 ulp

@@ -1,6 +1,7 @@
 """Tests for orbits, regularity, Cauchy certification, and the solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -872,6 +873,23 @@ def _tolerance_stopping_at(space, T, x0, row):
     return tol
 
 
+def _counted(T, calls):
+    """T with every call of its function recorded in ``calls``."""
+    def fn(x):
+        calls.append(x)
+        return T.fn(x)
+    return SelfMap(T.name, fn)
+
+
+def _block_end(step):
+    """The last step of the orbit block that holds ``step`` (from 1)."""
+    end, block = 0, dynamics._FIRST_BLOCK
+    while end < step:
+        end += block
+        block = min(2 * block, dynamics._LAST_BLOCK)
+    return end
+
+
 class TestBlockedOrbit:
     @pytest.mark.parametrize("name", sorted(_ORBIT_SPACES))
     @pytest.mark.parametrize("spec", _INTERVAL_MAPS)
@@ -947,20 +965,49 @@ class TestBlockedOrbit:
         _assert_same_orbit(space, self_map(f"expr:x/(1+{c!r}*x)"), x0,
                            max_len, tol)
 
-    @pytest.mark.parametrize("spec, low, x0", [("expr:x/2", 1e-3, 4.0),
-                                               ("expr:x-1/64", 0.0, 4.0)])
-    def test_map_error_raised_only_when_no_step_stops(self, spec, low, x0):
-        space = standard_fuzzy_metric(Carrier.interval(low, 4, 101),
-                                      metric("euclidean"))
-        T = self_map(spec)
-        trace = _assert_same_orbit(space, T, x0, 10000, 0.5)
+    @pytest.mark.parametrize("carrier, spec, x0", [
+        pytest.param(Carrier.interval(1e-3, 4, 101), "expr:x/2", 4.0,
+                     id="expr:x/2-0.001-4.0"),
+        pytest.param(Carrier.interval(0.0, 4, 101), "expr:x-1/64", 4.0,
+                     id="expr:x-1/64-0.0-4.0"),
+        # step 17, the first of the second block, leaves the carrier
+        pytest.param(Carrier.interval(0.0, 4, 101), "expr:x-1/4", 4.0,
+                     id="expr:x-1/4-0.0-4.0"),
+        # the image leaves the carrier and the next step raises, in one block
+        pytest.param(Carrier.interval(0.5, 4, 101), "expr:ln(x)", 4.0,
+                     id="expr:ln(x)-0.5-4.0"),
+        pytest.param(_QUAD, {0: 1, 1: 2, 2: 5, 5: 7}, 0.0,
+                     id="table-0-1-2-5-7")])
+    def test_map_error_raised_only_when_no_step_stops(self, carrier, spec,
+                                                      x0):
+        space = standard_fuzzy_metric(carrier, metric("euclidean"))
+        T = (self_map(spec) if isinstance(spec, str)
+             else table_map(spec, carrier))
+        trace = _assert_same_orbit(space, T, x0, 10000,
+                                   _tolerance_stopping_at(space, T, x0, 0))
         assert trace.stop_reason is StopReason.TOLERANCE
+        old_calls, new_calls = [], []
         with pytest.raises(DomainError) as old:
-            _reference_orbit(space, T, x0, 10000, 1e-15, _ORBIT_GRID)
+            _reference_orbit(space, _counted(T, old_calls), x0, 10000, 1e-15,
+                             _ORBIT_GRID)
         with pytest.raises(DomainError) as new:
-            picard_orbit(space, T, x0, 10000, 1e-15, _ORBIT_GRID)
+            picard_orbit(space, _counted(T, new_calls), x0, 10000, 1e-15,
+                         _ORBIT_GRID)
         assert str(new.value) == str(old.value)
         assert "outside the carrier" in str(new.value)
+        # past the image off the carrier (the reference's last call), the
+        # map runs at most to the end of that image's block
+        assert len(new_calls) - 1 <= _block_end(len(old_calls) - 1)
+        # a step off the carrier never stops the orbit: ln(x)'s second step
+        # is nearer than its first, past 1 - 0.6 where the first is not
+        for tol in (0.6, 0.9):
+            try:
+                _reference_orbit(space, T, x0, 10000, tol, _ORBIT_GRID)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    picard_orbit(space, T, x0, 10000, tol, _ORBIT_GRID)
+            else:
+                _assert_same_orbit(space, T, x0, 10000, tol)
 
     def test_map_error_after_a_stop_in_its_block_is_dropped(self):
         # x/2 leaves [1e-3, 4] at step 12, inside the first block
@@ -987,6 +1034,26 @@ class TestBlockedOrbit:
         for rs in (SMALL_R, None, (0.999,)):
             assert (m_cauchy_check(line_space, trace, rs).to_dict()
                     == _reference_m_cauchy(line_space, trace, rs).to_dict())
+
+    @given(points=st.lists(st.floats(0.0, 10.0)
+                           | st.integers(0, 10).map(float),
+                           min_size=2, max_size=40),
+           tail=st.integers(0, 600),
+           rs=st.lists(st.sampled_from(SMALL_R) | st.floats(1e-4, 0.9999),
+                       min_size=1, max_size=12),
+           exp=st.booleans())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_m_cauchy_matches_dense_check_on_random_traces(self, points, tail,
+                                                           rs, exp):
+        # a geometric tail lets small thresholds hold; random points alone
+        # violate most of them.  Whole points put nearness on a bound, as
+        # 1/(1+1) on 1-0.5.  The r grids come unsorted, with repeats.
+        space = _ORBIT_SPACES["exponential_fuzzy_metric-euclidean" if exp
+                              else "standard_fuzzy_metric-max-jachymski"]
+        points += [points[-1] * 0.9 ** k for k in range(1, tail + 1)]
+        trace = OrbitTrace.from_points(space, points, _ORBIT_GRID)
+        assert (m_cauchy_check(space, trace, rs).to_dict()
+                == _reference_m_cauchy(space, trace, rs).to_dict())
 
     def test_rows_match_elementwise_export(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, 100, 1e-9, GRID_1_100)

@@ -189,6 +189,16 @@ MALFORMED = {
     "max-len-string": ("solver.max_len", {"solver.max_len": "abc"}),
     "max-len-boolean": ("solver.max_len", {"solver.max_len": True}),
     "alpha-null": ("solver.alpha", {"solver.alpha": None}),
+    "stop-tolerance-negative": ("solver.stop_tolerance",
+                                {"solver.stop_tolerance": -1e-9}),
+    "stop-tolerance-nan": ("solver.stop_tolerance",
+                           {"solver.stop_tolerance": math.nan}),
+    "stop-tolerance-infinite": ("solver.stop_tolerance",
+                                {"solver.stop_tolerance": math.inf}),
+    "tail-tolerance-negative": ("solver.tail_tolerance",
+                                {"solver.tail_tolerance": -1}),
+    "tail-tolerance-infinite": ("solver.tail_tolerance",
+                                {"solver.tail_tolerance": 10 ** 400}),
     "route-unknown": ("solver.route", {"solver.route": "newton"}),
     "route-number": ("solver.route", {"solver.route": 3}),
     "seed-boolean": ("seed", {"seed": True}),
@@ -675,6 +685,12 @@ class TestCli:
                                  "--tolerance", tol])
         assert (code, out) == (2, "error: tolerance must be finite and "
                                f"nonnegative, got {float(tol)!r}\n")
+        # an orbit's stop tolerance has the same range: with inf every step
+        # would stop the orbit, with NaN or -1 none would
+        code, out = run_command(["iterate", "--scenario", "ex62",
+                                 "--max-len", "5", "--tolerance", tol])
+        assert (code, out) == (2, "error: tolerance must be finite and "
+                               f"nonnegative, got {float(tol)!r}\n")
 
     def test_expression_map_failure_exits_two(self, tmp_path):
         path = tmp_path / "reciprocal.json"
@@ -712,6 +728,13 @@ class TestCli:
     def test_usage_error_exit_two(self, capsys):
         code, _ = run_command(["classify-map", "--route", "bogus"])
         assert code == 2
+        # only check-space, gauge and iterate read a tolerance
+        for argv in (["classify-map", "--scenario", "ex63"],
+                     ["solve", "--scenario", "ex63"], ["paper"]):
+            capsys.readouterr()
+            assert run_command(argv + ["--tolerance", "nan"]) == (2, "")
+            assert ("unrecognized arguments: --tolerance nan"
+                    in capsys.readouterr().err)
 
     def test_missing_scenario_exit_two(self):
         code, out = run_command(["check-space"])
