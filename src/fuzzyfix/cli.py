@@ -2,9 +2,9 @@
 
 Commands: ``check-space``, ``classify-map``, ``gauge``, ``iterate``,
 ``solve``, ``paper``.  Common flags: ``--scenario`` (a built-in id or a
-file path), ``--format`` (``text`` or ``json-like``), ``--seed``,
-``--t-grid``, ``--r-grid``, ``--out``; ``check-space``, ``gauge`` and
-``iterate`` also take ``--tolerance``.
+file path), ``--format`` (``text`` or ``json-like``), ``--t-grid``,
+``--r-grid``, ``--out``; ``check-space`` and ``paper`` also take
+``--seed``, and ``check-space``, ``gauge`` and ``iterate`` ``--tolerance``.
 
 Exit status: 0 when every verdict/assertion passes, 1 when any check is
 violated or failed, 2 on usage or schema errors, on a map or gauge that
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", help="built-in scenario id or file path")
     common.add_argument("--format", choices=("text", "json-like"),
                         default="text", dest="fmt")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--t-grid", dest="t_grid", default=None,
                         help="'default', 'lin:lo:hi:n', 'log:lo:hi:n' "
                              "or comma-separated values")
@@ -60,13 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fuzzyfix",
         description="graded-nearness spaces, contraction classifiers, and "
                     "fixed-point certification")
+    parser.set_defaults(seed=None)      # the report's seed field
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # only the commands that read it take --tolerance
+    # only the commands that read them take --seed and --tolerance
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tolerance", type=float, default=None)
 
-    sub.add_parser("check-space", parents=[common, tolerance],
+    sub.add_parser("check-space", parents=[common, seed, tolerance],
                    help="certify the space axioms of a scenario")
 
     p = sub.add_parser("classify-map", parents=[common],
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", default=None,
                    choices=("auto", "cm-strong", "cm-general", "m-final"))
 
-    sub.add_parser("paper", parents=[common],
+    sub.add_parser("paper", parents=[common, seed],
                    help="run the reproduction and proposition suites")
     return parser
 

@@ -14,9 +14,9 @@ Checks provided, each over explicit scale and threshold grids:
 
 Self-maps take floats or whole arrays; every check maps its pair sample
 with one call per coordinate and prepares the nearness of its pair sets
-once (:meth:`FuzzySpace.pairs`), so a scale costs only the scale stage.
-Strict improvement reads the regular prefix of the arrays the second
-condition evaluates at the same scale.
+once (:meth:`FuzzySpace.pairs`), then evaluates the scale stage on blocks
+of scales, one call per block.  Strict improvement reads the regular
+prefix of the arrays the second condition evaluates at the same scale.
 
 All verdicts carry re-checkable witnesses.  Every rho search, the one of
 the criterion check in :mod:`fuzzyfix.dynamics` included, runs one search
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -369,6 +370,27 @@ def _carrier_pairs(carrier: Carrier):
     return xs, ys, n_base
 
 
+# A scale loop evaluates its pair stages on blocks of scales, each call
+# holding at most this many elements (but always at least one scale).
+_SCALE_BLOCK = 1 << 16
+
+
+def _scale_rows(grid: Sequence[float], size: int, *stages: Callable):
+    """Each scale t of ``grid`` with the values at t of ``stages``, pair
+    stages over ``size`` pairs each.
+
+    A stage is called once per block of scales, as ``stage(ts[:, None])``,
+    a block holding as many scales as fit in ``_SCALE_BLOCK`` elements.
+    Every built-in stage is elementwise, so a block's row at t equals
+    ``stage(t)`` bit for bit.
+    """
+    step = max(1, _SCALE_BLOCK // max(size, 1))
+    for lo in range(0, len(grid), step):
+        block = grid[lo:lo + step]
+        col = np.array(block, dtype=float)[:, None]
+        yield from zip(block, *(stage(col) for stage in stages))
+
+
 def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
     """psi at each premise value, with 0 read as the smallest positive double.
 
@@ -427,19 +449,24 @@ def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
         counts = np.searchsorted(ranked, thresholds).tolist()
     order = np.flatnonzero(keep)
     order = order[np.argsort(E[order], kind="stable")]
-    tops = np.maximum.accumulate(F[order])
+    # the candidates' premises and rows in that order: a rescan reads a
+    # prefix of each, and ``order`` only to name a witness
+    Fo, ro = F[order], rows[order]
+    tops = np.maximum.accumulate(Fo)
     out = []
     for i, n in enumerate(np.searchsorted(E[order], targets).tolist()):
-        r, threshold, viol = rs[i], thresholds[i], order[:n]
+        r, threshold = rs[i], thresholds[i]
+        viol, Fv, rv = order[:n], Fo[:n], ro[:n]
         first, v = 0, (float(tops[n - 1]) if n else None)
         if v is not None and 1.0 - v <= r + CLASS_TOL:
             # some violator reaches 1-r: rescan the window's violators
             if not onesided:
-                viol = viol[F[viol] < threshold]
-            fatal = viol[1.0 - F[viol] <= r + CLASS_TOL]
+                inside = Fv < threshold
+                viol, Fv, rv = viol[inside], Fv[inside], rv[inside]
+            fatal = rv[1.0 - Fv <= r + CLASS_TOL]     # their rows
             if fatal.size:
-                first = min(int(rows[fatal].max()) + 1, cuts)
-            beyond = F[viol[rows[viol] >= first]]
+                first = min(int(fatal.max()) + 1, cuts)
+            beyond = Fv[rv >= first]
             v = float(beyond.max()) if beyond.size else None
         rec = {"r": r}
         if first == cuts:
@@ -460,7 +487,6 @@ def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
         else:
             rec = None
         if rec is None:
-            Fv = F[viol]
             out.append((None, None, int(viol[Fv == Fv.max()].max())))
         else:
             out.append((first, rec, None))
@@ -476,43 +502,52 @@ def _improvement_scan(space: FuzzySpace, grid, pairs, n_base: int,
     first ``n_base`` pairs are the regular sample; ``premise(xs, ys, txs,
     tys)`` prepares a sample's premise as a function of the scale, by
     default the pairs' own nearness.  The premise and the images' nearness
-    are prepared once.  While ``cond2`` holds, each scale t evaluates both
+    are prepared once and evaluated on blocks of scales
+    (:func:`_scale_rows`).  While ``cond2`` holds, each scale t reads both
     over the whole sample, F and E, and yields (t, F, E) for the caller to
     check ``cond2``; a caller marks ``cond2`` violated and lets the loop
     run out rather than breaking it.  ``cond1`` requires, at every scale,
     distinct regular pairs' images to be strictly nearer than the premise,
     which its witness names ``key`` (``before`` or ``blend``).  It reads
     the regular prefix of F and E; once ``cond2`` is violated it goes on
-    over the regular sample alone, prepared again.
+    over the regular sample alone, prepared again when the sample holds
+    more.
     """
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
     premise = premise or (lambda xs, ys, txs, tys: space.pairs(xs, ys))
     xs, ys, txs, tys = pairs
     distinct = xs[:n_base] != ys[:n_base]
-    near, after = premise(*pairs), space.pairs(txs, tys)
-    whole = True
-    for t in grid:
-        if whole and cond2.status is CheckStatus.VIOLATED:
-            whole = False
-            if n_base < len(xs):
-                base = [a[:n_base] for a in pairs]
-                near, after = premise(*base), space.pairs(*base[2:])
-        if not whole and cond1.status is CheckStatus.VIOLATED:
-            return
-        F, E = near(t), after(t)
+
+    def improve(t, F, E):
+        f, e = F[:n_base], E[:n_base]
+        bad = distinct & ~(e > f + margin * f)
+        if bad.any():
+            k = int(np.nonzero(bad)[0][0])
+            cond1.status = CheckStatus.VIOLATED
+            values = ({"before": float(f[k]), "after": float(e[k])}
+                      if key == "before" else
+                      {"after": float(e[k]), "blend": float(f[k])})
+            cond1.witness = {"x": float(xs[k]), "y": float(ys[k]), "t": t,
+                             **values}
+
+    rows = _scale_rows(grid, len(xs), premise(*pairs), space.pairs(txs, tys))
+    for i, (t, F, E) in enumerate(rows):
+        if cond2.status is CheckStatus.VIOLATED:
+            break
         if cond1.status is CheckStatus.SATISFIED:
-            f, e = F[:n_base], E[:n_base]
-            bad = distinct & ~(e > f + margin * f)
-            if bad.any():
-                i = int(np.nonzero(bad)[0][0])
-                cond1.status = CheckStatus.VIOLATED
-                values = ({"before": float(f[i]), "after": float(e[i])}
-                          if key == "before" else
-                          {"after": float(e[i]), "blend": float(f[i])})
-                cond1.witness = {"x": float(xs[i]), "y": float(ys[i]),
-                                 "t": t, **values}
-        if whole:
-            yield t, F, E
+            improve(t, F, E)
+        yield t, F, E
+    else:
+        return
+    # cond2 failed at the scale before grid[i], whose rows are read already
+    if n_base < len(xs):
+        base = [a[:n_base] for a in pairs]
+        rows = _scale_rows(grid[i + 1:], n_base, premise(*base),
+                           space.pairs(*base[2:]))
+    for t, F, E in chain([(t, F, E)], rows):
+        if cond1.status is CheckStatus.VIOLATED:
+            return
+        improve(t, F, E)
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +799,8 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
 
     report = EquivalenceReport(T.name, grid, rs)
     finite = space.carrier.is_finite
-    near, after = space.pairs(xs, ys), space.pairs(txs, tys)
-    for t in grid:
-        F, E = near(t), after(t)
+    for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
+                               space.pairs(txs, tys)):
         bad = E < F - CLASS_TOL
         if bad.any():
             i = int(np.nonzero(bad)[0][0])

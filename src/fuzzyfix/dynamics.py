@@ -11,7 +11,8 @@ about the observed prefix:
 * ``m_cauchy_check`` looks, per (threshold, scale), for the smallest cut
   N such that every observed pair beyond it clears the nearness bound;
   the pairs i < j alone are prepared once (see :mod:`fuzzyfix.spaces`),
-  and each scale is one scale-stage evaluation over them,
+  and the scales are evaluated over them in blocks, one scale-stage call
+  per block,
 * ``g_cauchy_check`` does the same for fixed index gaps, the weaker
   notion that the harmonic-sums counterexample separates from the former,
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
@@ -19,7 +20,7 @@ about the observed prefix:
   success is monotone in the cut, so the first valid cut is found
   directly, by the threshold search of :mod:`fuzzyfix.contractions` over
   the pairs' rows, with two pair sets prepared once and evaluated per
-  scale,
+  block of scales,
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
   on finite carriers; ``auto`` tries the candidate routes over one orbit,
@@ -41,6 +42,7 @@ from .contractions import (
     MParams,
     SelfMap,
     _blended,
+    _scale_rows,
     _threshold_search,
     cm_contractive_check,
     m_contractive_check,
@@ -243,7 +245,9 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     over the truncated decreasing scale sequence {t/i : 1 <= i <= i_max}:
     the supremum of the final-step deficits must already be below the
     tolerance, an intentionally strict truncation of the limit statement.
+    ``tail_tolerance`` must lie in [0, inf); NaN is a DomainError too.
     """
+    _check_tolerance(tail_tolerance)
     if trace.length < 3:
         raise DomainError("regularity needs a trace of length >= 3")
     grid = scale_grid(t_grid, trace.t_grid)
@@ -331,10 +335,8 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     # the pairs i < j in row-major order, and where each row i starts
     i, j = np.triu_indices(len(pts), 1)
     starts = np.searchsorted(i, np.arange(len(pts) - 1))
-    pair_nearness = space.pairs(pts[i], pts[j])
     bounds = [1.0 - r for r in rs]
-    for t in grid:
-        near = pair_nearness(t)
+    for t, near in _scale_rows(grid, len(i), space.pairs(pts[i], pts[j])):
         # g[k] = worst nearness among pairs fully beyond cut k; it is
         # nondecreasing, so each bound's first cut above it is one search
         g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
@@ -363,7 +365,9 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     the gap-m nearness series must converge to 1 on the prefix (threshold
     or trend).  Strictly weaker than the all-pairs certificate: sequences
     with shrinking steps but unbounded drift pass here and fail there.
+    ``tail_tolerance`` must lie in [0, inf), as for :func:`regularity_check`.
     """
+    _check_tolerance(tail_tolerance)
     gaps = tuple(int(m) for m in m_grid)
     if trace.length <= max(gaps):
         raise DomainError("trace shorter than the largest gap")
@@ -372,10 +376,12 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     cert = CauchyCertificate(CauchyKind.G_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              (), grid, m_grid=gaps)
     for m in gaps:
-        near = space.pairs(pts[:-m], pts[m:]) if m > 1 else None
-        for t in grid:
-            deficits = 1.0 - (_step_series(space, trace, pts, t) if m == 1
-                              else near(t))
+        series = (((t, _step_series(space, trace, pts, t)) for t in grid)
+                  if m == 1 else
+                  _scale_rows(grid, len(pts) - m,
+                              space.pairs(pts[:-m], pts[m:])))
+        for t, near in series:
+            deficits = 1.0 - near
             ok = _tail_converges_to_zero(deficits, tail_tolerance)
             rec = {"m": m, "t": t, "converged": bool(ok),
                    "final_deficit": float(deficits[-1])}
@@ -409,9 +415,9 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     ``CLASS_TOL``); raising the cut only drops pairs, so success is
     monotone in the cut.  The first valid cut is the first one above every
     fatal pair's smaller index.  The premise and successor pairs are
-    prepared once; their two evaluations per scale serve the whole
-    threshold grid, which the package's one threshold search answers with
-    the pairs' smaller indices as its rows.
+    prepared once and evaluated per block of scales; at each scale their
+    two rows serve the whole threshold grid, which the package's one
+    threshold search answers with the pairs' smaller indices as its rows.
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
@@ -434,10 +440,10 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                else _blended(space, params, xs, ys, nxs, nys))
     after = space.pairs(nxs, nys)
     del xs, ys, nxs, nys        # the scale loop needs only the pair stages
+    indices = sub.tolist()
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
-    for t in grid:
-        F, E = premise(t), after(t)
+    for t, F, E in _scale_rows(grid, len(rows), premise, after):
         # the implication premise is one-sided: any pair whose blend clears
         # 1-rho must already improve past 1-r
         answers = _threshold_search(F, E, rs, onesided=True, rows=rows,
@@ -451,7 +457,7 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                                 "q": int(yi[k]), "blend": float(F[k]),
                                 "next_nearness": float(E[k])}
                 return cert
-            cert.records.append({"t": t, "N": int(sub[cut]), **rec})
+            cert.records.append({"t": t, "N": indices[cut], **rec})
     return cert
 
 

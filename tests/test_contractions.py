@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from fuzzyfix.spaces import (
     exponential_fuzzy_metric,
     metric,
     standard_fuzzy_metric,
+    table_fuzzy_metric,
 )
 
 TOL = 1e-12
@@ -326,6 +328,20 @@ def _threshold_cases(draw, min_pairs=0):
     n = draw(st.integers(min_pairs, 16))
     F = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     E = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    # planted violators of every r: ties at the largest premise among the
+    # violators, or a premise between the two-sided windows' thresholds,
+    # above the tighter ones and so outside their windows
+    low = min(1.0 - r for r in rs) - 2 * CLASS_TOL
+    violators = [f for f, e in zip(F, E) if e < low]
+    plant = draw(st.sampled_from(("none", "ties", "above")))
+    if plant == "ties" and violators:
+        F += [max(violators)] * draw(st.integers(1, 3))
+    elif plant == "above" and len(set(rs)) > 1:
+        F.append(draw(st.floats(1.0 - max(rs), 1.0 - min(rs))))
+    E += [draw(st.floats(0.0, low))] * (len(F) - len(E))
+    for _ in range(len(F) - n):         # anywhere among the drawn pairs
+        k = draw(st.integers(0, len(F) - 1))
+        F[k], F[-1], E[k], E[-1] = F[-1], F[k], E[-1], E[k]
     return rs, np.array(F, dtype=float), np.array(E, dtype=float)
 
 
@@ -363,6 +379,144 @@ def test_threshold_search_by_rows_equals_cut_by_cut_scan(case):
             for r in rs]
     assert _threshold_search(F, E, rs, onesided=True, rows=rows,
                              cuts=cuts) == want
+
+
+def _seeded_table_space(seed: int):
+    """A table space on six points with four nodes, seeded values."""
+    rng = np.random.default_rng(seed)
+    pts = np.sort(rng.choice(64, 6, replace=False)) / 8.0
+    nodes = np.cumsum(rng.uniform(0.1, 3.0, 4))
+    table = {(float(x), float(y)): np.sort(rng.uniform(0.05, 1.0, 4)).tolist()
+             for n, x in enumerate(pts) for y in pts[n + 1:]}
+    return table_fuzzy_metric(Carrier.finite(pts), nodes, table)
+
+
+_BLOCK_SPACES = {
+    f"{kind}-{d}": build(Carrier.interval(0.0, 10.0, 11), metric(d))
+    for kind, build in (("standard", standard_fuzzy_metric),
+                        ("exp", exponential_fuzzy_metric))
+    for d in ("euclidean", "max-jachymski")}
+_BLOCK_SPACES["table"] = _seeded_table_space(7)
+
+
+@st.composite
+def _block_cases(draw):
+    """A pair stage, plain or blended, with its pair count and a grid of 1,
+    2 or 41 scales; 16385 and 21846 pairs put 3 and 2 scales in a block of
+    the package's budget, which a 41-scale grid does not fill evenly, and
+    a drawn budget splits the grid of a small pair set."""
+    space = _BLOCK_SPACES[draw(st.sampled_from(sorted(_BLOCK_SPACES)))]
+    n_scales = draw(st.sampled_from((1, 2, 41)))
+    grid = tuple(sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=n_scales,
+                                      max_size=n_scales))))
+    size = draw(st.integers(1, 40) | st.sampled_from((16385, 21846)))
+    budget = (contractions._SCALE_BLOCK if size > 40 else
+              draw(st.integers(1, 4 * size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    pts = np.array(space.carrier.points)
+    if not space.carrier.is_finite:     # off the sampling grid, ties kept
+        pts = np.concatenate([pts, rng.uniform(0.0, 10.0, 8)])
+    xs, ys, txs, tys = (rng.choice(pts, size) for _ in range(4))
+    if draw(st.booleans()):
+        params = MParams(*draw(st.sampled_from(((0, 0), (1, 2), (5 / 7, 2.5)))))
+        stage = contractions._blended(space, params, xs, ys, txs, tys)
+    else:
+        stage = space.pairs(xs, ys)
+    return stage, size, grid, budget
+
+
+@given(_block_cases())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_scale_rows_equal_per_scale_evaluations(case):
+    stage, size, grid, budget = case
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return stage(t)
+    with mock.patch.object(contractions, "_SCALE_BLOCK", budget):
+        rows = list(contractions._scale_rows(grid, size, counted))
+    step = max(1, budget // size)
+    assert calls == [(len(grid[lo:lo + step]), 1)
+                     for lo in range(0, len(grid), step)]
+    assert [t for t, _ in rows] == list(grid)
+    for t, row in rows:
+        want = stage(t)
+        assert row.shape == want.shape == (size,)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+def _per_scale_scan(space, grid, pairs, n_base, cond1, cond2, premise=None,
+                    key="before"):
+    """The strict-improvement scan with one call of each pair stage per
+    scale; once cond2 fails, the regular sample is prepared again."""
+    margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
+    premise = premise or (lambda xs, ys, txs, tys: space.pairs(xs, ys))
+    xs, ys, txs, tys = pairs
+    distinct = xs[:n_base] != ys[:n_base]
+    near, after = premise(*pairs), space.pairs(txs, tys)
+    whole = True
+    for t in grid:
+        if whole and cond2.status is CheckStatus.VIOLATED:
+            whole = False
+            if n_base < len(xs):
+                base = [a[:n_base] for a in pairs]
+                near, after = premise(*base), space.pairs(*base[2:])
+        if not whole and cond1.status is CheckStatus.VIOLATED:
+            return
+        F, E = near(t), after(t)
+        if cond1.status is CheckStatus.SATISFIED:
+            f, e = F[:n_base], E[:n_base]
+            bad = distinct & ~(e > f + margin * f)
+            if bad.any():
+                i = int(np.nonzero(bad)[0][0])
+                cond1.status = CheckStatus.VIOLATED
+                values = ({"before": float(f[i]), "after": float(e[i])}
+                          if key == "before" else
+                          {"after": float(e[i]), "blend": float(f[i])})
+                cond1.witness = {"x": float(xs[i]), "y": float(ys[i]),
+                                 "t": t, **values}
+        if whole:
+            yield t, F, E
+
+
+# Unsorted, so that the gauge bound fails on the first scale; the relative
+# strictness margin fails at the huge scales
+_SWITCH_T = (1e6, 0.5, 0.05, 0.2, 1.0, 1e10, 1e13, 1e15)
+_SWITCH_CASES = {
+    # (metric, map, check): condition 2 fails mid-block, condition 1 later
+    # on the regular sample alone
+    "psi": ("max-jachymski", "expr:x/(1+x)", lambda space, T: (
+        psi_contractive_check(space, T, gauge("power:5/7"), _SWITCH_T))),
+    # condition 1 fails on the first scale the regular sample reads
+    "psi-at-switch": ("max-jachymski", "expr:x/(1+x)", lambda space, T: (
+        psi_contractive_check(space, T, gauge("power:5/7"),
+                              (1e6, 1e10, 0.5, 1e13)))),
+    "m-psi": ("euclidean", "expr:x/(1+x)", lambda space, T: (
+        m_contractive_check(space, T, MParams(1, 1), gauge("power:5/7"),
+                            t_grid=_SWITCH_T))),
+    # condition 1 fails first, and the scan ends a scale after condition 2
+    "cm": ("euclidean", "phi-step", lambda space, T: (
+        cm_contractive_check(space, T, (0.1, 0.5, 0.9), _SWITCH_T))),
+    "cm-onesided": ("euclidean", "phi-step", lambda space, T: (
+        cm_contractive_check(space, T, (0.1, 0.5, 0.9), _SWITCH_T,
+                             form="onesided"))),
+}
+
+
+@pytest.mark.parametrize("per_block", [2, 3])
+@pytest.mark.parametrize("case", sorted(_SWITCH_CASES))
+def test_regular_sample_takes_over_mid_block(case, per_block):
+    d, map_id, check = _SWITCH_CASES[case]
+    space = standard_fuzzy_metric(Carrier.interval(0, 10, 201), metric(d))
+    T = self_map(map_id)
+    with mock.patch.object(contractions, "_improvement_scan", _per_scale_scan):
+        want = check(space, T).to_dict()
+    n_pairs = len(_carrier_pairs(space.carrier)[0])
+    with mock.patch.object(contractions, "_SCALE_BLOCK", per_block * n_pairs):
+        got = check(space, T)
+    assert got.to_dict() == want
+    assert [c.status for c in got.conditions] == [CheckStatus.VIOLATED] * 2
 
 
 class TestPsiContractive:

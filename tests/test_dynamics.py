@@ -2,13 +2,14 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyfix import dynamics
+from fuzzyfix import contractions, dynamics
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.contractions import (
     MParams,
@@ -322,6 +323,9 @@ class TestCauchyCriterion:
 CRITERION_SPACE = standard_fuzzy_metric(Carrier.interval(0, 10, 101),
                                         metric("euclidean"))
 CRITERION_T = (0.5, 5.0)
+# in blocks of 2 or 3 scales, criterion refutations fall on index 4 (mid
+# block) and 5 (a block's last scale)
+BLOCK_T = (0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0)
 # clustered values make near pairs with far successors common, so generated
 # traces reach both verdicts
 CLUSTER = (0.0, 0.01, 2.0, 2.01, 5.0)
@@ -422,19 +426,27 @@ def criterion_cases(draw):
 
 
 class TestCriterionCutSearch:
-    def _compare(self, points, f_kind, params):
-        trace = OrbitTrace.from_points(CRITERION_SPACE, points, CRITERION_T)
-        got = cauchy_criterion_check(CRITERION_SPACE, trace, f_kind, params,
-                                     r_grid=SMALL_R)
+    def _compare(self, points, f_kind, params, t_grid=CRITERION_T,
+                 per_block=None):
+        """The check against the cut-by-cut scan, its scales evaluated in
+        blocks of ``per_block`` (by default as many as the budget holds)."""
+        trace = OrbitTrace.from_points(CRITERION_SPACE, points, t_grid)
+        n = len(points) - 1                 # the pairs' smaller indices
+        budget = (per_block * n * (n + 1) // 2 if per_block
+                  else contractions._SCALE_BLOCK)
+        with mock.patch.object(contractions, "_SCALE_BLOCK", budget):
+            got = cauchy_criterion_check(CRITERION_SPACE, trace, f_kind,
+                                         params, r_grid=SMALL_R)
         ref = _reference_criterion(CRITERION_SPACE, trace, f_kind, params,
                                    r_grid=SMALL_R)
         assert got.to_dict() == ref.to_dict()
-        return got.verdict
+        return got
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(criterion_cases())
-    def test_matches_cut_by_cut_scan(self, case):
-        self._compare(*case)
+    @given(criterion_cases(), st.sampled_from((CRITERION_T, BLOCK_T)),
+           st.sampled_from((None, 1, 2, 3)))
+    def test_matches_cut_by_cut_scan(self, case, t_grid, per_block):
+        self._compare(*case, t_grid, per_block)
 
     def test_fixed_cases_reach_both_verdicts(self):
         rng = np.random.default_rng(3)
@@ -446,9 +458,30 @@ class TestCriterionCutSearch:
                     u, v = rng.choice(CLUSTER, 2)
                     points = _criterion_points(kind, n // 2, u, v,
                                                rng.choice(CLUSTER, n))
-                    verdicts.add(self._compare(points, f_kind, params))
+                    verdicts.add(self._compare(points, f_kind, params).verdict)
         assert verdicts == {CauchyVerdict.HOLDS_ON_PREFIX,
                             CauchyVerdict.VIOLATED}
+
+    @pytest.mark.parametrize("per_block", [2, 3])
+    def test_refutations_mid_block_and_on_a_blocks_last_scale(self,
+                                                              per_block):
+        rng = np.random.default_rng(3)
+        refuted = set()
+        for kind in ("oscillate-settle", "random", "settle-oscillate"):
+            for n in (5, 8, 12, 20, 30):
+                for f_kind, params in (("plain", None),
+                                       ("m_generalized", MParams(2, 2)),
+                                       ("m_generalized", MParams(1, 2))):
+                    for _ in range(3):
+                        u, v = rng.choice(CLUSTER, 2)
+                        points = _criterion_points(kind, n // 2, u, v,
+                                                   rng.choice(CLUSTER, n))
+                        cert = self._compare(points, f_kind, params, BLOCK_T,
+                                             per_block)
+                        if cert.witness is not None:
+                            refuted.add(BLOCK_T.index(cert.witness["t"]))
+        # scale 4 opens a block and 5 closes one, for 2 and 3 per block
+        assert {4, 5} <= refuted
 
     def test_premise_exactly_at_the_tolerance_is_fatal(self):
         # 1 - f == 0.5 + CLASS_TOL exactly, so the pair (1, 2) is a violator
@@ -1121,10 +1154,11 @@ class TestOrbitWorkCounts:
         count = _NearnessCount(monkeypatch)
         cert = g_cauchy_check(ray_space, trace)
         assert cert.holds
-        # gaps 2 and 5 prepared once and evaluated per scale; gap 1 is the
-        # trace's recorded columns
+        # gaps 2 and 5 prepared once and evaluated in one block of all
+        # scales each; gap 1 is the trace's recorded columns
         assert count.pairs == [len(points) - 2, len(points) - 5]
-        assert len(count.scales) == 2 * len(GRID_1_100)
+        assert count.scales == [(len(points) - m) * len(GRID_1_100)
+                                for m in (2, 5)]
         assert cert.to_dict() == fresh.to_dict()
 
     def test_cm_check_prepares_two_pair_sets(self, monkeypatch):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from fuzzyfix import cli
 from fuzzyfix import scenario as scenario_mod
+from fuzzyfix.algebra import DomainError
 from fuzzyfix.cli import main, run_command
+from fuzzyfix.dynamics import (
+    OrbitTrace,
+    SolverConfig,
+    g_cauchy_check,
+    regularity_check,
+    solve_fixed_point,
+)
 from fuzzyfix.scenario import (
     SCENARIO_LIBRARY,
     SchemaError,
@@ -691,6 +699,25 @@ class TestCli:
                                  "--max-len", "5", "--tolerance", tol])
         assert (code, out) == (2, "error: tolerance must be finite and "
                                f"nonnegative, got {float(tol)!r}\n")
+        # and so has a tail tolerance: on an orbit that keeps oscillating,
+        # inf would certify regularity and the fixed-gap Cauchy property,
+        # NaN and -1 would refute both
+        sc = load_scenario("ex62")
+        space = sc.build_space()
+        trace = OrbitTrace.from_points(space, [0.0, 5.0] * 30, sc.t_grid)
+        message = ("tolerance must be finite and nonnegative, "
+                   f"got {float(tol)!r}")
+        assert not regularity_check(space, trace).plain_all
+        assert not g_cauchy_check(space, trace).holds
+        for check in (regularity_check, g_cauchy_check):
+            with pytest.raises(DomainError) as err:
+                check(space, trace, tail_tolerance=float(tol))
+            assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            solve_fixed_point(space, sc.build_map(), 7.0,
+                              config=SolverConfig(max_len=20,
+                                                  tail_tolerance=float(tol)))
+        assert str(err.value) == message
 
     def test_expression_map_failure_exits_two(self, tmp_path):
         path = tmp_path / "reciprocal.json"
@@ -728,12 +755,19 @@ class TestCli:
     def test_usage_error_exit_two(self, capsys):
         code, _ = run_command(["classify-map", "--route", "bogus"])
         assert code == 2
-        # only check-space, gauge and iterate read a tolerance
-        for argv in (["classify-map", "--scenario", "ex63"],
-                     ["solve", "--scenario", "ex63"], ["paper"]):
+        # only check-space, gauge and iterate read a tolerance, and only
+        # check-space and paper a seed
+        for argv, flag in ((["classify-map", "--scenario", "ex63"], "tolerance"),
+                           (["solve", "--scenario", "ex63"], "tolerance"),
+                           (["paper"], "tolerance"),
+                           (["classify-map", "--scenario", "ex63"], "seed"),
+                           (["solve", "--scenario", "ex63"], "seed"),
+                           (["iterate", "--scenario", "ex62"], "seed"),
+                           (["gauge", "--scenario", "ex61"], "seed")):
             capsys.readouterr()
-            assert run_command(argv + ["--tolerance", "nan"]) == (2, "")
-            assert ("unrecognized arguments: --tolerance nan"
+            value = "nan" if flag == "tolerance" else "5"
+            assert run_command(argv + [f"--{flag}", value]) == (2, "")
+            assert (f"unrecognized arguments: --{flag} {value}"
                     in capsys.readouterr().err)
 
     def test_missing_scenario_exit_two(self):
@@ -883,6 +917,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     cached = run(False)
     assert cli._build_parser.cache_info().misses == 1
     assert cached == fresh
+    # gauge takes no --seed
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 2, 1, 0, 0,
-                                               0, 1]
+                                               2, 1]
     assert "invalid choice: 'bogus'" in cached[5][2].err
