@@ -372,6 +372,14 @@ def _carrier_pairs(carrier: Carrier):
 
 # A scale loop evaluates its pair stages on blocks of scales, each call
 # holding at most this many elements (but always at least one scale).
+# Blocks of 2**16 doubles (512 KiB) lie above glibc's default mmap
+# threshold, so a short-lived process faults their pages in afresh: a
+# standalone loop of criterion checks on 100-point traces took 597 minor
+# faults per check at 2**16 and none at 2**13, which ran 12-24%
+# faster there (2-CPU Xeon, numpy 2.4).  A long-lived process that has
+# freed large arrays raises that threshold, and in the benchmark's
+# ``orbits`` workload 2**13 did not lower the median op (4 pairs of 10 s
+# runs), so the budget stays.
 _SCALE_BLOCK = 1 << 16
 
 
@@ -407,10 +415,12 @@ def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
 VACUOUS_WINDOW_TOL = 1e-4
 
 
-def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
-                      onesided: bool = False, finite: bool = True,
-                      rows: Optional[np.ndarray] = None, cuts: int = 1):
-    """Certify "premise window implies conclusion >= 1-r" for each r of ``rs``.
+def _threshold_search(rs: Sequence[float], onesided: bool = False,
+                      finite: bool = True, rows: Optional[np.ndarray] = None,
+                      cuts: Optional[Sequence[int]] = None) -> Callable:
+    """The search that certifies "premise window implies conclusion >= 1-r"
+    for each r of ``rs``, as a function ``search(F, E, t, N=None)`` of one
+    scale t's pairs.
 
     Pair k has premise F[k] and conclusion E[k].  A rho is valid iff its
     window (1-rho, 1-r) (two-sided) or (1-rho, 1] (one-sided) holds no
@@ -419,78 +429,122 @@ def _threshold_search(F: np.ndarray, E: np.ndarray, rs: Sequence[float],
     violator-free window needs a satisfying sample inside it, except on
     finite carriers (a gap is a real feature of a finite value set) or when
     narrower than ``VACUOUS_WINDOW_TOL``.  The one-sided form may take
-    nondecreasing row labels: cut c < ``cuts`` keeps the rows >= c (each
-    nonempty), and r is read at the first cut past the rows of its fatal
-    violators, those whose premise reaches 1-r.  A plain search is one row.
+    nondecreasing row labels ``rows`` with the labels ``cuts`` of its cuts:
+    cut c keeps the rows >= c (each nonempty), and r is read at the first
+    cut past the rows of its fatal violators, those whose premise reaches
+    1-r.  A plain search is one cut.
 
-    All r are answered in lockstep: only pairs violating the loosest r can
-    violate any, and sorted by conclusion they hold each r's violators as a
-    prefix, whose running premise maximum is v.  Returns per r ``(cut,
-    record, None)``, or ``(None, None, k)`` when refuted, k the window's
-    violator with the largest premise (the last such pair among ties).
+    What depends on ``rs`` and the rows alone is done once, when the search
+    is built: the thresholds, their targets and, by rows, where each cut's
+    rows start.  The checks build it once; the iterate-shift check once per
+    scale and shift, for the thresholds still open.  ``search`` answers all
+    r in lockstep: only pairs violating the loosest r can violate any, and
+    sorted by conclusion they hold each r's violators as a prefix.  Its
+    premise maximum v is the candidates' running premise maximum read at
+    the prefix's end, one gather for all r.  Only an r whose v reaches
+    1-r slices and rescans its prefix: two-sided, for the violators inside
+    its window; by rows, for its fatal rows and then the premise maximum
+    beyond its cut, which depends on the prefix and the cut alone and is
+    shared by the r that have both in common.  Returns per r ``(record,
+    None)``, the record ``{"t", "r", "rho", "vacuous"}`` built once, with
+    "N" after "t" (the cut's label by rows, otherwise ``N`` when given) and
+    "reason" last when vacuous; or ``(None, k)`` when refuted, k the
+    window's violator with the largest premise (the last such pair among
+    ties).
     """
     thresholds = [1.0 - r for r in rs]
-    targets = [threshold - CLASS_TOL for threshold in thresholds]
-    if rows is None:
-        rows = np.broadcast_to(np.intp(0), F.shape)   # nothing allocated
-    keep = E < max(targets)
-    if onesided:
-        # every window at cut 0 holds all pairs; the largest premise among
-        # the pairs beyond each cut
-        counts = [F.size] * len(rs)
-        starts = np.searchsorted(rows, np.arange(cuts)) if cuts > 1 else [0]
-        best = (np.maximum.accumulate(np.maximum.reduceat(F, starts)[::-1])
-                [::-1] if F.size else None)
-    else:
-        below = F < max(thresholds)
-        keep &= below
-        ranked = F[below]           # every window's premises, to count them
-        ranked.sort()
-        counts = np.searchsorted(ranked, thresholds).tolist()
-    order = np.flatnonzero(keep)
-    order = order[np.argsort(E[order], kind="stable")]
-    # the candidates' premises and rows in that order: a rescan reads a
-    # prefix of each, and ``order`` only to name a witness
-    Fo, ro = F[order], rows[order]
-    tops = np.maximum.accumulate(Fo)
-    out = []
-    for i, n in enumerate(np.searchsorted(E[order], targets).tolist()):
-        r, threshold = rs[i], thresholds[i]
-        viol, Fv, rv = order[:n], Fo[:n], ro[:n]
-        first, v = 0, (float(tops[n - 1]) if n else None)
-        if v is not None and 1.0 - v <= r + CLASS_TOL:
-            # some violator reaches 1-r: rescan the window's violators
-            if not onesided:
-                inside = Fv < threshold
-                viol, Fv, rv = viol[inside], Fv[inside], rv[inside]
-            fatal = rv[1.0 - Fv <= r + CLASS_TOL]     # their rows
-            if fatal.size:
-                first = min(int(fatal.max()) + 1, cuts)
-            beyond = Fv[rv >= first]
-            v = float(beyond.max()) if beyond.size else None
-        rec = {"r": r}
-        if first == cuts:
-            rec = None
-        elif counts[i] == 0:
-            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=True,
-                       reason="no pairs below threshold")
-        elif v is None:
-            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=False)
-        elif (best[first] > v if onesided else
-              ranked.searchsorted(v, side="right") < counts[i]):
-            rec.update(rho=1.0 - v, vacuous=False)
-        elif finite:
-            rec.update(rho=1.0 - v, vacuous=True, reason="gap")
-        elif threshold - v <= VACUOUS_WINDOW_TOL:
-            rec.update(rho=1.0 - v, vacuous=True,
-                       reason="sub-resolution window")
+    reach = [r + CLASS_TOL for r in rs]     # 1 - F <= r + CLASS_TOL: fatal
+    bounds = np.array(thresholds)
+    targets = bounds - CLASS_TOL
+    loosest, widest = targets.max(), bounds.max()
+    if cuts is not None:
+        starts = np.searchsorted(rows, np.arange(len(cuts)))
+    n_cuts = 1 if cuts is None else len(cuts)
+    clamped = 1.0 - ENDPOINT_CLAMP
+
+    def search(F: np.ndarray, E: np.ndarray, t: float, N=None) -> list:
+        keep = E < loosest
+        if onesided:
+            # every window at cut 0 holds all pairs; the largest premise
+            # among the pairs beyond each cut
+            counts = [F.size] * len(rs)
+            best = ([] if not F.size else [float(F.max())] if cuts is None
+                    else np.maximum.accumulate(np.maximum.reduceat(
+                        F, starts)[::-1])[::-1].tolist())
         else:
-            rec = None
-        if rec is None:
-            out.append((None, None, int(viol[Fv == Fv.max()].max())))
-        else:
-            out.append((first, rec, None))
-    return out
+            below = F < widest
+            keep &= below
+            ranked = F[below]       # every window's premises, to count them
+            ranked.sort()
+            counts = ranked.searchsorted(bounds).tolist()
+        order = keep.nonzero()[0]
+        Eo = E[order]
+        perm = np.argsort(Eo, kind="stable")
+        order, Eo = order[perm], Eo[perm]
+        # the candidates' premises in that order: a rescan reads a prefix,
+        # and ``order`` only to name a witness
+        Fo = F[order]
+        ns = Eo.searchsorted(targets)
+        # each prefix's premise maximum (an empty prefix's entry is unread)
+        tops = np.maximum.accumulate(Fo)[ns - 1].tolist() if Fo.size else []
+        ns = ns.tolist()
+        if cuts is not None:
+            ro, gaps = rows[order], 1.0 - Fo
+            # (prefix, cut) -> premise maximum beyond it: on settling
+            # criterion traces about half the rescans find theirs here
+            beyond = {}
+        out = []
+        for i, m in enumerate(ns):
+            first, v = 0, (tops[i] if m else None)
+            top, inside = v, None       # the witness's premise and window
+            if v is not None and 1.0 - v <= reach[i]:
+                # some violator reaches 1-r: rescan the window's violators
+                if not onesided:
+                    inside = Fo[:m] < thresholds[i]
+                    Fv = Fo[:m][inside]
+                    top = v = float(Fv.max()) if Fv.size else None
+                    if v is not None and 1.0 - v <= reach[i]:
+                        first = n_cuts
+                elif cuts is None:
+                    first = n_cuts
+                else:
+                    fatal = ro[:m][gaps[:m] <= reach[i]]     # their rows
+                    first = min(int(fatal.max()) + 1, n_cuts)
+                    if (m, first) not in beyond and first < n_cuts:
+                        Fb = Fo[:m][ro[:m] >= first]
+                        beyond[m, first] = float(Fb.max()) if Fb.size else None
+                    v = beyond.get((m, first))
+            if first == n_cuts:
+                rho = None
+            elif counts[i] == 0:
+                rho, vacuous = clamped, True
+                reason = "no pairs below threshold"
+            elif v is None:
+                rho, vacuous, reason = clamped, False, None
+            elif (best[first] > v if onesided else
+                  ranked.searchsorted(v, side="right") < counts[i]):
+                rho, vacuous, reason = 1.0 - v, False, None
+            elif finite:
+                rho, vacuous, reason = 1.0 - v, True, "gap"
+            elif thresholds[i] - v <= VACUOUS_WINDOW_TOL:
+                rho, vacuous, reason = 1.0 - v, True, "sub-resolution window"
+            else:
+                rho = None
+            if rho is None:
+                sel = Fo[:m] == top
+                if inside is not None:
+                    sel &= inside
+                out.append((None, int(order[:m][sel].max())))
+                continue
+            label = N if cuts is None else cuts[first]
+            rec = ({"t": t, "r": rs[i], "rho": rho, "vacuous": vacuous}
+                   if label is None else {"t": t, "N": label, "r": rs[i],
+                                          "rho": rho, "vacuous": vacuous})
+            if reason is not None:
+                rec["reason"] = reason
+            out.append((rec, None))
+        return out
+    return search
 
 
 def _improvement_scan(space: FuzzySpace, grid, pairs, n_base: int,
@@ -605,18 +659,18 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
 
     cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
-    finite = space.carrier.is_finite
+    search = _threshold_search(rs, form == "onesided",
+                               space.carrier.is_finite)
     for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
                                      cond1, cond2):
-        answers = _threshold_search(F, E, rs, form == "onesided", finite)
-        for r, (_, rec, k) in zip(rs, answers):
+        for r, (rec, k) in zip(rs, search(F, E, t)):
             if rec is None:
                 cond2.status = CheckStatus.VIOLATED
                 cond2.witness = {"x": float(xs[k]), "y": float(ys[k]),
                                  "t": t, "r": r, "before": float(F[k]),
                                  "after": float(E[k])}
                 break
-            cond2.records.append({"t": t, **rec})
+            cond2.records.append(rec)
     return ClassificationReport(T.name, f"threshold-implication({form})",
                                 [cond1, cond2], grid, rs)
 
@@ -693,11 +747,10 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
             if n:
                 premise, conclusion = shifts[n - 1]
                 mv, concl = premise(t), conclusion(t)
-            answers = _threshold_search(mv, concl, [rs[i] for i in todo],
-                                        finite=finite)
-            for i, (_, rec, k) in zip(todo, answers):
+            search = _threshold_search([rs[i] for i in todo], finite=finite)
+            for i, (rec, k) in zip(todo, search(mv, concl, t, n)):
                 if rec is not None:
-                    found[i] = {"t": t, "N": n, **rec}
+                    found[i] = rec
                 elif n == 0:
                     witness[i] = k
         for i, r in enumerate(rs):
@@ -798,7 +851,7 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
 
     report = EquivalenceReport(T.name, grid, rs)
-    finite = space.carrier.is_finite
+    search = _threshold_search(rs, finite=space.carrier.is_finite)
     for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
                                space.pairs(txs, tys)):
         bad = E < F - CLASS_TOL
@@ -811,16 +864,13 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
         # the probe holds sampled continuous carriers to a stricter standard
         # than the classifier: a threshold certified only through an
         # unprobed sub-resolution window is not counted as satisfied
-        for r, (_, rec, k) in zip(rs, _threshold_search(F, E, rs,
-                                                        finite=finite)):
-            entry = {"t": t, "r": r}
+        for r, (rec, k) in zip(rs, search(F, E, t)):
+            entry = rec
             if rec is None or rec.get("reason") == "sub-resolution window":
-                entry["rho"] = None
+                entry = {"t": t, "r": r, "rho": None}
                 if k is not None:
                     entry["witness"] = {"x": float(xs[k]), "y": float(ys[k])}
                 report.pointwise_satisfied = False
-            else:
-                entry.update(rec)
             report.pointwise.append(entry)
         cert = class_membership(_make_envelope(F, E), ClassTag.PSI1, r_grid=rs)
         report.envelope_certs.append({"t": t, "verdict": cert.verdict.value})

@@ -51,9 +51,14 @@ from .defaults import scale_grid, threshold_grid
 from .spaces import FuzzySpace, _check_tolerance
 
 DEFAULT_MAX_LEN = 10000
+# A trace stores max_len x |t grid| step-nearness values: at this cap and
+# the scenario reader's grid cap, at most 10^7.
+MAX_ORBIT_LEN = 100_000
 DEFAULT_STOP_TOLERANCE = 1e-9
 DEFAULT_TAIL_TOLERANCE = 1e-6
 DEFAULT_I_MAX = 50
+# The uniform regularity verdict evaluates, and reports, i_max scales.
+MAX_I_MAX = 1000
 
 # A deficit series counts as converging to zero on the prefix when its tail
 # keeps shrinking by at least this factor over the observed half-window.
@@ -135,10 +140,14 @@ def picard_orbit(space: FuzzySpace, T: SelfMap, x0: float,
     only when no earlier step stops the orbit, so the trace or error is
     that of a step-by-step loop of :meth:`SelfMap.apply`.
 
-    ``stop_tolerance`` must lie in [0, inf); NaN is a DomainError too.
+    ``max_len`` must lie in [1, ``MAX_ORBIT_LEN``] and ``stop_tolerance``
+    in [0, inf); NaN is a DomainError too.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    if max_len > MAX_ORBIT_LEN:
+        raise DomainError(f"max_len must be at most {MAX_ORBIT_LEN}, "
+                          f"got {max_len}")
     _check_tolerance(stop_tolerance)
     grid = scale_grid(t_grid)
     carrier = space.carrier
@@ -245,6 +254,7 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     over the truncated decreasing scale sequence {t/i : 1 <= i <= i_max}:
     the supremum of the final-step deficits must already be below the
     tolerance, an intentionally strict truncation of the limit statement.
+    ``e_spec`` is (t, i_max) with i_max in [1, ``MAX_I_MAX``];
     ``tail_tolerance`` must lie in [0, inf); NaN is a DomainError too.
     """
     _check_tolerance(tail_tolerance)
@@ -254,6 +264,8 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     t_base, i_max = float(e_spec[0]), int(e_spec[1])
     if t_base <= 0 or i_max < 1:
         raise DomainError("scale sequence spec must be positive")
+    if i_max > MAX_I_MAX:
+        raise DomainError(f"i_max must be at most {MAX_I_MAX}, got {i_max}")
     pts = np.array(trace.points)
     plain = {}
     for t in grid:
@@ -269,6 +281,7 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
 class CauchyKind(Enum):
     M_CAUCHY = "m_cauchy"
     G_CAUCHY = "g_cauchy"
+    CRITERION = "m_cauchy_criterion"
 
 
 class CauchyVerdict(Enum):
@@ -418,6 +431,14 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     prepared once and evaluated per block of scales; at each scale their
     two rows serve the whole threshold grid, which the package's one
     threshold search answers with the pairs' smaller indices as its rows.
+    That search is built once per check, with the thresholds and where
+    each cut's rows start.  At a scale, a threshold rescans its violators
+    only when their premise maximum reaches 1-r: then it reads their
+    fatal rows, and the premise maximum beyond its first valid cut, which
+    the thresholds with the same violators and cut share.  A record's N is
+    the cut's trace index; the certificate's kind is ``CRITERION``, not
+    ``M_CAUCHY``, so that a report tells this evidence from the
+    definition's (:func:`m_cauchy_check`).
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
@@ -440,15 +461,14 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                else _blended(space, params, xs, ys, nxs, nys))
     after = space.pairs(nxs, nys)
     del xs, ys, nxs, nys        # the scale loop needs only the pair stages
-    indices = sub.tolist()
-    cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
-                             rs, grid)
+    cert = CauchyCertificate(CauchyKind.CRITERION,
+                             CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
+    # the implication premise is one-sided: any pair whose blend clears
+    # 1-rho must already improve past 1-r
+    search = _threshold_search(rs, onesided=True, rows=rows,
+                               cuts=sub[:-1].tolist())
     for t, F, E in _scale_rows(grid, len(rows), premise, after):
-        # the implication premise is one-sided: any pair whose blend clears
-        # 1-rho must already improve past 1-r
-        answers = _threshold_search(F, E, rs, onesided=True, rows=rows,
-                                    cuts=len(sub) - 1)
-        for r, (cut, rec, k) in zip(rs, answers):
+        for r, (rec, k) in zip(rs, search(F, E, t)):
             if rec is None:
                 # refuted at every cut: the witness is the first cut's,
                 # whose window holds every pair
@@ -457,7 +477,7 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                                 "q": int(yi[k]), "blend": float(F[k]),
                                 "next_nearness": float(E[k])}
                 return cert
-            cert.records.append({"t": t, "N": indices[cut], **rec})
+            cert.records.append(rec)
     return cert
 
 

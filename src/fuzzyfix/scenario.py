@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import DomainError, Gauge, _parse_number, gauge, tnorm
 from .contractions import SelfMap, self_map, table_map
 from .defaults import DEFAULT_R_GRID, DEFAULT_T_GRID
-from .dynamics import Route, SolverConfig
+from .dynamics import MAX_I_MAX, MAX_ORBIT_LEN, Route, SolverConfig
 from .spaces import (
     Carrier,
     FuzzySpace,
@@ -89,6 +89,10 @@ class Scenario:
         return {"route": self.route.value, "x0": self.x0, **settings}
 
 
+# The most points a grid spec may give, judged before any is computed.
+MAX_GRID_POINTS = 100
+
+
 def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
     """Parse a grid spec; ``kind`` is "t" (positive) or "r" (open unit)."""
     default = DEFAULT_T_GRID if kind == "t" else DEFAULT_R_GRID
@@ -108,6 +112,9 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
         if n < 1 or not -np.inf < lo <= hi < np.inf:
             errors.append((path, f"bad grid range in {spec!r}"))
             return tuple(default)
+        if n > MAX_GRID_POINTS:
+            errors.append((path, _too_many_points(n)))
+            return tuple(default)
         if parts[0] == "lin":
             values = np.linspace(lo, hi, n)
         else:
@@ -117,6 +124,9 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
             values = np.logspace(np.log10(lo), np.log10(hi), n)
         grid = tuple(float(v) for v in values)
     elif isinstance(spec, (list, tuple)):
+        if len(spec) > MAX_GRID_POINTS:
+            errors.append((path, _too_many_points(len(spec))))
+            return tuple(default)
         if not spec or not _all_numbers(spec):
             errors.append((path, "grid list must hold numbers, at least one"))
             return tuple(default)
@@ -130,6 +140,10 @@ def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
     if bad:
         errors.append((path, f"{kind} must {rule}, got {bad[0]!r}"))
     return grid
+
+
+def _too_many_points(n: int) -> str:
+    return f"a grid holds at most {MAX_GRID_POINTS} points, got {n}"
 
 
 # Readers of JSON values: a wrong type is a DomainError naming the key.
@@ -170,6 +184,12 @@ def _tolerance(value, key: str) -> float:
 def _integer(value, key: str) -> int:
     return _read(value, key, isinstance(value, int)
                  and not isinstance(value, bool), "an integer")
+
+
+def _count(cap: int) -> Callable:
+    """The reader of an integer count of at most ``cap``."""
+    return lambda value, key: _read(value, key, _integer(value, key) <= cap,
+                                    f"at most {cap}")
 
 
 def _seed(value) -> int:
@@ -304,8 +324,9 @@ _CARRIER_KEYS = ("kind", "points", "low", "high", "samples")
 _TABLE_MAP_KEYS = ("kind", "name", "mapping")
 
 # the solver keys other than route and x0, with their readers
-_SOLVER_SETTINGS = {"max_len": _integer, "stop_tolerance": _tolerance,
-                    "tail_tolerance": _tolerance, "i_max": _integer,
+_SOLVER_SETTINGS = {"max_len": _count(MAX_ORBIT_LEN),
+                    "stop_tolerance": _tolerance,
+                    "tail_tolerance": _tolerance, "i_max": _count(MAX_I_MAX),
                     "alpha": _number, "beta": _number}
 
 

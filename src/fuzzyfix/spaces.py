@@ -46,6 +46,10 @@ T_CONTINUITY_JUMP_TOL = 0.05
 # Subdivisions inserted between adjacent t-grid points for the jump test.
 T_REFINE = 4
 
+# The most samples an interval carrier takes: it keeps them all, and the
+# axiom checker evaluates each one at every grid scale.
+MAX_CARRIER_SAMPLES = 10_000
+
 
 class CarrierKind(Enum):
     FINITE = "finite"
@@ -81,6 +85,9 @@ class Carrier:
             raise DomainError("interval carrier needs high > low")
         if samples < 2:
             raise DomainError("interval carrier needs at least 2 samples")
+        if samples > MAX_CARRIER_SAMPLES:
+            raise DomainError(f"interval carrier takes at most "
+                              f"{MAX_CARRIER_SAMPLES} samples, got {samples}")
         pts = tuple(float(v) for v in np.linspace(low, high, samples))
         return cls(CarrierKind.INTERVAL, pts, low, high)
 

@@ -355,8 +355,8 @@ def test_threshold_search_equals_brute_force(onesided, finite, case):
     want = []
     for r in rs:
         rec, k = _brute_search(F.tolist(), E.tolist(), r, onesided, finite)
-        want.append((None, None, k) if rec is None else (0, rec, None))
-    assert _threshold_search(F, E, rs, onesided, finite) == want
+        want.append((None, k) if rec is None else ({"t": 2.0, **rec}, None))
+    assert _threshold_search(rs, onesided, finite)(F, E, 2.0) == want
 
 
 @st.composite
@@ -375,10 +375,151 @@ def _row_cases(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_threshold_search_by_rows_equals_cut_by_cut_scan(case):
     rs, F, E, rows, cuts = case
-    want = [_brute_cuts(F.tolist(), E.tolist(), r, rows.tolist(), cuts)
-            for r in rs]
-    assert _threshold_search(F, E, rs, onesided=True, rows=rows,
-                             cuts=cuts) == want
+    want = []
+    for r in rs:
+        cut, rec, k = _brute_cuts(F.tolist(), E.tolist(), r, rows.tolist(),
+                                  cuts)
+        # a cut's label names it in the record
+        want.append((None, k) if rec is None else
+                    ({"t": 2.0, "N": 10 * cut, **rec}, None))
+    search = _threshold_search(rs, onesided=True, rows=rows,
+                               cuts=[10 * c for c in range(cuts)])
+    assert search(F, E, 2.0) == want
+
+
+def _per_threshold_search(F, E, rs, onesided=False, finite=True,
+                          rows=None, cuts=1):
+    """The lockstep search as one call per scale, built again on every
+    call, with one loop iteration per threshold that slices its prefix and
+    merges its record: (cut, record without "t" or "N", None) per r, or
+    (None, None, witness index) when refuted."""
+    thresholds = [1.0 - r for r in rs]
+    targets = [threshold - CLASS_TOL for threshold in thresholds]
+    if rows is None:
+        rows = np.broadcast_to(np.intp(0), F.shape)   # nothing allocated
+    keep = E < max(targets)
+    if onesided:
+        # every window at cut 0 holds all pairs; the largest premise among
+        # the pairs beyond each cut
+        counts = [F.size] * len(rs)
+        starts = np.searchsorted(rows, np.arange(cuts)) if cuts > 1 else [0]
+        best = (np.maximum.accumulate(np.maximum.reduceat(F, starts)[::-1])
+                [::-1] if F.size else None)
+    else:
+        below = F < max(thresholds)
+        keep &= below
+        ranked = F[below]           # every window's premises, to count them
+        ranked.sort()
+        counts = np.searchsorted(ranked, thresholds).tolist()
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(E[order], kind="stable")]
+    # the candidates' premises and rows in that order: a rescan reads a
+    # prefix of each, and ``order`` only to name a witness
+    Fo, ro = F[order], rows[order]
+    tops = np.maximum.accumulate(Fo)
+    out = []
+    for i, n in enumerate(np.searchsorted(E[order], targets).tolist()):
+        r, threshold = rs[i], thresholds[i]
+        viol, Fv, rv = order[:n], Fo[:n], ro[:n]
+        first, v = 0, (float(tops[n - 1]) if n else None)
+        if v is not None and 1.0 - v <= r + CLASS_TOL:
+            # some violator reaches 1-r: rescan the window's violators
+            if not onesided:
+                inside = Fv < threshold
+                viol, Fv, rv = viol[inside], Fv[inside], rv[inside]
+            fatal = rv[1.0 - Fv <= r + CLASS_TOL]     # their rows
+            if fatal.size:
+                first = min(int(fatal.max()) + 1, cuts)
+            beyond = Fv[rv >= first]
+            v = float(beyond.max()) if beyond.size else None
+        rec = {"r": r}
+        if first == cuts:
+            rec = None
+        elif counts[i] == 0:
+            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=True,
+                       reason="no pairs below threshold")
+        elif v is None:
+            rec.update(rho=1.0 - ENDPOINT_CLAMP, vacuous=False)
+        elif (best[first] > v if onesided else
+              ranked.searchsorted(v, side="right") < counts[i]):
+            rec.update(rho=1.0 - v, vacuous=False)
+        elif finite:
+            rec.update(rho=1.0 - v, vacuous=True, reason="gap")
+        elif threshold - v <= VACUOUS_WINDOW_TOL:
+            rec.update(rho=1.0 - v, vacuous=True,
+                       reason="sub-resolution window")
+        else:
+            rec = None
+        if rec is None:
+            out.append((None, None, int(viol[Fv == Fv.max()].max())))
+        else:
+            out.append((first, rec, None))
+    return out
+
+
+@st.composite
+def _search_cases(draw):
+    """Two-sided, one-sided and by-rows searches over ``_threshold_cases``;
+    rows and cut labels as in ``_row_cases``, the labels spread out."""
+    form = draw(st.sampled_from(("two-sided", "one-sided", "by-rows")))
+    rs, F, E = draw(_threshold_cases(min_pairs=int(form == "by-rows")))
+    rows = cuts = None
+    if form == "by-rows":
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(F),
+                               max_size=len(F)))
+        rows = np.unique(labels, return_inverse=True)[1].ravel()
+        rows.sort()
+        n_cuts = draw(st.integers(1, int(rows[-1]) + 1))
+        cuts = sorted(draw(st.sets(st.integers(0, 99), min_size=n_cuts,
+                                   max_size=n_cuts)))
+    return rs, F, E, form != "two-sided", rows, cuts
+
+
+# Thresholds 0.5 and 0.45 (twice) share the prefix of pairs 0 and 1, whose
+# premise 0.6 in row 0 is fatal to both; so both read cut 1, beyond which
+# pair 1's premise 0.3 is the violator maximum, below pair 2's 0.8
+_SHARED_PREFIX_AND_CUT = ([0.5, 0.45, 0.5], np.array([0.6, 0.3, 0.8, 0.2]),
+                          np.array([0.1, 0.2, 0.9, 0.95]), True,
+                          np.array([0, 1, 1, 2]), [0, 4, 9])
+# Thresholds 0.5 and 0.3 both read cut 1 past pair 0, but pair 2 (premise
+# 0.4, beyond the cut) violates 0.3 alone: their maxima beyond the cut
+# differ, 0.2 and 0.4
+_SAME_CUT_OTHER_PREFIX = ([0.5, 0.3], np.array([0.9, 0.2, 0.4, 0.95]),
+                          np.array([0.1, 0.2, 0.6, 0.99]), True,
+                          np.array([0, 1, 1, 2]), [0, 1, 2])
+# Thresholds 0.5 and 0.45 share the prefix of pairs 0-2, but pair 1's
+# premise 0.52 is fatal to 0.5 alone: they read cuts 2 and 1, beyond which
+# their violator maxima are 0.3 and 0.52
+_SAME_PREFIX_OTHER_CUT = ([0.5, 0.45], np.array([0.6, 0.52, 0.3, 0.9]),
+                          np.array([0.1, 0.2, 0.3, 0.99]), True,
+                          np.array([0, 1, 2, 2]), [0, 1, 2])
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@given(case=_search_cases(), shift=st.none() | st.integers(0, 3))
+@example(case=_SHARED_PREFIX_AND_CUT, shift=None)
+@example(case=_SAME_CUT_OTHER_PREFIX, shift=None)
+@example(case=_SAME_PREFIX_OTHER_CUT, shift=None)
+@example(case=([0.9, 0.3, 0.3], np.array([]), np.array([]), False, None,
+               None), shift=2)
+@example(case=([0.9, 0.3], np.array([]), np.array([]), True, None, None),
+         shift=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_threshold_search_equals_per_threshold_loop(finite, case, shift):
+    rs, F, E, onesided, rows, cuts = case
+    t = 0.25
+    want = []
+    n_cuts = 1 if cuts is None else len(cuts)
+    for cut, rec, k in _per_threshold_search(F, E, rs, onesided, finite, rows,
+                                             n_cuts):
+        if rec is not None:
+            rec = {"t": t, **rec} if cuts is None and shift is None else {
+                "t": t, "N": shift if cuts is None else cuts[cut], **rec}
+        want.append((None, k) if rec is None else (list(rec.items()), None))
+    search = _threshold_search(rs, onesided, finite, rows, cuts)
+    got = [(rec if rec is None else list(rec.items()), k)
+           for rec, k in search(F, E, t, shift if cuts is None else None)]
+    assert got == want
 
 
 def _seeded_table_space(seed: int):
@@ -656,12 +797,13 @@ class TestMContractive:
         # unresolved, up to the last shift one of them needs; the pairs'
         # iterates are mapped once, up to the deepest shift any scale needs
         searches, maps = [], []
-        search, apply = contractions._threshold_search, SelfMap.apply
+        searcher, apply = contractions._threshold_search, SelfMap.apply
 
-        def counted_search(F, E, rs, *args, **kwargs):
-            searches.append(len(rs))
-            return search(F, E, rs, *args, **kwargs)
-        monkeypatch.setattr(contractions, "_threshold_search", counted_search)
+        def counted_searcher(rs, *args, **kwargs):
+            search = searcher(rs, *args, **kwargs)
+            return lambda *a: searches.append(len(rs)) or search(*a)
+        monkeypatch.setattr(contractions, "_threshold_search",
+                            counted_searcher)
         monkeypatch.setattr(SelfMap, "apply", lambda self, x, carrier=None:
                             maps.append(np.shape(x)) or apply(self, x, carrier))
         sc = load_scenario("ex63")

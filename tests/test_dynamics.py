@@ -368,7 +368,7 @@ def _reference_criterion(space, trace, f_kind="plain", params=None,
     xi, yi = sub[xi], sub[yi]
     xs, ys = pts[xi], pts[yi]
     nxs, nys = pts[xi + 1], pts[yi + 1]
-    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
+    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.CRITERION,
                                       CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
     min_idx = np.minimum(xi, yi)
     for t in grid:
@@ -533,6 +533,36 @@ class TestCriterionCutSearch:
             assert success[-1] == (not np.any(fatal & sel))
         assert success == sorted(success)
 
+    def test_cut_starts_are_searched_once_per_check(self):
+        # the search is built once per check, and only then are the rows
+        # searched for where each cut starts; every scale, one per block
+        # here, reuses them
+        points = [5.0, 0.0, 5.0] + [2.0 + 2.0 ** -j for j in range(20)]
+        trace = OrbitTrace.from_points(CRITERION_SPACE, points, BLOCK_T)
+        n_pairs = 22 * 23 // 2
+        built, calls = [], []
+        searcher = contractions._threshold_search
+        searchsorted = np.searchsorted
+
+        def counted_searcher(rs, *args, **kwargs):
+            built.append(kwargs["rows"])
+            return searcher(rs, *args, **kwargs)
+
+        def counted_searchsorted(a, *args, **kwargs):
+            if any(a is rows for rows in built):
+                calls.append(len(a))
+            return searchsorted(a, *args, **kwargs)
+        with mock.patch.object(dynamics, "_threshold_search",
+                               counted_searcher), \
+                mock.patch.object(np, "searchsorted", counted_searchsorted), \
+                mock.patch.object(contractions, "_SCALE_BLOCK", n_pairs):
+            cert = cauchy_criterion_check(CRITERION_SPACE, trace,
+                                          r_grid=SMALL_R)
+        assert cert.holds
+        assert len(cert.records) == len(BLOCK_T) * len(SMALL_R)
+        assert {rec["N"] for rec in cert.records} > {0}
+        assert len(built) == 1 and calls == [n_pairs]
+
     def test_m_cauchy_witness_is_first_tied_minimal_pair(self):
         # (0, 3) and (1, 2) tie for the least nearness; row-major order over
         # the upper triangle reaches (0, 3) first, column-major (1, 2)
@@ -561,7 +591,7 @@ def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
     xi, yi = sub[xi], sub[yi]
     xs, ys = pts[xi], pts[yi]
     nxs, nys = pts[xi + 1], pts[yi + 1]
-    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
+    cert = dynamics.CauchyCertificate(dynamics.CauchyKind.CRITERION,
                                       CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
     min_idx = np.minimum(xi, yi)
     for t in grid:

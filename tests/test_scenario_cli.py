@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,18 +16,23 @@ from fuzzyfix import scenario as scenario_mod
 from fuzzyfix.algebra import DomainError
 from fuzzyfix.cli import main, run_command
 from fuzzyfix.dynamics import (
+    MAX_I_MAX,
+    MAX_ORBIT_LEN,
     OrbitTrace,
     SolverConfig,
     g_cauchy_check,
+    picard_orbit,
     regularity_check,
     solve_fixed_point,
 )
 from fuzzyfix.scenario import (
+    MAX_GRID_POINTS,
     SCENARIO_LIBRARY,
     SchemaError,
     load_scenario,
     parse_scenario,
 )
+from fuzzyfix.spaces import MAX_CARRIER_SAMPLES, Carrier
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -196,6 +202,16 @@ MALFORMED = {
     "x0-string": ("solver.x0", {"solver.x0": "abc"}),
     "max-len-string": ("solver.max_len", {"solver.max_len": "abc"}),
     "max-len-boolean": ("solver.max_len", {"solver.max_len": True}),
+    "max-len-above-cap": ("solver.max_len",
+                          {"solver.max_len": MAX_ORBIT_LEN + 1}),
+    "i-max-above-cap": ("solver.i_max", {"solver.i_max": MAX_I_MAX + 1}),
+    "interval-samples-above-cap": ("space.carrier", {"space.carrier": {
+        "kind": "interval", "low": 0, "high": 1,
+        "samples": MAX_CARRIER_SAMPLES + 1}}),
+    "grid-count-above-cap": ("grids.t", {
+        "grids.t": f"log:1:100:{MAX_GRID_POINTS + 1}"}),
+    "grid-list-above-cap": ("grids.r",
+                            {"grids.r": [0.5] * (MAX_GRID_POINTS + 1)}),
     "alpha-null": ("solver.alpha", {"solver.alpha": None}),
     "stop-tolerance-negative": ("solver.stop_tolerance",
                                 {"solver.stop_tolerance": -1e-9}),
@@ -669,6 +685,57 @@ class TestCli:
         assert run_command(argv) == (
             2, "schema error at --seed: must be a nonnegative integer, "
                "got -1\n")
+
+    def test_sample_counts_above_their_caps_exit_two(self):
+        over = MAX_GRID_POINTS + 1
+        for argv, flag in (
+                (["check-space", "--t-grid", f"lin:1:2:{over}"], "--t-grid"),
+                (["classify-map", "--r-grid", ",".join(["0.5"] * over)],
+                 "--r-grid")):
+            code, out = run_command(argv + ["--scenario", "ex62"])
+            assert (code, out) == (2, f"schema error at {flag}: a grid holds "
+                                      f"at most {MAX_GRID_POINTS} points, "
+                                      f"got {over}\n")
+        code, out = run_command(["iterate", "--scenario", "ex62", "--max-len",
+                                 str(MAX_ORBIT_LEN + 1)])
+        assert (code, out) == (2, f"error: max_len must be at most "
+                                  f"{MAX_ORBIT_LEN}, "
+                                  f"got {MAX_ORBIT_LEN + 1}\n")
+
+    def test_sample_count_caps_are_judged_before_any_allocation(self):
+        errors = []
+        with mock.patch.object(np, "linspace", side_effect=AssertionError), \
+                mock.patch.object(np, "logspace", side_effect=AssertionError):
+            with pytest.raises(DomainError, match=(
+                    f"at most {MAX_CARRIER_SAMPLES} samples, "
+                    f"got {MAX_CARRIER_SAMPLES + 1}")):
+                Carrier.interval(0, 1, MAX_CARRIER_SAMPLES + 1)
+            for spec in (f"lin:1:2:{MAX_GRID_POINTS + 1}",
+                         f"log:1:2:{MAX_GRID_POINTS + 1}"):
+                scenario_mod.parse_grid(spec, "t", "grids.t", errors)
+        assert len(errors) == 2
+        sc = load_scenario("ex62")
+        with mock.patch.object(type(sc.map), "apply",
+                               side_effect=AssertionError):
+            with pytest.raises(DomainError, match="max_len must be at most"):
+                picard_orbit(sc.space, sc.map, 0.7, MAX_ORBIT_LEN + 1)
+        trace = OrbitTrace.from_points(sc.space, [0.5, 0.25, 0.125], sc.t_grid)
+        with pytest.raises(DomainError, match=(
+                f"i_max must be at most {MAX_I_MAX}, got {MAX_I_MAX + 1}")):
+            regularity_check(sc.space, trace, e_spec=(1.0, MAX_I_MAX + 1))
+        # the caps themselves are accepted
+        assert len(Carrier.interval(0, 1, MAX_CARRIER_SAMPLES).points) == (
+            MAX_CARRIER_SAMPLES)
+        assert len(scenario_mod.parse_grid(f"lin:1:2:{MAX_GRID_POINTS}", "t",
+                                           "grids.t", errors)) == (
+            MAX_GRID_POINTS)
+        assert len(errors) == 2
+        doc = json.loads(SCENARIO_LIBRARY["ex62"])
+        doc["solver"].update(max_len=MAX_ORBIT_LEN, i_max=MAX_I_MAX)
+        solver = parse_scenario(json.dumps(doc)).solver
+        assert (solver["max_len"], solver["i_max"]) == (MAX_ORBIT_LEN,
+                                                        MAX_I_MAX)
+        assert regularity_check(sc.space, trace, e_spec=(1.0, MAX_I_MAX))
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tolerance_that_cannot_fail_a_check_exits_two(self, tmp_path,
