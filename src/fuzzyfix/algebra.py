@@ -47,10 +47,6 @@ class DomainError(ValueError):
     """Raised when a value lies outside the domain of an operation."""
 
 
-class InversionError(RuntimeError):
-    """Raised when a generator cannot be inverted on the bracketing interval."""
-
-
 # ---------------------------------------------------------------------------
 # t-norms
 # ---------------------------------------------------------------------------
@@ -60,7 +56,6 @@ class TNormKind(Enum):
     MINIMUM = "minimum"
     LUKASIEWICZ = "lukasiewicz"
     HAMACHER = "hamacher"
-    CUSTOM = "custom"
 
 
 def _hamacher(a, b):
@@ -99,10 +94,6 @@ class TNorm:
     @classmethod
     def hamacher(cls) -> "TNorm":
         return cls(TNormKind.HAMACHER, _hamacher)
-
-    @classmethod
-    def custom(cls, fn: Callable) -> "TNorm":
-        return cls(TNormKind.CUSTOM, fn)
 
 
 _TNORMS = {
@@ -304,6 +295,15 @@ def _parse_number(text: str) -> float:
     return value
 
 
+_GAUGES = {"step-phi": step_phi, "step-psi": step_psi,
+           "identity": identity_gauge, "eta-reciprocal": eta_reciprocal,
+           "eta-neglog": eta_neglog}
+
+# ids of the form ``<head>:<number>``
+_PARAMETERISED = {"power": power_gauge, "power-phi": power_phi_gauge,
+                  "eta-reciprocal-t": eta_reciprocal_t}
+
+
 def gauge(spec: str) -> Gauge:
     """Resolve a gauge by string id.
 
@@ -312,54 +312,33 @@ def gauge(spec: str) -> Gauge:
     and ``conj:<eta-id>:<gauge-id>`` for a conjugated gauge.  Numeric
     parameters accept fractions such as ``power:5/7``.
     """
-    if spec == "step-phi":
-        return step_phi()
-    if spec == "step-psi":
-        return step_psi()
-    if spec == "identity":
-        return identity_gauge()
-    if spec == "eta-reciprocal":
-        return eta_reciprocal()
-    if spec == "eta-neglog":
-        return eta_neglog()
-    if spec.startswith("eta-reciprocal-t:"):
-        return eta_reciprocal_t(_parse_number(spec.split(":", 1)[1]))
-    if spec.startswith("power:"):
-        return power_gauge(_parse_number(spec.split(":", 1)[1]))
-    if spec.startswith("power-phi:"):
-        return power_phi_gauge(_parse_number(spec.split(":", 1)[1]))
-    if spec.startswith("conj:"):
-        parts = spec.split(":", 2)
-        if len(parts) == 3:
-            return conjugate_gauge(gauge(parts[1]), gauge(parts[2]))
+    if spec in _GAUGES:
+        return _GAUGES[spec]()
+    head, colon, rest = spec.partition(":")
+    if head in _PARAMETERISED and colon:
+        return _PARAMETERISED[head](_parse_number(rest))
+    if head == "conj":
+        # the generator id ends at its parameter, if its head takes one
+        eta_head, _, g_spec = rest.partition(":")
+        if eta_head in _PARAMETERISED:
+            param, _, g_spec = g_spec.partition(":")
+            eta_head += ":" + param
+        if ":" in rest:
+            return conjugate_gauge(gauge(eta_head), gauge(g_spec))
     raise DomainError(f"unknown gauge id {spec!r}")
 
 
-def invert_eta(eta: Gauge, y, tol: float = 1e-12):
-    """Invert a generator at ``y >= 0``, a float or elementwise an ndarray;
-    analytic when available, else bisection."""
+def invert_eta(eta: Gauge, y):
+    """Invert a generator at ``y >= 0``, a float or elementwise an ndarray,
+    through the inverse it declares."""
     if eta.domain is not GaugeDomain.ETA:
         raise DomainError(f"{eta.name} is not an eta-style generator")
+    if eta.inverse is None:
+        raise DomainError(f"{eta.name} declares no inverse")
     if np.any(y < 0):
         raise DomainError(f"generator values are nonnegative, got {y!r}")
-    array = isinstance(y, np.ndarray)
-    if eta.inverse is not None:
-        x = eta.inverse(y)
-        return np.asarray(x, dtype=float) if array else float(x)
-    flo, fhi = eta.eval(1e-15), eta.eval(1.0)
-    if not flo > fhi:
-        raise InversionError(f"{eta.name} is not strictly decreasing on the bracket")
-    if np.any((y > flo) | (y < fhi)):
-        raise InversionError(f"value {y!r} outside the bracketed range of {eta.name}")
-    # one bracket per element; each stops when its own width reaches tol
-    lo, hi = np.full(np.shape(y), 1e-15), np.ones(np.shape(y))
-    while (live := hi - lo > tol).any():
-        mid = 0.5 * (lo + hi)
-        above = eta.eval(mid) > y
-        lo = np.where(live & above, mid, lo)
-        hi = np.where(live & ~above, mid, hi)
-    x = 0.5 * (lo + hi)
-    return x if array else float(x)
+    x = np.asarray(eta.inverse(y), dtype=float)
+    return x if isinstance(y, np.ndarray) else float(x)
 
 
 def conjugate_gauge(eta: Gauge, g: Gauge) -> Gauge:
@@ -415,10 +394,6 @@ class MembershipCertificate:
     records: list[dict] = field(default_factory=list)
     witness: Optional[dict] = None
     note: str = CERTIFICATE_NOTE
-
-    @property
-    def is_member(self) -> bool:
-        return self.verdict is Verdict.MEMBER
 
     def to_dict(self) -> dict:
         return {"gauge": self.gauge_name, "class": self.class_tag.value,
@@ -503,7 +478,7 @@ def _check_threshold_class(g: Gauge, grid, resolution: float,
     x = np.array(grid, dtype=float)
     try:
         found = _bisect_grid(g, x, resolution, phi).__getitem__
-    except (ValueError, ArithmeticError, InversionError):
+    except (ValueError, ArithmeticError):
         # a gauge failed on some threshold's window: search one threshold at
         # a time, so the error surfaces only if the reading below reaches it
         def found(i):
@@ -525,6 +500,12 @@ def _check_threshold_class(g: Gauge, grid, resolution: float,
                                  resolution, records, witness)
 
 
+def _fall(tau, next_tau, value, next_value) -> dict:
+    return {"reason": "not nondecreasing", "tau": float(tau),
+            "next_tau": float(next_tau),
+            "values": [float(value), float(next_value)]}
+
+
 def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     taus = np.arange(resolution, 1.0, resolution)
     vals = g.eval(taus)
@@ -536,9 +517,7 @@ def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
     if below.size:
         i = int(below[0])
         cert.verdict = Verdict.NON_MEMBER
-        cert.witness = {"reason": "not nondecreasing", "tau": float(taus[i]),
-                        "next_tau": float(taus[i + 1]),
-                        "values": [float(vals[i]), float(vals[i + 1])]}
+        cert.witness = _fall(taus[i], taus[i + 1], vals[i], vals[i + 1])
         return cert
 
     not_above = np.nonzero(vals <= taus + CLASS_TOL)[0]
@@ -549,18 +528,38 @@ def _check_psi(g: Gauge, grid, resolution: float) -> MembershipCertificate:
                         "value": float(vals[i])}
         return cert
 
-    # Continuity proxy: a jump must exceed both a global threshold derived
-    # from a robust slope estimate and 8x its neighbouring increments.
-    slope_est = max(1.0, float(np.median(diffs)) / resolution)
-    macro = 10.0 * resolution * slope_est
-    d = diffs[1:-1]
-    neighbours = np.maximum(np.maximum(diffs[:-2], diffs[2:]), resolution)
-    jumps = np.nonzero((d > macro) & (d > 8.0 * neighbours))[0]
-    if jumps.size:
-        i = int(jumps[0]) + 1
+    # Continuity: an increment of at least the resolution is halved, each
+    # half kept while it is still that large, down to adjacent doubles.  A
+    # part that keeps its size there is a jump; a half that falls shows the
+    # gauge decreasing.  The first grid increment that does either gives the
+    # witness, so the search drops the parts of every later one.  The parts
+    # (lo, hi) stay in tau order, each with the grid increment it came from.
+    first = diffs.size
+    own = np.flatnonzero(diffs >= resolution - CLASS_TOL)
+    lo, hi, vlo, vhi = taus[own], taus[own + 1], vals[own], vals[own + 1]
+    while own.size:
+        mid = 0.5 * (lo + hi)
+        tips = own[(mid == lo) | (mid == hi)]
+        if tips.size and tips[0] < first:
+            first = int(tips[0])
+            cert.witness = {"reason": "discontinuity",
+                            "tau": float(taus[first + 1]),
+                            "jump": float(diffs[first])}
+        vmid = g.eval(mid)
+        # a tip's halves are a point and itself, which the keep drops with
+        # every part of a later increment
+        own, lo, hi, vlo, vhi = (np.column_stack(pair).ravel() for pair in (
+            (own, own), (lo, mid), (mid, hi), (vlo, vmid), (vmid, vhi)))
+        inc = vhi - vlo
+        falls = np.flatnonzero(inc < -CLASS_TOL)
+        if falls.size and own[falls[0]] < first:
+            j = falls[0]
+            first = int(own[j])
+            cert.witness = _fall(lo[j], hi[j], vlo[j], vhi[j])
+        keep = np.flatnonzero((inc >= resolution - CLASS_TOL) & (own < first))
+        own, lo, hi, vlo, vhi = (v[keep] for v in (own, lo, hi, vlo, vhi))
+    if cert.witness is not None:
         cert.verdict = Verdict.NON_MEMBER
-        cert.witness = {"reason": "discontinuity", "tau": float(taus[i + 1]),
-                        "jump": float(diffs[i])}
         return cert
     cert.records = [{"checked": ["nondecreasing", "strictly above identity",
                                  "continuity"]}]
@@ -623,10 +622,12 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     so a gauge rejected at its first threshold still bisects all of them.  If
     the gauge raises on some window, the grid is searched one threshold at a
     time, and the error surfaces only at a threshold the reading reaches.
-    Psi checks nondecreasing, strictly-above-identity and a documented
-    continuity proxy.  H checks the generator-family shape.  Psi and H
-    refuse a resolution finer than ``MAX_DENSE_TAU_SAMPLES`` samples allow,
-    and Psi1, Phi1 and Psi an empty grid.
+    Psi checks nondecreasing, strictly-above-identity and continuity: an
+    increment of at least ``tau_resolution`` between grid samples that
+    keeps that size while halved down to adjacent doubles is a jump.  H
+    checks the generator-family shape.  Psi and H refuse a resolution finer
+    than ``MAX_DENSE_TAU_SAMPLES`` samples allow, and Psi1, Phi1 and Psi an
+    empty grid.
     """
     if not tau_resolution > 0:
         raise DomainError("tau_resolution must be positive")

@@ -47,12 +47,7 @@ from .algebra import (
     class_membership,
 )
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
-from .expressions import (
-    ExpressionError,
-    _compile,
-    free_variables,
-    parse_expression,
-)
+from .expressions import ExpressionError, _compile, parse_expression
 from .spaces import Carrier, FuzzySpace
 
 # Strictness margin on sampled continuous carriers, relative because small
@@ -172,7 +167,7 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
     Supported ids: ``phi-step`` (the step gauge as a self-map of [0,inf)),
     ``perm-0-1-2-5`` (the cyclic table 0->0, 1->5, 2->0, 5->2),
     ``identity``, ``const:<c>`` (``c`` may be a fraction such as ``1/2``)
-    and ``expr:<expression>`` with free variable x.
+    and ``expr:<expression>`` in the variable x.
     """
     if spec == "phi-step":
         return SelfMap("phi-step", _step_phi_fn, continuous=True,
@@ -194,15 +189,11 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
             tree = parse_expression(spec.split(":", 1)[1])
         except ExpressionError as exc:
             raise DomainError(f"bad expression: {exc}") from None
-        unbound = free_variables(tree) - {"x"}
-        if unbound:
-            raise DomainError(f"map {spec} may use only the variable x, "
-                              f"not {', '.join(sorted(unbound))}")
         compiled = _compile(tree)
 
         def image(x: float) -> float:
             try:
-                return compiled({"x": x})
+                return compiled(float(x))
             except ExpressionError as exc:
                 raise DomainError(f"map {spec} cannot be evaluated at "
                                   f"{x!r}: {exc}") from None

@@ -10,17 +10,17 @@ Grammar (operator precedence low to high, ``^`` right-associative):
 
 Builtins: ``min``, ``max`` (two or more arguments), ``exp``, ``ln``,
 ``abs`` (one argument), ``piecewise(condition, a, b)``.  Comparisons are
-only valid as the first argument of ``piecewise``.  Free variables are
-restricted to ``x``, ``t``, ``tau``, ``s``; a self-map may use only ``x``.  There is no recursion and no
+only valid as the first argument of ``piecewise``.  The one variable is
+``x``, the point an ``expr:`` self-map maps.  There is no recursion and no
 looping; evaluation is total on the declared domain or raises a domain
 error carrying the source span.
 
-A tree is compiled once into nested closures, one per node, and a call
-runs only the float operations of the nodes it reaches: ``self_map``
-compiles an ``expr:`` map when it is built, and :func:`evaluate` compiles
-and calls.  The operations are ``math.exp``, ``math.log`` and float
-arithmetic, never numpy, whose ``exp``, ``log`` and ``power`` need not
-agree with them in the last bit.
+A tree is compiled once into nested closures of one float, one per node,
+and a call runs only the float operations of the nodes it reaches:
+``self_map`` compiles an ``expr:`` map when it is built, and
+:func:`evaluate` compiles and calls.  The operations are ``math.exp``,
+``math.log`` and float arithmetic, never numpy, whose ``exp``, ``log`` and
+``power`` need not agree with them in the last bit.
 """
 
 from __future__ import annotations
@@ -31,13 +31,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-ALLOWED_VARIABLES = ("x", "t", "tau", "s")
-
 # builtin name -> (min arity, max arity or None for unbounded)
 BUILTINS = {"min": (2, None), "max": (2, None), "exp": (1, 1), "ln": (1, 1),
             "abs": (1, 1), "piecewise": (3, 3)}
-
-CMP_OPS = ("<=", ">=", "==", "<", ">")
 
 
 class ExpressionError(ValueError):
@@ -63,7 +59,6 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    name: str
     span: Span = field(compare=False, default=Span())
 
 
@@ -194,11 +189,11 @@ class _Parser:
             self.advance()
             if self.current.kind == "lparen":
                 return self.call(tok)
-            if tok.text not in ALLOWED_VARIABLES:
+            if tok.text != "x":
                 if tok.text in BUILTINS:
                     self.error(f"builtin {tok.text!r} needs arguments", tok)
                 self.error(f"unknown identifier {tok.text!r}", tok)
-            return Var(tok.text, Span(tok.line, tok.column))
+            return Var(Span(tok.line, tok.column))
         if tok.kind == "lparen":
             self.advance()
             node = self.expr()
@@ -246,32 +241,18 @@ def parse_expression(src: str):
     return _Parser(src).parse()
 
 
-def free_variables(tree) -> set[str]:
-    if isinstance(tree, Var):
-        return {tree.name}
-    if isinstance(tree, (BinOp, Cmp)):
-        return free_variables(tree.left) | free_variables(tree.right)
-    if isinstance(tree, Call):
-        out: set[str] = set()
-        for a in tree.args:
-            out |= free_variables(a)
-        return out
-    return set()
-
-
-def evaluate(tree, env: dict) -> float:
-    """Evaluate a tree in an environment mapping variable names to floats.
+def evaluate(tree, x: float) -> float:
+    """Evaluate a tree at ``x``.
 
     Only the selected branch of a piecewise is evaluated.  Raises
-    :class:`ExpressionError` for missing variables and domain failures
-    (division by zero, log of a nonpositive value, overflow, a power with
-    no real value).
+    :class:`ExpressionError` for domain failures (division by zero, log of
+    a nonpositive value, overflow, a power with no real value).
     """
-    return _compile(tree)(env)
+    return _compile(tree)(float(x))
 
 
-def _compile(tree) -> Callable[[dict], float]:
-    """The closure that evaluates ``tree`` in an environment.
+def _compile(tree) -> Callable[[float], float]:
+    """The closure that evaluates ``tree`` at a float ``x``.
 
     Built once per node: a call runs the node's own float operation on its
     operands' results, left before right, with no dispatch on node type.
@@ -280,40 +261,32 @@ def _compile(tree) -> Callable[[dict], float]:
         raise TypeError(f"not an expression node: {tree!r}")
     if isinstance(tree, Num):
         value = tree.value
-        return lambda env: value
-    line, column = tree.span.line, tree.span.column
+        return lambda x: value
     if isinstance(tree, Var):
-        name = tree.name
-
-        def var(env):
-            try:
-                return float(env[name])
-            except KeyError:
-                raise ExpressionError(f"variable {name!r} is not bound",
-                                      line, column) from None
-        return var
+        return lambda x: x
+    line, column = tree.span.line, tree.span.column
     if isinstance(tree, Cmp):
         left, right = _compile(tree.left), _compile(tree.right)
         compare = _COMPARE[tree.op]
-        return lambda env: compare(left(env), right(env))
+        return lambda x: compare(left(x), right(x))
     if isinstance(tree, BinOp):
         left, right = _compile(tree.left), _compile(tree.right)
         if tree.op == "+":
-            return lambda env: left(env) + right(env)
+            return lambda x: left(x) + right(x)
         if tree.op == "-":
-            return lambda env: left(env) - right(env)
+            return lambda x: left(x) - right(x)
         if tree.op == "*":
-            return lambda env: left(env) * right(env)
+            return lambda x: left(x) * right(x)
         if tree.op == "/":
-            def divide(env):
-                a, b = left(env), right(env)
+            def divide(x):
+                a, b = left(x), right(x)
                 if b == 0.0:
                     raise ExpressionError("division by zero", line, column)
                 return a / b
             return divide
 
-        def power(env):
-            a, b = left(env), right(env)
+        def power(x):
+            a, b = left(x), right(x)
             try:
                 value = a ** b
             except (OverflowError, ValueError, ZeroDivisionError) as exc:
@@ -327,16 +300,16 @@ def _compile(tree) -> Callable[[dict], float]:
     args = [_compile(a) for a in tree.args]
     if tree.name == "piecewise":
         cond, then, other = args
-        return lambda env: then(env) if cond(env) else other(env)
+        return lambda x: then(x) if cond(x) else other(x)
     if tree.name in ("min", "max"):
         pick = min if tree.name == "min" else max
-        return lambda env: pick([a(env) for a in args])
+        return lambda x: pick([a(x) for a in args])
     arg = args[0]
     if tree.name == "abs":
-        return lambda env: abs(arg(env))
+        return lambda x: abs(arg(x))
     if tree.name == "exp":
-        def exp(env):
-            a = arg(env)
+        def exp(x):
+            a = arg(x)
             try:
                 return math.exp(a)
             except OverflowError:
@@ -344,8 +317,8 @@ def _compile(tree) -> Callable[[dict], float]:
                                       column) from None
         return exp
     if tree.name == "ln":
-        def ln(env):
-            a = arg(env)
+        def ln(x):
+            a = arg(x)
             if a <= 0.0:
                 raise ExpressionError(f"ln of nonpositive value {a!r}", line,
                                       column)
@@ -363,7 +336,7 @@ def pretty(tree) -> str:
     if isinstance(tree, Num):
         return repr(tree.value)
     if isinstance(tree, Var):
-        return tree.name
+        return "x"
     if isinstance(tree, BinOp):
         return f"({pretty(tree.left)} {tree.op} {pretty(tree.right)})"
     if isinstance(tree, Cmp):

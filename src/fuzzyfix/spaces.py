@@ -222,9 +222,9 @@ def exponential_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
 
 
 def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
-                       table: dict, norm: Optional[TNorm] = None,
-                       strong: bool = False) -> FuzzySpace:
-    """Space from a finite nearness table over carrier pairs and t nodes.
+                       table: dict) -> FuzzySpace:
+    """Space from a finite nearness table over carrier pairs and t nodes,
+    over the product t-norm and not declared strong.
 
     ``table`` maps (x, y) to a sequence of finite nearness values, one per
     node in ``t_nodes``.  Values are interpolated linearly between nodes and
@@ -303,12 +303,8 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
                             np.where(j == k - 1, y1, out))
         return at
 
-    return FuzzySpace(carrier, norm or TNorm.product(), fn, strong=strong,
+    return FuzzySpace(carrier, TNorm.product(), fn, strong=False,
                       provenance="table")
-
-
-SPACE_AXIOMS = ("positivity", "identity-of-indiscernibles", "symmetry",
-                "t-continuity", "triangle", "strong-triangle")
 
 
 @dataclass

@@ -143,8 +143,8 @@ def test_criterion_06_step_gauge():
     jump_ok = (cont.verdict is Verdict.NON_MEMBER
                and cont.witness["tau"] == 0.5
                and abs(cont.witness["jump"] - 1 / 6) <= 1e-12)
-    threshold_ok = class_membership(psi, ClassTag.PSI1,
-                                    r_grid=DEFAULT_R_GRID).is_member
+    threshold = class_membership(psi, ClassTag.PSI1, r_grid=DEFAULT_R_GRID)
+    threshold_ok = threshold.verdict is Verdict.MEMBER
     conj = conjugate_gauge(eta_reciprocal(), step_phi())
     taus = np.random.default_rng(7).uniform(1e-3, 0.999, 200)
     match_ok = all(abs(conj(float(t)) - psi(float(t))) <= 1e-12 for t in taus)
@@ -158,8 +158,9 @@ def test_criterion_07_proposition_suite():
     containment_ok = True
     for p in (0.5, 5 / 7, 0.9):
         g = gauge(f"power:{p}")
-        containment_ok &= class_membership(g, ClassTag.PSI).is_member
-        containment_ok &= class_membership(g, ClassTag.PSI1).is_member
+        for tag in (ClassTag.PSI, ClassTag.PSI1):
+            containment_ok &= (class_membership(g, tag).verdict
+                               is Verdict.MEMBER)
     ss = np.random.default_rng(5).uniform(0.011, 8.0, 100)
     round_trip_ok = True
     for phi_spec in ("step-phi", "power-phi:2"):

@@ -1,6 +1,8 @@
 """Tests for t-norms, gauges, conjugation and class certificates."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from fuzzyfix.algebra import (
     DomainError,
     Gauge,
     GaugeDomain,
-    InversionError,
     MAX_DENSE_TAU_SAMPLES,
     TNorm,
     Verdict,
@@ -113,7 +114,8 @@ def _late_failing_norm(a, b):
 
 _CONTRACT_NORMS = {**{name: (lambda name=name: tnorm(name))
                       for name in BUILTIN_NORMS},
-                   "custom": lambda: TNorm.custom(_late_failing_norm)}
+                   "spoilt-product": lambda: replace(TNorm.product(),
+                                                     fn=_late_failing_norm)}
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_NORMS))
@@ -179,7 +181,7 @@ def _tuple_loop_check(norm, samples, seed, tol=1e-9):
 
 def test_the_tuple_loop_sees_late_failures():
     # every axiom fails, and only past the 121 probe pairs
-    results = _tuple_loop_check(TNorm.custom(_late_failing_norm), 3000, 0)
+    results = _tuple_loop_check(_CONTRACT_NORMS["spoilt-product"](), 3000, 0)
     assert not any(r.passed for r in results)
     assert 0.41 < results[0].witness["a"] < 0.45
 
@@ -230,28 +232,73 @@ class TestStepGauges:
             gauge("nope")
 
 
+_GENERATOR_IDS = ["eta-reciprocal", "eta-reciprocal-t:2",
+                  "eta-reciprocal-t:1/3", "eta-neglog"]
+
+
+def _docstring_id_forms():
+    """Every id form that ``gauge``'s docstring names, with its placeholders
+    filled: numbers for parameters, each generator for ``<eta-id>`` and a
+    phi-style and a psi-style gauge for ``<gauge-id>``."""
+    fills = {"<p>": ["1/2"], "<t>": ["2"], "<eta-id>": _GENERATOR_IDS,
+             "<gauge-id>": ["step-phi", "power:5/7"]}
+    forms = re.findall(r"``([^`]+)``", gauge.__doc__)
+    assert len(forms) >= 10
+    ids = []
+    for form in forms:
+        expanded = [form]
+        for slot, values in fills.items():
+            expanded = [e.replace(slot, v, 1) for e in expanded
+                        for v in (values if slot in e else values[:1])]
+        ids += expanded
+    return list(dict.fromkeys(ids))
+
+
+@pytest.mark.parametrize("gauge_id", _docstring_id_forms())
+def test_every_documented_gauge_id_parses_and_evaluates(gauge_id):
+    g = gauge(gauge_id)
+    value = g.eval(0.5)
+    assert math.isfinite(value) and value >= 0.0
+    if gauge_id.startswith("conj:"):
+        # the generator id ends at its parameter, the gauge id takes the rest
+        _, rest = gauge_id.split(":", 1)
+        eta_id = next(e for e in _GENERATOR_IDS if rest.startswith(e + ":"))
+        inner = gauge(rest[len(eta_id) + 1:])
+        assert value == conjugate_gauge(gauge(eta_id), inner).eval(0.5)
+
+
+def test_conjugation_through_a_parameterised_generator():
+    # eta(tau) = 2/tau - 2: eta(1/2) = 2, step-phi(2) = 1, eta^-1(1) = 2/3
+    psi = gauge("conj:eta-reciprocal-t:2:step-phi")
+    assert psi.name == "conj(eta-reciprocal-t:2.0,step-phi)"
+    assert psi.eval(0.5) == pytest.approx(2 / 3, abs=TOL)
+    for bad in ("conj:eta-reciprocal-t:2", "conj:eta-reciprocal-t:x:step-phi",
+                "conj:eta-reciprocal-t"):
+        with pytest.raises(DomainError):
+            gauge(bad)
+
+
 class TestGenerators:
     @pytest.mark.parametrize("eta", [eta_reciprocal(), eta_reciprocal_t(3.0), eta_neglog()])
     def test_analytic_inverse_roundtrip(self, eta):
         for tau in (0.01, 0.2, 0.5, 0.99, 1.0):
             assert invert_eta(eta, eta(tau)) == pytest.approx(tau, abs=1e-12)
 
-    def test_bisection_inverse(self):
-        from fuzzyfix.algebra import Gauge
-        # same function as eta-reciprocal but without the analytic inverse
+    def test_generator_without_inverse_is_refused(self):
+        # same function as eta-reciprocal but with no declared inverse
         eta = Gauge("custom-eta", GaugeDomain.ETA, lambda t: 1.0 / t - 1.0)
-        assert invert_eta(eta, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert invert_eta(eta, 0.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_bisection_rejects_non_decreasing(self):
-        from fuzzyfix.algebra import Gauge
-        bad = Gauge("bad-eta", GaugeDomain.ETA, lambda t: t)
-        with pytest.raises(InversionError):
-            invert_eta(bad, 0.5)
+        for y in (1.0, np.array([0.0, 1.0])):
+            with pytest.raises(DomainError, match="declares no inverse"):
+                invert_eta(eta, y)
+        psi = conjugate_gauge(eta, step_phi())
+        with pytest.raises(DomainError, match="declares no inverse"):
+            psi.eval(0.5)
+        with pytest.raises(DomainError, match="declares no inverse"):
+            class_membership(psi, ClassTag.PSI1)
 
     def test_h_class_certificates(self):
         for eta in (eta_reciprocal(), eta_reciprocal_t(0.5), eta_neglog()):
-            assert class_membership(eta, ClassTag.H).is_member
+            assert class_membership(eta, ClassTag.H).verdict is Verdict.MEMBER
 
     def test_h_class_rejects_increasing(self):
         from fuzzyfix.algebra import Gauge
@@ -306,17 +353,19 @@ class TestConjugation:
 class TestClassMembership:
     def test_step_psi_in_psi1_with_rho_half_at_third(self):
         cert = class_membership(step_psi(), ClassTag.PSI1, r_grid=[1 / 3])
-        assert cert.is_member
+        assert cert.verdict is Verdict.MEMBER
         rec = cert.records[0]
         assert rec["rho"] == pytest.approx(0.5, abs=1e-3)
 
     def test_step_psi_in_psi1_default_grid(self):
         cert = class_membership(step_psi(), ClassTag.PSI1)
-        assert cert.is_member
+        assert cert.verdict is Verdict.MEMBER
         assert len(cert.records) == 19
 
-    def test_step_psi_not_in_psi(self):
-        cert = class_membership(step_psi(), ClassTag.PSI)
+    @pytest.mark.parametrize("resolution", [1e-4, 0.02])
+    def test_step_psi_not_in_psi(self, resolution):
+        cert = class_membership(step_psi(), ClassTag.PSI,
+                                tau_resolution=resolution)
         assert cert.verdict is Verdict.NON_MEMBER
         assert cert.witness["reason"] == "discontinuity"
         assert cert.witness["tau"] == 0.5
@@ -342,20 +391,20 @@ class TestClassMembership:
 
     def test_power_gauge_in_psi_and_psi1(self):
         g = power_gauge(5 / 7)
-        assert class_membership(g, ClassTag.PSI).is_member
-        assert class_membership(g, ClassTag.PSI1).is_member
+        assert class_membership(g, ClassTag.PSI).verdict is Verdict.MEMBER
+        assert class_membership(g, ClassTag.PSI1).verdict is Verdict.MEMBER
 
     @pytest.mark.parametrize("p", [0.5, 5 / 7, 0.9])
     def test_psi_members_are_psi1_members(self, p):
         g = power_gauge(p)
         psi_cert = class_membership(g, ClassTag.PSI)
         psi1_cert = class_membership(g, ClassTag.PSI1)
-        assert psi_cert.is_member
-        assert psi1_cert.is_member
+        assert psi_cert.verdict is Verdict.MEMBER
+        assert psi1_cert.verdict is Verdict.MEMBER
 
     def test_step_phi_in_phi1(self):
         cert = class_membership(step_phi(), ClassTag.PHI1)
-        assert cert.is_member
+        assert cert.verdict is Verdict.MEMBER
         # at eps = 0.3 the true largest delta is 1/3; the recorded one may
         # overshoot by at most the sampling resolution
         rec = next(r for r in cert.records if r["epsilon"] == 0.3)
@@ -368,7 +417,7 @@ class TestClassMembership:
 
     def test_conjugate_of_phi1_member_is_psi1_member(self):
         psi_c = conjugate_gauge(eta_reciprocal(), step_phi())
-        assert class_membership(psi_c, ClassTag.PSI1).is_member
+        assert class_membership(psi_c, ClassTag.PSI1).verdict is Verdict.MEMBER
 
     @pytest.mark.parametrize("resolution", [0.5, 0.7, 2.0, math.nan])
     @pytest.mark.parametrize("g, tag", [(step_psi(), ClassTag.PSI),
@@ -408,7 +457,7 @@ class TestClassMembership:
         assert len(np.arange(0.45, 1.0, 0.45)) == 2
         cert = class_membership(power_gauge(5 / 7), ClassTag.PSI,
                                 tau_resolution=0.45)
-        assert cert.is_member
+        assert cert.verdict is Verdict.MEMBER
 
     def test_domain_mismatch_raises(self):
         with pytest.raises(DomainError):
@@ -588,32 +637,40 @@ class TestArrayContract:
                 g.eval(bad)
         assert g.eval(1e150) == 1e150 ** 2
 
-    def test_bisection_inverse_on_arrays(self):
-        eta = Gauge("custom-eta", GaugeDomain.ETA, lambda t: 1.0 / t - 1.0)
+    @pytest.mark.parametrize("eta", [eta_reciprocal(), eta_reciprocal_t(3.0),
+                                     eta_neglog()])
+    def test_declared_inverse_on_arrays(self, eta):
         ys = np.array([0.0, 0.25, 1.0, 3.0, 99.0])
         got = invert_eta(eta, ys)
-        assert _same_bits(got, [invert_eta(eta, float(y)) for y in ys])
-        assert got == pytest.approx(1.0 / (1.0 + ys), abs=1e-10)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        # numpy's vectorised exp may differ from the scalar one in the last bit
+        assert got == pytest.approx([invert_eta(eta, float(y)) for y in ys],
+                                    rel=1e-15)
+        with pytest.raises(DomainError, match="nonnegative"):
+            invert_eta(eta, np.array([1.0, -0.5]))
 
-    def test_conjugate_through_bisection_inverse_runs_on_arrays(self):
-        # eta-reciprocal without its analytic inverse: conjugation bisects
+    def test_conjugation_runs_on_arrays(self):
+        # the generator and its declared inverse see every sample window
+        # of the lockstep search as one array
         seen = []
+        base = eta_reciprocal()
 
         def fn(t):
-            seen.append(t.size if isinstance(t, np.ndarray) else float(t))
-            return 1.0 / t - 1.0
-        eta = Gauge("eta-no-inverse", GaugeDomain.ETA, fn)
+            seen.append(type(t))
+            return base.fn(t)
+
+        def inverse(y):
+            seen.append(type(y))
+            return base.inverse(y)
+        eta = Gauge("eta-reciprocal", GaugeDomain.ETA, fn, inverse)
         grid = [0.25, 0.5, 0.75]
         cert = class_membership(conjugate_gauge(eta, step_phi()), ClassTag.PSI1,
                                 r_grid=grid)
-        ref = class_membership(conjugate_gauge(eta_reciprocal(), step_phi()),
+        ref = class_membership(conjugate_gauge(base, step_phi()),
                                ClassTag.PSI1, r_grid=grid)
-        assert cert.is_member and ref.is_member
-        for got, want in zip(cert.records, ref.records):
-            assert got["rho"] == pytest.approx(want["rho"], abs=1e-9)
-        # scalar calls only at the bisection bracket; samples arrive as arrays
-        assert {v for v in seen if isinstance(v, float)} <= {1e-15, 1.0}
-        assert max(v for v in seen if isinstance(v, int)) >= 16
+        assert cert.verdict is Verdict.MEMBER
+        assert cert.to_dict() == ref.to_dict()
+        assert seen and set(seen) == {np.ndarray}
 
     def test_psi_discontinuity_has_no_per_name_case(self):
         # the generic detector finds the jump of step-psi under any name
@@ -623,7 +680,7 @@ class TestArrayContract:
                                 "jump": 0.16666666666666663}
         assert cert.witness == class_membership(step_psi(), ClassTag.PSI).witness
 
-    @pytest.mark.parametrize("resolution", [7e-4, 1.1e-4, 3e-3, 1.1e-2])
+    @pytest.mark.parametrize("resolution", [7e-4, 1.1e-4, 3e-3, 1.1e-2, 0.03])
     def test_psi_discontinuity_off_grid_is_first_sample_past_the_jump(
             self, resolution):
         # 1/2 is no sample of these grids: the witness is the first sample
@@ -638,15 +695,34 @@ class TestArrayContract:
 
 
 def _loop_continuity_witness(g, resolution):
-    """The continuity proxy of the psi check as a per-increment loop."""
+    """The continuity rule of the psi check, one grid increment at a time
+    and one scalar evaluation per halving: the parts of an increment of at
+    least the resolution are halved level by level, each half kept while it
+    is still that large; a part that reaches adjacent doubles is a jump, a
+    half that falls shows the gauge decreasing."""
     taus = np.arange(resolution, 1.0, resolution)
-    diffs = np.diff(g.eval(taus))
-    macro = 10.0 * resolution * max(1.0, float(np.median(diffs)) / resolution)
-    for i in range(1, len(diffs) - 1):
-        d = diffs[i]
-        if d > macro and d > 8.0 * max(diffs[i - 1], diffs[i + 1], resolution):
-            return {"reason": "discontinuity", "tau": float(taus[i + 1]),
-                    "jump": float(d)}
+    vals = g.eval(taus)
+    diffs = np.diff(vals)
+    for i in range(len(diffs)):
+        parts = [(taus[i], taus[i + 1], vals[i], vals[i + 1])]
+        if not diffs[i] >= resolution - CLASS_TOL:
+            continue
+        while parts:
+            if any(0.5 * (a + b) in (a, b) for a, b, _, _ in parts):
+                return {"reason": "discontinuity", "tau": float(taus[i + 1]),
+                        "jump": float(diffs[i])}
+            halves = []
+            for a, b, va, vb in parts:
+                mid = 0.5 * (a + b)
+                vm = g.eval(float(mid))
+                halves += [(a, mid, va, vm), (mid, b, vm, vb)]
+            for a, b, va, vb in halves:
+                if vb - va < -CLASS_TOL:
+                    return {"reason": "not nondecreasing", "tau": float(a),
+                            "next_tau": float(b),
+                            "values": [float(va), float(vb)]}
+            parts = [(a, b, va, vb) for a, b, va, vb in halves
+                     if vb - va >= resolution - CLASS_TOL]
     return None
 
 
@@ -656,8 +732,8 @@ def _loop_continuity_witness(g, resolution):
 @settings(max_examples=80, derandomize=True)
 def test_continuity_scan_matches_loop(jumps):
     # 0.5 + t/2 stays above the identity, and added upward steps keep it
-    # nondecreasing; steps at nearby grid points exercise both neighbours
-    # of the 8x rule
+    # nondecreasing; steps at nearby grid points share and split increments,
+    # and steps below the resolution are no jumps
     res = 1e-3
 
     def fn(t):
@@ -666,6 +742,54 @@ def test_continuity_scan_matches_loop(jumps):
     g = Gauge("stepped", GaugeDomain.PSI, fn)
     cert = class_membership(g, ClassTag.PSI, tau_resolution=res)
     assert cert.witness == _loop_continuity_witness(g, res)
+
+
+def test_continuity_scan_matches_loop_on_a_fall_between_samples():
+    # nondecreasing on the grid of 1/1000 steps, but inside the increment
+    # from 0.499 to 0.5, which holds a step of 0.1, it drops by 0.15
+    def fn(t):
+        dip = (0.4995 < t) & (t < 0.4998)
+        return 0.6 + 0.3 * t + 0.1 * (t >= 0.4999) - 0.15 * dip
+    g = Gauge("dipped", GaugeDomain.PSI, fn)
+    cert = class_membership(g, ClassTag.PSI, tau_resolution=1e-3)
+    assert cert.witness["reason"] == "not nondecreasing"
+    assert cert.witness == _loop_continuity_witness(g, 1e-3)
+    lo, hi = cert.witness["tau"], cert.witness["next_tau"]
+    assert g.eval(hi) < g.eval(lo) - 0.01
+
+
+@pytest.mark.parametrize("resolution", [1e-4, 0.02, 0.03])
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_a_step_of_the_resolution_is_a_jump_anywhere(resolution, data):
+    # 0.9 + t/10 less h below c stays above the identity for c < 1 - h/0.9;
+    # the grid increment holding c is h plus a tenth of a grid step
+    taus = np.arange(resolution, 1.0, resolution)
+    h = data.draw(st.floats(min_value=resolution, max_value=0.1), label="h")
+    c = data.draw(st.floats(min_value=float(taus[0]), exclude_min=True,
+                            max_value=min(float(taus[-1]), 1.0 - h / 0.9)),
+                  label="c")
+
+    def fn(t):
+        return 0.9 + 0.1 * t - h * (t < c)
+    cert = class_membership(Gauge("step", GaugeDomain.PSI, fn), ClassTag.PSI,
+                            tau_resolution=resolution)
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert cert.witness["reason"] == "discontinuity"
+    after = taus[taus >= c][0]
+    assert cert.witness["tau"] == after
+    assert cert.witness["jump"] == pytest.approx(
+        h + 0.1 * (after - taus[taus < c][-1]), abs=1e-12)
+
+
+def test_conjugated_step_gauge_jumps_at_a_coarse_resolution():
+    cert = class_membership(gauge("conj:eta-neglog:step-phi"), ClassTag.PSI,
+                            tau_resolution=0.03)
+    assert cert.verdict is Verdict.NON_MEMBER
+    # exp(-1/2) - exp(-1), first seen at the sample 0.39
+    assert cert.witness == {"reason": "discontinuity",
+                            "tau": float(np.arange(0.03, 1.0, 0.03)[12]),
+                            "jump": 0.2386512185411911}
 
 
 # ---------------------------------------------------------------------------

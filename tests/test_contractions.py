@@ -116,9 +116,11 @@ class TestSelfMaps:
         with pytest.raises(DomainError, match=message):
             T.apply(np.array([1.0, x, x]))
 
-    def test_expression_variables_other_than_x_rejected(self):
-        with pytest.raises(DomainError, match="only the variable x, not t"):
-            self_map("expr:x*t")
+    @pytest.mark.parametrize("name", ["t", "tau", "s"])
+    def test_expression_variables_other_than_x_rejected(self, name):
+        message = f"bad expression: unknown identifier '{name}'"
+        with pytest.raises(DomainError, match=message):
+            self_map(f"expr:x*{name}")
         assert self_map("expr:1/2")(3.0) == 0.5
 
 

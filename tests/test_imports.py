@@ -1,10 +1,12 @@
 """Static checks run with the tests, as no linter is a test dependency: every
 module-level import of a package module is used by that module, every
 private top-level function or class is referenced by some package module,
-and every public one is reached by the package, its own module or the
-benchmark, or is allowlisted with a reason."""
+every public one is reached by the package, its own module or the
+benchmark, or is allowlisted with a reason, and so is every method and
+property of a public class and every public module-level constant."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -154,3 +156,90 @@ def test_every_public_definition_is_reached():
     assert sorted(set(unreached) - set(REACHABLE_BY_DESIGN)) == []
     # an allowlisted name that is reached after all needs no entry
     assert sorted(set(REACHABLE_BY_DESIGN) - set(unreached)) == []
+
+
+def _attribute_reads(nodes) -> Counter:
+    """How often each attribute name is read under ``nodes``."""
+    return Counter(n.attr for node in nodes for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unreached_members(package: dict, bench: dict) -> list[str]:
+    """Methods and properties of the public top-level classes of the
+    ``package`` modules (name to source, ``__init__.py`` left out), and
+    their public module-level constants, that nothing reaches.
+
+    A method is reached where a package module reads its name as an
+    attribute outside the method itself, where a ``bench`` source reads the
+    name, or where a bench tuple pairs the class with the name as a string,
+    as the tracer's ``(FuzzySpace, "m", ...)`` does.  The match is by name,
+    whatever the object.  Names that start and end with an underscore
+    (``__call__``, an enum's ``_missing_``) are called by Python itself and
+    are left out.  A constant is reached as a public definition is."""
+    trees = {m: ast.parse(src) for m, src in package.items()
+             if m != "__init__.py"}
+    attributes = _attribute_reads(trees.values())
+    names = _reads(trees.values())
+    bench_trees = [ast.parse(src) for src in bench.values()]
+    bench_reads = _reads(bench_trees)
+    literals = {n.value for tree in bench_trees for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    pairs = {(n.elts[0].id, n.elts[1].value)
+             for tree in bench_trees for n in ast.walk(tree)
+             if isinstance(n, ast.Tuple) and len(n.elts) >= 2
+             and isinstance(n.elts[0], ast.Name)
+             and isinstance(n.elts[1], ast.Constant)}
+    unreached = []
+    for module, tree in trees.items():
+        layer = module.removesuffix(".py")
+        for node in tree.body:
+            public_class = (isinstance(node, ast.ClassDef)
+                            and not node.name.startswith("_"))
+            for item in node.body if public_class else []:
+                if (not isinstance(item, ast.FunctionDef)
+                        or item.name.startswith("_")
+                        and item.name.endswith("_")):
+                    continue
+                name = item.name
+                if not (attributes[name] > _attribute_reads([item])[name]
+                        or name in bench_reads
+                        or (node.name, name) in pairs):
+                    unreached.append(f"{module}:{node.name}.{name}")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and not target.id.startswith("_")
+                        and target.id not in names | bench_reads
+                        and f"{layer}.{target.id}" not in literals):
+                    unreached.append(f"{module}:{target.id}")
+    return unreached
+
+
+def test_the_check_sees_an_unreached_member():
+    package = {
+        "__init__.py": "from .a import LIMIT, Box\n",
+        "a.py": "LIMIT = 3\nIDLE = 4\nTRACED = 5\n\n\n"
+                "class Box:\n    def __call__(self):\n"
+                "        return self.used()\n\n"
+                "    def used(self):\n        return LIMIT\n\n"
+                "    @property\n    def shown(self):\n        return 1\n\n"
+                "    def again(self):\n        return self.again()\n\n"
+                "    def wrapped(self):\n        pass\n\n"
+                "    def _missing_(self):\n        pass\n",
+        "b.py": "from .a import Box\n\n\nclass Later:\n"
+                "    def used(self):\n        pass\n\n"
+                "    def alone(self):\n        pass\n",
+    }
+    bench = {"run.py": "from fuzzyfix.a import Box\n\nBox().shown\n"
+                       "WRAP = [(Box, 'wrapped', 'a')]\nSEEN = 'a.TRACED'\n"}
+    assert unreached_members(package, bench) == [
+        "a.py:IDLE", "a.py:Box.again", "b.py:Later.alone"]
+
+
+def test_every_member_is_reached():
+    package = {m: (SRC / m).read_text() for m in PACKAGE}
+    bench = {str(p): p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))}
+    assert unreached_members(package, bench) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fuzzyfix import cli
 from fuzzyfix import scenario as scenario_mod
-from fuzzyfix.algebra import DomainError
+from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.cli import main, run_command
 from fuzzyfix.dynamics import (
     MAX_I_MAX,
@@ -570,6 +570,23 @@ class TestCli:
         verdicts = {c["class"]: c["verdict"]
                     for c in doc["body"]["certificates"]}
         assert verdicts == {"psi": "member", "psi1": "member"}
+
+    @pytest.mark.parametrize("role, spec", [
+        ("psi", "conj:eta-reciprocal-t:2:step-phi"),
+        ("phi", "conj:eta-reciprocal-t:1/2:power:1/2")])
+    def test_gauge_conjugated_through_a_parameterised_generator(self, role,
+                                                                spec):
+        code, out = run_command(["gauge", "--gauge", spec, "--format",
+                                 "json-like"])
+        assert code in (0, 1)
+        name = gauge(spec).name
+        assert name.startswith("conj(eta-reciprocal-t:")
+        assert {c["gauge"] for c in json.loads(out)["body"]["certificates"]} \
+            == {name}
+        doc = json.loads(SCENARIO_LIBRARY["ex61"])
+        doc["gauges"][role] = spec
+        assert parse_scenario(json.dumps(doc)).build_gauges()[role].name \
+            == name
 
     def test_gauge_scenario_ex61_exits_one(self):
         # the step gauge is not in the continuous class, so not all verdicts

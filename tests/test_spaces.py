@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -591,7 +592,8 @@ def _exp_table(n_points: int, nodes=tuple(np.geomspace(0.05, 50.0, 9))):
     pts = [k / 64.0 for k in range(n_points)]
     table = {(x, y): [math.exp(-abs(x - y) / t) for t in nodes]
              for n, x in enumerate(pts) for y in pts[n + 1:]}
-    return table_fuzzy_metric(Carrier.finite(pts), nodes, table, strong=True)
+    return replace(table_fuzzy_metric(Carrier.finite(pts), nodes, table),
+                   strong=True)
 
 
 def _jump_table():
@@ -764,8 +766,9 @@ def _late_table(spoil):
     table = {(a, b): [0.3, 0.6, 0.9] for i, a in enumerate(pts)
              for b in pts[i + 1:]}
     table.update(spoil)
-    return table_fuzzy_metric(Carrier.finite(pts), [0.1, 1.0, 10.0], table,
-                              norm=tnorm("hamacher"), strong=True)
+    return replace(table_fuzzy_metric(Carrier.finite(pts), [0.1, 1.0, 10.0],
+                                      table),
+                   tnorm=tnorm("hamacher"), strong=True)
 
 
 _LATE_CASES = {
