@@ -12,11 +12,13 @@ Checks provided, each over explicit scale and threshold grids:
   (before, after) nearness samples, returned as a gauge to certify,
 * an equivalence probe relating the uniform-in-t and per-t variants.
 
-Self-maps take floats or whole arrays; every check maps its pair sample
-with one call per coordinate and prepares the nearness of its pair sets
-once (:meth:`FuzzySpace.pairs`), then evaluates the scale stage on blocks
-of scales, one call per block.  Strict improvement reads the regular
-prefix of the arrays the second condition evaluates at the same scale.
+Self-maps take floats or whole arrays; every check maps the points of its
+pair sample with one call and prepares the nearness of its pair sets once
+(:meth:`FuzzySpace.pairs`), then evaluates the scale stage on blocks of
+scales, one call per block.  Strict improvement reads the regular prefix
+of the arrays the second condition evaluates at the same scale.  On a
+space that declares its distance profile, the threshold search reads pairs
+ordered once per check instead of sorting them at each scale.
 
 All verdicts carry re-checkable witnesses.  Every rho search, the one of
 the criterion check in :mod:`fuzzyfix.dynamics` included, runs one search
@@ -87,19 +89,28 @@ class SelfMap:
     def apply(self, x, carrier: Optional[Carrier] = None):
         if isinstance(x, np.ndarray):
             u, inv = np.unique(x, return_inverse=True)
-            try:
-                images = np.asarray(self.fn(u), dtype=float)
-                ok = carrier is None or carrier.contains(images).all()
-            except ValueError:          # DomainError and ExpressionError
-                ok = False
-            if not ok:     # the scalar calls raise the first offender's error
-                for v in x.ravel().tolist():
-                    self.apply(v, carrier)
-            return images[inv.ravel()].reshape(x.shape)
+            return self._images(u, carrier, x)[inv.ravel()].reshape(x.shape)
         y = float(self.fn(x))
         if carrier is not None and not carrier.contains(y):
             raise self._off_carrier(x, y)
         return y
+
+    def _images(self, u: np.ndarray, carrier: Optional[Carrier],
+                *arrays: np.ndarray) -> np.ndarray:
+        """The images of the values ``u``, by one call of ``fn``.  When that
+        call fails or leaves the carrier, scalar calls over the elements of
+        ``arrays``, in turn and in array order, raise the first offender's
+        error."""
+        try:
+            images = np.asarray(self.fn(u), dtype=float)
+            ok = carrier is None or carrier.contains(images).all()
+        except ValueError:          # DomainError and ExpressionError
+            ok = False
+        if not ok:
+            for a in arrays:
+                for v in a.ravel().tolist():
+                    self.apply(v, carrier)
+        return images
 
     def _off_carrier(self, x, y) -> DomainError:
         return DomainError(f"map {self.name} sends {x!r} to {y!r} "
@@ -332,7 +343,8 @@ _SWEEP_MIN_FRACTION = 1e-5
 
 
 def _carrier_pairs(carrier: Carrier):
-    """Pair sample of a carrier: (xs, ys, n_base).
+    """Pair sample of a carrier: (i, j, n_base, pts), pair k being
+    (pts[i[k]], pts[j[k]]) over the sample's points ``pts``.
 
     The first ``n_base`` pairs are the regular sample (all pairs of the
     carrier points, the diagonal included, decimated on interval carriers).
@@ -345,20 +357,43 @@ def _carrier_pairs(carrier: Carrier):
     pts = np.array(carrier.points)
     if carrier.is_finite:
         i, j = np.triu_indices(len(pts))
-        return pts[i], pts[j], len(i)
-    step = max(1, len(pts) // 80)
-    sub = pts[::step]
+        return i, j, len(i), pts
+    sub = pts[::max(1, len(pts) // 80)]
     i, j = np.triu_indices(len(sub))
-    xs, ys = sub[i], sub[j]
-    n_base = len(xs)
     span = carrier.high - carrier.low
     d0 = span * _SWEEP_MIN_FRACTION
     count = int(math.ceil(math.log(1.0 / _SWEEP_MIN_FRACTION) / _SWEEP_RATIO))
     ds = d0 * np.exp(np.arange(count + 1) * _SWEEP_RATIO)
     ds = ds[ds <= span]
-    xs = np.concatenate([xs, np.full(ds.shape, carrier.low)])
-    ys = np.concatenate([ys, carrier.low + ds])
-    return xs, ys, n_base
+    # sub[0] is the lower endpoint, the sweep's anchor
+    sweep = np.arange(len(sub), len(sub) + ds.size)
+    return (np.concatenate([i, np.zeros_like(sweep)]),
+            np.concatenate([j, sweep]), len(i),
+            np.concatenate([sub, carrier.low + ds]))
+
+
+def _mapped_pairs(space: FuzzySpace, T: SelfMap):
+    """The pair sample (xs, ys) of the space's carrier with its images
+    (txs, tys) and its regular count ``n_base`` (:func:`_carrier_pairs`).
+
+    Each sample point is mapped once (a sweep point that equals a regular
+    one is listed, and mapped, twice); an error names the first offender of
+    xs, then of ys, as ``T.apply`` on each would."""
+    i, j, n_base, pts = _carrier_pairs(space.carrier)
+    xs, ys = pts[i], pts[j]
+    images = T._images(pts, space.carrier, xs, ys)
+    return xs, ys, images[i], images[j], n_base
+
+
+def _distance_orders(space: FuzzySpace, xs, ys, txs, tys):
+    """The pair sample ordered once per check, on a space that declares its
+    distance profile: by image distance and by pair distance, each widest
+    first, so that at every scale the conclusions and the premises come in
+    nondecreasing order.  None on a space that declares none."""
+    d = space.distance
+    if d is None:
+        return None
+    return np.argsort(-d.eval(txs, tys)), np.argsort(-d.eval(xs, ys))
 
 
 # A scale loop evaluates its pair stages on blocks of scales, each call
@@ -406,9 +441,27 @@ def _gauge_bound(psi: Gauge, premise: np.ndarray) -> np.ndarray:
 VACUOUS_WINDOW_TOL = 1e-4
 
 
+def _nondecreasing(a: np.ndarray) -> bool:
+    return bool((a[1:] >= a[:-1]).all())
+
+
+def _prefix_maxima(a: np.ndarray, ns: np.ndarray) -> list:
+    """The maximum of each prefix ``a[:n]``, n in ``ns`` (an empty prefix's
+    entry is unread), from one maximum per stretch between the distinct
+    lengths: over tens of thousands of pairs a running maximum costs
+    several times more, over the sort path's few candidates no less."""
+    ends = np.unique(ns[ns > 0])
+    if not ends.size:
+        return [None] * len(ns)
+    tops = np.maximum.accumulate(np.maximum.reduceat(
+        a, np.concatenate([[0], ends[:-1]])))
+    return tops[ends.searchsorted(ns)].tolist()
+
+
 def _threshold_search(rs: Sequence[float], onesided: bool = False,
                       finite: bool = True, rows: Optional[np.ndarray] = None,
-                      cuts: Optional[Sequence[int]] = None) -> Callable:
+                      cuts: Optional[Sequence[int]] = None,
+                      orders: Optional[tuple] = None) -> Callable:
     """The search that certifies "premise window implies conclusion >= 1-r"
     for each r of ``rs``, as a function ``search(F, E, t, N=None)`` of one
     scale t's pairs.
@@ -442,6 +495,19 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     "reason" last when vacuous; or ``(None, k)`` when refuted, k the
     window's violator with the largest premise (the last such pair among
     ties).
+
+    Without rows, ``orders`` may hold the pairs ordered once per check by
+    conclusion and by premise (:func:`_distance_orders`).  At a scale
+    whose values they sort, checked in one pass, each r's violators are a
+    prefix of the first order, their premise maxima come from one maximum
+    per stretch between prefix ends, and the premise counts are searches
+    in the second: no sort, argsort or boolean gather.  The answers are
+    the sort path's.  A prefix ends where the conclusion reaches a target,
+    so it holds the same pairs whatever the order among ties, and a
+    witness is the largest index among them.  Its pairs past every
+    two-sided window, which the sort path drops first, lift the premise
+    maximum past 1-r, so the r rescans and drops them.  A scale that the
+    orders do not sort takes the sort path.
     """
     thresholds = [1.0 - r for r in rs]
     reach = [r + CLASS_TOL for r in rs]     # 1 - F <= r + CLASS_TOL: fatal
@@ -454,7 +520,6 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     clamped = 1.0 - ENDPOINT_CLAMP
 
     def search(F: np.ndarray, E: np.ndarray, t: float, N=None) -> list:
-        keep = E < loosest
         if onesided:
             # every window at cut 0 holds all pairs; the largest premise
             # among the pairs beyond each cut
@@ -462,22 +527,37 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             best = ([] if not F.size else [float(F.max())] if cuts is None
                     else np.maximum.accumulate(np.maximum.reduceat(
                         F, starts)[::-1])[::-1].tolist())
+        ordered = orders is not None
+        if ordered:
+            Eo = E[orders[0]]
+            ranked = None if onesided else F[orders[1]]
+            ordered = _nondecreasing(Eo) and (onesided or
+                                              _nondecreasing(ranked))
+        if ordered:
+            ns = Eo.searchsorted(targets)
+            order = orders[0][:ns.max(initial=0)]
+            Fo = F[order]
+            tops = _prefix_maxima(Fo, ns)
         else:
-            below = F < widest
-            keep &= below
-            ranked = F[below]       # every window's premises, to count them
-            ranked.sort()
+            keep = E < loosest
+            if not onesided:
+                below = F < widest
+                keep &= below
+                ranked = F[below]   # every window's premises, to count them
+                ranked.sort()
+            order = keep.nonzero()[0]
+            Eo = E[order]
+            perm = np.argsort(Eo, kind="stable")
+            order, Eo = order[perm], Eo[perm]
+            # the candidates' premises in that order: a rescan reads a
+            # prefix, and ``order`` only to name a witness
+            Fo = F[order]
+            ns = Eo.searchsorted(targets)
+            # each prefix's premise maximum (an empty prefix's is unread)
+            tops = (np.maximum.accumulate(Fo)[ns - 1].tolist() if Fo.size
+                    else [])
+        if not onesided:
             counts = ranked.searchsorted(bounds).tolist()
-        order = keep.nonzero()[0]
-        Eo = E[order]
-        perm = np.argsort(Eo, kind="stable")
-        order, Eo = order[perm], Eo[perm]
-        # the candidates' premises in that order: a rescan reads a prefix,
-        # and ``order`` only to name a witness
-        Fo = F[order]
-        ns = Eo.searchsorted(targets)
-        # each prefix's premise maximum (an empty prefix's entry is unread)
-        tops = np.maximum.accumulate(Fo)[ns - 1].tolist() if Fo.size else []
         ns = ns.tolist()
         if cuts is not None:
             ro, gaps = rows[order], 1.0 - Fo
@@ -611,8 +691,7 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
     if psi.domain is not GaugeDomain.PSI:
         raise DomainError(f"{psi.name} is not psi-style")
     grid = scale_grid(t_grid)
-    xs, ys, n_base = _carrier_pairs(space.carrier)
-    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
+    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
 
     cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("gauge-bound", CheckStatus.SATISFIED)
@@ -640,18 +719,27 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     pair whose nearness lies in the premise window improves past 1-r; the
     found rho values are recorded.  ``form`` selects the premise window:
     ``between`` uses 1-r > M > 1-rho and ``onesided`` uses M > 1-rho.
+
+    On a space that declares its distance profile (:class:`FuzzySpace`)
+    the pair sample is ordered once, by image distance and by pair
+    distance, widest first.  Nearness is a non-increasing function of the
+    distance there, so these orders sort every scale's conclusions and
+    premises, and the threshold search reads sorted prefixes instead of
+    sorting; each scale confirms the order first, and the records and
+    witnesses are those of the sort path (:func:`_threshold_search`).
     """
     if form not in ("between", "onesided"):
         raise DomainError(f"unknown form {form!r}")
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
-    xs, ys, n_base = _carrier_pairs(space.carrier)
-    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
+    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
 
     cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
     search = _threshold_search(rs, form == "onesided",
-                               space.carrier.is_finite)
+                               space.carrier.is_finite,
+                               orders=_distance_orders(space, xs, ys, txs,
+                                                       tys))
     for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
                                      cond1, cond2):
         for r, (rec, k) in zip(rs, search(F, E, t)):
@@ -684,8 +772,7 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     carrier = space.carrier
     if n_cap is None:
         n_cap = len(carrier.points) if carrier.is_finite else 50
-    xs, ys, n_base = _carrier_pairs(carrier)
-    txs, tys = T.apply(xs, carrier), T.apply(ys, carrier)
+    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
     cond1 = ConditionVerdict("strict-improvement-over-blend",
                              CheckStatus.SATISFIED)
     blended = partial(_blended, space, params)
@@ -790,11 +877,11 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap, t: float = 1.0,
     if t <= 0:
         raise DomainError("scale t must be positive")
     if pairs is None:
-        xs, ys, _ = _carrier_pairs(space.carrier)
+        xs, ys, txs, tys, _ = _mapped_pairs(space, T)
     else:
         xs = np.array([float(a) for a, _ in pairs])
         ys = np.array([float(b) for _, b in pairs])
-    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
+        txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
     return _make_envelope(space.m(xs, ys, t), space.m(txs, tys, t))
 
 
@@ -834,15 +921,18 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     sampled pairs; raises :class:`PreconditionError` with a witness
     otherwise.  Reports, per r, whether a single rho works across the whole
     scale grid whenever per-scale rho values exist, and certifies the
-    per-scale empirical envelope gauges.
+    per-scale empirical envelope gauges.  Its threshold search reads pairs
+    ordered once per check on a space that declares its distance profile,
+    as :func:`cm_contractive_check` does.
     """
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
-    xs, ys, _ = _carrier_pairs(space.carrier)
-    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
+    xs, ys, txs, tys, _ = _mapped_pairs(space, T)
 
     report = EquivalenceReport(T.name, grid, rs)
-    search = _threshold_search(rs, finite=space.carrier.is_finite)
+    search = _threshold_search(rs, finite=space.carrier.is_finite,
+                               orders=_distance_orders(space, xs, ys, txs,
+                                                       tys))
     for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
                                space.pairs(txs, tys)):
         bad = E < F - CLASS_TOL

@@ -10,7 +10,8 @@ about the observed prefix:
   behaviour effectively requires eventually constant orbits),
 * ``m_cauchy_check`` looks, per (threshold, scale), for the smallest cut
   N such that every observed pair beyond it clears the nearness bound;
-  the pairs i < j alone are prepared once (see :mod:`fuzzyfix.spaces`),
+  each cut's widest pair on a space that declares its distance profile,
+  else the pairs i < j, is prepared once (see :mod:`fuzzyfix.spaces`),
   and the scales are evaluated over them in blocks, one scale-stage call
   per block,
 * ``g_cauchy_check`` does the same for fixed index gaps, the weaker
@@ -333,9 +334,22 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     pair beyond N has nearness above 1-r; the certificate holds on the
     prefix when a cut with at least one pair exists for every grid point.
     When even the final adjacent pair fails a bound, the grid point is
-    refuted and the most violating pair is reported.  Long traces are
-    certified on an even index subsample of at most ``PAIR_CERT_CAP``
-    points.
+    refuted and the most violating pair is reported: the first minimal
+    pair in row-major order, from all pairs evaluated at its scale.  Long
+    traces are certified on an even index subsample of at most
+    ``PAIR_CERT_CAP`` points.
+
+    The worst nearness beyond each cut is read in O(n) per scale when the
+    space declares its distance profile (:class:`FuzzySpace`) and the
+    subsample lies on the carrier, where the profile holds.  Nearness then
+    falls as the distance grows, so a tail's worst pair is its widest: its
+    largest and its smallest point, whose distance is the tail's largest
+    for either built-in metric (for ``max-jachymski``, the largest point
+    paired with a distinct value when the tail has one, else 0).  Float
+    subtraction and the max are monotone, so no other pair of the tail is
+    computed wider; that pair is evaluated through the space's own pair
+    stage, so its value is the tail's minimum bit for bit.  Elsewhere all
+    pairs i < j are evaluated at each scale and their suffix minima taken.
     """
     if trace.length < 2:
         raise DomainError("the Cauchy check needs a trace of length >= 2")
@@ -345,20 +359,33 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     pts = np.array(trace.points)[idx]
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              rs, grid)
-    # the pairs i < j in row-major order, and where each row i starts
-    i, j = np.triu_indices(len(pts), 1)
-    starts = np.searchsorted(i, np.arange(len(pts) - 1))
     bounds = [1.0 - r for r in rs]
-    for t, near in _scale_rows(grid, len(i), space.pairs(pts[i], pts[j])):
+    if space.distance is not None and space.carrier.contains(pts).all():
+        # the widest pair beyond each cut k: the largest and smallest of
+        # the points from k on
+        hi = np.maximum.accumulate(pts[::-1])[::-1]
+        lo = np.minimum.accumulate(pts[::-1])[::-1]
+        worst = _scale_rows(grid, len(pts) - 1,
+                            space.pairs(hi[:-1], lo[:-1]))
+    else:
+        # the pairs i < j in row-major order, and where each row i starts
+        i, j = np.triu_indices(len(pts), 1)
+        starts = np.searchsorted(i, np.arange(len(pts) - 1))
+        worst = ((t, np.minimum.accumulate(
+            np.minimum.reduceat(near, starts)[::-1])[::-1])
+                 for t, near in _scale_rows(grid, len(i),
+                                            space.pairs(pts[i], pts[j])))
+    for t, g in worst:
         # g[k] = worst nearness among pairs fully beyond cut k; it is
         # nondecreasing, so each bound's first cut above it is one search
-        g = np.minimum.accumulate(np.minimum.reduceat(near, starts)[::-1])[::-1]
         cuts = np.searchsorted(g, bounds, side="right").tolist()
         for r, cut in zip(rs, cuts):
             if cut < len(g):
                 cert.records.append({"t": t, "r": r, "N": int(idx[cut])})
             else:
                 # the first minimal pair in row-major order
+                i, j = np.triu_indices(len(pts), 1)
+                near = space.pairs(pts[i], pts[j])(t)
                 k = int(np.argmin(near))
                 cert.verdict = CauchyVerdict.VIOLATED
                 cert.witness = {"t": t, "r": r, "n": int(idx[i[k]]),

@@ -170,13 +170,28 @@ class FuzzySpace:
     """Carrier + t-norm + nearness M(x,y,t), with declared flags.
 
     ``fn(x, y)`` is the pair stage of the nearness: it prepares the pairs
-    and returns their nearness as a function of the scale."""
+    and returns their nearness as a function of the scale.
+
+    ``distance`` declares the distance profile: a base metric d such that,
+    at every scale, the nearness of carrier pairs is a function of d(x, y)
+    alone, non-increasing in it, and positive for every finite distance.
+    The built-in constructors declare theirs, t/(t + d) and exp(-d/t) over
+    d >= 0: each of their float operations is monotone (correctly rounded,
+    and for ``np.exp`` property-tested), so pairs ordered by distance are
+    ordered by nearness bit for bit.  A ``max-jachymski`` carrier with a
+    negative point declares none, since t + d can reach 0 there, and
+    neither does a table space.  The checks that use the order key on this
+    declaration alone: the threshold search of the classifiers and the
+    probe (which confirms the order at each scale), the all-pairs Cauchy
+    tails and the positivity axiom.
+    """
 
     carrier: Carrier
     tnorm: TNorm
     fn: Callable
     strong: bool
     provenance: str
+    distance: Optional[BaseMetric] = None
 
     def pairs(self, x, y) -> Callable:
         """The nearness of the pairs (x, y) as a function of finite scales
@@ -199,13 +214,21 @@ class FuzzySpace:
         return self.pairs(x, y)(t)
 
 
+def _profile(carrier: Carrier, d: BaseMetric) -> Optional[BaseMetric]:
+    """``d`` when it is a distance (d >= 0) on the whole carrier, else None."""
+    if d.kind is MetricKind.MAX and carrier.points[0] < 0.0:
+        return None
+    return d
+
+
 def standard_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
     """Space with nearness t/(t+d(x,y)) over the product t-norm; strong."""
     def fn(x, y):
         dist = d.eval(x, y)
         return lambda t: t / (t + dist)
     return FuzzySpace(carrier, TNorm.product(), fn, strong=True,
-                      provenance=f"standard({d.kind.value})")
+                      provenance=f"standard({d.kind.value})",
+                      distance=_profile(carrier, d))
 
 
 def exponential_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
@@ -218,7 +241,8 @@ def exponential_fuzzy_metric(carrier: Carrier, d: BaseMetric) -> FuzzySpace:
                 return np.exp(neg / t)
         return at
     return FuzzySpace(carrier, TNorm.product(), fn, strong=True,
-                      provenance=f"exp({d.kind.value})")
+                      provenance=f"exp({d.kind.value})",
+                      distance=_profile(carrier, d))
 
 
 def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
@@ -357,7 +381,10 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     approximated by the bounded-jump test on a refined grid.  Each
     nearness quantity of an axiom is one call over all grid scales and
     samples; only the two pair checks make one call per carrier row.  The
-    strongness verdict is recorded separately from the declared flag.
+    strongness verdict is recorded separately from the declared flag.  On
+    a space that declares its distance profile a zero nearness is a float
+    underflow: the positivity witness says ``reason: float-underflow`` and
+    the axiom passes.
     Deterministic given (seed, t_grid, triple_samples).  A tolerance
     outside [0, inf), NaN included, and a grid whose scales s + t overflow
     are DomainErrors.
@@ -391,6 +418,11 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     pos = _axiom("positivity", m_xy <= 0.0,
                  lambda s, i: {"x": float(xs[i]), "y": float(ys[i]),
                                "t": grid[s]})
+    if space.distance is not None and not pos.passed:
+        # the declared nearness is positive at every finite distance, so a
+        # zero is the float result underflowing (exp(-3000)), not the space
+        pos = AxiomResult(pos.name, True,
+                          {**pos.witness, "reason": "float-underflow"})
     sym = _axiom("symmetry", np.abs(m_xy - m_yx) > tol,
                  lambda s, i: {"x": float(xs[i]), "y": float(ys[i]),
                                "t": grid[s]})

@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -213,10 +214,13 @@ def test_cm_check_maps_each_distinct_pair_point_once(monkeypatch):
         return apply(self, x, carrier)
     monkeypatch.setattr(SelfMap, "apply", counted_apply)
     got = cm_contractive_check(space, SelfMap(T.name, counted_fn))
-    xs, ys, _ = _carrier_pairs(space.carrier)
+    i, j, _, pts = _carrier_pairs(space.carrier)
     assert got.to_dict() == want
-    assert calls == [xs.shape, ys.shape]
-    assert sum(evaluated) == len(np.unique(xs)) + len(np.unique(ys))
+    # one call of the map's function over the sample's points, which are
+    # distinct here, and no array apply over the pairs' coordinates
+    assert calls == []
+    assert evaluated == [len(pts)] == [len(np.unique(pts))] == [38478]
+    assert len(i) == len(j) == 43528
 
 
 class TestMValue:
@@ -497,18 +501,40 @@ _SAME_PREFIX_OTHER_CUT = ([0.5, 0.45], np.array([0.6, 0.52, 0.3, 0.9]),
                           np.array([0, 1, 2, 2]), [0, 1, 2])
 
 
+# Pair 1 violates both thresholds, but its premise 0.97 lies past both
+# two-sided windows.  The sort path drops it before sorting; in the ordered
+# path it leads both prefixes, so each threshold rescans and drops it there.
+# Pair 0's premise 0.85 remains, with no sample above it in either window
+_PAST_THE_WINDOWS = ([0.1, 0.05], np.array([0.85, 0.97, 0.3, 0.99]),
+                     np.array([0.5, 0.2, 0.96, 0.999]), False, None, None)
+
+
 @pytest.mark.parametrize("finite", [True, False])
-@given(case=_search_cases(), shift=st.none() | st.integers(0, 3))
-@example(case=_SHARED_PREFIX_AND_CUT, shift=None)
-@example(case=_SAME_CUT_OTHER_PREFIX, shift=None)
-@example(case=_SAME_PREFIX_OTHER_CUT, shift=None)
+@given(case=_search_cases(), shift=st.none() | st.integers(0, 3),
+       ordering=st.sampled_from((None, "sorting", "shuffled")),
+       seed=st.integers(0, 2 ** 16))
+@example(case=_SHARED_PREFIX_AND_CUT, shift=None, ordering=None, seed=0)
+@example(case=_SAME_CUT_OTHER_PREFIX, shift=None, ordering=None, seed=0)
+@example(case=_SAME_PREFIX_OTHER_CUT, shift=None, ordering=None, seed=0)
+@example(case=_PAST_THE_WINDOWS, shift=None, ordering="sorting", seed=0)
 @example(case=([0.9, 0.3, 0.3], np.array([]), np.array([]), False, None,
-               None), shift=2)
+               None), shift=2, ordering="sorting", seed=0)
 @example(case=([0.9, 0.3], np.array([]), np.array([]), True, None, None),
-         shift=None)
+         shift=None, ordering=None, seed=0)
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_threshold_search_equals_per_threshold_loop(finite, case, shift):
+def test_threshold_search_equals_per_threshold_loop(finite, case, shift,
+                                                    ordering, seed):
+    # a search without rows may take the pairs ordered by conclusion and by
+    # premise: orders that sort them, ties in a drawn order, take the
+    # ordered path; orders that do not, the sort path
     rs, F, E, onesided, rows, cuts = case
+    orders = None
+    if ordering is not None and cuts is None:
+        rng = np.random.default_rng(seed)
+        orders = ((np.lexsort((rng.random(E.size), E)),
+                   np.lexsort((rng.random(F.size), F)))
+                  if ordering == "sorting" else
+                  (rng.permutation(E.size), rng.permutation(F.size)))
     t = 0.25
     want = []
     n_cuts = 1 if cuts is None else len(cuts)
@@ -518,10 +544,85 @@ def test_threshold_search_equals_per_threshold_loop(finite, case, shift):
             rec = {"t": t, **rec} if cuts is None and shift is None else {
                 "t": t, "N": shift if cuts is None else cuts[cut], **rec}
         want.append((None, k) if rec is None else (list(rec.items()), None))
-    search = _threshold_search(rs, onesided, finite, rows, cuts)
+    search = _threshold_search(rs, onesided, finite, rows, cuts, orders)
     got = [(rec if rec is None else list(rec.items()), k)
            for rec, k in search(F, E, t, shift if cuts is None else None)]
     assert got == want
+
+
+def _items(report) -> list:
+    """A report's dictionary with the key order of every nested record."""
+    def walk(v):
+        if isinstance(v, dict):
+            return [(k, walk(e)) for k, e in v.items()]
+        return [walk(e) for e in v] if isinstance(v, list) else v
+    return walk(report.to_dict())
+
+
+@st.composite
+def _declared_cases(draw):
+    """A space that declares its distance profile, both constructors and
+    both metrics, on a finite carrier of half-integers (many tied
+    distances) with a drawn table map, or on an interval with a contracting,
+    reflecting or step map; thresholds unsorted with repeats, 1 to 3
+    scales."""
+    build = draw(st.sampled_from((standard_fuzzy_metric,
+                                  exponential_fuzzy_metric)))
+    d = metric(draw(st.sampled_from(("euclidean", "max-jachymski"))))
+    if draw(st.booleans()):
+        pts = sorted(draw(st.sets(st.integers(0, 12), min_size=2,
+                                  max_size=8)))
+        carrier = Carrier.finite([p / 2 for p in pts])
+        T = table_map({p: draw(st.sampled_from(carrier.points))
+                       for p in carrier.points}, carrier)
+    else:
+        high = draw(st.sampled_from((1.0, 4.0, 10.0)))
+        carrier = Carrier.interval(0.0, high, draw(st.integers(2, 30)))
+        T = self_map(draw(st.sampled_from(
+            ("expr:x/2", "expr:x/(1+x)", f"expr:{high}-x", "phi-step",
+             f"expr:{draw(st.sampled_from((0.25, 0.9, 1.0)))}*x"))))
+    rs = draw(st.lists(st.sampled_from((0.05, 0.1, 0.3, 0.5, 0.9))
+                       | st.floats(0.01, 0.99), min_size=1, max_size=8))
+    grid = sorted(draw(st.sets(st.sampled_from((0.01, 0.1, 0.5, 1.0, 4.0,
+                                                 30.0)),
+                               min_size=1, max_size=3)))
+    return build(carrier, d), T, rs, grid
+
+
+@given(case=_declared_cases())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
+    # per scale, both forms: records, key order and witnesses; the orders
+    # sort every scale's values.  Then whole checks, cm in both forms and
+    # the probe, with the orders and without
+    space, T, rs, grid = case
+    assert space.distance is not None
+    xs, ys, txs, tys, _ = contractions._mapped_pairs(space, T)
+    orders = contractions._distance_orders(space, xs, ys, txs, tys)
+    finite = space.carrier.is_finite
+    for t in grid:
+        F, E = space.m(xs, ys, t), space.m(txs, tys, t)
+        assert contractions._nondecreasing(E[orders[0]])
+        assert contractions._nondecreasing(F[orders[1]])
+        for onesided in (False, True):
+            want = _threshold_search(rs, onesided, finite)(F, E, t)
+            got = _threshold_search(rs, onesided, finite,
+                                    orders=orders)(F, E, t)
+            assert ([(rec and list(rec.items()), k) for rec, k in got]
+                    == [(rec and list(rec.items()), k) for rec, k in want])
+
+    def run(check):
+        try:
+            return _items(check(space, T, r_grid=rs, t_grid=grid))
+        except PreconditionError as exc:
+            return exc.witness
+    checks = (partial(cm_contractive_check, form="between"),
+              partial(cm_contractive_check, form="onesided"),
+              equivalence_probe)
+    got = [run(check) for check in checks]
+    with mock.patch.object(contractions, "_distance_orders",
+                           lambda *args: None):
+        assert got == [run(check) for check in checks]
 
 
 def _seeded_table_space(seed: int):
@@ -799,15 +900,15 @@ class TestMContractive:
         # unresolved, up to the last shift one of them needs; the pairs'
         # iterates are mapped once, up to the deepest shift any scale needs
         searches, maps = [], []
-        searcher, apply = contractions._threshold_search, SelfMap.apply
+        searcher, images = contractions._threshold_search, SelfMap._images
 
         def counted_searcher(rs, *args, **kwargs):
             search = searcher(rs, *args, **kwargs)
             return lambda *a: searches.append(len(rs)) or search(*a)
         monkeypatch.setattr(contractions, "_threshold_search",
                             counted_searcher)
-        monkeypatch.setattr(SelfMap, "apply", lambda self, x, carrier=None:
-                            maps.append(np.shape(x)) or apply(self, x, carrier))
+        monkeypatch.setattr(SelfMap, "_images", lambda self, u, *args:
+                            maps.append(np.shape(u)) or images(self, u, *args))
         sc = load_scenario("ex63")
         unit = standard_fuzzy_metric(Carrier.interval(0, 1, 41),
                                      metric("euclidean"))
@@ -829,7 +930,8 @@ class TestMContractive:
                          for shift in range(max(shifts) + 1)]
             assert searches == want
             deepest_shifts.append(max(rec["N"] for rec in cond.records))
-            assert len(maps) == 2 + 2 * deepest_shifts[-1]
+            # the sample's points once, then both coordinates per shift
+            assert len(maps) == 1 + 2 * deepest_shifts[-1]
         # ex63 needs no shift beyond 0 of its 4; the piecewise map needs two
         assert deepest_shifts == [0, 2]
 
@@ -844,7 +946,8 @@ class TestMContractive:
 
 def _before_after(space, T, t):
     """The before- and after-nearness of the default pair sample."""
-    xs, ys, _ = _carrier_pairs(space.carrier)
+    i, j, _, pts = _carrier_pairs(space.carrier)
+    xs, ys = pts[i], pts[j]
     return space.m(xs, ys, t), space.m(T(xs), T(ys), t)
 
 
@@ -952,9 +1055,8 @@ class TestEquivalenceProbe:
             return step_map(x)
         report = equivalence_probe(ray_space, SelfMap("counted", counted),
                                    r_grid=SMALL_R, t_grid=SMALL_T)
-        # each distinct point of the pair sample is mapped once, not per scale
-        xs, ys, _ = _carrier_pairs(ray_space.carrier)
-        assert len(images) == len(np.unique(xs)) + len(np.unique(ys))
+        # each point of the pair sample is mapped once, not per scale
+        assert len(images) == len(_carrier_pairs(ray_space.carrier)[3])
         for entry in report.envelope_certs:
             env = extract_empirical_gauge(ray_space, step_map, t=entry["t"])
             cert = class_membership(env, ClassTag.PSI1, r_grid=SMALL_R)

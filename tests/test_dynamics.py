@@ -906,6 +906,10 @@ _QUAD_SPACES.append(table_fuzzy_metric(
      (0, 5): (0.1, 0.3, 0.6), (1, 2): (0.4, 0.7, 0.95),
      (1, 5): (0.2, 0.4, 0.7), (2, 5): (0.3, 0.5, 0.8)}))
 _INTERVAL_MAPS = ("phi-step", "expr:x/(1+0.75*x)", "expr:x/2")
+# t + d never reaches 0 on the negative carrier: exp(-d/t) alone
+_CAUCHY_SPACES = {**_ORBIT_SPACES, "exp-max-jachymski-negative":
+                  exponential_fuzzy_metric(Carrier.interval(-5.0, 10.0),
+                                           metric("max-jachymski"))}
 _ORBIT_GRID = (1.0, 2.5, 10.0, 40.0)
 
 
@@ -1098,25 +1102,46 @@ class TestBlockedOrbit:
             assert (m_cauchy_check(line_space, trace, rs).to_dict()
                     == _reference_m_cauchy(line_space, trace, rs).to_dict())
 
-    @given(points=st.lists(st.floats(0.0, 10.0)
+    @given(name=st.sampled_from(sorted(_CAUCHY_SPACES)),
+           points=st.lists(st.floats(0.0, 10.0)
                            | st.integers(0, 10).map(float),
                            min_size=2, max_size=40),
-           tail=st.integers(0, 600),
+           tail=st.integers(0, 600), repeats=st.integers(0, 3),
            rs=st.lists(st.sampled_from(SMALL_R) | st.floats(1e-4, 0.9999),
                        min_size=1, max_size=12),
-           exp=st.booleans())
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_m_cauchy_matches_dense_check_on_random_traces(self, points, tail,
-                                                           rs, exp):
+           refuting=st.booleans())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_m_cauchy_matches_dense_check_on_random_traces(
+            self, name, points, tail, repeats, rs, refuting):
         # a geometric tail lets small thresholds hold; random points alone
         # violate most of them.  Whole points put nearness on a bound, as
-        # 1/(1+1) on 1-0.5.  The r grids come unsorted, with repeats.
-        space = _ORBIT_SPACES["exponential_fuzzy_metric-euclidean" if exp
-                              else "standard_fuzzy_metric-max-jachymski"]
+        # 1/(1+1) on 1-0.5, and repeat; so does a point held for a few
+        # steps.  The r grids come unsorted, with repeats; a refuting one
+        # adds a threshold the last pair misses, so the witness is
+        # compared too.  Declared spaces read the tails' widest pairs;
+        # the negative max-jachymski carrier declares none.
+        space = _CAUCHY_SPACES[name]
+        low = space.carrier.points[0]
+        points = [low + p for p in points]
         points += [points[-1] * 0.9 ** k for k in range(1, tail + 1)]
+        points += [points[-1]] * repeats
         trace = OrbitTrace.from_points(space, points, _ORBIT_GRID)
+        if refuting:
+            p, q = trace.points[-2:]
+            rs = rs + [max(1e-6, 0.5 * (1.0 - space.m(p, q, 1.0)))]
         assert (m_cauchy_check(space, trace, rs).to_dict()
                 == _reference_m_cauchy(space, trace, rs).to_dict())
+
+    def test_m_cauchy_reads_tails_on_the_carrier_alone(self, ray_space):
+        # max(-3, -2) = -2 is no distance: at t = 1 that pair's nearness is
+        # -1, below the widest pair's 1/6, so a trace off the carrier takes
+        # the dense path
+        trace = OrbitTrace.from_points(ray_space, [-3.0, -2.0, 5.0, 0.5],
+                                       (1.0, 10.0))
+        cert = m_cauchy_check(ray_space, trace, (0.9, 0.5))
+        assert cert.to_dict() == _reference_m_cauchy(ray_space, trace,
+                                                     (0.9, 0.5)).to_dict()
+        assert cert.records[0] == {"t": 1.0, "r": 0.9, "N": 1}
 
     def test_rows_match_elementwise_export(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, 100, 1e-9, GRID_1_100)
@@ -1161,8 +1186,10 @@ class TestOrbitWorkCounts:
         assert len(count.pairs) == len(count.scales)
         assert sum(count.scales) == 10000 * len(sc.t_grid)
 
-    def test_m_cauchy_evaluates_the_upper_triangle_once_per_scale(
-            self, monkeypatch):
+    def test_m_cauchy_evaluates_one_widest_pair_per_cut(self, monkeypatch):
+        # the subsample's 511 cuts, each its tail's widest pair, prepared
+        # once and evaluated in one block of all 40 scales; the upper
+        # triangle's 130,816 pairs only at a refuted scale
         sc = load_scenario("ex62")
         space = sc.build_space()
         points = 1.0 / np.arange(1, 10002)
@@ -1171,9 +1198,14 @@ class TestOrbitWorkCounts:
         cert = m_cauchy_check(space, trace, sc.r_grid)
         assert cert.holds
         n = dynamics.PAIR_CERT_CAP
-        assert n * (n - 1) // 2 == 130816
-        assert count.pairs == [130816]
-        assert count.scales == [130816] * len(sc.t_grid) == [130816] * 40
+        assert count.pairs == [n - 1] == [511]
+        assert count.scales == [511 * 40]
+        count.pairs.clear()
+        count.scales.clear()
+        cert = m_cauchy_check(space, trace, (0.5, 1e-9))
+        assert cert.verdict is CauchyVerdict.VIOLATED
+        assert count.pairs == [511, n * (n - 1) // 2] == [511, 130816]
+        assert count.scales == [511 * 40, 130816]
 
     def test_g_cauchy_reads_the_gap_one_series_from_the_trace(
             self, ray_space, monkeypatch):

@@ -653,11 +653,24 @@ class TestCli:
     @pytest.mark.parametrize("command", ["check-space", "classify-map"])
     def test_subnormal_scale_on_exp_space_warns_nothing(self, command):
         # d/t overflows at t = 1e-310 and exp(-inf) = 0 is the nearness; a
-        # RuntimeWarning fails the test under the pytest configuration
+        # RuntimeWarning fails the test under the pytest configuration.
+        # That zero is a float underflow, which positivity does not count
         code, out = run_command([command, "--scenario", "ex63", "--t-grid",
                                  "1e-310"])
-        assert code == 1
+        assert code == (0 if command == "check-space" else 1)
         assert "1e-310" in out
+
+    def test_underflow_to_zero_is_no_positivity_violation(self):
+        # exp(-3000) is 0 in floats; the exp space's declared profile is
+        # positive at every finite distance, so the witness is marked
+        code, out = run_command(["check-space", "--scenario", "ex63",
+                                 "--t-grid", "1e-3", "--format",
+                                 "json-like"])
+        assert code == 0
+        pos = json.loads(out)["body"]["axiom_report"]["axioms"][0]
+        assert pos == {"name": "positivity", "passed": True,
+                       "witness": {"x": 5.0, "y": 2.0, "t": 0.001,
+                                   "reason": "float-underflow"}}
 
     def test_scale_near_the_float_maximum_is_a_one_line_error(self):
         # s + t overflows for t = 1e308; the sum would warn, an error under

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyfix.algebra import AxiomResult, DomainError, TNorm, tnorm
-from fuzzyfix.defaults import scale_grid
+from fuzzyfix.defaults import DEFAULT_T_GRID, scale_grid
 from fuzzyfix.spaces import (
     T_CONTINUITY_JUMP_TOL,
     T_REFINE,
@@ -193,6 +193,18 @@ class TestAxiomCheck:
         assert not pos.passed
         assert pos.witness is not None
 
+    def test_underflow_on_a_declared_space_is_no_violation(self,
+                                                           quad_carrier):
+        # exp(-3000) underflows to 0 at t = 1e-3, but the declared profile
+        # is positive at every finite distance: the zero is the float's
+        space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
+        report = axiom_check(space, seed=7, t_grid=[1e-3])
+        pos = report.result("positivity")
+        assert pos.passed and report.passed
+        assert pos.witness == {"x": 5.0, "y": 2.0, "t": 1e-3,
+                               "reason": "float-underflow"}
+        assert space.m(5.0, 2.0, 1e-3) == 0.0
+
     def test_deterministic(self, quad_carrier):
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
         a = axiom_check(space, triple_samples=200, seed=9).to_dict()
@@ -203,6 +215,48 @@ class TestAxiomCheck:
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
         with pytest.raises(DomainError):
             axiom_check(space, t_grid=[0.0, 1.0])
+
+
+class TestDistanceProfile:
+    @pytest.mark.parametrize("build", [standard_fuzzy_metric,
+                                       exponential_fuzzy_metric])
+    def test_builtin_spaces_declare_their_metric(self, build, quad_carrier,
+                                                 ray_carrier):
+        for carrier in (quad_carrier, ray_carrier, Carrier.finite([-3, 1])):
+            d = metric("euclidean")
+            assert build(carrier, d).distance is d
+        assert build(ray_carrier, metric("max-jachymski")).distance.kind \
+            is MetricKind.MAX
+        # max(x, y) of two negative points is no distance: t + d reaches 0
+        for carrier in (Carrier.finite([-3, 1]), Carrier.interval(-1, 1)):
+            assert build(carrier, metric("max-jachymski")).distance is None
+
+    def test_table_spaces_declare_none(self):
+        space = table_fuzzy_metric(Carrier.finite([0, 1]), [1.0],
+                                   {(0, 1): [0.5]})
+        assert space.distance is None
+
+    @pytest.mark.parametrize("build", [standard_fuzzy_metric,
+                                       exponential_fuzzy_metric])
+    @given(base=st.floats(0.0, 1e4), ulps=st.lists(st.integers(0, 3),
+                                                  min_size=1, max_size=600),
+           spread=st.lists(st.floats(0.0, 1e4), max_size=60),
+           t=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_sorted_distances_give_sorted_nearness(self, build, base, ulps,
+                                                   spread, t):
+        # the ordered threshold search and the Cauchy tails rest on this
+        # order; np.exp's SIMD kernels round on their own, so it is checked
+        # on runs of adjacent doubles, at the default grid's scales and at
+        # those of ex62
+        run = (np.float64(base).view(np.int64)
+               + np.cumsum(ulps)).view(np.float64)
+        d = np.sort(np.concatenate([run, spread]))[::-1]
+        space = build(Carrier.interval(0.0, 10.0), metric("euclidean"))
+        ts = np.array(DEFAULT_T_GRID + scale_grid(np.logspace(0, 2, 40))
+                      + (t,))
+        near = space.pairs(np.zeros(d.size), d)(ts[:, None])
+        assert (np.diff(near, axis=1) >= 0).all()
 
 
 class TestTableSpace:
