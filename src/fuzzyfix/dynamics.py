@@ -371,10 +371,10 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
         # the pairs i < j in row-major order, and where each row i starts
         i, j = np.triu_indices(len(pts), 1)
         starts = np.searchsorted(i, np.arange(len(pts) - 1))
+        rows = _scale_rows(grid, len(i), space.pairs(pts[i], pts[j]))
         worst = ((t, np.minimum.accumulate(
             np.minimum.reduceat(near, starts)[::-1])[::-1])
-                 for t, near in _scale_rows(grid, len(i),
-                                            space.pairs(pts[i], pts[j])))
+                 for t, near in rows)
     for t, g in worst:
         # g[k] = worst nearness among pairs fully beyond cut k; it is
         # nondecreasing, so each bound's first cut above it is one search
