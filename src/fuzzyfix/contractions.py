@@ -12,13 +12,16 @@ Checks provided, each over explicit scale and threshold grids:
   (before, after) nearness samples, returned as a gauge to certify,
 * an equivalence probe relating the uniform-in-t and per-t variants.
 
-Self-maps take floats or whole arrays; every check maps the points of its
-pair sample with one call and prepares the nearness of its pair sets once
-(:meth:`FuzzySpace.pairs`), then evaluates the scale stage on blocks of
-scales, one call per block.  Strict improvement reads the regular prefix
-of the arrays the second condition evaluates at the same scale.  On a
-space that declares its distance profile, the threshold search reads pairs
-ordered once per check instead of sorting them at each scale.
+Self-maps take floats or whole arrays.  A check's pair sample
+(:class:`PairSample`) maps its points with one call and can be shared by
+the checks of one (space, map).  Each check prepares the nearness of its
+pair sets once (:meth:`FuzzySpace.pairs`), then evaluates the scale stage
+on blocks of scales, one call per block.  Strict improvement reads the
+regular pairs' values of the arrays the second condition evaluates at the
+same scale.  On a space that declares its distance profile, the sample
+ranks its pairs by distance once, and the threshold-implication check
+evaluates each scale at the distinct distances only, searching their
+cumulative counts instead of sorting pairs.
 
 All verdicts carry re-checkable witnesses.  Every rho search, the one of
 the criterion check in :mod:`fuzzyfix.dynamics` included, runs one search
@@ -31,9 +34,10 @@ vacuously through sub-resolution windows.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -342,9 +346,48 @@ _SWEEP_RATIO = 3e-4
 _SWEEP_MIN_FRACTION = 1e-5
 
 
-def _carrier_pairs(carrier: Carrier):
-    """Pair sample of a carrier: (i, j, n_base, pts), pair k being
-    (pts[i[k]], pts[j[k]]) over the sample's points ``pts``.
+_Ranks = namedtuple("_Ranks", "reps group")
+_Ordered = namedtuple("_Ordered", "image pair order ends tops")
+
+
+def _ranks(d: np.ndarray) -> tuple:
+    """One stable sort of pairs by their distances ``d``, widest first: the
+    order, where each distinct distance starts in it, and each pair's
+    distinct distance, numbered from the widest; int32 indices, as a shared
+    sample keeps its ranks while the other work of its command runs."""
+    order = np.argsort(-d, kind="stable").astype(np.int32)
+    ds = d[order]
+    first = np.ones(d.size, dtype=bool)
+    first[1:] = ds[1:] != ds[:-1]
+    starts = np.flatnonzero(first)
+    group = np.empty(d.size, dtype=np.int32)
+    group[order] = np.repeat(np.arange(starts.size, dtype=np.int32),
+                             np.diff(np.append(starts, d.size)))
+    return order, starts, group
+
+
+def _ordered(d_image: np.ndarray, d_pair: np.ndarray) -> _Ordered:
+    """Pairs ranked by image distance and by pair distance (:func:`_ranks`):
+    per side (``image``, ``pair``) the first pair at each distinct distance
+    and each pair's distinct distance.  ``order`` lists the pairs by image
+    distance, ``ends`` is 0 and then the number of pairs up to each
+    distinct image distance, and ``tops[g]`` is the largest pair distance
+    number among the first ``ends[g]`` pairs, their least pair distance
+    (``tops[0]`` is unread)."""
+    order, starts, image = _ranks(d_image)
+    by_pair, pair_starts, pair = _ranks(d_pair)
+    ends = np.append(starts, d_image.size)
+    tops = np.maximum.accumulate(pair[order])[ends[1:] - 1]
+    return _Ordered(_Ranks(order[starts], image),
+                    _Ranks(by_pair[pair_starts], pair),
+                    order, ends, np.append(0, tops))
+
+
+@dataclass(frozen=True, eq=False)
+class PairSample:
+    """The pair sample of a self-map ``map`` on a space: pairs (xs, ys) of
+    carrier points and their images (txs, tys).  Build it with :meth:`of`,
+    once per (space, map); the checks that take ``sample=`` share it.
 
     The first ``n_base`` pairs are the regular sample (all pairs of the
     carrier points, the diagonal included, decimated on interval carriers).
@@ -354,46 +397,60 @@ def _carrier_pairs(carrier: Carrier):
     branch edges, so strictness conditions with a fixed margin are checked
     on the regular sample only.
     """
-    pts = np.array(carrier.points)
-    if carrier.is_finite:
+
+    space: FuzzySpace
+    map: SelfMap
+    xs: np.ndarray
+    ys: np.ndarray
+    txs: np.ndarray
+    tys: np.ndarray
+    n_base: int
+
+    @classmethod
+    def of(cls, space: FuzzySpace, T: SelfMap) -> "PairSample":
+        """Each sample point is mapped once (a sweep point that equals a
+        regular one is listed, and mapped, twice); an error names the first
+        offender of xs, then of ys, as ``T.apply`` on each would."""
+        carrier = space.carrier
+        pts = np.array(carrier.points)
+        if not carrier.is_finite:
+            pts = pts[::max(1, len(pts) // 80)]
         i, j = np.triu_indices(len(pts))
-        return i, j, len(i), pts
-    sub = pts[::max(1, len(pts) // 80)]
-    i, j = np.triu_indices(len(sub))
-    span = carrier.high - carrier.low
-    d0 = span * _SWEEP_MIN_FRACTION
-    count = int(math.ceil(math.log(1.0 / _SWEEP_MIN_FRACTION) / _SWEEP_RATIO))
-    ds = d0 * np.exp(np.arange(count + 1) * _SWEEP_RATIO)
-    ds = ds[ds <= span]
-    # sub[0] is the lower endpoint, the sweep's anchor
-    sweep = np.arange(len(sub), len(sub) + ds.size)
-    return (np.concatenate([i, np.zeros_like(sweep)]),
-            np.concatenate([j, sweep]), len(i),
-            np.concatenate([sub, carrier.low + ds]))
+        n_base = len(i)
+        if not carrier.is_finite:
+            span = carrier.high - carrier.low
+            count = int(math.ceil(math.log(1.0 / _SWEEP_MIN_FRACTION)
+                                  / _SWEEP_RATIO))
+            ds = (span * _SWEEP_MIN_FRACTION
+                  * np.exp(np.arange(count + 1) * _SWEEP_RATIO))
+            ds = ds[ds <= span]
+            # pts[0] is the lower endpoint, the sweep's anchor
+            i = np.append(i, np.zeros(ds.size, dtype=i.dtype))
+            j = np.append(j, np.arange(len(pts), len(pts) + ds.size))
+            pts = np.append(pts, carrier.low + ds)
+        xs, ys = pts[i], pts[j]
+        images = T._images(pts, carrier, xs, ys)
+        return cls(space, T, xs, ys, images[i], images[j], n_base)
+
+    @cached_property
+    def ordered(self) -> Optional[_Ordered]:
+        """The pairs ranked by image and by pair distance (:func:`_ordered`),
+        built on first use, on a space that declares its distance profile;
+        else None."""
+        d = self.space.distance
+        return None if d is None else _ordered(d.eval(self.txs, self.tys),
+                                               d.eval(self.xs, self.ys))
 
 
-def _mapped_pairs(space: FuzzySpace, T: SelfMap):
-    """The pair sample (xs, ys) of the space's carrier with its images
-    (txs, tys) and its regular count ``n_base`` (:func:`_carrier_pairs`).
-
-    Each sample point is mapped once (a sweep point that equals a regular
-    one is listed, and mapped, twice); an error names the first offender of
-    xs, then of ys, as ``T.apply`` on each would."""
-    i, j, n_base, pts = _carrier_pairs(space.carrier)
-    xs, ys = pts[i], pts[j]
-    images = T._images(pts, space.carrier, xs, ys)
-    return xs, ys, images[i], images[j], n_base
-
-
-def _distance_orders(space: FuzzySpace, xs, ys, txs, tys):
-    """The pair sample ordered once per check, on a space that declares its
-    distance profile: by image distance and by pair distance, each widest
-    first, so that at every scale the conclusions and the premises come in
-    nondecreasing order.  None on a space that declares none."""
-    d = space.distance
-    if d is None:
-        return None
-    return np.argsort(-d.eval(txs, tys)), np.argsort(-d.eval(xs, ys))
+def _pair_sample(space: FuzzySpace, T: SelfMap,
+                 sample: Optional[PairSample]) -> PairSample:
+    """``sample``, checked to be of ``T`` on ``space``; a new one if None."""
+    if sample is None:
+        return PairSample.of(space, T)
+    if sample.space is not space or sample.map is not T:
+        raise DomainError(f"pair sample of map {sample.map.name} drawn from "
+                          f"another space or map than {T.name}'s")
+    return sample
 
 
 # A scale loop evaluates its pair stages on blocks of scales, each call
@@ -445,23 +502,10 @@ def _nondecreasing(a: np.ndarray) -> bool:
     return bool((a[1:] >= a[:-1]).all())
 
 
-def _prefix_maxima(a: np.ndarray, ns: np.ndarray) -> list:
-    """The maximum of each prefix ``a[:n]``, n in ``ns`` (an empty prefix's
-    entry is unread), from one maximum per stretch between the distinct
-    lengths: over tens of thousands of pairs a running maximum costs
-    several times more, over the sort path's few candidates no less."""
-    ends = np.unique(ns[ns > 0])
-    if not ends.size:
-        return [None] * len(ns)
-    tops = np.maximum.accumulate(np.maximum.reduceat(
-        a, np.concatenate([[0], ends[:-1]])))
-    return tops[ends.searchsorted(ns)].tolist()
-
-
 def _threshold_search(rs: Sequence[float], onesided: bool = False,
                       finite: bool = True, rows: Optional[np.ndarray] = None,
                       cuts: Optional[Sequence[int]] = None,
-                      orders: Optional[tuple] = None) -> Callable:
+                      orders: Optional[_Ordered] = None) -> Callable:
     """The search that certifies "premise window implies conclusion >= 1-r"
     for each r of ``rs``, as a function ``search(F, E, t, N=None)`` of one
     scale t's pairs.
@@ -496,18 +540,20 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     window's violator with the largest premise (the last such pair among
     ties).
 
-    Without rows, ``orders`` may hold the pairs ordered once per check by
-    conclusion and by premise (:func:`_distance_orders`).  At a scale
-    whose values they sort, checked in one pass, each r's violators are a
-    prefix of the first order, their premise maxima come from one maximum
-    per stretch between prefix ends, and the premise counts are searches
-    in the second: no sort, argsort or boolean gather.  The answers are
-    the sort path's.  A prefix ends where the conclusion reaches a target,
-    so it holds the same pairs whatever the order among ties, and a
-    witness is the largest index among them.  Its pairs past every
-    two-sided window, which the sort path drops first, lift the premise
-    maximum past 1-r, so the r rescans and drops them.  A scale that the
-    orders do not sort takes the sort path.
+    Without rows, ``orders`` may rank the pairs by distance
+    (:attr:`PairSample.ordered`), and F and E then hold the values at the
+    distinct pair and image distances, widest first.  Where both are
+    nondecreasing, checked in one pass, the answers are the sort path's
+    with no sort or per-pair work: an r's violators are the first
+    ``orders.ends[g]`` pairs of the image order, g the values below its
+    target; their premise maximum is at their least pair distance
+    (``orders.tops[g]``); premise counts are searches in F; and only a
+    rescan or a witness gathers a prefix's premises.  A prefix holds the
+    same pairs whatever the order among ties, and a witness is the largest
+    index among them.  Its pairs past every two-sided window, which the
+    sort path drops first, lift v past 1-r, so the r rescans and drops
+    them.  Values the orders do not sort are spread over the pairs for the
+    sort path.
     """
     thresholds = [1.0 - r for r in rs]
     reach = [r + CLASS_TOL for r in rs]     # 1 - F <= r + CLASS_TOL: fatal
@@ -520,6 +566,12 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     clamped = 1.0 - ENDPOINT_CLAMP
 
     def search(F: np.ndarray, E: np.ndarray, t: float, N=None) -> list:
+        ordered = orders is not None
+        if ordered and not (F.size and _nondecreasing(F)
+                            and _nondecreasing(E)):
+            # each pair's value, for the sort path
+            F, E = F[orders.pair.group], E[orders.image.group]
+            ordered = False
         if onesided:
             # every window at cut 0 holds all pairs; the largest premise
             # among the pairs beyond each cut
@@ -527,17 +579,13 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             best = ([] if not F.size else [float(F.max())] if cuts is None
                     else np.maximum.accumulate(np.maximum.reduceat(
                         F, starts)[::-1])[::-1].tolist())
-        ordered = orders is not None
         if ordered:
-            Eo = E[orders[0]]
-            ranked = None if onesided else F[orders[1]]
-            ordered = _nondecreasing(Eo) and (onesided or
-                                              _nondecreasing(ranked))
-        if ordered:
-            ns = Eo.searchsorted(targets)
-            order = orders[0][:ns.max(initial=0)]
-            Fo = F[order]
-            tops = _prefix_maxima(Fo, ns)
+            g = E.searchsorted(targets)
+            ns, order, ranked = orders.ends[g], orders.order, F
+            tops = F[orders.tops[g]].tolist()
+
+            def head(m):    # the premises of the first m pairs
+                return F[orders.pair.group[order[:m]]]
         else:
             keep = E < loosest
             if not onesided:
@@ -556,6 +604,9 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             # each prefix's premise maximum (an empty prefix's is unread)
             tops = (np.maximum.accumulate(Fo)[ns - 1].tolist() if Fo.size
                     else [])
+
+            def head(m):
+                return Fo[:m]
         if not onesided:
             counts = ranked.searchsorted(bounds).tolist()
         ns = ns.tolist()
@@ -571,8 +622,9 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             if v is not None and 1.0 - v <= reach[i]:
                 # some violator reaches 1-r: rescan the window's violators
                 if not onesided:
-                    inside = Fo[:m] < thresholds[i]
-                    Fv = Fo[:m][inside]
+                    Fm = head(m)
+                    inside = Fm < thresholds[i]
+                    Fv = Fm[inside]
                     top = v = float(Fv.max()) if Fv.size else None
                     if v is not None and 1.0 - v <= reach[i]:
                         first = n_cuts
@@ -602,7 +654,7 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             else:
                 rho = None
             if rho is None:
-                sel = Fo[:m] == top
+                sel = head(m) == top
                 if inside is not None:
                     sel &= inside
                 out.append((None, int(order[:m][sel].max())))
@@ -618,30 +670,45 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     return search
 
 
-def _improvement_scan(space: FuzzySpace, grid, pairs, n_base: int,
+def _improvement_scan(space: FuzzySpace, grid, sample: PairSample,
                       cond1: ConditionVerdict, cond2: ConditionVerdict,
-                      premise: Optional[Callable] = None, key: str = "before"):
+                      premise: Optional[Callable] = None, key: str = "before",
+                      ordered: Optional[_Ordered] = None):
     """The scale loop of a check whose first condition is strict improvement.
 
-    ``pairs`` is the pair sample (xs, ys) with its images (txs, tys), whose
-    first ``n_base`` pairs are the regular sample; ``premise(xs, ys, txs,
-    tys)`` prepares a sample's premise as a function of the scale, by
-    default the pairs' own nearness.  The premise and the images' nearness
-    are prepared once and evaluated on blocks of scales
+    The sample's first ``n_base`` pairs are the regular sample;
+    ``premise(xs, ys, txs, tys)`` prepares a sample's premise as a function
+    of the scale, by default the pairs' own nearness.  The premise and the
+    images' nearness are prepared once and evaluated on blocks of scales
     (:func:`_scale_rows`).  While ``cond2`` holds, each scale t reads both
     over the whole sample, F and E, and yields (t, F, E) for the caller to
-    check ``cond2``; a caller marks ``cond2`` violated and lets the loop
+    check ``cond2``; with ``ordered`` (:attr:`PairSample.ordered`, default
+    premise), F and E are the nearness at the distinct pair and image
+    distances only.  A caller marks ``cond2`` violated and lets the loop
     run out rather than breaking it.  ``cond1`` requires, at every scale,
     distinct regular pairs' images to be strictly nearer than the premise,
     which its witness names ``key`` (``before`` or ``blend``).  It reads
-    the regular prefix of F and E; once ``cond2`` is violated it goes on
-    over the regular sample alone, prepared again when the sample holds
-    more.
+    the regular pairs' values of F and E; once ``cond2`` is violated it goes
+    on over the regular sample alone, prepared again when the sample holds
+    more or only its distinct distances.
     """
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
     premise = premise or (lambda xs, ys, txs, tys: space.pairs(xs, ys))
-    xs, ys, txs, tys = pairs
+    xs, ys, n_base = sample.xs, sample.ys, sample.n_base
+    pairs = (xs, ys, sample.txs, sample.tys)
     distinct = xs[:n_base] != ys[:n_base]
+    if ordered is None:
+        rows = _scale_rows(grid, len(xs), premise(*pairs),
+                           space.pairs(*pairs[2:]))
+        regular = lambda F, E: (F, E)
+    else:
+        pr, im = ordered.pair, ordered.image
+        rows = _scale_rows(grid, max(pr.reps.size, im.reps.size),
+                           space.pairs(xs[pr.reps], ys[pr.reps]),
+                           space.pairs(sample.txs[im.reps],
+                                       sample.tys[im.reps]))
+        fg, eg = pr.group[:n_base], im.group[:n_base]
+        regular = lambda F, E: (F[fg], E[eg])
 
     def improve(t, F, E):
         f, e = F[:n_base], E[:n_base]
@@ -655,21 +722,20 @@ def _improvement_scan(space: FuzzySpace, grid, pairs, n_base: int,
             cond1.witness = {"x": float(xs[k]), "y": float(ys[k]), "t": t,
                              **values}
 
-    rows = _scale_rows(grid, len(xs), premise(*pairs), space.pairs(txs, tys))
     for i, (t, F, E) in enumerate(rows):
         if cond2.status is CheckStatus.VIOLATED:
             break
         if cond1.status is CheckStatus.SATISFIED:
-            improve(t, F, E)
+            improve(t, *regular(F, E))
         yield t, F, E
     else:
         return
     # cond2 failed at the scale before grid[i], whose rows are read already
-    if n_base < len(xs):
+    if ordered is not None or n_base < len(xs):
         base = [a[:n_base] for a in pairs]
         rows = _scale_rows(grid[i + 1:], n_base, premise(*base),
                            space.pairs(*base[2:]))
-    for t, F, E in chain([(t, F, E)], rows):
+    for t, F, E in chain([(t, *regular(F, E))], rows):
         if cond1.status is CheckStatus.VIOLATED:
             return
         improve(t, F, E)
@@ -691,12 +757,12 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
     if psi.domain is not GaugeDomain.PSI:
         raise DomainError(f"{psi.name} is not psi-style")
     grid = scale_grid(t_grid)
-    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
+    sample = PairSample.of(space, T)
+    xs, ys = sample.xs, sample.ys
 
     cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("gauge-bound", CheckStatus.SATISFIED)
-    for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
-                                     cond1, cond2):
+    for t, F, E in _improvement_scan(space, grid, sample, cond1, cond2):
         bound = _gauge_bound(psi, F)
         bad = E < bound - CLASS_TOL
         if bad.any():
@@ -711,7 +777,9 @@ def psi_contractive_check(space: FuzzySpace, T: SelfMap, psi: Gauge,
 def cm_contractive_check(space: FuzzySpace, T: SelfMap,
                          r_grid: Optional[Sequence[float]] = None,
                          t_grid: Optional[Sequence[float]] = None,
-                         form: str = "between") -> ClassificationReport:
+                         form: str = "between",
+                         sample: Optional[PairSample] = None,
+                         ) -> ClassificationReport:
     """Check the threshold-implication contraction form.
 
     Condition 1 as in :func:`psi_contractive_check`.  Condition 2 searches,
@@ -719,35 +787,38 @@ def cm_contractive_check(space: FuzzySpace, T: SelfMap,
     pair whose nearness lies in the premise window improves past 1-r; the
     found rho values are recorded.  ``form`` selects the premise window:
     ``between`` uses 1-r > M > 1-rho and ``onesided`` uses M > 1-rho.
+    ``sample`` is the pair sample of ``T`` on ``space`` to share
+    (:class:`PairSample`), built here when None.
 
     On a space that declares its distance profile (:class:`FuzzySpace`)
-    the pair sample is ordered once, by image distance and by pair
-    distance, widest first.  Nearness is a non-increasing function of the
-    distance there, so these orders sort every scale's conclusions and
-    premises, and the threshold search reads sorted prefixes instead of
-    sorting; each scale confirms the order first, and the records and
-    witnesses are those of the sort path (:func:`_threshold_search`).
+    nearness is a non-increasing function of the distance, so with the
+    sample's ranks (:attr:`PairSample.ordered`) each scale evaluates the
+    conclusions and premises at the distinct distances only, which come
+    sorted, and strict improvement reads the regular pairs' values among
+    them.  Each scale confirms the order, and the records and witnesses
+    are those of the sort path (:func:`_threshold_search`).
     """
     if form not in ("between", "onesided"):
         raise DomainError(f"unknown form {form!r}")
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
-    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
+    sample = _pair_sample(space, T, sample)
+    xs, ys, ordered = sample.xs, sample.ys, sample.ordered
 
     cond1 = ConditionVerdict("strict-improvement", CheckStatus.SATISFIED)
     cond2 = ConditionVerdict("threshold-implication", CheckStatus.SATISFIED)
     search = _threshold_search(rs, form == "onesided",
-                               space.carrier.is_finite,
-                               orders=_distance_orders(space, xs, ys, txs,
-                                                       tys))
-    for t, F, E in _improvement_scan(space, grid, (xs, ys, txs, tys), n_base,
-                                     cond1, cond2):
+                               space.carrier.is_finite, orders=ordered)
+    for t, F, E in _improvement_scan(space, grid, sample, cond1, cond2,
+                                     ordered=ordered):
         for r, (rec, k) in zip(rs, search(F, E, t)):
             if rec is None:
+                kf, ke = ((k, k) if ordered is None else
+                          (ordered.pair.group[k], ordered.image.group[k]))
                 cond2.status = CheckStatus.VIOLATED
                 cond2.witness = {"x": float(xs[k]), "y": float(ys[k]),
-                                 "t": t, "r": r, "before": float(F[k]),
-                                 "after": float(E[k])}
+                                 "t": t, "r": r, "before": float(F[kf]),
+                                 "after": float(E[ke])}
                 break
             cond2.records.append(rec)
     return ClassificationReport(T.name, f"threshold-implication({form})",
@@ -758,21 +829,25 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                         psi: Optional[Gauge] = None,
                         r_grid: Optional[Sequence[float]] = None,
                         t_grid: Optional[Sequence[float]] = None,
-                        n_cap: Optional[int] = None) -> ClassificationReport:
+                        n_cap: Optional[int] = None,
+                        sample: Optional[PairSample] = None,
+                        ) -> ClassificationReport:
     """Check the blended-comparison contraction form.
 
     Condition (i) requires after-nearness strictly above the blended value
     for distinct pairs.  With ``psi`` given, condition (ii) is the gauge
     form after-nearness >= psi(blended value) and the report carries the
     tightest observed margin; otherwise (ii) searches per (t, r) a pair
-    (rho, N) with N up to ``n_cap`` iterate shifts.
+    (rho, N) with N up to ``n_cap`` iterate shifts.  ``sample`` is as in
+    :func:`cm_contractive_check`.
     """
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
     carrier = space.carrier
     if n_cap is None:
         n_cap = len(carrier.points) if carrier.is_finite else 50
-    xs, ys, txs, tys, n_base = _mapped_pairs(space, T)
+    sample = _pair_sample(space, T, sample)
+    xs, ys = sample.xs, sample.ys
     cond1 = ConditionVerdict("strict-improvement-over-blend",
                              CheckStatus.SATISFIED)
     blended = partial(_blended, space, params)
@@ -780,9 +855,8 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     if psi is not None:
         cond2 = ConditionVerdict("gauge-bound-over-blend", CheckStatus.SATISFIED)
         tightest = math.inf
-        for t, mv, E in _improvement_scan(space, grid, (xs, ys, txs, tys),
-                                          n_base, cond1, cond2, blended,
-                                          key="blend"):
+        for t, mv, E in _improvement_scan(space, grid, sample, cond1, cond2,
+                                          blended, key="blend"):
             bound = _gauge_bound(psi, mv)
             slack = E - bound
             tightest = min(tightest, float(slack.min()))
@@ -803,12 +877,11 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     # shift is mapped and prepared once, when a scale first needs it, and
     # its conclusion is the next shift's pair nearness
     shifts = []             # (premise, conclusion) of shifts 1, 2, ...
-    last = (txs, tys)
+    last = (sample.txs, sample.tys)
     cond2 = ConditionVerdict("iterate-threshold-implication", CheckStatus.SATISFIED)
     finite = carrier.is_finite
-    for t, mv, concl in _improvement_scan(space, grid, (xs, ys, txs, tys),
-                                          n_base, cond1, cond2, blended,
-                                          key="blend"):
+    for t, mv, concl in _improvement_scan(space, grid, sample, cond1, cond2,
+                                          blended, key="blend"):
         found, witness = {}, {}
         for n in range(n_cap + 1):
             todo = [i for i in range(len(rs)) if i not in found]
@@ -877,7 +950,8 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap, t: float = 1.0,
     if t <= 0:
         raise DomainError("scale t must be positive")
     if pairs is None:
-        xs, ys, txs, tys, _ = _mapped_pairs(space, T)
+        sample = PairSample.of(space, T)
+        xs, ys, txs, tys = sample.xs, sample.ys, sample.txs, sample.tys
     else:
         xs = np.array([float(a) for a, _ in pairs])
         ys = np.array([float(b) for _, b in pairs])
@@ -921,20 +995,21 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     sampled pairs; raises :class:`PreconditionError` with a witness
     otherwise.  Reports, per r, whether a single rho works across the whole
     scale grid whenever per-scale rho values exist, and certifies the
-    per-scale empirical envelope gauges.  Its threshold search reads pairs
-    ordered once per check on a space that declares its distance profile,
-    as :func:`cm_contractive_check` does.
+    per-scale empirical envelope gauges.  On a space that declares its
+    distance profile, its threshold search reads each scale's values at the
+    distinct distances, as :func:`cm_contractive_check` does, picked from
+    the whole sample's, which the precondition and the envelopes read.
     """
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
-    xs, ys, txs, tys, _ = _mapped_pairs(space, T)
+    sample = PairSample.of(space, T)
+    xs, ys, ordered = sample.xs, sample.ys, sample.ordered
 
     report = EquivalenceReport(T.name, grid, rs)
     search = _threshold_search(rs, finite=space.carrier.is_finite,
-                               orders=_distance_orders(space, xs, ys, txs,
-                                                       tys))
+                               orders=ordered)
     for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
-                               space.pairs(txs, tys)):
+                               space.pairs(sample.txs, sample.tys)):
         bad = E < F - CLASS_TOL
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
@@ -945,7 +1020,9 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
         # the probe holds sampled continuous carriers to a stricter standard
         # than the classifier: a threshold certified only through an
         # unprobed sub-resolution window is not counted as satisfied
-        for r, (rec, k) in zip(rs, search(F, E, t)):
+        found = (search(F, E, t) if ordered is None else
+                 search(F[ordered.pair.reps], E[ordered.image.reps], t))
+        for r, (rec, k) in zip(rs, found):
             entry = rec
             if rec is None or rec.get("reason") == "sub-resolution window":
                 entry = {"t": t, "r": r, "rho": None}

@@ -41,8 +41,10 @@ from .contractions import (
     CheckStatus,
     ClassificationReport,
     MParams,
+    PairSample,
     SelfMap,
     _blended,
+    _pair_sample,
     _scale_rows,
     _threshold_search,
     cm_contractive_check,
@@ -598,6 +600,7 @@ def _classification_audit(name: str, report: ClassificationReport) -> AuditItem:
 def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
                       route: Route | str = Route.AUTO,
                       config: Optional[SolverConfig] = None,
+                      sample: Optional[PairSample] = None,
                       ) -> FixedPointResult:
     """Audit a theorem route, run the Picard orbit, certify, and report.
 
@@ -607,8 +610,9 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
     blended form with a continuous map and (uniform, or plain when strong)
     regularity.  ``auto`` picks the first route whose audit passes; the
     candidates share one orbit, one regularity report and at most one
-    threshold-implication check.  When an audit fails the result carries
-    the named failing condition and makes no convergence claim.
+    threshold-implication check, and all share one :class:`PairSample`,
+    ``sample`` when given.  When an audit fails the result carries the
+    named failing condition and makes no convergence claim.
     """
     cfg = config or SolverConfig()
     route = Route(route)
@@ -628,6 +632,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
 
     candidates = ((Route.CM_STRONG, Route.CM_GENERAL, Route.M_FINAL)
                   if route is Route.AUTO else (route,))
+    sample = _pair_sample(space, T, sample)
     cm = None
     for candidate in candidates:
         audit = [AuditItem("declared-complete", bool(cfg.complete))]
@@ -635,7 +640,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
             audit.append(AuditItem("map-continuity", T.continuous,
                                    {"source": T.continuity_source}))
             mc = m_contractive_check(space, T, params, psi=cfg.psi,
-                                     r_grid=rs, t_grid=grid)
+                                     r_grid=rs, t_grid=grid, sample=sample)
             audit.append(_classification_audit("blended-contraction", mc))
             audit.append(AuditItem("regularity-at-start", plain_ok)
                          if space.strong else
@@ -644,7 +649,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
             if candidate is Route.CM_STRONG:
                 audit.append(AuditItem("declared-strong", space.strong))
             if cm is None:
-                cm = cm_contractive_check(space, T, rs, grid)
+                cm = cm_contractive_check(space, T, rs, grid, sample=sample)
             audit.append(_classification_audit("contraction", cm))
             if candidate is Route.CM_GENERAL:
                 audit.append(AuditItem("uniform-regularity-at-start",

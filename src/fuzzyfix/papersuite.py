@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .contractions import (
     MParams,
+    PairSample,
     _libm_power,
     cm_contractive_check,
     extract_empirical_gauge,
@@ -143,7 +144,13 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
                  "nearness of the images at scale 1 is exactly 1/2",
                  m_after == 0.5, m_after, 0.5)
 
-    cm = cm_contractive_check(space, T)    # package-wide default grids
+    # one pair sample for the solver's contraction audit and the check
+    # here; the solver runs first, so that its orbit, the suite's memory
+    # peak, passes before the audit ranks the sample
+    sample = PairSample.of(space, T)
+    result = solve_fixed_point(space, T, scenario.x0, scenario.route,
+                               scenario.solver_config(), sample)
+    cm = cm_contractive_check(space, T, sample=sample)   # default grids
     recorded = [rec for rec in cm.condition("threshold-implication").records
                 if rec.get("rho") is not None]
     report.check("threshold-contractive",
@@ -169,8 +176,6 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
                  env_cert.verdict is Verdict.NON_MEMBER,
                  env_cert.verdict.value, "non_member")
 
-    result = solve_fixed_point(space, T, scenario.x0, scenario.route,
-                               scenario.solver_config())
     report.check("solver-audit", "contraction route audit passes",
                  result.audit_passed, result.audit_passed, True)
     z = result.fixed_point

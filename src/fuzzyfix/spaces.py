@@ -181,9 +181,10 @@ class FuzzySpace:
     ordered by nearness bit for bit.  A ``max-jachymski`` carrier with a
     negative point declares none, since t + d can reach 0 there, and
     neither does a table space.  The checks that use the order key on this
-    declaration alone: the threshold search of the classifiers and the
-    probe (which confirms the order at each scale), the all-pairs Cauchy
-    tails and the positivity axiom.
+    declaration alone: the threshold-implication check, which evaluates
+    each scale at the pair sample's distinct distances only, and the
+    probe, both confirming the order at each scale; the all-pairs Cauchy
+    tails; and the positivity axiom.
     """
 
     carrier: Carrier

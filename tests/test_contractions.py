@@ -1,5 +1,6 @@
 """Tests for the contraction classifiers and empirical gauge extraction."""
 
+import dataclasses
 import math
 import re
 from functools import partial
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyfix import contractions
@@ -27,11 +28,11 @@ from fuzzyfix.algebra import (
 from fuzzyfix.contractions import (
     CheckStatus,
     MParams,
+    PairSample,
     PreconditionError,
     STRICT_MARGIN,
     VACUOUS_WINDOW_TOL,
     SelfMap,
-    _carrier_pairs,
     _make_envelope,
     _threshold_search,
     cm_contractive_check,
@@ -44,6 +45,8 @@ from fuzzyfix.contractions import (
     table_map,
 )
 from fuzzyfix.defaults import BISECT_ITERS, CLASS_TOL, ENDPOINT_CLAMP
+from fuzzyfix.dynamics import solve_fixed_point
+from fuzzyfix.papersuite import run_example_mihet_extension
 from fuzzyfix.scenario import load_scenario
 from fuzzyfix.spaces import (
     Carrier,
@@ -214,13 +217,57 @@ def test_cm_check_maps_each_distinct_pair_point_once(monkeypatch):
         return apply(self, x, carrier)
     monkeypatch.setattr(SelfMap, "apply", counted_apply)
     got = cm_contractive_check(space, SelfMap(T.name, counted_fn))
-    i, j, _, pts = _carrier_pairs(space.carrier)
+    sample = PairSample.of(space, T)
+    pts = np.unique(np.concatenate([sample.xs, sample.ys]))
     assert got.to_dict() == want
     # one call of the map's function over the sample's points, which are
     # distinct here, and no array apply over the pairs' coordinates
     assert calls == []
-    assert evaluated == [len(pts)] == [len(np.unique(pts))] == [38478]
-    assert len(i) == len(j) == 43528
+    assert evaluated == [len(pts)] == [38478]
+    assert len(sample.xs) == len(sample.ys) == 43528
+
+
+class TestPairSample:
+    """One sample per (space, map), shared by the checks that take it."""
+
+    def test_paper_ex62_suite_builds_one_sample(self):
+        with mock.patch.object(PairSample, "of", wraps=PairSample.of) as of:
+            report = run_example_mihet_extension()
+        assert report.passed
+        assert of.call_count == 1
+
+    @pytest.mark.parametrize("name", ["ex62", "ex63"])
+    def test_a_shared_sample_changes_no_result(self, name):
+        sc = load_scenario(name)
+        space, T, cfg = sc.build_space(), sc.build_map(), sc.solver_config()
+        sample = PairSample.of(space, T)
+        for form in ("between", "onesided"):
+            assert (cm_contractive_check(space, T, form=form,
+                                         sample=sample).to_dict()
+                    == cm_contractive_check(space, T, form=form).to_dict())
+        params = MParams(cfg.alpha, cfg.beta)
+        assert (m_contractive_check(space, T, params, sample=sample).to_dict()
+                == m_contractive_check(space, T, params).to_dict())
+        for route in ("cm-strong", "m-final"):
+            shared = solve_fixed_point(space, T, sc.x0, route, cfg, sample)
+            assert (shared.to_dict()
+                    == solve_fixed_point(space, T, sc.x0, route,
+                                         cfg).to_dict())
+
+    def test_a_foreign_sample_is_refused(self, quad_space, perm_map):
+        other_space = exponential_fuzzy_metric(quad_space.carrier,
+                                               metric("euclidean"))
+        other_map = self_map("perm-0-1-2-5")
+        for sample in (PairSample.of(other_space, perm_map),
+                       PairSample.of(quad_space, other_map)):
+            with pytest.raises(DomainError, match="another space or map"):
+                cm_contractive_check(quad_space, perm_map, sample=sample)
+            with pytest.raises(DomainError, match="another space or map"):
+                m_contractive_check(quad_space, perm_map, MParams(1, 1),
+                                    sample=sample)
+            with pytest.raises(DomainError, match="another space or map"):
+                solve_fixed_point(quad_space, perm_map, 1, "cm-strong",
+                                  sample=sample)
 
 
 class TestMValue:
@@ -524,17 +571,17 @@ _PAST_THE_WINDOWS = ([0.1, 0.05], np.array([0.85, 0.97, 0.3, 0.99]),
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_threshold_search_equals_per_threshold_loop(finite, case, shift,
                                                     ordering, seed):
-    # a search without rows may take the pairs ordered by conclusion and by
-    # premise: orders that sort them, ties in a drawn order, take the
-    # ordered path; orders that do not, the sort path
+    # a search without rows may take the pairs ranked by distance and the
+    # values at the distinct distances: distances that sort the values,
+    # ties grouped, take the ordered path; drawn distances, mostly the sort
+    # path
     rs, F, E, onesided, rows, cuts = case
     orders = None
     if ordering is not None and cuts is None:
         rng = np.random.default_rng(seed)
-        orders = ((np.lexsort((rng.random(E.size), E)),
-                   np.lexsort((rng.random(F.size), F)))
-                  if ordering == "sorting" else
-                  (rng.permutation(E.size), rng.permutation(F.size)))
+        orders = (contractions._ordered(-E, -F) if ordering == "sorting" else
+                  contractions._ordered(rng.random(E.size),
+                                        rng.random(F.size)))
     t = 0.25
     want = []
     n_cuts = 1 if cuts is None else len(cuts)
@@ -545,6 +592,8 @@ def test_threshold_search_equals_per_threshold_loop(finite, case, shift,
                 "t": t, "N": shift if cuts is None else cuts[cut], **rec}
         want.append((None, k) if rec is None else (list(rec.items()), None))
     search = _threshold_search(rs, onesided, finite, rows, cuts, orders)
+    if orders is not None:
+        F, E = F[orders.pair.reps], E[orders.image.reps]
     got = [(rec if rec is None else list(rec.items()), k)
            for rec, k in search(F, E, t, shift if cuts is None else None)]
     assert got == want
@@ -589,29 +638,44 @@ def _declared_cases(draw):
     return build(carrier, d), T, rs, grid
 
 
-@given(case=_declared_cases())
-@settings(max_examples=60, derandomize=True, deadline=None)
-def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
-    # per scale, both forms: records, key order and witnesses; the orders
-    # sort every scale's values.  Then whole checks, cm in both forms and
-    # the probe, with the orders and without
-    space, T, rs, grid = case
+def _ordered_equals_sort_path(space, T, rs, grid) -> set:
+    """Per scale, both forms: the search over the values at the distinct
+    distances, which every pair's value repeats and which come sorted,
+    gives the sort path's records, key order and witnesses.  Then whole
+    checks, cm in both forms and the probe, equal those on the space with
+    its declaration dropped.  Returns what the searches went through:
+    "rescan" when a two-sided threshold's violators reach 1-r, "tied
+    witness" when a refuted threshold's witness has the largest premise
+    with another of its window's violators."""
     assert space.distance is not None
-    xs, ys, txs, tys, _ = contractions._mapped_pairs(space, T)
-    orders = contractions._distance_orders(space, xs, ys, txs, tys)
+    sample = PairSample.of(space, T)
+    ranked = sample.ordered
     finite = space.carrier.is_finite
+    seen = set()
     for t in grid:
-        F, E = space.m(xs, ys, t), space.m(txs, tys, t)
-        assert contractions._nondecreasing(E[orders[0]])
-        assert contractions._nondecreasing(F[orders[1]])
+        F, E = space.m(sample.xs, sample.ys, t), space.m(sample.txs,
+                                                        sample.tys, t)
+        p, e = F[ranked.pair.reps], E[ranked.image.reps]
+        assert np.array_equal(p[ranked.pair.group], F)
+        assert np.array_equal(e[ranked.image.group], E)
+        assert contractions._nondecreasing(p)
+        assert contractions._nondecreasing(e)
         for onesided in (False, True):
             want = _threshold_search(rs, onesided, finite)(F, E, t)
             got = _threshold_search(rs, onesided, finite,
-                                    orders=orders)(F, E, t)
+                                    orders=ranked)(p, e, t)
             assert ([(rec and list(rec.items()), k) for rec, k in got]
                     == [(rec and list(rec.items()), k) for rec, k in want])
+            for r, (rec, k) in zip(rs, want):
+                violators = E < (1.0 - r) - CLASS_TOL
+                if not onesided and violators.any():
+                    if 1.0 - F[violators].max() <= r + CLASS_TOL:
+                        seen.add("rescan")
+                    violators &= F < 1.0 - r
+                if rec is None and (violators & (F == F[k])).sum() > 1:
+                    seen.add("tied witness")
 
-    def run(check):
+    def run(space, check):
         try:
             return _items(check(space, T, r_grid=rs, t_grid=grid))
         except PreconditionError as exc:
@@ -619,10 +683,36 @@ def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
     checks = (partial(cm_contractive_check, form="between"),
               partial(cm_contractive_check, form="onesided"),
               equivalence_probe)
-    got = [run(check) for check in checks]
-    with mock.patch.object(contractions, "_distance_orders",
-                           lambda *args: None):
-        assert got == [run(check) for check in checks]
+    undeclared = dataclasses.replace(space, distance=None)
+    assert ([run(space, check) for check in checks]
+            == [run(undeclared, check) for check in checks])
+    return seen
+
+
+@given(case=_declared_cases())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
+    for feature in sorted(_ordered_equals_sort_path(*case)):
+        event(feature)
+
+
+_FOUR = Carrier.finite([0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("feature, case", [
+    # a sampled interval whose expanding pairs reach 1-r
+    ("rescan", lambda: (
+        exponential_fuzzy_metric(Carrier.interval(0, 4, 9),
+                                 metric("euclidean")),
+        self_map("expr:min(4, 2*x)"), [0.5], [0.1, 1.0])),
+    # the three unit-distance pairs all go 3 apart: each a violator with
+    # the premise 1/2 at scale 1, and the last of them the witness
+    ("tied witness", lambda: (
+        standard_fuzzy_metric(_FOUR, metric("euclidean")),
+        table_map({0: 0, 1: 3, 2: 0, 3: 3}, _FOUR), [0.5], [1.0]))])
+def test_ordered_search_reaches(feature, case):
+    # the property's draws reach both paths only now and then
+    assert feature in _ordered_equals_sort_path(*case())
 
 
 def _seeded_table_space(seed: int):
@@ -690,13 +780,16 @@ def test_scale_rows_equal_per_scale_evaluations(case):
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
-def _per_scale_scan(space, grid, pairs, n_base, cond1, cond2, premise=None,
-                    key="before"):
+def _per_scale_scan(space, grid, sample, cond1, cond2, premise=None,
+                    key="before", ordered=None):
     """The strict-improvement scan with one call of each pair stage per
-    scale; once cond2 fails, the regular sample is prepared again."""
+    scale over the whole sample, yielding the values at the distinct
+    distances picked from them when ``ordered``; once cond2 fails, the
+    regular sample is prepared again."""
     margin = 0.0 if space.carrier.is_finite else STRICT_MARGIN
     premise = premise or (lambda xs, ys, txs, tys: space.pairs(xs, ys))
-    xs, ys, txs, tys = pairs
+    n_base = sample.n_base
+    pairs = xs, ys, txs, tys = sample.xs, sample.ys, sample.txs, sample.tys
     distinct = xs[:n_base] != ys[:n_base]
     near, after = premise(*pairs), space.pairs(txs, tys)
     whole = True
@@ -720,7 +813,9 @@ def _per_scale_scan(space, grid, pairs, n_base, cond1, cond2, premise=None,
                           {"after": float(e[i]), "blend": float(f[i])})
                 cond1.witness = {"x": float(xs[i]), "y": float(ys[i]),
                                  "t": t, **values}
-        if whole:
+        if whole and ordered is not None:
+            yield t, F[ordered.pair.reps], E[ordered.image.reps]
+        elif whole:
             yield t, F, E
 
 
@@ -756,7 +851,7 @@ def test_regular_sample_takes_over_mid_block(case, per_block):
     T = self_map(map_id)
     with mock.patch.object(contractions, "_improvement_scan", _per_scale_scan):
         want = check(space, T).to_dict()
-    n_pairs = len(_carrier_pairs(space.carrier)[0])
+    n_pairs = len(PairSample.of(space, T).xs)
     with mock.patch.object(contractions, "_SCALE_BLOCK", per_block * n_pairs):
         got = check(space, T)
     assert got.to_dict() == want
@@ -946,8 +1041,8 @@ class TestMContractive:
 
 def _before_after(space, T, t):
     """The before- and after-nearness of the default pair sample."""
-    i, j, _, pts = _carrier_pairs(space.carrier)
-    xs, ys = pts[i], pts[j]
+    sample = PairSample.of(space, T)
+    xs, ys = sample.xs, sample.ys
     return space.m(xs, ys, t), space.m(T(xs), T(ys), t)
 
 
@@ -1056,7 +1151,9 @@ class TestEquivalenceProbe:
         report = equivalence_probe(ray_space, SelfMap("counted", counted),
                                    r_grid=SMALL_R, t_grid=SMALL_T)
         # each point of the pair sample is mapped once, not per scale
-        assert len(images) == len(_carrier_pairs(ray_space.carrier)[3])
+        sample = PairSample.of(ray_space, step_map)
+        assert len(images) == len(np.unique(np.concatenate([sample.xs,
+                                                            sample.ys])))
         for entry in report.envelope_certs:
             env = extract_empirical_gauge(ray_space, step_map, t=entry["t"])
             cert = class_membership(env, ClassTag.PSI1, r_grid=SMALL_R)

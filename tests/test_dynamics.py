@@ -13,8 +13,8 @@ from fuzzyfix import contractions, dynamics
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.contractions import (
     MParams,
+    PairSample,
     SelfMap,
-    _carrier_pairs,
     cm_contractive_check,
     self_map,
     table_map,
@@ -1224,15 +1224,18 @@ class TestOrbitWorkCounts:
         assert cert.to_dict() == fresh.to_dict()
 
     def test_cm_check_prepares_two_pair_sets(self, monkeypatch):
-        # the pairs and their images are prepared once; both conditions
-        # read the same two arrays per scale, where they used to evaluate
-        # four
+        # one pair per distinct distance is prepared once, for the pairs
+        # and for their images; both conditions read the same two arrays
+        # per scale, where they used to evaluate all 43,528 pairs twice
         sc = load_scenario("ex62")
         space, T = sc.build_space(), sc.build_map()
+        sample = PairSample.of(space, T)
+        ranked = sample.ordered
+        assert len(sample.xs) == 43528
+        n_pair, n_image = ranked.pair.reps.size, ranked.image.reps.size
+        assert (n_pair, n_image) == (38478, 6997)
         count = _NearnessCount(monkeypatch)
         report = cm_contractive_check(space, T)
         assert report.satisfied
-        n_pairs = len(_carrier_pairs(space.carrier)[0])
-        assert n_pairs == 43528
-        assert count.pairs == [n_pairs, n_pairs]
-        assert count.scales == [n_pairs] * (2 * len(report.t_grid))
+        assert count.pairs == [n_pair, n_image]
+        assert count.scales == [n_pair, n_image] * len(report.t_grid)
