@@ -180,17 +180,22 @@ def _step_phi_fn(s):
     # costs about a hundred times as much.  Both use the same float
     # expressions, bit for bit.
     if isinstance(s, np.ndarray):
-        # lanes of the special cases compute junk that np.select discards
+        # the lower branch edge is the value; past 1 it is 1, as n = 0.
+        # Lanes below 1e-9 take s / (1 + s); the loop sees them at 1e-9,
+        # where they settle, as s = 0 would move in every round.
         with np.errstate(all="ignore"):
-            n = np.floor(1.0 / s)
+            c = np.maximum(s, 1e-9)
+            n = np.floor(1.0 / c)
+            low = 1.0 / (n + 1)
             for _ in range(4):
-                dec = (n > 1) & (s > 1.0 / n)
-                inc = s <= 1.0 / (n + 1)
+                dec = (n > 1) & (c > 1.0 / n)
+                inc = c <= low
                 if not (dec | inc).any():     # no lane moves again
                     break
                 n = n - dec + inc     # dec and inc never both hold
-            return np.select([s == 0.0, s > 1.0, s < 1e-9],
-                             [0.0, 1.0, s / (1.0 + s)], 1.0 / (n + 1))
+                low = 1.0 / (n + 1)
+            out = np.where(s < 1e-9, s / (1.0 + s), low)
+            return np.where(s == 0.0, 0.0, out)
     if s == 0.0:
         return 0.0
     if s > 1.0:
@@ -214,26 +219,31 @@ def _step_phi_fn(s):
 def _step_psi_fn(tau):
     t = np.asarray(tau, dtype=float)
     # branch n holds n/(n+1) <= t < (n+1)/(n+2); the estimate is off by at
-    # most one step except at the far end where steps are sub-ulp
+    # most one step except at the far end where steps are sub-ulp; the upper
+    # branch edge is the value
     with np.errstate(all="ignore"):
         n = np.maximum(np.floor(t / (1.0 - t)), 1.0)
+        high = (n + 1.0) / (n + 2.0)
         for _ in range(4):
             dec = (n > 1) & (t < n / (n + 1.0))
-            inc = t >= (n + 1.0) / (n + 2.0)
+            inc = t >= high
             if not (dec | inc).any():     # no lane moves again
                 break
             n = n - dec + inc     # dec and inc never both hold
-        out = np.select([t == 1.0, t < 0.5], [1.0, 0.5], (n + 1.0) / (n + 2.0))
+            high = (n + 1.0) / (n + 2.0)
+        out = np.where(t == 1.0, 1.0, np.where(t < 0.5, 0.5, high))
     return out if isinstance(tau, np.ndarray) else float(out)
 
 
 def step_phi() -> Gauge:
-    """Piecewise-constant distance gauge with steps 1/(n+1) on (1/(n+1), 1/n]."""
+    """Piecewise-constant distance gauge with steps 1/(n+1) on (1/(n+1), 1/n];
+    each branch edge is computed once per correction round."""
     return Gauge("step-phi", GaugeDomain.PHI, _step_phi_fn)
 
 
 def step_psi() -> Gauge:
-    """Piecewise-constant nearness gauge; discontinuous, jump 1/6 at 1/2."""
+    """Piecewise-constant nearness gauge; discontinuous, jump 1/6 at 1/2.
+    Each branch edge is computed once per correction round."""
     return Gauge("step-psi", GaugeDomain.PSI, _step_psi_fn)
 
 
@@ -403,49 +413,73 @@ class MembershipCertificate:
                 "note": self.note}
 
 
-def _sample_windows(g: Gauge, lo, hi, bound, above: bool, resolution: float):
-    """Evaluate ``g`` once on midpoint samples strictly inside every open
-    window (lo[i], hi[i]), laid out as one ragged array.
+def _sample_counts(width, resolution):
+    # ceil(width / resolution) midpoint samples per window, at least 16 and
+    # at most 512: full resolution matters only near the accept boundary of
+    # a bisection, where the window is already narrow
+    return np.minimum(np.maximum(np.ceil(width / resolution), 16),
+                      512).astype(np.intp)
 
-    A window holds ceil(width / resolution) samples, at least 16 and at most
-    512: full resolution matters only near the accept boundary of a
-    bisection, where the window is already narrow.  Returns the samples,
-    their values and, per window, the index of its first sample on the wrong
-    side of ``bound[i]`` (above it when ``above``, else below it, beyond
-    CLASS_TOL), or the sample count when there is none.
-    """
-    width = hi - lo
-    k = np.clip(np.ceil(width / resolution), 16, 512).astype(np.intp)
+
+def _ragged(lo, step, k):
+    """The samples lo[i] + (j + 0.5) * step[i], j < k[i], of every window i,
+    laid out as one ragged array, and where each window's samples start."""
     starts = np.cumsum(k) - k
-    j = np.arange(k.sum()) - np.repeat(starts, k)
-    taus = np.repeat(lo, k) + (j + 0.5) * np.repeat(width / k, k)
-    vals = g.eval(taus)
-    b = np.repeat(bound, k)
-    bad = vals > b + CLASS_TOL if above else vals < b - CLASS_TOL
-    first = np.minimum.reduceat(np.where(bad, np.arange(bad.size), bad.size), starts)
-    return taus, vals, first
+    j = np.arange(0.5, k.sum()) - np.repeat(starts, k)     # j + 0.5, exactly
+    return np.repeat(lo, k) + j * np.repeat(step, k), starts
 
 
-def _bisect_grid(g: Gauge, x: np.ndarray, resolution: float, phi: bool):
+def _bisect_grid(g: Gauge, x: np.ndarray, resolution: float, phi: bool,
+                 probe: bool = True):
     """Per threshold, the largest midpoint a BISECT_ITERS-step bisection
-    accepts, or NaN if none; the thresholds move in lockstep, one gauge
-    evaluation per step.  Psi1 bisects rho in (r + resolution, 1) and accepts
-    it when psi >= 1-r on (1-rho, 1-r); Phi1 (``phi``) bisects delta in
-    (eps + resolution, eps + max(1, eps)) and accepts it when phi <= eps on
-    (eps, delta).  The resolution offset keeps a gauge from passing
+    accepts, or NaN if none; the thresholds move in lockstep, at most one
+    gauge evaluation per step.  Psi1 bisects rho in (r + resolution, 1) and
+    accepts it when psi >= 1-r on (1-rho, 1-r); Phi1 (``phi``) bisects delta
+    in (eps + resolution, eps + max(1, eps)) and accepts it when phi <= eps
+    on (eps, delta).  The resolution offset keeps a gauge from passing
     vacuously on a sub-resolution window.
+
+    With ``probe``, each evaluation also holds, per threshold, the sample
+    next to the moving end at rho (delta) of both windows the next step may
+    bisect: Psi1's first, Phi1's last, where :func:`_ragged` puts them.  A
+    window whose end sample fails is rejected unsampled, so the result is
+    that of the search without ``probe``, but not always its errors.
     """
     if phi:
         lo, hi, bound = x + resolution, x + np.maximum(1.0, x), x
     else:
         lo = np.minimum(x + resolution, 1.0 - ENDPOINT_CLAMP)
         hi, bound = np.full_like(x, 1.0 - ENDPOINT_CLAMP), 1.0 - x
+    n = x.size
+    # per window: its fixed end and the limit its values must keep
+    fixed = np.tile(x if phi else bound, 3)
+    limit = np.tile(bound + CLASS_TOL if phi else bound - CLASS_TOL, 3)
     best = np.full_like(x, np.nan)
-    for _ in range(BISECT_ITERS):
+    refuted = np.zeros(n, dtype=bool)   # this step's window, by its end sample
+    for step in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        window = (x, mid) if phi else (1.0 - mid, bound)
-        taus, _, first = _sample_windows(g, *window, bound, phi, resolution)
-        ok = first == taus.size
+        # this step's windows, then the next step's as it accepts or not
+        m = np.concatenate([mid, 0.5 * (mid + hi), 0.5 * (lo + mid)])
+        wlo, whi = (fixed, m) if phi else (1.0 - m, fixed)
+        width = whi - wlo
+        k = _sample_counts(width, resolution)
+        spacing = width / k
+        # a next window's end sample, as a one-sample window of its own;
+        # none after the last step
+        ends = wlo[n:] + ((k[n:] - 0.5) if phi else 0.5) * spacing[n:]
+        probed = probe and step < BISECT_ITERS - 1
+        spacing[n:], k[n:] = 0.0, probed
+        k[:n][refuted] = 0
+        taus, starts = _ragged(np.concatenate([wlo[:n], ends]), spacing, k)
+        bad = np.zeros(3 * n, dtype=bool)
+        if taus.size:
+            # each window's largest (smallest) value but NaN; an empty window
+            # reads a neighbour's or none, and is refuted or unprobed
+            c = starts.searchsorted(taus.size)
+            edge = (np.fmax if phi else np.fmin).reduceat(g.eval(taus), starts[:c])
+            bad[:c] = edge > limit[:c] if phi else edge < limit[:c]
+        ok = ~(bad[:n] | refuted)
+        refuted = np.where(ok, bad[n:2 * n], bad[2 * n:]) & probed
         best = np.where(ok, mid, best)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return best
@@ -456,14 +490,19 @@ def _shrinking_witness(g: Gauge, boundary: float, resolution: float,
     """The first violating sample of every window shrinking toward
     ``boundary``, or None when some window holds none.  ``above=False``
     scans (boundary-w, boundary) for values below ``boundary``; ``above=True``
-    scans (boundary, boundary+w) for values above it.  One evaluation serves
-    all windows.
+    scans (boundary, boundary+w) for values above it, beyond CLASS_TOL.  One
+    evaluation serves all windows, sampled as the bisection samples its own.
     """
     w = np.ldexp(max(0.5 * boundary, 0.25) if above else 0.5 * boundary,
                  -np.arange(steps))
     edge = np.full(steps, boundary)
     lo, hi = (edge, edge + w) if above else (edge - w, edge)
-    taus, vals, first = _sample_windows(g, lo, hi, edge, above, resolution)
+    width = hi - lo
+    k = _sample_counts(width, resolution)
+    taus, starts = _ragged(lo, width / k, k)
+    vals = g.eval(taus)
+    bad = vals > boundary + CLASS_TOL if above else vals < boundary - CLASS_TOL
+    first = np.minimum.reduceat(np.where(bad, np.arange(bad.size), bad.size), starts)
     if (first == taus.size).any():
         return None
     return {"taus": taus[first].tolist(), "values": vals[first].tolist()}
@@ -478,11 +517,15 @@ def _check_threshold_class(g: Gauge, grid, resolution: float,
     x = np.array(grid, dtype=float)
     try:
         found = _bisect_grid(g, x, resolution, phi).__getitem__
-    except (ValueError, ArithmeticError):
-        # a gauge failed on some threshold's window: search one threshold at
-        # a time, so the error surfaces only if the reading below reaches it
-        def found(i):
-            return _bisect_grid(g, x[i:i + 1], resolution, phi)[0]
+    except Exception:
+        # whatever the gauge raised, search again sampling every window,
+        # which raises it only if it meets it, then one threshold at a time,
+        # so an error surfaces only where the reading reaches it
+        try:
+            found = _bisect_grid(g, x, resolution, phi, False).__getitem__
+        except (ValueError, ArithmeticError):
+            def found(i):
+                return _bisect_grid(g, x[i:i + 1], resolution, phi, False)[0]
     records, witness, verdict = [], None, Verdict.MEMBER
     for i, v in enumerate(grid):
         best = found(i)
@@ -616,12 +659,17 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     For Psi1 the check searches, per grid threshold r, a rho in (r,1) by
     bisection such that every sampled tau in (1-rho, 1-r) satisfies
     psi(tau) >= 1-r; Phi1 runs the dual search for delta > epsilon.  The
-    grid thresholds are bisected in lockstep, one gauge evaluation per step,
-    and give the records of a per-threshold bisection, read in grid order up
-    to the first non-member.  The whole grid is searched before that reading,
-    so a gauge rejected at its first threshold still bisects all of them.  If
-    the gauge raises on some window, the grid is searched one threshold at a
-    time, and the error surfaces only at a threshold the reading reaches.
+    grid thresholds are bisected in lockstep, at most one gauge evaluation
+    per step, and give the records of a per-threshold bisection, read in
+    grid order up to the first non-member.  A window whose sample next to
+    its moving end fails one step ahead is rejected unsampled.  The whole
+    grid is searched before that reading, so a gauge rejected at its first
+    threshold still bisects all of them.  If the gauge raises, the grid is
+    searched again with every window sampled, then, if that raises too, one
+    threshold at a time, and the error surfaces only at a threshold the
+    reading reaches.  An error only inside a rejected window, away from its
+    end sample, goes unseen; the gauge ids raise, if at all, on a ray that
+    holds the end sample (an overflowing power, an underflowing generator).
     Psi checks nondecreasing, strictly-above-identity and continuity: an
     increment of at least ``tau_resolution`` between grid samples that
     keeps that size while halved down to adjacent doubles is a jump.  H

@@ -585,7 +585,7 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             tops = F[orders.tops[g]].tolist()
 
             def head(m):    # the premises of the first m pairs
-                return F[orders.pair.group[order[:m]]]
+                return F.take(orders.pair.group.take(order[:m]))
         else:
             keep = E < loosest
             if not onesided:
@@ -708,7 +708,7 @@ def _improvement_scan(space: FuzzySpace, grid, sample: PairSample,
                            space.pairs(sample.txs[im.reps],
                                        sample.tys[im.reps]))
         fg, eg = pr.group[:n_base], im.group[:n_base]
-        regular = lambda F, E: (F[fg], E[eg])
+        regular = lambda F, E: (F.take(fg), E.take(eg))
 
     def improve(t, F, E):
         f, e = F[:n_base], E[:n_base]

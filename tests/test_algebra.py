@@ -1,14 +1,17 @@
 """Tests for t-norms, gauges, conjugation and class certificates."""
 
+import json
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fuzzyfix import algebra
 from fuzzyfix.algebra import (
     AxiomResult,
     ClassTag,
@@ -379,12 +382,12 @@ class TestClassMembership:
         for tau, val in zip(w["taus"], w["values"]):
             assert tau < 0.5 and val == tau  # identity stays below the threshold
         # each shrinking interval (0.5 - w, 0.5) reports its first sample
-        from fuzzyfix.algebra import _sample_windows
+        from fuzzyfix.algebra import _ragged, _sample_counts
 
         def first_sample(lo, hi):
-            taus, _, _ = _sample_windows(identity_gauge(), np.array([lo]),
-                                         np.array([hi]), np.array([hi]),
-                                         False, 1e-4)
+            width = np.array([hi - lo])
+            k = _sample_counts(width, 1e-4)
+            taus, _ = _ragged(np.array([lo]), width / k, k)
             return float(taus[0])
         widths = [0.25 * 2.0 ** -k for k in range(8)]
         assert w["taus"] == [first_sample(0.5 - d, 0.5) for d in widths]
@@ -572,7 +575,8 @@ class TestArrayContract:
     @pytest.mark.parametrize("fn, ref", [(_step_phi_fn, _step_phi_fn),
                                          (_step_psi_fn, _step_psi_loop)])
     def test_step_functions_agree_bit_for_bit_on_edges(self, fn, ref):
-        xs = np.array([v for v in EDGES if fn is _step_phi_fn or 0.0 < v <= 1.0])
+        xs = np.array([v for v in EDGES + [-0.0, 5e-324, math.inf]
+                       if fn is _step_phi_fn or 0.0 < v <= 1.0])
         assert _same_bits(fn(xs), [ref(float(v)) for v in xs])
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -820,6 +824,36 @@ def _ref_bisect(holds, lo, hi):
     return best
 
 
+def _lockstep_bisect(g, x, resolution, phi, probe=False):
+    """The lockstep Psi1/Phi1 search that samples every threshold's window
+    in full at every step, one gauge evaluation per step, whatever
+    ``probe`` asks: the oracle of the search that rejects a window from its
+    end sample."""
+    if phi:
+        lo, hi, bound = x + resolution, x + np.maximum(1.0, x), x
+    else:
+        lo = np.minimum(x + resolution, 1.0 - ENDPOINT_CLAMP)
+        hi, bound = np.full_like(x, 1.0 - ENDPOINT_CLAMP), 1.0 - x
+    best = np.full_like(x, np.nan)
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        wlo, whi = (x, mid) if phi else (1.0 - mid, bound)
+        width = whi - wlo
+        k = np.clip(np.ceil(width / resolution), 16, 512).astype(np.intp)
+        starts = np.cumsum(k) - k
+        j = np.arange(k.sum()) - np.repeat(starts, k)
+        taus = np.repeat(wlo, k) + (j + 0.5) * np.repeat(width / k, k)
+        vals = g.eval(taus)
+        b = np.repeat(bound, k)
+        bad = vals > b + CLASS_TOL if phi else vals < b - CLASS_TOL
+        first = np.minimum.reduceat(np.where(bad, np.arange(bad.size), bad.size),
+                                    starts)
+        ok = first == taus.size
+        best = np.where(ok, mid, best)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return best
+
+
 def _ref_witness(g, boundary, resolution, above, steps=8):
     width = 0.5 * boundary if not above else max(0.5 * boundary, 0.25)
     taus, values = [], []
@@ -958,6 +992,10 @@ def test_comb_gauge_records_member_inconclusive_then_breaks():
     _assert_matches_reference(g, cert, phi=False)
 
 
+_OVERFLOW_AT_5 = ("power-phi:400.0: 7.497608544921874 ** 400.0 overflows "
+                  "a float")
+
+
 def test_gauge_error_past_a_non_member_threshold_is_not_reached():
     # 7.5 ** 400 overflows in the first step at eps = 5, but eps = 1 is
     # rejected first, as in a per-threshold search
@@ -966,8 +1004,11 @@ def test_gauge_error_past_a_non_member_threshold_is_not_reached():
     assert cert.verdict is Verdict.NON_MEMBER
     assert cert.witness["epsilon"] == 1.0
     _assert_matches_reference(g, cert, phi=True)
-    with pytest.raises(DomainError, match="overflows a float"):
-        class_membership(g, ClassTag.PHI1, r_grid=[5.0])
+    # the error names the first window's largest sample, not the end sample
+    # of a next window, which overflows too (8.746...)
+    for grid in ([5.0], [5.0, 1.0]):
+        with pytest.raises(DomainError, match=f"^{re.escape(_OVERFLOW_AT_5)}$"):
+            class_membership(g, ClassTag.PHI1, r_grid=grid)
 
 
 def _counting(g):
@@ -980,19 +1021,212 @@ def _counting(g):
     return Gauge(g.name, g.domain, fn), calls
 
 
-@pytest.mark.parametrize("gauge_id, tag, expected", [
-    ("power:1/2", ClassTag.PSI1, BISECT_ITERS),
-    ("step-psi", ClassTag.PSI1, BISECT_ITERS),
-    ("step-phi", ClassTag.PHI1, BISECT_ITERS),
-    # the non-member's witness windows take one more evaluation
-    ("identity", ClassTag.PSI1, BISECT_ITERS + 1),
+@pytest.mark.parametrize("gauge_id, tag, expected, elements", [
+    ("power:1/2", ClassTag.PSI1, BISECT_ITERS, 204_354),
+    ("step-psi", ClassTag.PSI1, BISECT_ITERS, 263_785),
+    ("step-phi", ClassTag.PHI1, BISECT_ITERS, 220_857),
+    # every window is rejected from its end sample, so the last step has
+    # nothing to evaluate; the non-member's witness windows take one more
+    ("identity", ClassTag.PSI1, BISECT_ITERS, 13_545),
 ])
-def test_threshold_search_makes_one_evaluation_per_step(gauge_id, tag, expected):
+def test_threshold_search_makes_one_evaluation_per_step(gauge_id, tag, expected,
+                                                        elements):
     g, calls = _counting(gauge(gauge_id))
     cert = class_membership(g, tag)
     assert len(calls) == expected
-    # one lockstep array holds at most 512 samples per grid threshold
-    assert max(calls) <= len(cert.grid) * 512
+    # one lockstep array holds at most 512 samples per grid threshold, and
+    # the end samples of its two next windows
+    assert max(calls) <= len(cert.grid) * (512 + 2)
+    assert sum(calls) == elements
+
+
+# ---------------------------------------------------------------------------
+# the search that rejects a window from its end sample against the lockstep
+# search that samples every window in full
+# ---------------------------------------------------------------------------
+
+def _recording(g):
+    """``g`` with a list of the arrays it evaluates, ``None`` for a call
+    that raises."""
+    calls = []
+
+    def fn(v):
+        try:
+            out = g.fn(v)
+        except Exception:
+            calls.append(None)
+            raise
+        calls.append(np.array(v, dtype=float))
+        return out
+    return Gauge(g.name, g.domain, fn), calls
+
+
+def _raising(g, lo, hi, error=DomainError):
+    """``g``, raising ``error`` on every call that holds a value in
+    [lo, hi]; the error names the first such value."""
+    def fn(v):
+        inside = np.atleast_1d(v)[np.atleast_1d((lo <= v) & (v <= hi))]
+        if inside.size:
+            raise error(f"{g.name} raises at {float(inside[0])!r}")
+        return g.fn(v)
+    fn.base = g
+    return Gauge(f"raising({g.name}, {lo!r}, {hi!r}, {error.__name__})",
+                 g.domain, fn)
+
+
+def _unraised(g):
+    """``g`` without the errors :func:`_raising` gave it, under its name."""
+    base = g
+    while hasattr(base.fn, "base"):
+        base = base.fn.base
+    return replace(base, name=g.name)
+
+
+def _piecewise(edges, values, domain):
+    """A gauge constant between sorted ``edges``, ``values[i]`` on the i-th
+    piece."""
+    edges, values = np.array(edges), np.array(values)
+    return Gauge(f"piecewise{edges.tolist()}", domain,
+                 lambda t: values[np.searchsorted(edges, t, side="right")])
+
+
+@st.composite
+def _piecewise_gauges(draw, top, phi):
+    edges = sorted(draw(st.lists(st.floats(0.0, top), max_size=6)))
+    # a NaN value is never on the wrong side of a bound
+    values = draw(st.lists(st.floats(0.0 if phi else 0.01, top) | st.just(math.nan),
+                           min_size=len(edges) + 1, max_size=len(edges) + 1))
+    return _piecewise(edges, values, GaugeDomain.PHI if phi else GaugeDomain.PSI)
+
+
+_big_exponents = _exponents | st.sampled_from(["50", "400"])
+# a ValueError or ArithmeticError sends the check one threshold at a time,
+# any other error ends it
+_errors = st.sampled_from([DomainError, ZeroDivisionError, TypeError])
+
+
+@st.composite
+def _probed_psi1_gauges(draw):
+    kind = draw(st.sampled_from(["power", "step-psi", "identity", "conj",
+                                 "piecewise", "raising"]))
+    if kind == "power":
+        return gauge(f"power:{draw(_exponents)}")
+    if kind == "conj":
+        inner = draw(st.sampled_from(["step-phi", "power-phi"]))
+        if inner == "power-phi":
+            inner += f":{draw(_big_exponents)}"
+        return gauge(f"conj:{draw(_etas)}:{inner}")
+    if kind == "piecewise":
+        return draw(_piecewise_gauges(1.0, phi=False))
+    if kind == "raising":
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        return _raising(draw(_probed_psi1_gauges()), lo, hi, draw(_errors))
+    return gauge(kind)
+
+
+@st.composite
+def _probed_phi1_gauges(draw):
+    kind = draw(st.sampled_from(["power-phi", "step-phi", "conj", "piecewise",
+                                 "raising"]))
+    if kind == "power-phi":
+        return gauge(f"power-phi:{draw(_big_exponents)}")
+    if kind == "conj":
+        inner = draw(st.sampled_from(["step-psi", "power"]))
+        if inner == "power":
+            inner += f":{draw(_exponents)}"
+        return gauge(f"conj:{draw(_etas)}:{inner}")
+    if kind == "piecewise":
+        return draw(_piecewise_gauges(8.0, phi=True))
+    if kind == "raising":
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 8.0), min_size=2, max_size=2)))
+        return _raising(draw(_probed_phi1_gauges()), lo, hi, draw(_errors))
+    return gauge(kind)
+
+
+def _outcome(g, tag, grid, resolution):
+    """The certificate's JSON, or the type and message of the error."""
+    try:
+        cert = class_membership(g, tag, r_grid=grid, tau_resolution=resolution)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return json.dumps(cert.to_dict())
+
+
+def _lockstep_outcome(g, tag, grid, resolution):
+    with mock.patch.object(algebra, "_bisect_grid", _lockstep_bisect):
+        return _outcome(g, tag, grid, resolution)
+
+
+def _assert_lockstep_certificate(g, tag, grid, resolution):
+    new_g, new_calls = _recording(g)
+    got = _outcome(new_g, tag, grid, resolution)
+    old_g, old_calls = _recording(g)
+    want = _lockstep_outcome(old_g, tag, grid, resolution)
+    event("the lockstep search raises" if isinstance(want, tuple) else
+          "the lockstep search answers")
+    if got != want:
+        # a window rejected from its end sample is not sampled further, so
+        # an error only inside it goes unseen: the certificate is that of
+        # the gauge without the error
+        assert isinstance(want, tuple) and isinstance(got, str)
+        event("an error only inside a rejected window")
+        assert got == _lockstep_outcome(_unraised(g), tag, grid, resolution)
+        return
+    if any(v is None for v in new_calls + old_calls):
+        return
+    assert len(new_calls) <= len(old_calls)
+    # Every sample is one the lockstep search evaluates, bit for bit, but
+    # for the end sample of the window a step does not go on to: at most one
+    # per threshold and step.
+    extra = ~np.isin(np.concatenate(new_calls), np.concatenate(old_calls))
+    assert extra.sum() <= (BISECT_ITERS - 1) * len(json.loads(got)["grid"])
+
+
+_probe_resolutions = st.floats(min_value=1e-5, max_value=0.3)
+
+
+@given(g=_probed_psi1_gauges(), grid=_grids(1.0), resolution=_probe_resolutions)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_psi1_search_from_end_samples_gives_the_lockstep_certificate(
+        g, grid, resolution):
+    _assert_lockstep_certificate(g, ClassTag.PSI1, grid, resolution)
+
+
+@given(g=_probed_phi1_gauges(), grid=_grids(6.0), resolution=_probe_resolutions)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_phi1_search_from_end_samples_gives_the_lockstep_certificate(
+        g, grid, resolution):
+    _assert_lockstep_certificate(g, ClassTag.PHI1, grid, resolution)
+
+
+def test_an_error_inside_a_rejected_window_goes_unseen():
+    # at r = 1e-6 step-psi stays below 1 - r, so every window fails at its
+    # first sample; the error band lies inside windows that the lockstep
+    # search samples in full, never at a first sample
+    g = _raising(step_psi(), 0.5859375, 0.59375)
+    assert _lockstep_outcome(g, ClassTag.PSI1, [0.0], 0.265625) == (
+        DomainError, "step-psi raises at 0.5928949609375")
+    cert = class_membership(g, ClassTag.PSI1, r_grid=[0.0],
+                            tau_resolution=0.265625)
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert json.dumps(cert.to_dict()) == _lockstep_outcome(
+        _unraised(g), ClassTag.PSI1, [0.0], 0.265625)
+
+
+def test_an_error_only_at_an_end_sample_is_not_raised():
+    # every window at eps = 1 is accepted, so the lower next window of the
+    # first step, (1, 1.25...), is never bisected; its end sample alone
+    # raises, with an error that would end a search sampling every window
+    lo, hi = 1.0 + 1e-4, 2.0
+    width = 0.5 * (lo + 0.5 * (lo + hi)) - 1.0      # 512 samples
+    end = 1.0 + 511.5 * (width / 512)
+    g, calls = _recording(_raising(_piecewise([], [0.0], GaugeDomain.PHI),
+                                   end, end, TypeError))
+    want = _lockstep_outcome(g, ClassTag.PHI1, [1.0], 1e-4)
+    assert json.loads(want)["verdict"] == "member"
+    del calls[:]
+    assert _outcome(g, ClassTag.PHI1, [1.0], 1e-4) == want
+    assert calls[0] is None     # the first evaluation raised
 
 
 _BUILTIN_PSI_IDS = [
