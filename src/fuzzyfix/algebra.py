@@ -156,20 +156,19 @@ class Gauge:
         return self.eval(v)
 
     def eval(self, v):
-        if isinstance(v, np.ndarray):
-            if self.domain is GaugeDomain.PHI:
-                bad = v < 0.0
-            else:
-                bad = ~((0.0 < v) & (v <= 1.0))    # NaN too, as for a float
-            if bad.any():
-                self.eval(float(v[bad][0]))        # raises the scalar error
+        array = isinstance(v, np.ndarray)
+        phi = self.domain is GaugeDomain.PHI
+        # an array's min and max carry a NaN, so both domains reject it; the
+        # initial 1.0 lies in both, so an empty array passes
+        lo = v.min(initial=1.0) if array else v
+        if not (lo >= 0.0 if phi else
+                0.0 < lo and (v.max(initial=1.0) if array else v) <= 1.0):
+            if array:    # the first offender, named as its scalar call would
+                v = float(v[~(v >= 0.0 if phi else (0.0 < v) & (v <= 1.0))][0])
+            where = "[0,inf)" if phi else "(0,1]"
+            raise DomainError(f"{self.name}: argument {v!r} outside {where}")
+        if array:
             return np.asarray(self.fn(v), dtype=float)
-        if self.domain is GaugeDomain.PHI:
-            if v < 0.0:
-                raise DomainError(f"{self.name}: argument {v!r} outside [0,inf)")
-        else:
-            if not 0.0 < v <= 1.0:
-                raise DomainError(f"{self.name}: argument {v!r} outside (0,1]")
         return float(self.fn(v))
 
 
@@ -486,16 +485,17 @@ def _bisect_grid(g: Gauge, x: np.ndarray, resolution: float, phi: bool,
 
 
 def _shrinking_witness(g: Gauge, boundary: float, resolution: float,
-                       above: bool, steps: int = 8):
-    """The first violating sample of every window shrinking toward
-    ``boundary``, or None when some window holds none.  ``above=False``
-    scans (boundary-w, boundary) for values below ``boundary``; ``above=True``
-    scans (boundary, boundary+w) for values above it, beyond CLASS_TOL.  One
-    evaluation serves all windows, sampled as the bisection samples its own.
+                       above: bool):
+    """The first violating sample of each of 8 windows shrinking toward
+    ``boundary``, each half as wide as the last, or None when some window
+    holds none.  ``above=False`` scans (boundary-w, boundary) for values
+    below ``boundary``; ``above=True`` scans (boundary, boundary+w) for
+    values above it, beyond CLASS_TOL.  One evaluation serves all windows,
+    sampled as the bisection samples its own.
     """
     w = np.ldexp(max(0.5 * boundary, 0.25) if above else 0.5 * boundary,
-                 -np.arange(steps))
-    edge = np.full(steps, boundary)
+                 -np.arange(8))
+    edge = np.full(8, boundary)
     lo, hi = (edge, edge + w) if above else (edge - w, edge)
     width = hi - lo
     k = _sample_counts(width, resolution)

@@ -54,7 +54,7 @@ from .algebra import (
 )
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
 from .expressions import ExpressionError, _compile, parse_expression
-from .spaces import Carrier, FuzzySpace
+from .spaces import Carrier, FuzzySpace, _carrier_sample
 
 # Strictness margin on sampled continuous carriers, relative because small
 # scales put nearness far below any absolute margin: E > F + STRICT_MARGIN * F.
@@ -414,7 +414,7 @@ class PairSample:
         carrier = space.carrier
         pts = np.array(carrier.points)
         if not carrier.is_finite:
-            pts = pts[::max(1, len(pts) // 80)]
+            pts = _carrier_sample(pts, 80)
         i, j = np.triu_indices(len(pts))
         n_base = len(i)
         if not carrier.is_finite:
@@ -829,7 +829,6 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
                         psi: Optional[Gauge] = None,
                         r_grid: Optional[Sequence[float]] = None,
                         t_grid: Optional[Sequence[float]] = None,
-                        n_cap: Optional[int] = None,
                         sample: Optional[PairSample] = None,
                         ) -> ClassificationReport:
     """Check the blended-comparison contraction form.
@@ -838,14 +837,14 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     for distinct pairs.  With ``psi`` given, condition (ii) is the gauge
     form after-nearness >= psi(blended value) and the report carries the
     tightest observed margin; otherwise (ii) searches per (t, r) a pair
-    (rho, N) with N up to ``n_cap`` iterate shifts.  ``sample`` is as in
+    (rho, N) with N up to ``n_cap`` iterate shifts, the carrier's size on
+    a finite carrier, else 50.  ``sample`` is as in
     :func:`cm_contractive_check`.
     """
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
     carrier = space.carrier
-    if n_cap is None:
-        n_cap = len(carrier.points) if carrier.is_finite else 50
+    n_cap = len(carrier.points) if carrier.is_finite else 50
     sample = _pair_sample(space, T, sample)
     xs, ys = sample.xs, sample.ys
     cond1 = ConditionVerdict("strict-improvement-over-blend",

@@ -41,9 +41,11 @@ def _grid(values, what: str) -> tuple[float, ...]:
     return grid
 
 
-def scale_grid(t_grid, default=DEFAULT_T_GRID) -> tuple[float, ...]:
-    """The scale grid ``t_grid`` as floats, or ``default`` when it is None."""
-    return _grid(map(float, default if t_grid is None else t_grid), "scale")
+def scale_grid(t_grid) -> tuple[float, ...]:
+    """The scale grid ``t_grid`` as floats, or ``DEFAULT_T_GRID`` when it is
+    None."""
+    return _grid(map(float, DEFAULT_T_GRID if t_grid is None else t_grid),
+                 "scale")
 
 
 def threshold_grid(r_grid) -> tuple[float, ...]:

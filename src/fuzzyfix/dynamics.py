@@ -2,11 +2,13 @@
 
 An orbit trace records the iterate sequence together with its per-scale
 step-nearness series.  Certification over a trace is always a statement
-about the observed prefix:
+about the observed prefix, on the trace's own scale grid; nothing
+evaluates step nearness at other scales:
 
 * ``regularity_check`` decides whether step nearness approaches 1, per
-  scale (threshold or trend) and uniformly over a truncated decreasing
-  scale sequence (threshold at the tail only, since genuinely uniform
+  scale (threshold or trend, on the trace's step-nearness columns) and
+  uniformly over a truncated decreasing scale sequence from the trace's
+  first scale (threshold at the tail only, since genuinely uniform
   behaviour effectively requires eventually constant orbits),
 * ``m_cauchy_check`` looks, per (threshold, scale), for the smallest cut
   N such that every observed pair beyond it clears the nearness bound;
@@ -84,7 +86,7 @@ class OrbitTrace:
     t_grid: tuple[float, ...]
     step_nearness: np.ndarray        # shape (len(points)-1, len(t_grid))
     stop_reason: StopReason
-    map_name: str = "unknown"
+    map_name: str
 
     @property
     def length(self) -> int:
@@ -103,8 +105,7 @@ class OrbitTrace:
 
     @classmethod
     def from_points(cls, space: FuzzySpace, points: Sequence[float],
-                    t_grid: Optional[Sequence[float]] = None,
-                    map_name: str = "prescribed") -> "OrbitTrace":
+                    t_grid: Optional[Sequence[float]] = None) -> "OrbitTrace":
         """Wrap an explicit sequence (not necessarily a Picard orbit)."""
         grid = scale_grid(t_grid)
         pts = tuple(float(p) for p in points)
@@ -112,7 +113,7 @@ class OrbitTrace:
             raise DomainError("a trace needs at least one point")
         p = np.array(pts)[:, None]
         series = space.m(p[:-1], p[1:], np.array(grid))
-        return cls(pts, grid, series, StopReason.PRESCRIBED, map_name)
+        return cls(pts, grid, series, StopReason.PRESCRIBED, "prescribed")
 
 
 # picard_orbit evaluates step nearness once per block of steps; blocks
@@ -212,16 +213,6 @@ def _tail_converges_to_zero(d: np.ndarray, tol: float) -> bool:
     return d[-1] <= TREND_DECAY * half[0]
 
 
-def _step_series(space: FuzzySpace, trace: OrbitTrace, pts: np.ndarray,
-                 t: float) -> np.ndarray:
-    """The step nearness M(x_n, x_{n+1}, t) of a trace whose points are
-    ``pts``: a scale on the trace's grid reads its recorded column, which
-    equals an evaluation at that scale bit for bit."""
-    if t in trace.t_grid:
-        return trace.step_nearness[:, trace.t_grid.index(t)]
-    return space.m(pts[:-1], pts[1:], t)
-
-
 @dataclass
 class RegularityReport:
     t_grid: tuple[float, ...]
@@ -246,38 +237,34 @@ class RegularityReport:
 
 
 def regularity_check(space: FuzzySpace, trace: OrbitTrace,
-                     t_grid: Optional[Sequence[float]] = None,
-                     e_spec: tuple[float, int] = (1.0, DEFAULT_I_MAX),
+                     i_max: int = DEFAULT_I_MAX,
                      tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
                      ) -> RegularityReport:
     """Step-nearness regularity of a trace.
 
-    Plain verdict per grid scale: the deficit series 1 - M(x_n, x_{n+1}, t)
-    converges to zero on the prefix (threshold or trend).  Uniform verdict
-    over the truncated decreasing scale sequence {t/i : 1 <= i <= i_max}:
-    the supremum of the final-step deficits must already be below the
-    tolerance, an intentionally strict truncation of the limit statement.
-    ``e_spec`` is (t, i_max) with i_max in [1, ``MAX_I_MAX``];
-    ``tail_tolerance`` must lie in [0, inf); NaN is a DomainError too.
+    Plain verdict per trace scale t: the deficit series
+    1 - M(x_n, x_{n+1}, t), read from the trace, converges to zero on the
+    prefix (threshold or trend).  Uniform verdict over the truncated
+    decreasing scale sequence {t_0/i : 1 <= i <= i_max}, t_0 the trace's
+    first scale: the supremum of the final-step deficits must already be
+    below the tolerance, an intentionally strict truncation of the limit
+    statement.  ``i_max`` must lie in [1, ``MAX_I_MAX``] and
+    ``tail_tolerance`` in [0, inf); NaN is a DomainError too.
     """
     _check_tolerance(tail_tolerance)
     if trace.length < 3:
         raise DomainError("regularity needs a trace of length >= 3")
-    grid = scale_grid(t_grid, trace.t_grid)
-    t_base, i_max = float(e_spec[0]), int(e_spec[1])
-    if t_base <= 0 or i_max < 1:
-        raise DomainError("scale sequence spec must be positive")
+    i_max = int(i_max)
+    if i_max < 1:
+        raise DomainError(f"i_max must be at least 1, got {i_max}")
     if i_max > MAX_I_MAX:
         raise DomainError(f"i_max must be at most {MAX_I_MAX}, got {i_max}")
-    pts = np.array(trace.points)
-    plain = {}
-    for t in grid:
-        series = _step_series(space, trace, pts, t)
-        plain[t] = _tail_converges_to_zero(1.0 - series, tail_tolerance)
-    seq = tuple(t_base / i for i in range(1, i_max + 1))
+    plain = {t: _tail_converges_to_zero(1.0 - series, tail_tolerance)
+             for t, series in zip(trace.t_grid, trace.step_nearness.T)}
+    seq = tuple(trace.t_grid[0] / i for i in range(1, i_max + 1))
     a, b = trace.points[-2], trace.points[-1]
     sup = float((1.0 - space.m(a, b, np.array(seq))).max())
-    return RegularityReport(grid, seq, tail_tolerance, plain, sup,
+    return RegularityReport(trace.t_grid, seq, tail_tolerance, plain, sup,
                             sup <= tail_tolerance)
 
 
@@ -328,13 +315,13 @@ def _cert_indices(length: int) -> np.ndarray:
 
 def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
                    r_grid: Optional[Sequence[float]] = None,
-                   t_grid: Optional[Sequence[float]] = None,
                    ) -> CauchyCertificate:
     """Prefix certificate of the all-pairs Cauchy property.
 
-    For each (r, t) the smallest cut N is recorded such that every observed
-    pair beyond N has nearness above 1-r; the certificate holds on the
-    prefix when a cut with at least one pair exists for every grid point.
+    For each threshold r and trace scale t the smallest cut N is recorded
+    such that every observed pair beyond N has nearness above 1-r; the
+    certificate holds on the prefix when a cut with at least one pair
+    exists for every grid point.
     When even the final adjacent pair fails a bound, the grid point is
     refuted and the most violating pair is reported: the first minimal
     pair in row-major order, from all pairs evaluated at its scale.  Long
@@ -356,7 +343,7 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     if trace.length < 2:
         raise DomainError("the Cauchy check needs a trace of length >= 2")
     rs = threshold_grid(r_grid)
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     idx = _cert_indices(trace.length)
     pts = np.array(trace.points)[idx]
     cert = CauchyCertificate(CauchyKind.M_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
@@ -398,33 +385,30 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
 
 def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
                    m_grid: Sequence[int] = (1, 2, 5),
-                   t_grid: Optional[Sequence[float]] = None,
-                   tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
                    ) -> CauchyCertificate:
     """Prefix certificate of the fixed-gap Cauchy property.
 
-    The fixed-gap notion is a limit statement, so per gap m and scale t
-    the gap-m nearness series must converge to 1 on the prefix (threshold
-    or trend).  Strictly weaker than the all-pairs certificate: sequences
-    with shrinking steps but unbounded drift pass here and fail there.
-    ``tail_tolerance`` must lie in [0, inf), as for :func:`regularity_check`.
+    The fixed-gap notion is a limit statement, so per gap m and trace
+    scale t the gap-m nearness series must converge to 1 on the prefix
+    (threshold or trend, with tolerance ``DEFAULT_TAIL_TOLERANCE``); the
+    gap-1 series is the trace's own step nearness.  Strictly weaker than
+    the all-pairs certificate: sequences with shrinking steps but
+    unbounded drift pass here and fail there.
     """
-    _check_tolerance(tail_tolerance)
     gaps = tuple(int(m) for m in m_grid)
     if trace.length <= max(gaps):
         raise DomainError("trace shorter than the largest gap")
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     pts = np.array(trace.points)
     cert = CauchyCertificate(CauchyKind.G_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
                              (), grid, m_grid=gaps)
     for m in gaps:
-        series = (((t, _step_series(space, trace, pts, t)) for t in grid)
-                  if m == 1 else
+        series = (zip(grid, trace.step_nearness.T) if m == 1 else
                   _scale_rows(grid, len(pts) - m,
                               space.pairs(pts[:-m], pts[m:])))
         for t, near in series:
             deficits = 1.0 - near
-            ok = _tail_converges_to_zero(deficits, tail_tolerance)
+            ok = _tail_converges_to_zero(deficits, DEFAULT_TAIL_TOLERANCE)
             rec = {"m": m, "t": t, "converged": bool(ok),
                    "final_deficit": float(deficits[-1])}
             cert.records.append(rec)
@@ -442,15 +426,15 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
                            f_kind: str = "plain",
                            params: Optional[MParams] = None,
                            r_grid: Optional[Sequence[float]] = None,
-                           t_grid: Optional[Sequence[float]] = None,
                            ) -> CauchyCertificate:
     """Certify the pairwise improvement implication along a trace.
 
-    For each (t, r) a threshold rho in (r, 1) and a cut N are searched such
-    that for all observed indices p, q >= N the blended nearness of
-    (x_p, x_q) above 1-rho forces the nearness of (x_{p+1}, x_{q+1}) past
-    1-r.  ``f_kind`` selects plain nearness or the blended comparison
-    (``m_generalized`` with ``params``; successors come from the trace).
+    For each trace scale t and threshold r, a threshold rho in (r, 1) and a
+    cut N are searched such that for all observed indices p, q >= N the
+    blended nearness of (x_p, x_q) above 1-rho forces the nearness of
+    (x_{p+1}, x_{q+1}) past 1-r.  ``f_kind`` selects plain nearness or the
+    blended comparison (``m_generalized`` with ``params``; successors come
+    from the trace).
 
     The search fails exactly when the window holds a fatal pair, one whose
     successors miss 1-r although its premise reaches 1-r (both up to
@@ -476,7 +460,7 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     if trace.length < 3:
         raise DomainError("the criterion needs a trace of length >= 3")
     rs = threshold_grid(r_grid)
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     pts = np.array(trace.points)
     sub = _cert_indices(trace.length - 1)   # pairs need successors
     # a cut keeps whole rows, a pair's smaller index being its row's; the
@@ -624,8 +608,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
     plain_ok = uniform_ok = True      # shorter traces are regular at the start
     sup_deficit = 0.0
     if trace.length >= 3:
-        regularity = regularity_check(space, trace, grid,
-                                      (grid[0] if grid else 1.0, cfg.i_max),
+        regularity = regularity_check(space, trace, cfg.i_max,
                                       cfg.tail_tolerance)
         plain_ok, uniform_ok = regularity.plain_all, regularity.uniform
         sup_deficit = regularity.uniform_sup_deficit
@@ -663,7 +646,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
         return result
 
     if trace.length >= 2:
-        result.cauchy = m_cauchy_check(space, trace, rs, grid)
+        result.cauchy = m_cauchy_check(space, trace, rs)
     carrier = space.carrier
     z = trace.points[-1]
     if carrier.is_finite:

@@ -292,7 +292,7 @@ def run_proposition_suite(seed: int = 7) -> SuiteReport:
     T = scenario.build_map()
     trace = picard_orbit(space, T, scenario.x0, max_len=60,
                          t_grid=scenario.t_grid)
-    cert = m_cauchy_check(space, trace, scenario.r_grid, scenario.t_grid)
+    cert = m_cauchy_check(space, trace, scenario.r_grid)
     report.check("orbit-cauchy-certified",
                  "the 60-step orbit prefix is all-pairs certified on the "
                  "scenario grids",

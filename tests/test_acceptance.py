@@ -181,15 +181,13 @@ def test_criterion_07_proposition_suite():
 def test_criterion_08_cauchy_machinery(ex62):
     sc, space, T = ex62
     trace = picard_orbit(space, T, sc.x0, max_len=60, t_grid=sc.t_grid)
-    prefix_ok = m_cauchy_check(space, trace, sc.r_grid, sc.t_grid).holds
+    prefix_ok = m_cauchy_check(space, trace, sc.r_grid).holds
 
     line = standard_fuzzy_metric(Carrier.interval(0, 1000, 101),
                                  metric("euclidean"))
     sums = np.cumsum(1.0 / np.arange(1, 1001))
-    harmonic = OrbitTrace.from_points(line, sums, DEFAULT_T_GRID,
-                                      map_name="harmonic-sums")
-    g_cert = g_cauchy_check(line, harmonic, m_grid=(1, 2, 5),
-                            t_grid=DEFAULT_T_GRID)
+    harmonic = OrbitTrace.from_points(line, sums, DEFAULT_T_GRID)
+    g_cert = g_cauchy_check(line, harmonic, m_grid=(1, 2, 5))
     m_cert = m_cauchy_check(line, harmonic)     # default r grid, trace grid
     w = m_cert.witness
     witness_ok = (m_cert.verdict is CauchyVerdict.VIOLATED and w is not None

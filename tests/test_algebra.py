@@ -569,6 +569,7 @@ def _same_bits(a, b) -> bool:
                           np.asarray(b, dtype=float).view(np.uint64))
 
 
+@pytest.mark.simd
 class TestArrayContract:
     """``Gauge.eval`` on an ndarray equals per-element scalar evaluation."""
 
@@ -625,14 +626,21 @@ class TestArrayContract:
 
     def test_eval_array_validates_like_scalar(self):
         for g, bad in ((step_psi(), 0.0), (step_psi(), math.nan),
-                       (power_gauge(0.5), 1.5), (step_phi(), -0.1)):
+                       (power_gauge(0.5), 1.5), (step_phi(), -0.1),
+                       (step_phi(), math.nan),
+                       (gauge("power-phi:2"), math.nan)):
             with pytest.raises(DomainError) as scalar_err:
                 g.eval(bad)
             with pytest.raises(DomainError) as array_err:
                 g.eval(np.array([0.5, bad, 0.7]))
             assert str(array_err.value) == str(scalar_err.value)
-        # [0, inf) admits NaN, as the scalar test `v < 0` does
-        assert np.isnan(gauge("power-phi:2").eval(np.array([math.nan])))[0]
+        # [0, inf) rejects NaN as (0, 1] does, wherever it sits in an array
+        with pytest.raises(DomainError, match="argument nan outside"):
+            gauge("power-phi:2").eval(np.array([math.nan, -1.0]))
+        # an empty array lies in every domain
+        for g in (step_psi(), step_phi(), gauge("power-phi:2")):
+            out = g.eval(np.array([]))
+            assert out.shape == (0,) and out.dtype == np.float64
 
     def test_power_phi_overflow_raises_domain_error(self):
         g = gauge("power-phi:2")
@@ -1185,6 +1193,7 @@ def _assert_lockstep_certificate(g, tag, grid, resolution):
 _probe_resolutions = st.floats(min_value=1e-5, max_value=0.3)
 
 
+@pytest.mark.simd
 @given(g=_probed_psi1_gauges(), grid=_grids(1.0), resolution=_probe_resolutions)
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_psi1_search_from_end_samples_gives_the_lockstep_certificate(
@@ -1192,6 +1201,7 @@ def test_psi1_search_from_end_samples_gives_the_lockstep_certificate(
     _assert_lockstep_certificate(g, ClassTag.PSI1, grid, resolution)
 
 
+@pytest.mark.simd
 @given(g=_probed_phi1_gauges(), grid=_grids(6.0), resolution=_probe_resolutions)
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_phi1_search_from_end_samples_gives_the_lockstep_certificate(
@@ -1199,6 +1209,7 @@ def test_phi1_search_from_end_samples_gives_the_lockstep_certificate(
     _assert_lockstep_certificate(g, ClassTag.PHI1, grid, resolution)
 
 
+@pytest.mark.simd
 def test_an_error_inside_a_rejected_window_goes_unseen():
     # at r = 1e-6 step-psi stays below 1 - r, so every window fails at its
     # first sample; the error band lies inside windows that the lockstep
@@ -1213,6 +1224,7 @@ def test_an_error_inside_a_rejected_window_goes_unseen():
         _unraised(g), ClassTag.PSI1, [0.0], 0.265625)
 
 
+@pytest.mark.simd
 def test_an_error_only_at_an_end_sample_is_not_raised():
     # every window at eps = 1 is accepted, so the lower next window of the
     # first step, (1, 1.25...), is never bisected; its end sample alone

@@ -556,6 +556,7 @@ _PAST_THE_WINDOWS = ([0.1, 0.05], np.array([0.85, 0.97, 0.3, 0.99]),
                      np.array([0.5, 0.2, 0.96, 0.999]), False, None, None)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("finite", [True, False])
 @given(case=_search_cases(), shift=st.none() | st.integers(0, 3),
        ordering=st.sampled_from((None, "sorting", "shuffled")),
@@ -689,6 +690,7 @@ def _ordered_equals_sort_path(space, T, rs, grid) -> set:
     return seen
 
 
+@pytest.mark.simd
 @given(case=_declared_cases())
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
@@ -699,6 +701,7 @@ def test_ordered_search_equals_the_sort_path_on_declared_spaces(case):
 _FOUR = Carrier.finite([0, 1, 2, 3])
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("feature, case", [
     # a sampled interval whose expanding pairs reach 1-r
     ("rescan", lambda: (
@@ -759,6 +762,7 @@ def _block_cases(draw):
     return stage, size, grid, budget
 
 
+@pytest.mark.simd
 @given(_block_cases())
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_scale_rows_equal_per_scale_evaluations(case):
@@ -1009,13 +1013,12 @@ class TestMContractive:
                                      metric("euclidean"))
         piecewise = self_map("expr:piecewise(x < 0.3, x + 0.5, x/3)")
         deepest_shifts = []
-        for space, T, params, t_grid, n_cap in (
-                (sc.build_space(), sc.build_map(), MParams(2, 2), None, None),
-                (unit, piecewise, MParams(0, 0), (0.1, 1.0, 10.0), 6)):
+        for space, T, params, t_grid in (
+                (sc.build_space(), sc.build_map(), MParams(2, 2), None),
+                (unit, piecewise, MParams(0, 0), (0.1, 1.0, 10.0))):
             searches.clear()
             maps.clear()
-            report = m_contractive_check(space, T, params, t_grid=t_grid,
-                                         n_cap=n_cap)
+            report = m_contractive_check(space, T, params, t_grid=t_grid)
             cond = report.condition("iterate-threshold-implication")
             assert cond.status is CheckStatus.SATISFIED
             want = []

@@ -83,7 +83,12 @@ def line_space():
 
 def harmonic_trace(space, n=1000, t_grid=GRID_1_100):
     sums = np.cumsum(1.0 / np.arange(1, n + 1))
-    return OrbitTrace.from_points(space, sums, t_grid, map_name="harmonic-sums")
+    return OrbitTrace.from_points(space, sums, t_grid)
+
+
+def rescaled(space, trace, t_grid):
+    """The points of ``trace`` at the scales ``t_grid``."""
+    return OrbitTrace.from_points(space, trace.points, t_grid)
 
 
 class TestPicardOrbit:
@@ -132,7 +137,7 @@ class TestPicardOrbit:
 class TestRegularity:
     def test_stabilized_orbit_plain_and_uniform(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
-        report = regularity_check(quad_space, trace, GRID_1_100, (1.0, 50))
+        report = regularity_check(quad_space, trace, 50)
         assert report.plain_all
         assert report.uniform
         assert report.uniform_sup_deficit == 0.0
@@ -140,7 +145,7 @@ class TestRegularity:
     def test_ray_orbit_plain_holds_uniform_fails(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=60,
                              t_grid=GRID_1_100)
-        report = regularity_check(ray_space, trace, GRID_1_100, (1.0, 50))
+        report = regularity_check(ray_space, trace, 50)
         assert report.plain_all            # deficits shrink like 1/n
         assert not report.uniform          # sup over shrinking scales stays large
         # the sup at truncation is attained at the smallest scale 1/50;
@@ -151,15 +156,15 @@ class TestRegularity:
 
     def test_constant_trace_uniform(self, quad_space):
         trace = OrbitTrace.from_points(quad_space, [2.0] * 10, GRID_1_100)
-        report = regularity_check(quad_space, trace, GRID_1_100, (1.0, 50))
+        report = regularity_check(quad_space, trace, 50)
         assert report.plain_all and report.uniform
 
     def test_uniform_implies_plain_on_scale_sequence(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
-        report = regularity_check(quad_space, trace, GRID_1_100, (1.0, 20))
+        report = regularity_check(quad_space, trace, 20)
         assert report.uniform
-        follow = regularity_check(quad_space, trace,
-                                  report.scale_sequence, (1.0, 20))
+        follow = regularity_check(
+            quad_space, rescaled(quad_space, trace, report.scale_sequence), 20)
         assert follow.plain_all
 
     def test_short_trace_rejected(self, quad_space):
@@ -167,20 +172,21 @@ class TestRegularity:
         with pytest.raises(DomainError):
             regularity_check(quad_space, trace)
 
-    def test_trace_columns_and_fresh_evaluation_agree(self, ray_space,
-                                                      step_map):
-        orbit = picard_orbit(ray_space, step_map, 0.7, max_len=60,
-                             t_grid=GRID_1_100)
-        # plain-regular at the larger grid scales only, so a misread column
-        # changes the report
-        drift = OrbitTrace.from_points(ray_space, np.linspace(10, 5, 40),
+    def test_each_scale_reads_its_own_column(self, ray_space):
+        # plain-regular at the larger grid scales only, so a column read at
+        # another scale changes the verdicts
+        trace = OrbitTrace.from_points(ray_space, np.linspace(10, 5, 40),
                                        GRID_1_100)
-        for trace in (orbit, drift):
-            off_grid = OrbitTrace.from_points(ray_space, trace.points,
-                                              (0.5, 150.0))
-            on = regularity_check(ray_space, trace, GRID_1_100, (1.0, 50))
-            off = regularity_check(ray_space, off_grid, GRID_1_100, (1.0, 50))
-            assert on.to_dict() == off.to_dict()
+        pts = np.array(trace.points)
+        fresh = {t: dynamics._tail_converges_to_zero(
+                     1.0 - ray_space.m(pts[:-1], pts[1:], t),
+                     dynamics.DEFAULT_TAIL_TOLERANCE) for t in GRID_1_100}
+        assert set(fresh.values()) == {True, False}
+        assert regularity_check(ray_space, trace).plain == fresh
+        gap_one = g_cauchy_check(ray_space, trace, m_grid=(1,))
+        assert gap_one.witness["t"] == min(t for t in fresh if not fresh[t])
+        assert all(rec["converged"] == fresh[rec["t"]]
+                   for rec in gap_one.records)
 
 
 _LINE = Carrier.interval(0, 10, 11)
@@ -218,7 +224,8 @@ class TestMCauchy:
     def test_ray_trace_certified_with_exact_cut(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=60,
                              t_grid=GRID_1_100)
-        cert = m_cauchy_check(ray_space, trace, r_grid=(0.1,), t_grid=(1.0,))
+        cert = m_cauchy_check(ray_space, rescaled(ray_space, trace, (1.0,)),
+                              r_grid=(0.1,))
         assert cert.holds
         # x_N < 1/9 first holds at N = 9 (x_9 = 0.1)
         assert cert.records[0]["N"] == 9
@@ -231,7 +238,8 @@ class TestMCauchy:
 
     def test_divergent_trace_violated(self, line_space):
         trace = OrbitTrace.from_points(line_space, np.arange(50.0), GRID_1_100)
-        cert = m_cauchy_check(line_space, trace, r_grid=(0.5,), t_grid=(1.0,))
+        cert = m_cauchy_check(line_space, rescaled(line_space, trace, (1.0,)),
+                              r_grid=(0.5,))
         assert cert.verdict is CauchyVerdict.VIOLATED
         w = cert.witness
         # witness pair re-evaluates below the bound
@@ -241,7 +249,7 @@ class TestMCauchy:
 
     def test_constant_tail_cut_at_stabilization(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=(0.5,))
-        cert = m_cauchy_check(quad_space, trace, r_grid=(0.5,), t_grid=(0.5,))
+        cert = m_cauchy_check(quad_space, trace, r_grid=(0.5,))
         assert cert.holds
         # pairs involving 1, 5, 2 at t=0.5 are far; only the constant tail works
         assert cert.records[0]["N"] == 3
@@ -254,9 +262,11 @@ class TestGCauchy:
         # final adjacent pair misses the all-pairs bound
         trace = harmonic_trace(line_space)
         grid = tuple(float(t) for t in np.logspace(-2, 2, 10))
-        g = g_cauchy_check(line_space, trace, m_grid=(1, 2, 5), t_grid=grid)
+        g = g_cauchy_check(line_space, rescaled(line_space, trace, grid),
+                           m_grid=(1, 2, 5))
         assert g.holds
-        m = m_cauchy_check(line_space, trace, r_grid=(0.05,), t_grid=(0.01,))
+        m = m_cauchy_check(line_space, rescaled(line_space, trace, (0.01,)),
+                           r_grid=(0.05,))
         assert m.verdict is CauchyVerdict.VIOLATED
         w = m.witness
         gap = abs(trace.points[w["m"]] - trace.points[w["n"]])
@@ -275,9 +285,8 @@ class TestGCauchy:
                                                 GRID_1_100)),
         ]
         for space, trace in cases:
-            m = m_cauchy_check(space, trace, t_grid=GRID_1_100)
-            g = g_cauchy_check(space, trace, m_grid=(1, 2),
-                               t_grid=GRID_1_100)
+            m = m_cauchy_check(space, trace)
+            g = g_cauchy_check(space, trace, m_grid=(1, 2))
             assert m.holds
             assert g.holds
 
@@ -291,15 +300,16 @@ class TestCauchyCriterion:
     def test_ray_orbit_plain_criterion(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=60,
                              t_grid=GRID_1_100)
-        cert = cauchy_criterion_check(ray_space, trace, "plain",
-                                      r_grid=SMALL_R, t_grid=(1.0, 10.0))
+        cert = cauchy_criterion_check(
+            ray_space, rescaled(ray_space, trace, (1.0, 10.0)), "plain",
+            r_grid=SMALL_R)
         assert cert.holds, cert.to_dict()
 
     def test_quad_blended_criterion(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
-        cert = cauchy_criterion_check(quad_space, trace, "m_generalized",
-                                      params=MParams(2, 2),
-                                      r_grid=SMALL_R, t_grid=(1.0, 10.0))
+        cert = cauchy_criterion_check(
+            quad_space, rescaled(quad_space, trace, (1.0, 10.0)),
+            "m_generalized", params=MParams(2, 2), r_grid=SMALL_R)
         assert cert.holds
 
     def test_expanding_cycle_violated(self):
@@ -309,8 +319,7 @@ class TestCauchyCriterion:
         T = table_map({0.0: 0.1, 0.1: 5.0, 5.0: 5.1, 5.1: 0.0}, carrier,
                       name="expander")
         trace = picard_orbit(space, T, 0.0, max_len=12, t_grid=(10.0,))
-        cert = cauchy_criterion_check(space, trace, "plain",
-                                      r_grid=(0.05,), t_grid=(10.0,))
+        cert = cauchy_criterion_check(space, trace, "plain", r_grid=(0.05,))
         assert cert.verdict is CauchyVerdict.VIOLATED
         w = cert.witness
         blend = space.m(trace.points[w["p"]], trace.points[w["q"]], w["t"])
@@ -358,10 +367,10 @@ def _blend(space, params, xs, ys, txs, tys, t):
 
 
 def _reference_criterion(space, trace, f_kind="plain", params=None,
-                         r_grid=None, t_grid=None):
+                         r_grid=None):
     """The cut-by-cut scan: a freshly sorted search for every cut."""
     rs = threshold_grid(r_grid)
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     pts = np.array(trace.points)
     sub = dynamics._cert_indices(trace.length - 1)
     xi, yi = np.triu_indices(len(sub), k=0)
@@ -578,12 +587,12 @@ class TestCriterionCutSearch:
 
 
 def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
-                             r_grid=None, t_grid=None):
+                             r_grid=None):
     """The per-(t, r) cut search: one stable sort per scale, then per
     threshold a fatal mask over it and a search over the sorted pairs
     masked to the first valid cut's window."""
     rs = threshold_grid(r_grid)
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     pts = np.array(trace.points)
     sub = dynamics._cert_indices(trace.length - 1)
     cuts = sub[:-1]
@@ -714,9 +723,11 @@ class TestCriterionLockstep:
 def test_cauchy_checks_refuse_an_empty_grid(check, grids):
     sc = load_scenario("ex62")
     space = sc.build_space()
-    trace = OrbitTrace.from_points(space, [1.0, 0.5, 0.25, 0.125], sc.t_grid)
+    # a check reads the trace's scales, so an empty one is refused there
     with pytest.raises(DomainError, match="at least one"):
-        check(space, trace, **grids)
+        trace = OrbitTrace.from_points(space, [1.0, 0.5, 0.25, 0.125],
+                                       grids.get("t_grid", sc.t_grid))
+        check(space, trace, r_grid=grids.get("r_grid"))
 
 
 class TestContractionTraceInvariants:
@@ -735,7 +746,7 @@ class TestContractionTraceInvariants:
                                  t_grid=GRID_1_100)
             if trace.length < 3:
                 continue
-            rep = regularity_check(quad_space, trace, GRID_1_100, (1.0, 20))
+            rep = regularity_check(quad_space, trace, 20)
             assert rep.plain_all
 
     def test_cm_map_traces_on_strong_space_certified(self, quad_space,
@@ -746,7 +757,7 @@ class TestContractionTraceInvariants:
                                  t_grid=GRID_1_100)
             if trace.length < 2:
                 continue
-            cert = m_cauchy_check(quad_space, trace, t_grid=GRID_1_100)
+            cert = m_cauchy_check(quad_space, trace)
             assert cert.holds
 
 
@@ -862,10 +873,10 @@ def _reference_orbit(space, T, x0, max_len, stop_tolerance, t_grid):
     return OrbitTrace(tuple(points), grid, np.array(rows), reason, T.name)
 
 
-def _reference_m_cauchy(space, trace, r_grid=None, t_grid=None):
+def _reference_m_cauchy(space, trace, r_grid=None):
     """The M-Cauchy check over the dense pair matrix."""
     rs = threshold_grid(r_grid)
-    grid = scale_grid(t_grid, trace.t_grid)
+    grid = trace.t_grid
     idx = dynamics._cert_indices(trace.length)
     pts = np.array(trace.points)[idx]
     cert = dynamics.CauchyCertificate(dynamics.CauchyKind.M_CAUCHY,
@@ -1102,6 +1113,7 @@ class TestBlockedOrbit:
             assert (m_cauchy_check(line_space, trace, rs).to_dict()
                     == _reference_m_cauchy(line_space, trace, rs).to_dict())
 
+    @pytest.mark.simd
     @given(name=st.sampled_from(sorted(_CAUCHY_SPACES)),
            points=st.lists(st.floats(0.0, 10.0)
                            | st.integers(0, 10).map(float),
@@ -1211,8 +1223,6 @@ class TestOrbitWorkCounts:
             self, ray_space, monkeypatch):
         points = 5.0 * 0.5 ** np.arange(60)
         trace = OrbitTrace.from_points(ray_space, points, GRID_1_100)
-        off_grid = OrbitTrace.from_points(ray_space, points, (0.5, 150.0))
-        fresh = g_cauchy_check(ray_space, off_grid, t_grid=GRID_1_100)
         count = _NearnessCount(monkeypatch)
         cert = g_cauchy_check(ray_space, trace)
         assert cert.holds
@@ -1221,7 +1231,6 @@ class TestOrbitWorkCounts:
         assert count.pairs == [len(points) - 2, len(points) - 5]
         assert count.scales == [(len(points) - m) * len(GRID_1_100)
                                 for m in (2, 5)]
-        assert cert.to_dict() == fresh.to_dict()
 
     def test_cm_check_prepares_two_pair_sets(self, monkeypatch):
         # one pair per distinct distance is prepared once, for the pairs

@@ -3,7 +3,9 @@ module-level import of a package module is used by that module, every
 private top-level function or class is referenced by some package module,
 every public one is reached by the package, its own module or the
 benchmark, or is allowlisted with a reason, and so is every method and
-property of a public class and every public module-level constant."""
+property of a public class and every public module-level constant; every
+defaulted parameter is passed by some caller, or is allowlisted with a
+reason."""
 
 import ast
 from collections import Counter
@@ -243,3 +245,111 @@ def test_every_member_is_reached():
     package = {m: (SRC / m).read_text() for m in PACKAGE}
     bench = {str(p): p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))}
     assert unreached_members(package, bench) == []
+
+
+def _calls(trees) -> dict:
+    """Each called name, as a bare name or an attribute, with what its calls
+    pass: (the most positions, any ``*``, the keywords, any ``**``)."""
+    calls = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            name = (n.func.id if isinstance(n.func, ast.Name)
+                    else n.func.attr if isinstance(n.func, ast.Attribute)
+                    else None)
+            most, star, keywords, double = calls.get(name, (0, False, set(),
+                                                            False))
+            plain = [a for a in n.args if not isinstance(a, ast.Starred)]
+            calls[name] = (max(most, len(plain)),
+                           star or len(plain) < len(n.args),
+                           keywords | {k.arg for k in n.keywords if k.arg},
+                           double or any(k.arg is None for k in n.keywords))
+    return calls
+
+
+def unset_parameters(package: dict, bench: dict) -> list[str]:
+    """Defaulted parameters of the top-level functions of the ``package``
+    modules (name to source, ``__init__.py`` left out) and of the methods
+    of their top-level classes, that no call in a package module or a
+    ``bench`` source passes by keyword, by position or through ``*`` or
+    ``**``.
+
+    A call is matched by name, whatever the object; a call of a class is a
+    call of its ``__init__``, and a method's positions start after
+    ``self`` or ``cls`` unless it is a static method."""
+    trees = {m: ast.parse(src) for m, src in package.items()}
+    calls = _calls(list(trees.values())
+                   + [ast.parse(src) for src in bench.values()])
+    unset = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for fn in node.body if owner else [node]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                positional = fn.args.posonlyargs + fn.args.args
+                if owner and not static:
+                    positional = positional[1:]
+                defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                             if i >= len(positional) - len(fn.args.defaults)]
+                defaulted += [(None, a.arg) for a, d in
+                              zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                              if d is not None]
+                called = owner if fn.name == "__init__" else fn.name
+                most, star, keywords, double = calls.get(
+                    called, (0, False, set(), False))
+                where = f"{module}:{owner + '.' if owner else ''}{fn.name}"
+                unset += [f"{where}({arg})" for i, arg in defaulted
+                          if not (arg in keywords or double
+                                  or i is not None and (i < most or star))]
+    return unset
+
+
+# Defaulted parameters that nothing in the package or the benchmark passes,
+# kept on purpose, each with its reason.
+SET_BY_DESIGN = {
+    "cli.py:main(argv)": "the console entry point, which passes no argv",
+    "contractions.py:equivalence_probe(r_grid)":
+        "ROADMAP item 9 decides the probe and its grids",
+    "dynamics.py:g_cauchy_check(m_grid)":
+        "ROADMAP items 9 and 10 wire the trace checks into commands",
+    "dynamics.py:cauchy_criterion_check(f_kind)":
+        "ROADMAP items 9 and 10 wire the trace checks into commands",
+    "dynamics.py:cauchy_criterion_check(params)":
+        "ROADMAP items 9 and 10 wire the trace checks into commands",
+}
+
+
+def test_the_check_sees_an_unset_parameter():
+    package = {
+        "__init__.py": "from .a import Box, f\n",
+        "a.py": "def f(x, y=1, z=2, *, w=3, v=4):\n    pass\n\n\n"
+                "def g(x=0, y=1):\n    pass\n\n\n"
+                "def h(x=0):\n    pass\n\n\n"
+                "class Box:\n    def __init__(self, size=1, label=''):\n"
+                "        pass\n\n"
+                "    def put(self, item, at=0):\n        pass\n\n"
+                "    @staticmethod\n    def make(kind=None):\n        pass\n\n"
+                "    @classmethod\n    def of(cls, n=1):\n        pass\n",
+        "b.py": "from .a import Box, f, g\n\n\nf(0, 1, v=2)\ng(*[1, 2])\n"
+                "Box(3)\nBox.make('x')\n",
+    }
+    bench = {"run.py": "import fuzzyfix.a\n\nfuzzyfix.a.h(**{})\n"
+                       "fuzzyfix.a.Box().put('a')\n"}
+    assert unset_parameters(package, bench) == [
+        "a.py:f(z)", "a.py:f(w)", "a.py:Box.__init__(label)",
+        "a.py:Box.put(at)", "a.py:Box.of(n)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = {m: (SRC / m).read_text() for m in PACKAGE}
+    bench = {str(p): p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))}
+    unset = unset_parameters(package, bench)
+    assert sorted(set(unset) - set(SET_BY_DESIGN)) == []
+    # an allowlisted parameter that is passed after all needs no entry
+    assert sorted(set(SET_BY_DESIGN) - set(unset)) == []

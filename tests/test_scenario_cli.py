@@ -638,6 +638,14 @@ class TestCli:
         assert out.startswith("error: ")
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, name", [("step-phi", "step-phi"),
+                                            ("power-phi:2", "power-phi:2.0")])
+    def test_gauge_eval_nan_exits_two(self, spec, name):
+        # [0, inf) refuses NaN, so no report carries a bare NaN
+        assert run_command(["gauge", "--gauge", spec, "--eval", "nan",
+                            "--format", "json-like"]) == (
+            2, f"error: {name}: argument nan outside [0,inf)\n")
+
     @pytest.mark.parametrize("argv", [
         ["check-space", "--scenario", "ex63", "--t-grid", "nan"],
         ["check-space", "--scenario", "ex63", "--t-grid", "inf"],
@@ -752,7 +760,7 @@ class TestCli:
         trace = OrbitTrace.from_points(sc.space, [0.5, 0.25, 0.125], sc.t_grid)
         with pytest.raises(DomainError, match=(
                 f"i_max must be at most {MAX_I_MAX}, got {MAX_I_MAX + 1}")):
-            regularity_check(sc.space, trace, e_spec=(1.0, MAX_I_MAX + 1))
+            regularity_check(sc.space, trace, MAX_I_MAX + 1)
         # the caps themselves are accepted
         assert len(Carrier.interval(0, 1, MAX_CARRIER_SAMPLES).points) == (
             MAX_CARRIER_SAMPLES)
@@ -765,7 +773,7 @@ class TestCli:
         solver = parse_scenario(json.dumps(doc)).solver
         assert (solver["max_len"], solver["i_max"]) == (MAX_ORBIT_LEN,
                                                         MAX_I_MAX)
-        assert regularity_check(sc.space, trace, e_spec=(1.0, MAX_I_MAX))
+        assert regularity_check(sc.space, trace, MAX_I_MAX)
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tolerance_that_cannot_fail_a_check_exits_two(self, tmp_path,
@@ -797,8 +805,7 @@ class TestCli:
         assert (code, out) == (2, "error: tolerance must be finite and "
                                f"nonnegative, got {float(tol)!r}\n")
         # and so has a tail tolerance: on an orbit that keeps oscillating,
-        # inf would certify regularity and the fixed-gap Cauchy property,
-        # NaN and -1 would refute both
+        # inf would certify regularity, NaN and -1 would refute it
         sc = load_scenario("ex62")
         space = sc.build_space()
         trace = OrbitTrace.from_points(space, [0.0, 5.0] * 30, sc.t_grid)
@@ -806,10 +813,9 @@ class TestCli:
                    f"got {float(tol)!r}")
         assert not regularity_check(space, trace).plain_all
         assert not g_cauchy_check(space, trace).holds
-        for check in (regularity_check, g_cauchy_check):
-            with pytest.raises(DomainError) as err:
-                check(space, trace, tail_tolerance=float(tol))
-            assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            regularity_check(space, trace, tail_tolerance=float(tol))
+        assert str(err.value) == message
         with pytest.raises(DomainError) as err:
             solve_fixed_point(space, sc.build_map(), 7.0,
                               config=SolverConfig(max_len=20,

@@ -236,6 +236,7 @@ class TestDistanceProfile:
                                    {(0, 1): [0.5]})
         assert space.distance is None
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("build", [standard_fuzzy_metric,
                                        exponential_fuzzy_metric])
     @given(base=st.floats(0.0, 1e4), ulps=st.lists(st.integers(0, 3),
