@@ -457,12 +457,14 @@ def _pair_sample(space: FuzzySpace, T: SelfMap,
 # holding at most this many elements (but always at least one scale).
 # Blocks of 2**16 doubles (512 KiB) lie above glibc's default mmap
 # threshold, so a short-lived process faults their pages in afresh: a
-# standalone loop of criterion checks on 100-point traces took 597 minor
-# faults per check at 2**16 and none at 2**13, which ran 12-24%
+# standalone loop of per-pair criterion checks on 100-point traces took
+# 597 minor faults per check at 2**16 and none at 2**13, which ran 12-24%
 # faster there (2-CPU Xeon, numpy 2.4).  A long-lived process that has
 # freed large arrays raises that threshold, and in the benchmark's
 # ``orbits`` workload 2**13 did not lower the median op (4 pairs of 10 s
-# runs), so the budget stays.
+# runs), so the budget stays.  That evidence holds for the per-pair path:
+# on a declared space those traces' stages now hold about 80 distinct
+# distances per scale, all 40 scales in one block of about 3,300 values.
 _SCALE_BLOCK = 1 << 16
 
 
@@ -540,15 +542,18 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     window's violator with the largest premise (the last such pair among
     ties).
 
-    Without rows, ``orders`` may rank the pairs by distance
-    (:attr:`PairSample.ordered`), and F and E then hold the values at the
-    distinct pair and image distances, widest first.  Where both are
-    nondecreasing, checked in one pass, the answers are the sort path's
-    with no sort or per-pair work: an r's violators are the first
-    ``orders.ends[g]`` pairs of the image order, g the values below its
-    target; their premise maximum is at their least pair distance
-    (``orders.tops[g]``); premise counts are searches in F; and only a
-    rescan or a witness gathers a prefix's premises.  A prefix holds the
+    ``orders`` may rank the pairs by distance (:attr:`PairSample.ordered`),
+    and F and E then hold the values at the distinct pair and image
+    distances, widest first.  Where both are nondecreasing, checked in one
+    pass, the answers are the sort path's with no sort or per-pair work:
+    an r's violators are the first ``orders.ends[g]`` pairs of the image
+    order, g the values below its target; their premise maximum is at
+    their least pair distance (``orders.tops[g]``); premise counts are
+    searches in F; by rows, the largest premise beyond a cut is F at the
+    least pair distance beyond it, found when the search is built; and
+    only a rescan or a witness gathers a prefix's premises (by rows, each
+    scale gathers the loosest r's prefix once for its rescans, whose rows
+    are ranked when the search is built).  A prefix holds the
     same pairs whatever the order among ties, and a witness is the largest
     index among them.  Its pairs past every two-sided window, which the
     sort path drops first, lift v past 1-r, so the r rescans and drops
@@ -562,6 +567,13 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     loosest, widest = targets.max(), bounds.max()
     if cuts is not None:
         starts = np.searchsorted(rows, np.arange(len(cuts)))
+    if orders is not None and cuts is not None:
+        # the pairs' rows and pair distance numbers in the image order, and
+        # the largest pair distance number beyond each cut
+        ranked_rows = rows[orders.order]
+        grouped = orders.pair.group[orders.order]
+        cut_groups = np.maximum.accumulate(np.maximum.reduceat(
+            orders.pair.group, starts)[::-1])[::-1]
     n_cuts = 1 if cuts is None else len(cuts)
     clamped = 1.0 - ENDPOINT_CLAMP
 
@@ -577,6 +589,7 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             # among the pairs beyond each cut
             counts = [F.size] * len(rs)
             best = ([] if not F.size else [float(F.max())] if cuts is None
+                    else F[cut_groups].tolist() if ordered
                     else np.maximum.accumulate(np.maximum.reduceat(
                         F, starts)[::-1])[::-1].tolist())
         if ordered:
@@ -611,7 +624,9 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             counts = ranked.searchsorted(bounds).tolist()
         ns = ns.tolist()
         if cuts is not None:
-            ro, gaps = rows[order], 1.0 - Fo
+            if ordered:     # the premises a rescan reads, in the image order
+                Fo = F.take(grouped[:max(ns)])
+            ro, gaps = ranked_rows if ordered else rows[order], 1.0 - Fo
             # (prefix, cut) -> premise maximum beyond it: on settling
             # criterion traces about half the rescans find theirs here
             beyond = {}

@@ -23,7 +23,8 @@ evaluates step nearness at other scales:
   success is monotone in the cut, so the first valid cut is found
   directly, by the threshold search of :mod:`fuzzyfix.contractions` over
   the pairs' rows, with two pair sets prepared once and evaluated per
-  block of scales,
+  block of scales (on a space that declares its distance profile, at the
+  distinct distances only),
 * ``solve_fixed_point`` audits a theorem route's preconditions, runs the
   orbit, certifies it, and reports the fixed point with a uniqueness scan
   on finite carriers; ``auto`` tries the candidate routes over one orbit,
@@ -46,6 +47,7 @@ from .contractions import (
     PairSample,
     SelfMap,
     _blended,
+    _ordered,
     _pair_sample,
     _scale_rows,
     _threshold_search,
@@ -106,12 +108,17 @@ class OrbitTrace:
     @classmethod
     def from_points(cls, space: FuzzySpace, points: Sequence[float],
                     t_grid: Optional[Sequence[float]] = None) -> "OrbitTrace":
-        """Wrap an explicit sequence (not necessarily a Picard orbit)."""
+        """Wrap an explicit sequence (not necessarily a Picard orbit) of
+        finite points; they may lie off the carrier."""
         grid = scale_grid(t_grid)
         pts = tuple(float(p) for p in points)
         if not pts:
             raise DomainError("a trace needs at least one point")
         p = np.array(pts)[:, None]
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            raise DomainError(f"trace points must be finite, got "
+                              f"{pts[bad[0]]!r} at index {bad[0]}")
         series = space.m(p[:-1], p[1:], np.array(grid))
         return cls(pts, grid, series, StopReason.PRESCRIBED, "prescribed")
 
@@ -452,6 +459,14 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     the cut's trace index; the certificate's kind is ``CRITERION``, not
     ``M_CAUCHY``, so that a report tells this evidence from the
     definition's (:func:`m_cauchy_check`).
+
+    For plain nearness on a space that declares its distance profile
+    (:class:`FuzzySpace`), with every trace point on the carrier, where the
+    profile holds, the pairs are ranked once per check by successor and by
+    pair distance, as a pair sample's are (:attr:`PairSample.ordered`), and
+    the two pair stages hold the distinct distances only.  The search
+    confirms the order at each scale; the records and witnesses are those
+    of the per-pair path.
     """
     if f_kind not in ("plain", "m_generalized"):
         raise DomainError(f"unknown f_kind {f_kind!r}")
@@ -470,6 +485,14 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     xi, yi = sub[rows], sub[yi]
     xs, ys = pts[xi], pts[yi]
     nxs, nys = pts[xi + 1], pts[yi + 1]
+    d = space.distance
+    orders = (_ordered(d.eval(nxs, nys), d.eval(xs, ys))
+              if f_kind == "plain" and d is not None
+              and space.carrier.contains(pts).all() else None)
+    if orders is not None:      # one pair per distinct distance
+        pr, im = orders.pair.reps, orders.image.reps
+        xs, ys, nxs, nys = xs[pr], ys[pr], nxs[im], nys[im]
+    size = max(len(xs), len(nxs))
     premise = (space.pairs(xs, ys) if f_kind == "plain"
                else _blended(space, params, xs, ys, nxs, nys))
     after = space.pairs(nxs, nys)
@@ -479,16 +502,18 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     # the implication premise is one-sided: any pair whose blend clears
     # 1-rho must already improve past 1-r
     search = _threshold_search(rs, onesided=True, rows=rows,
-                               cuts=sub[:-1].tolist())
-    for t, F, E in _scale_rows(grid, len(rows), premise, after):
+                               cuts=sub[:-1].tolist(), orders=orders)
+    for t, F, E in _scale_rows(grid, size, premise, after):
         for r, (rec, k) in zip(rs, search(F, E, t)):
             if rec is None:
                 # refuted at every cut: the witness is the first cut's,
                 # whose window holds every pair
+                kf, ke = ((k, k) if orders is None else
+                          (orders.pair.group[k], orders.image.group[k]))
                 cert.verdict = CauchyVerdict.VIOLATED
                 cert.witness = {"t": t, "r": r, "p": int(xi[k]),
-                                "q": int(yi[k]), "blend": float(F[k]),
-                                "next_nearness": float(E[k])}
+                                "q": int(yi[k]), "blend": float(F[kf]),
+                                "next_nearness": float(E[ke])}
                 return cert
             cert.records.append(rec)
     return cert

@@ -1,5 +1,6 @@
 """Tests for orbits, regularity, Cauchy certification, and the solver."""
 
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -718,6 +719,123 @@ class TestCriterionLockstep:
         assert got.to_dict() == ref.to_dict()
 
 
+# quarter steps on both carriers make many pair and successor distances tie
+_DECLARED_CARRIERS = {
+    "finite": Carrier.finite([0.0, 0.25, 0.5, 1.0, 2.0, 2.25, 2.5, 5.0]),
+    "interval": Carrier.interval(0, 10, 101)}
+_DECLARED_SPACES = {
+    f"{build.__name__}-{d}-{where}": build(carrier, metric(d))
+    for build in (standard_fuzzy_metric, exponential_fuzzy_metric)
+    for d in ("euclidean", "max-jachymski")
+    for where, carrier in _DECLARED_CARRIERS.items()}
+
+
+def _settle(carrier, v, n):
+    """``n`` points from v toward the carrier's lowest point, on the
+    carrier: down its points, or halving the distance, then staying."""
+    if carrier.is_finite:
+        down = [p for p in sorted(carrier.points, reverse=True) if p <= v]
+        return (down + down[-1:] * n)[:n]
+    return [carrier.low + (v - carrier.low) * 0.5 ** j for j in range(n)]
+
+
+@st.composite
+def declared_criterion_cases(draw):
+    """A declared space and a trace on its carrier: random points, or an
+    oscillation before or after a settling run; repeats and quarter steps
+    tie distances.  A refuting tail w, w, z ends the trace with a pair of
+    equal points whose successors lie apart, which survives every cut."""
+    name = draw(st.sampled_from(sorted(_DECLARED_SPACES)))
+    carrier = _DECLARED_SPACES[name].carrier
+    value = (st.sampled_from(carrier.points) if carrier.is_finite else
+             st.integers(0, 40).map(lambda k: k / 4) | st.floats(0.0, 10.0))
+    n = draw(st.integers(3, 30) | st.integers(31, 117))
+    kind = draw(st.sampled_from(("random", "oscillate-settle",
+                                 "settle-oscillate")))
+    k = draw(st.integers(0, n))
+    u, v = draw(value), draw(value)
+    swing = [u if i % 2 == 0 else v for i in range(n)]
+    if kind == "random":
+        points = draw(st.lists(value, min_size=n, max_size=n))
+    elif kind == "oscillate-settle":
+        points = swing[:k] + _settle(carrier, v, n - k)
+    else:
+        points = _settle(carrier, u, k) + swing[:n - k]
+    if draw(st.booleans()):
+        w = draw(value)
+        points += [w, w, draw(value)]
+    return name, points
+
+
+class TestCriterionOrderedPath:
+    """On a declared space the criterion reads each scale at the distinct
+    pair and successor distances; its certificates are the per-pair
+    path's."""
+
+    @staticmethod
+    def _compare(space, points, t_grid, r_grid):
+        trace = OrbitTrace.from_points(space, points, t_grid)
+        got = cauchy_criterion_check(space, trace, r_grid=r_grid).to_dict()
+        plain = dataclasses.replace(space, distance=None)
+        assert got == cauchy_criterion_check(plain, trace,
+                                             r_grid=r_grid).to_dict()
+        assert got == _reference_criterion(space, trace,
+                                           r_grid=r_grid).to_dict()
+        return got
+
+    @pytest.mark.simd
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(declared_criterion_cases(),
+           st.lists(st.sampled_from(BLOCK_T) | st.floats(0.01, 100.0),
+                    min_size=1, max_size=8),
+           st.none() | st.lists(st.sampled_from(SMALL_R)
+                                | st.floats(1e-4, 0.9999),
+                                min_size=1, max_size=8))
+    def test_matches_per_pair_path(self, case, t_grid, r_grid):
+        name, points = case
+        self._compare(_DECLARED_SPACES[name], points, t_grid, r_grid)
+
+    @pytest.mark.simd
+    def test_fixed_traces_reach_both_verdicts(self):
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for name, space in sorted(_DECLARED_SPACES.items()):
+            carrier = space.carrier
+            pool = (carrier.points if carrier.is_finite
+                    else np.arange(0.0, 10.25, 0.25))
+            u, v = (float(p) for p in rng.choice(pool, 2))
+            for points in ([u, v] * 10 + _settle(carrier, v, 30),
+                           [float(p) for p in rng.choice(pool, 40)]):
+                got = self._compare(space, points, BLOCK_T, SMALL_R)
+                verdicts.add(got["verdict"])
+        assert verdicts == {"holds_on_prefix", "violated"}
+
+    def test_off_carrier_traces_keep_the_per_pair_path(self, ray_space,
+                                                       monkeypatch):
+        # max(-3, -2) = -2 is no distance, and t / (t - 2) is no nearness:
+        # a trace off the carrier evaluates every pair and successor pair
+        points = [-3.0, -2.0, 5.0, 0.5, -2.0, 0.25, 0.125]
+        trace = OrbitTrace.from_points(ray_space, points, (1.0, 10.0))
+        count = _NearnessCount(monkeypatch)
+        got = cauchy_criterion_check(ray_space, trace, r_grid=(0.9, 0.5))
+        n = len(points) - 1
+        assert count.pairs == [n * (n + 1) // 2] * 2
+        assert got.to_dict() == _reference_criterion(
+            ray_space, trace, r_grid=(0.9, 0.5)).to_dict()
+
+
+@pytest.mark.parametrize("points, bad", [
+    ([0.5, math.nan, 0.25, 0.2], "nan at index 1"),
+    ([math.nan, 1.0, 0.5, 0.25], "nan at index 0"),
+    ([math.inf, 1.0, 0.5, 0.25], "inf at index 0")])
+def test_trace_points_must_be_finite(points, bad):
+    # every comparison with NaN is false, so such a trace used to get
+    # holds_on_prefix from the criterion (and the first from m_cauchy_check)
+    sc = load_scenario("ex62")
+    with pytest.raises(DomainError, match=f"must be finite, got {bad}"):
+        OrbitTrace.from_points(sc.build_space(), points, sc.t_grid)
+
+
 @pytest.mark.parametrize("check", [m_cauchy_check, cauchy_criterion_check])
 @pytest.mark.parametrize("grids", [{"r_grid": []}, {"t_grid": []}])
 def test_cauchy_checks_refuse_an_empty_grid(check, grids):
@@ -1248,3 +1366,23 @@ class TestOrbitWorkCounts:
         assert report.satisfied
         assert count.pairs == [n_pair, n_image]
         assert count.scales == [n_pair, n_image] * len(report.t_grid)
+
+    def test_criterion_prepares_the_distinct_distances(self, monkeypatch):
+        # a benchmark-shaped settling trace: its 4,950 pairs and 4,950
+        # successor pairs hold 81 and 82 distances, prepared once and
+        # evaluated in one block of all 40 scales
+        sc = load_scenario("ex62")
+        space = sc.build_space()
+        points = np.array([2.0 + 0.25 * (i % 2) for i in range(20)]
+                          + [1.0 / (j + 2) for j in range(80)])
+        trace = OrbitTrace.from_points(space, points, sc.t_grid)
+        i, j = np.triu_indices(len(points) - 1)
+        distinct = [np.unique(space.distance.eval(points[a], points[b])).size
+                    for a, b in ((i, j), (i + 1, j + 1))]
+        assert distinct == [81, 82]
+        count = _NearnessCount(monkeypatch)
+        cert = cauchy_criterion_check(space, trace, r_grid=sc.r_grid)
+        assert cert.holds
+        assert count.pairs == distinct
+        assert len(count.scales) <= 2
+        assert sum(count.scales) == sum(distinct) * 40 == 6520
