@@ -518,14 +518,10 @@ def _check_threshold_class(g: Gauge, grid, resolution: float,
     try:
         found = _bisect_grid(g, x, resolution, phi).__getitem__
     except Exception:
-        # whatever the gauge raised, search again sampling every window,
-        # which raises it only if it meets it, then one threshold at a time,
-        # so an error surfaces only where the reading reaches it
-        try:
-            found = _bisect_grid(g, x, resolution, phi, False).__getitem__
-        except (ValueError, ArithmeticError):
-            def found(i):
-                return _bisect_grid(g, x[i:i + 1], resolution, phi, False)[0]
+        # whatever the gauge raised, search one threshold at a time sampling
+        # every window, so an error surfaces only where the reading reaches it
+        def found(i):
+            return _bisect_grid(g, x[i:i + 1], resolution, phi, False)[0]
     records, witness, verdict = [], None, Verdict.MEMBER
     for i, v in enumerate(grid):
         best = found(i)
@@ -664,12 +660,12 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     grid order up to the first non-member.  A window whose sample next to
     its moving end fails one step ahead is rejected unsampled.  The whole
     grid is searched before that reading, so a gauge rejected at its first
-    threshold still bisects all of them.  If the gauge raises, the grid is
-    searched again with every window sampled, then, if that raises too, one
-    threshold at a time, and the error surfaces only at a threshold the
-    reading reaches.  An error only inside a rejected window, away from its
-    end sample, goes unseen; the gauge ids raise, if at all, on a ray that
-    holds the end sample (an overflowing power, an underflowing generator).
+    threshold still bisects all of them.  If the gauge raises, the
+    thresholds are searched again one at a time with every window sampled,
+    and the error surfaces only at a threshold the reading reaches.  An
+    error only inside a rejected window, away from its end sample, goes
+    unseen; the gauge ids raise, if at all, on a ray that holds the end
+    sample (an overflowing power, an underflowing generator).
     Psi checks nondecreasing, strictly-above-identity and continuity: an
     increment of at least ``tau_resolution`` between grid samples that
     keeps that size while halved down to adjacent doubles is a jump.  H

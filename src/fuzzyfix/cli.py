@@ -131,8 +131,7 @@ def _cmd_check_space(args, scenario):
     t_grid, _ = _grids(args, scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     tol = args.tolerance if args.tolerance is not None else 1e-12
-    report = axiom_check(space, triple_samples=500, t_grid=t_grid, seed=seed,
-                         tol=tol)
+    report = axiom_check(space, t_grid=t_grid, seed=seed, tol=tol)
     return report.passed, {"axiom_report": report.to_dict()}
 
 
@@ -166,21 +165,24 @@ def _cmd_gauge(args, scenario):
                             "declares none")])
     tol = args.tolerance if args.tolerance is not None else 1e-4
     _, r_grid = _grids(args, scenario)
+    only = ClassTag(args.class_tag) if args.class_tag is not None else None
+    checks = [(role, g, tag) for role, g in sorted(gauges.items())
+              for tag in ((only,) if only else _DEFAULT_TAGS[g.domain])]
+    reads_grid = {ClassTag.PSI1, ClassTag.PSI}
+    if (args.r_grid is not None
+            and reads_grid.isdisjoint(t for _, _, t in checks)):
+        raise SchemaError([("--r-grid", "no certificate of this command "
+                            "reads a threshold grid")])
     certificates = []
     all_member = True
-    for role, g in sorted(gauges.items()):
-        if args.class_tag is not None:
-            tags = (ClassTag(args.class_tag),)
-        else:
-            tags = _DEFAULT_TAGS[g.domain]
-        for tag in tags:
-            grid = r_grid if tag in (ClassTag.PSI1, ClassTag.PSI) else None
-            cert = class_membership(g, tag, r_grid=grid, tau_resolution=tol)
-            entry = {"role": role, **cert.to_dict()}
-            if args.eval_at is not None:
-                entry["eval"] = {"at": args.eval_at, "value": g.eval(args.eval_at)}
-            certificates.append(entry)
-            all_member &= cert.verdict.value == "member"
+    for role, g, tag in checks:
+        grid = r_grid if tag in reads_grid else None
+        cert = class_membership(g, tag, r_grid=grid, tau_resolution=tol)
+        entry = {"role": role, **cert.to_dict()}
+        if args.eval_at is not None:
+            entry["eval"] = {"at": args.eval_at, "value": g.eval(args.eval_at)}
+        certificates.append(entry)
+        all_member &= cert.verdict.value == "member"
     return all_member, {"certificates": certificates}
 
 

@@ -53,7 +53,7 @@ from .algebra import (
     class_membership,
 )
 from .defaults import CLASS_TOL, ENDPOINT_CLAMP, scale_grid, threshold_grid
-from .expressions import ExpressionError, _compile, parse_expression
+from .expressions import ExpressionError, _compile, _tokenize, parse_expression
 from .spaces import Carrier, FuzzySpace, _carrier_sample
 
 # Strictness margin on sampled continuous carriers, relative because small
@@ -182,7 +182,9 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
     Supported ids: ``phi-step`` (the step gauge as a self-map of [0,inf)),
     ``perm-0-1-2-5`` (the cyclic table 0->0, 1->5, 2->0, 5->2),
     ``identity``, ``const:<c>`` (``c`` may be a fraction such as ``1/2``)
-    and ``expr:<expression>`` in the variable x.
+    and ``expr:<expression>`` in the variable x.  An expression is declared
+    continuous unless it holds a ``piecewise``, which can jump: the other
+    builtins are continuous wherever they are defined.
     """
     if spec == "phi-step":
         return SelfMap("phi-step", _step_phi_fn, continuous=True,
@@ -200,8 +202,9 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
     if spec.startswith("expr:"):
         # no numpy math here: np.exp, np.log and np.power need not match
         # the C library in the last bit, so arrays go element by element
+        src = spec.split(":", 1)[1]
         try:
-            tree = parse_expression(spec.split(":", 1)[1])
+            tree = parse_expression(src)
         except ExpressionError as exc:
             raise DomainError(f"bad expression: {exc}") from None
         compiled = _compile(tree)
@@ -212,8 +215,9 @@ def self_map(spec: str, carrier: Optional[Carrier] = None) -> SelfMap:
             except ExpressionError as exc:
                 raise DomainError(f"map {spec} cannot be evaluated at "
                                   f"{x!r}: {exc}") from None
-        return SelfMap(spec, _elementwise(image), continuous=True,
-                       continuity_source="declared")
+        jumps = any(tok.text == "piecewise" for tok in _tokenize(src))
+        return SelfMap(spec, _elementwise(image), continuous=not jumps,
+                       continuity_source="piecewise" if jumps else "declared")
     raise DomainError(f"unknown map id {spec!r}")
 
 
@@ -526,8 +530,7 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
 
     What depends on ``rs`` and the rows alone is done once, when the search
     is built: the thresholds, their targets and, by rows, where each cut's
-    rows start.  The checks build it once; the iterate-shift check once per
-    scale and shift, for the thresholds still open.  ``search`` answers all
+    rows start.  Each check builds it once.  ``search`` answers all
     r in lockstep: only pairs violating the loosest r can violate any, and
     sorted by conclusion they hold each r's violators as a prefix.  Its
     premise maximum v is the candidates' running premise maximum read at
@@ -889,17 +892,18 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
     # iterate-shift search: premise on the blend of N-step images, conclusion
     # on the nearness of (N+1)-step images.  Shift 0 is the scan's; a later
     # shift is mapped and prepared once, when a scale first needs it, and
-    # its conclusion is the next shift's pair nearness
+    # its conclusion is the next shift's pair nearness.  A threshold's
+    # record does not depend on the others searched with it, so every
+    # shift searches the whole grid and each keeps its first record
     shifts = []             # (premise, conclusion) of shifts 1, 2, ...
     last = (sample.txs, sample.tys)
     cond2 = ConditionVerdict("iterate-threshold-implication", CheckStatus.SATISFIED)
-    finite = carrier.is_finite
+    search = _threshold_search(rs, finite=carrier.is_finite)
     for t, mv, concl in _improvement_scan(space, grid, sample, cond1, cond2,
                                           blended, key="blend"):
         found, witness = {}, {}
         for n in range(n_cap + 1):
-            todo = [i for i in range(len(rs)) if i not in found]
-            if not todo:
+            if len(found) == len(rs):
                 break
             if n > len(shifts):
                 px, py = last
@@ -912,10 +916,9 @@ def m_contractive_check(space: FuzzySpace, T: SelfMap, params: MParams,
             if n:
                 premise, conclusion = shifts[n - 1]
                 mv, concl = premise(t), conclusion(t)
-            search = _threshold_search([rs[i] for i in todo], finite=finite)
-            for i, (rec, k) in zip(todo, search(mv, concl, t, n)):
+            for i, (rec, k) in enumerate(search(mv, concl, t, n)):
                 if rec is not None:
-                    found[i] = rec
+                    found.setdefault(i, rec)
                 elif n == 0:
                     witness[i] = k
         for i, r in enumerate(rs):

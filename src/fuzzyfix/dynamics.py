@@ -16,8 +16,9 @@ evaluates step nearness at other scales:
   else the pairs i < j, is prepared once (see :mod:`fuzzyfix.spaces`),
   and the scales are evaluated over them in blocks, one scale-stage call
   per block,
-* ``g_cauchy_check`` does the same for fixed index gaps, the weaker
-  notion that the harmonic-sums counterexample separates from the former,
+* ``g_cauchy_check`` does the same for the fixed index gaps 1, 2 and 5,
+  the weaker notion that the harmonic-sums counterexample separates from
+  the former,
 * ``cauchy_criterion_check`` certifies the implication "blended nearness
   past 1-rho forces next-step nearness past 1-r" over observed pairs;
   success is monotone in the cut, so the first valid cut is found
@@ -70,6 +71,9 @@ MAX_I_MAX = 1000
 # A deficit series counts as converging to zero on the prefix when its tail
 # keeps shrinking by at least this factor over the observed half-window.
 TREND_DECAY = 0.75
+
+# The index gaps whose nearness series the fixed-gap Cauchy check follows.
+G_CAUCHY_GAPS = (1, 2, 5)
 
 
 class StopReason(Enum):
@@ -390,26 +394,24 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     return cert
 
 
-def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
-                   m_grid: Sequence[int] = (1, 2, 5),
-                   ) -> CauchyCertificate:
+def g_cauchy_check(space: FuzzySpace,
+                   trace: OrbitTrace) -> CauchyCertificate:
     """Prefix certificate of the fixed-gap Cauchy property.
 
-    The fixed-gap notion is a limit statement, so per gap m and trace
-    scale t the gap-m nearness series must converge to 1 on the prefix
-    (threshold or trend, with tolerance ``DEFAULT_TAIL_TOLERANCE``); the
-    gap-1 series is the trace's own step nearness.  Strictly weaker than
-    the all-pairs certificate: sequences with shrinking steps but
-    unbounded drift pass here and fail there.
+    The fixed-gap notion is a limit statement, so per gap m of
+    ``G_CAUCHY_GAPS`` and trace scale t the gap-m nearness series must
+    converge to 1 on the prefix (threshold or trend, with tolerance
+    ``DEFAULT_TAIL_TOLERANCE``); the gap-1 series is the trace's own step
+    nearness.  Strictly weaker than the all-pairs certificate: sequences
+    with shrinking steps but unbounded drift pass here and fail there.
     """
-    gaps = tuple(int(m) for m in m_grid)
-    if trace.length <= max(gaps):
+    if trace.length <= max(G_CAUCHY_GAPS):
         raise DomainError("trace shorter than the largest gap")
     grid = trace.t_grid
     pts = np.array(trace.points)
     cert = CauchyCertificate(CauchyKind.G_CAUCHY, CauchyVerdict.HOLDS_ON_PREFIX,
-                             (), grid, m_grid=gaps)
-    for m in gaps:
+                             (), grid, m_grid=G_CAUCHY_GAPS)
+    for m in G_CAUCHY_GAPS:
         series = (zip(grid, trace.step_nearness.T) if m == 1 else
                   _scale_rows(grid, len(pts) - m,
                               space.pairs(pts[:-m], pts[m:])))
@@ -430,7 +432,6 @@ def g_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
 
 
 def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
-                           f_kind: str = "plain",
                            params: Optional[MParams] = None,
                            r_grid: Optional[Sequence[float]] = None,
                            ) -> CauchyCertificate:
@@ -439,9 +440,9 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     For each trace scale t and threshold r, a threshold rho in (r, 1) and a
     cut N are searched such that for all observed indices p, q >= N the
     blended nearness of (x_p, x_q) above 1-rho forces the nearness of
-    (x_{p+1}, x_{q+1}) past 1-r.  ``f_kind`` selects plain nearness or the
-    blended comparison (``m_generalized`` with ``params``; successors come
-    from the trace).
+    (x_{p+1}, x_{q+1}) past 1-r.  The premise is plain nearness, or with
+    ``params`` the blended comparison, whose images are the successors in
+    the trace.
 
     The search fails exactly when the window holds a fatal pair, one whose
     successors miss 1-r although its premise reaches 1-r (both up to
@@ -468,10 +469,6 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     confirms the order at each scale; the records and witnesses are those
     of the per-pair path.
     """
-    if f_kind not in ("plain", "m_generalized"):
-        raise DomainError(f"unknown f_kind {f_kind!r}")
-    if f_kind == "m_generalized" and params is None:
-        raise DomainError("m_generalized needs params")
     if trace.length < 3:
         raise DomainError("the criterion needs a trace of length >= 3")
     rs = threshold_grid(r_grid)
@@ -487,13 +484,13 @@ def cauchy_criterion_check(space: FuzzySpace, trace: OrbitTrace,
     nxs, nys = pts[xi + 1], pts[yi + 1]
     d = space.distance
     orders = (_ordered(d.eval(nxs, nys), d.eval(xs, ys))
-              if f_kind == "plain" and d is not None
+              if params is None and d is not None
               and space.carrier.contains(pts).all() else None)
     if orders is not None:      # one pair per distinct distance
         pr, im = orders.pair.reps, orders.image.reps
         xs, ys, nxs, nys = xs[pr], ys[pr], nxs[im], nys[im]
     size = max(len(xs), len(nxs))
-    premise = (space.pairs(xs, ys) if f_kind == "plain"
+    premise = (space.pairs(xs, ys) if params is None
                else _blended(space, params, xs, ys, nxs, nys))
     after = space.pairs(nxs, nys)
     del xs, ys, nxs, nys        # the scale loop needs only the pair stages

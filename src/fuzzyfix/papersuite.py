@@ -131,7 +131,7 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
     space = scenario.build_space()
     T = scenario.build_map()
 
-    axioms = axiom_check(space, triple_samples=500, seed=seed)
+    axioms = axiom_check(space, seed=seed)
     report.check("axioms", "space axioms including the strong form",
                  axioms.passed and axioms.strong_verdict,
                  axioms.strong_verdict, True)
@@ -199,7 +199,7 @@ def run_example_final(seed: int = 7) -> SuiteReport:
     params = MParams(2, 2)
     points = space.carrier.points
 
-    axioms = axiom_check(space, triple_samples=500, seed=seed)
+    axioms = axiom_check(space, seed=seed)
     report.check("axioms", "space axioms including the strong form",
                  axioms.passed and axioms.strong_verdict,
                  axioms.strong_verdict, True)

@@ -50,6 +50,9 @@ T_REFINE = 4
 # axiom checker evaluates each one at every grid scale.
 MAX_CARRIER_SAMPLES = 10_000
 
+# Seeded random triples the axiom check draws, the report's ``samples``.
+AXIOM_TRIPLES = 500
+
 
 class CarrierKind(Enum):
     FINITE = "finite"
@@ -335,7 +338,6 @@ def table_fuzzy_metric(carrier: Carrier, t_nodes: Sequence[float],
 @dataclass
 class SpaceAxiomReport:
     provenance: str
-    triple_samples: int
     seed: int
     t_grid: tuple[float, ...]
     results: list[AxiomResult] = field(default_factory=list)
@@ -358,7 +360,7 @@ class SpaceAxiomReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"provenance": self.provenance, "samples": self.triple_samples,
+        return {"provenance": self.provenance, "samples": AXIOM_TRIPLES,
                 "seed": self.seed, "t_grid": list(self.t_grid),
                 "passed": self.passed, "strong_declared": self.strong_declared,
                 "strong_verdict": self.strong_verdict,
@@ -370,13 +372,12 @@ def _carrier_sample(pts: np.ndarray, size: int) -> np.ndarray:
     return pts[:: max(1, len(pts) // min(len(pts), size))]
 
 
-def axiom_check(space: FuzzySpace, triple_samples: int = 500,
-                t_grid: Optional[Sequence[float]] = None, seed: int = 0,
-                tol: float = 1e-12) -> SpaceAxiomReport:
+def axiom_check(space: FuzzySpace, t_grid: Optional[Sequence[float]] = None,
+                seed: int = 0, tol: float = 1e-12) -> SpaceAxiomReport:
     """Certify the space axioms on sampled triples over a scale grid.
 
     Positivity, symmetry and both triangle forms are checked with tolerance
-    ``tol`` on ``triple_samples`` seeded random triples per grid scale.
+    ``tol`` on ``AXIOM_TRIPLES`` seeded random triples per grid scale.
     The identity axiom is checked on the diagonal at every grid scale and
     exhaustively over carrier sample pairs.  Continuity in t is
     approximated by the bounded-jump test on a refined grid.  Each
@@ -386,9 +387,8 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
     a space that declares its distance profile a zero nearness is a float
     underflow: the positivity witness says ``reason: float-underflow`` and
     the axiom passes.
-    Deterministic given (seed, t_grid, triple_samples).  A tolerance
-    outside [0, inf), NaN included, and a grid whose scales s + t overflow
-    are DomainErrors.
+    Deterministic given (seed, t_grid).  A tolerance outside [0, inf), NaN
+    included, and a grid whose scales s + t overflow are DomainErrors.
     """
     _check_tolerance(tol)
     grid = scale_grid(t_grid)
@@ -398,15 +398,15 @@ def axiom_check(space: FuzzySpace, triple_samples: int = 500,
                           "triangle's scale s + t overflows")
     rng = np.random.default_rng(seed)
     pts = np.array(space.carrier.points)
-    report = SpaceAxiomReport(space.provenance, triple_samples, seed, grid,
+    report = SpaceAxiomReport(space.provenance, seed, grid,
                               strong_declared=space.strong)
     cont = AxiomResult("t-continuity", True)
 
     ts = np.array(grid)
-    idx = rng.integers(0, len(pts), size=(triple_samples, 3))
+    idx = rng.integers(0, len(pts), size=(AXIOM_TRIPLES, 3))
     xs, ys, zs = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
-    s_idx = rng.integers(0, len(ts), size=triple_samples)
-    t_idx = rng.integers(0, len(ts), size=triple_samples)
+    s_idx = rng.integers(0, len(ts), size=AXIOM_TRIPLES)
+    t_idx = rng.integers(0, len(ts), size=AXIOM_TRIPLES)
     ss, tts = ts[s_idx], ts[t_idx]
 
     # positivity, symmetry, the diagonal identity and the strong triangle

@@ -187,7 +187,7 @@ def test_criterion_08_cauchy_machinery(ex62):
                                  metric("euclidean"))
     sums = np.cumsum(1.0 / np.arange(1, 1001))
     harmonic = OrbitTrace.from_points(line, sums, DEFAULT_T_GRID)
-    g_cert = g_cauchy_check(line, harmonic, m_grid=(1, 2, 5))
+    g_cert = g_cauchy_check(line, harmonic)
     m_cert = m_cauchy_check(line, harmonic)     # default r grid, trace grid
     w = m_cert.witness
     witness_ok = (m_cert.verdict is CauchyVerdict.VIOLATED and w is not None
@@ -203,8 +203,8 @@ def test_criterion_08_cauchy_machinery(ex62):
 def test_criterion_09_axiom_suites(ex62, ex63):
     _, ray_space, _ = ex62
     _, quad_space, _ = ex63
-    reports = [axiom_check(ray_space, triple_samples=500, seed=11, tol=1e-12),
-               axiom_check(quad_space, triple_samples=500, seed=11, tol=1e-12)]
+    reports = [axiom_check(ray_space, seed=11, tol=1e-12),
+               axiom_check(quad_space, seed=11, tol=1e-12)]
     ok = all(r.passed and r.strong_verdict for r in reports)
     verdict(9, "quotient and exponential spaces pass all axioms and the "
                "strong form on 500 triples x default scales at 1e-12", ok)

@@ -127,6 +127,17 @@ class TestSelfMaps:
             self_map(f"expr:x*{name}")
         assert self_map("expr:1/2")(3.0) == 0.5
 
+    @pytest.mark.parametrize("expr, continuous", [
+        ("min(x, 1) + max(x, 2, 3) - abs(x) * exp(x) / ln(x + 2)", True),
+        ("x^0.5 / (1 + x)", True),
+        ("piecewise(x < 0.5, x/4, x/4 + 0.2)", False),
+        ("1 + min(x, piecewise(x >= 1, 1, x))", False)])
+    def test_only_a_piecewise_expression_is_not_declared_continuous(
+            self, expr, continuous):
+        T = self_map(f"expr:{expr}")
+        assert (T.continuous, T.continuity_source) == (
+            continuous, "declared" if continuous else "piecewise")
+
 
 _RAY = Carrier.interval(0, 10, 201)
 _QUAD = Carrier.finite([0, 1, 2, 5])
@@ -995,15 +1006,17 @@ class TestMContractive:
 
     def test_iterate_shift_evaluates_only_the_shifts_it_needs(self,
                                                               monkeypatch):
-        # a scale searches shift after shift, each for the thresholds still
-        # unresolved, up to the last shift one of them needs; the pairs'
-        # iterates are mapped once, up to the deepest shift any scale needs
-        searches, maps = [], []
+        # one search, built once per check, runs shift after shift over the
+        # whole threshold grid, up to the last shift a threshold needs; the
+        # pairs' iterates are mapped once, up to the deepest shift any scale
+        # needs
+        built, searches, maps = [], [], []
         searcher, images = contractions._threshold_search, SelfMap._images
 
         def counted_searcher(rs, *args, **kwargs):
+            built.append(len(rs))
             search = searcher(rs, *args, **kwargs)
-            return lambda *a: searches.append(len(rs)) or search(*a)
+            return lambda *a: searches.append(a[3]) or search(*a)
         monkeypatch.setattr(contractions, "_threshold_search",
                             counted_searcher)
         monkeypatch.setattr(SelfMap, "_images", lambda self, u, *args:
@@ -1016,16 +1029,17 @@ class TestMContractive:
         for space, T, params, t_grid in (
                 (sc.build_space(), sc.build_map(), MParams(2, 2), None),
                 (unit, piecewise, MParams(0, 0), (0.1, 1.0, 10.0))):
+            built.clear()
             searches.clear()
             maps.clear()
             report = m_contractive_check(space, T, params, t_grid=t_grid)
             cond = report.condition("iterate-threshold-implication")
             assert cond.status is CheckStatus.SATISFIED
+            assert built == [len(report.r_grid)]
             want = []
             for t in report.t_grid:
                 shifts = [rec["N"] for rec in cond.records if rec["t"] == t]
-                want += [sum(n >= shift for n in shifts)
-                         for shift in range(max(shifts) + 1)]
+                want += range(max(shifts) + 1)
             assert searches == want
             deepest_shifts.append(max(rec["N"] for rec in cond.records))
             # the sample's points once, then both coordinates per shift

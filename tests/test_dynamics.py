@@ -184,10 +184,11 @@ class TestRegularity:
                      dynamics.DEFAULT_TAIL_TOLERANCE) for t in GRID_1_100}
         assert set(fresh.values()) == {True, False}
         assert regularity_check(ray_space, trace).plain == fresh
-        gap_one = g_cauchy_check(ray_space, trace, m_grid=(1,))
-        assert gap_one.witness["t"] == min(t for t in fresh if not fresh[t])
+        gaps = g_cauchy_check(ray_space, trace)
+        assert gaps.witness["m"] == 1
+        assert gaps.witness["t"] == min(t for t in fresh if not fresh[t])
         assert all(rec["converged"] == fresh[rec["t"]]
-                   for rec in gap_one.records)
+                   for rec in gaps.records if rec["m"] == 1)
 
 
 _LINE = Carrier.interval(0, 10, 11)
@@ -263,8 +264,7 @@ class TestGCauchy:
         # final adjacent pair misses the all-pairs bound
         trace = harmonic_trace(line_space)
         grid = tuple(float(t) for t in np.logspace(-2, 2, 10))
-        g = g_cauchy_check(line_space, rescaled(line_space, trace, grid),
-                           m_grid=(1, 2, 5))
+        g = g_cauchy_check(line_space, rescaled(line_space, trace, grid))
         assert g.holds
         m = m_cauchy_check(line_space, rescaled(line_space, trace, (0.01,)),
                            r_grid=(0.05,))
@@ -287,14 +287,14 @@ class TestGCauchy:
         ]
         for space, trace in cases:
             m = m_cauchy_check(space, trace)
-            g = g_cauchy_check(space, trace, m_grid=(1, 2))
+            g = g_cauchy_check(space, trace)
             assert m.holds
             assert g.holds
 
     def test_too_short_trace(self, quad_space):
         trace = OrbitTrace.from_points(quad_space, [0.0, 1.0, 2.0], GRID_1_100)
         with pytest.raises(DomainError):
-            g_cauchy_check(quad_space, trace, m_grid=(5,))
+            g_cauchy_check(quad_space, trace)
 
 
 class TestCauchyCriterion:
@@ -302,15 +302,14 @@ class TestCauchyCriterion:
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=60,
                              t_grid=GRID_1_100)
         cert = cauchy_criterion_check(
-            ray_space, rescaled(ray_space, trace, (1.0, 10.0)), "plain",
-            r_grid=SMALL_R)
+            ray_space, rescaled(ray_space, trace, (1.0, 10.0)), r_grid=SMALL_R)
         assert cert.holds, cert.to_dict()
 
     def test_quad_blended_criterion(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
         cert = cauchy_criterion_check(
             quad_space, rescaled(quad_space, trace, (1.0, 10.0)),
-            "m_generalized", params=MParams(2, 2), r_grid=SMALL_R)
+            params=MParams(2, 2), r_grid=SMALL_R)
         assert cert.holds
 
     def test_expanding_cycle_violated(self):
@@ -320,7 +319,7 @@ class TestCauchyCriterion:
         T = table_map({0.0: 0.1, 0.1: 5.0, 5.0: 5.1, 5.1: 0.0}, carrier,
                       name="expander")
         trace = picard_orbit(space, T, 0.0, max_len=12, t_grid=(10.0,))
-        cert = cauchy_criterion_check(space, trace, "plain", r_grid=(0.05,))
+        cert = cauchy_criterion_check(space, trace, r_grid=(0.05,))
         assert cert.verdict is CauchyVerdict.VIOLATED
         w = cert.witness
         blend = space.m(trace.points[w["p"]], trace.points[w["q"]], w["t"])
@@ -367,8 +366,7 @@ def _blend(space, params, xs, ys, txs, tys, t):
     return norm.apply(norm.apply(space.m(xs, ys, t), fx), fy)
 
 
-def _reference_criterion(space, trace, f_kind="plain", params=None,
-                         r_grid=None):
+def _reference_criterion(space, trace, params=None, r_grid=None):
     """The cut-by-cut scan: a freshly sorted search for every cut."""
     rs = threshold_grid(r_grid)
     grid = trace.t_grid
@@ -382,7 +380,7 @@ def _reference_criterion(space, trace, f_kind="plain", params=None,
                                       CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
     min_idx = np.minimum(xi, yi)
     for t in grid:
-        if f_kind == "plain":
+        if params is None:
             F = np.asarray(space.m(xs, ys, t), dtype=float)
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
@@ -429,15 +427,13 @@ def criterion_cases(draw):
     u, v = draw(st.sampled_from(CLUSTER)), draw(st.sampled_from(CLUSTER))
     draws = draw(st.lists(st.sampled_from(CLUSTER), min_size=n, max_size=n))
     points = _criterion_points(kind, k, u, v, draws)
-    f_kind = draw(st.sampled_from(("plain", "m_generalized")))
-    params = draw(st.sampled_from((MParams(0, 0), MParams(1, 2),
-                                   MParams(2, 2))))
-    return points, f_kind, params
+    params = draw(st.none() | st.sampled_from((MParams(0, 0), MParams(1, 2),
+                                                MParams(2, 2))))
+    return points, params
 
 
 class TestCriterionCutSearch:
-    def _compare(self, points, f_kind, params, t_grid=CRITERION_T,
-                 per_block=None):
+    def _compare(self, points, params, t_grid=CRITERION_T, per_block=None):
         """The check against the cut-by-cut scan, its scales evaluated in
         blocks of ``per_block`` (by default as many as the budget holds)."""
         trace = OrbitTrace.from_points(CRITERION_SPACE, points, t_grid)
@@ -445,9 +441,9 @@ class TestCriterionCutSearch:
         budget = (per_block * n * (n + 1) // 2 if per_block
                   else contractions._SCALE_BLOCK)
         with mock.patch.object(contractions, "_SCALE_BLOCK", budget):
-            got = cauchy_criterion_check(CRITERION_SPACE, trace, f_kind,
-                                         params, r_grid=SMALL_R)
-        ref = _reference_criterion(CRITERION_SPACE, trace, f_kind, params,
+            got = cauchy_criterion_check(CRITERION_SPACE, trace,
+                                         params=params, r_grid=SMALL_R)
+        ref = _reference_criterion(CRITERION_SPACE, trace, params,
                                    r_grid=SMALL_R)
         assert got.to_dict() == ref.to_dict()
         return got
@@ -463,12 +459,11 @@ class TestCriterionCutSearch:
         verdicts = set()
         for kind in ("oscillate-settle", "random", "settle-oscillate"):
             for n in (5, 12, 30):
-                for f_kind, params in (("plain", None),
-                                       ("m_generalized", MParams(2, 2))):
+                for params in (None, MParams(2, 2)):
                     u, v = rng.choice(CLUSTER, 2)
                     points = _criterion_points(kind, n // 2, u, v,
                                                rng.choice(CLUSTER, n))
-                    verdicts.add(self._compare(points, f_kind, params).verdict)
+                    verdicts.add(self._compare(points, params).verdict)
         assert verdicts == {CauchyVerdict.HOLDS_ON_PREFIX,
                             CauchyVerdict.VIOLATED}
 
@@ -479,14 +474,12 @@ class TestCriterionCutSearch:
         refuted = set()
         for kind in ("oscillate-settle", "random", "settle-oscillate"):
             for n in (5, 8, 12, 20, 30):
-                for f_kind, params in (("plain", None),
-                                       ("m_generalized", MParams(2, 2)),
-                                       ("m_generalized", MParams(1, 2))):
+                for params in (None, MParams(2, 2), MParams(1, 2)):
                     for _ in range(3):
                         u, v = rng.choice(CLUSTER, 2)
                         points = _criterion_points(kind, n // 2, u, v,
                                                    rng.choice(CLUSTER, n))
-                        cert = self._compare(points, f_kind, params, BLOCK_T,
+                        cert = self._compare(points, params, BLOCK_T,
                                              per_block)
                         if cert.witness is not None:
                             refuted.add(BLOCK_T.index(cert.witness["t"]))
@@ -519,13 +512,13 @@ class TestCriterionCutSearch:
         to its smaller index, so those cuts fail, and a cut above the
         smaller index of every fatal pair succeeds: success is monotone.
         """
-        points, f_kind, params = case
+        points, params = case
         trace = OrbitTrace.from_points(CRITERION_SPACE, points, CRITERION_T)
         pts = np.array(trace.points)
         sub = dynamics._cert_indices(trace.length - 1)
         xi, yi = np.triu_indices(len(sub), k=0)
         xi, yi = sub[xi], sub[yi]
-        if f_kind == "plain":
+        if params is None:
             F = CRITERION_SPACE.m(pts[xi], pts[yi], t)
         else:
             F = _blend(CRITERION_SPACE, params, pts[xi], pts[yi],
@@ -587,8 +580,7 @@ class TestCriterionCutSearch:
                                 "nearness": 0.2}
 
 
-def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
-                             r_grid=None):
+def _per_threshold_criterion(space, trace, params=None, r_grid=None):
     """The per-(t, r) cut search: one stable sort per scale, then per
     threshold a fatal mask over it and a search over the sorted pairs
     masked to the first valid cut's window."""
@@ -605,7 +597,7 @@ def _per_threshold_criterion(space, trace, f_kind="plain", params=None,
                                       CauchyVerdict.HOLDS_ON_PREFIX, rs, grid)
     min_idx = np.minimum(xi, yi)
     for t in grid:
-        if f_kind == "plain":
+        if params is None:
             F = np.asarray(space.m(xs, ys, t), dtype=float)
         else:
             F = _blend(space, params, xs, ys, nxs, nys, t)
@@ -661,34 +653,50 @@ def _long_refuted_trace():
 
 
 class TestCriterionLockstep:
-    @pytest.mark.parametrize("make, f_kind, params, r_grid", [
-        (_long_cluster_trace, "plain", None, SMALL_R),
-        (_long_cluster_trace, "m_generalized", MParams(1, 2), SMALL_R),
-        (_long_gap_trace, "plain", None, (0.05, 0.3, 0.9, 0.45, 0.6)),
-        (_long_gap_trace, "m_generalized", MParams(1, 0),
-         (0.05, 0.3, 0.9, 0.45, 0.6)),
-        (_long_gap_trace, "m_generalized", MParams(1, 2),
-         (0.05, 0.3, 0.9, 0.45, 0.6)),
-        (_long_refuted_trace, "plain", None, (0.9, 0.5, 0.05)),
+    @pytest.mark.parametrize("make, params, r_grid", [
+        (_long_cluster_trace, None, SMALL_R),
+        (_long_cluster_trace, MParams(1, 2), SMALL_R),
+        (_long_gap_trace, None, (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_gap_trace, MParams(1, 0), (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_gap_trace, MParams(1, 2), (0.05, 0.3, 0.9, 0.45, 0.6)),
+        (_long_refuted_trace, None, (0.9, 0.5, 0.05)),
     ], ids=["cluster-plain", "cluster-blend", "gap-plain", "gap-blend-1-0",
             "gap-blend-1-2", "refuted-at-every-cut"])
-    def test_matches_per_threshold_search(self, make, f_kind, params, r_grid):
+    def test_matches_per_threshold_search(self, make, params, r_grid):
         space, trace = make()
         assert trace.length > dynamics.PAIR_CERT_CAP + 1
-        got = cauchy_criterion_check(space, trace, f_kind, params,
+        got = cauchy_criterion_check(space, trace, params=params,
                                      r_grid=r_grid)
-        ref = _per_threshold_criterion(space, trace, f_kind, params,
-                                       r_grid=r_grid)
+        ref = _per_threshold_criterion(space, trace, params, r_grid=r_grid)
         assert got.to_dict() == ref.to_dict()
+
+    def test_the_largest_premise_beyond_the_cut_decides_a_gap(self):
+        # with alpha = 1, beta = 0 the pair (p, q) blends to M(x_p, x_q)
+        # M(x_p, x_p+1), below 1 on the diagonal too.  Fatal violators hold
+        # row 0, so every threshold's first valid cut is 1.  Beyond it the
+        # largest premise is 0.5, at (1, 1), (1, 3) and (2, 2); the largest
+        # violator premise v is 0.5 at (1, 3) for r = 0.3 and 0.45, which
+        # leaves the window a gap, and 0.25 at (2, 3) for r = 0.6, which
+        # (1, 1) fills.  The smallest premise beyond the cut (0.01 at
+        # (3, 4)), the least row maximum beyond it (0.1, rows 3 and 4) or
+        # the largest premise of all (1 at (0, 0)) would tell otherwise.
+        trace = OrbitTrace.from_points(GAP_SPACE, [1, 1, 0, 1, 2, 1], (1.0,))
+        cert = cauchy_criterion_check(GAP_SPACE, trace, params=MParams(1, 0),
+                                      r_grid=(0.3, 0.45, 0.6))
+        gap = {"vacuous": True, "reason": "gap"}
+        assert cert.records == [
+            {"t": 1.0, "N": 1, "r": 0.3, "rho": 0.5, **gap},
+            {"t": 1.0, "N": 1, "r": 0.45, "rho": 0.5, **gap},
+            {"t": 1.0, "N": 1, "r": 0.6, "rho": 0.75, "vacuous": False}]
 
     def test_cases_cover_every_record_kind_and_a_refutation(self):
         kinds, verdicts = set(), set()
-        for make, f_kind, params, r_grid in (
-                (_long_cluster_trace, "plain", None, SMALL_R),
-                (_long_gap_trace, "m_generalized", MParams(1, 0), (0.3, 0.9)),
-                (_long_refuted_trace, "plain", None, (0.9, 0.5, 0.05))):
+        for make, params, r_grid in (
+                (_long_cluster_trace, None, SMALL_R),
+                (_long_gap_trace, MParams(1, 0), (0.3, 0.9)),
+                (_long_refuted_trace, None, (0.9, 0.5, 0.05))):
             space, trace = make()
-            cert = cauchy_criterion_check(space, trace, f_kind, params,
+            cert = cauchy_criterion_check(space, trace, params=params,
                                           r_grid=r_grid)
             verdicts.add(cert.verdict)
             kinds |= {(rec["vacuous"], rec["N"] > 0) for rec in cert.records}

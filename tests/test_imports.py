@@ -4,8 +4,8 @@ private top-level function or class is referenced by some package module,
 every public one is reached by the package, its own module or the
 benchmark, or is allowlisted with a reason, and so is every method and
 property of a public class and every public module-level constant; every
-defaulted parameter is passed by some caller, or is allowlisted with a
-reason."""
+defaulted parameter is passed by some caller, and by some caller as other
+than a literal equal to its default, or is allowlisted with a reason."""
 
 import ast
 from collections import Counter
@@ -248,24 +248,43 @@ def test_every_member_is_reached():
 
 
 def _calls(trees) -> dict:
-    """Each called name, as a bare name or an attribute, with what its calls
-    pass: (the most positions, any ``*``, the keywords, any ``**``)."""
+    """Each called name, as a bare name or an attribute, with its calls."""
     calls = {}
     for tree in trees:
         for n in ast.walk(tree):
-            if not isinstance(n, ast.Call):
-                continue
-            name = (n.func.id if isinstance(n.func, ast.Name)
-                    else n.func.attr if isinstance(n.func, ast.Attribute)
-                    else None)
-            most, star, keywords, double = calls.get(name, (0, False, set(),
-                                                            False))
-            plain = [a for a in n.args if not isinstance(a, ast.Starred)]
-            calls[name] = (max(most, len(plain)),
-                           star or len(plain) < len(n.args),
-                           keywords | {k.arg for k in n.keywords if k.arg},
-                           double or any(k.arg is None for k in n.keywords))
+            if isinstance(n, ast.Call):
+                name = (n.func.id if isinstance(n.func, ast.Name)
+                        else n.func.attr if isinstance(n.func, ast.Attribute)
+                        else None)
+                calls.setdefault(name, []).append(n)
     return calls
+
+
+# what a call may pass through ``*`` or ``**``, and a value that is no literal
+_UNSEEN = object()
+
+
+def _passed(call: ast.Call, i, arg: str):
+    """What ``call`` passes for the parameter ``arg`` at position ``i`` (None
+    when keyword-only): the argument's node, ``_UNSEEN`` when ``*`` or
+    ``**`` may pass it, or None when it passes none."""
+    for k in call.keywords:
+        if k.arg == arg:
+            return k.value
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    if i is not None and not starred and i < len(call.args):
+        return call.args[i]
+    if i is not None and starred or any(k.arg is None for k in call.keywords):
+        return _UNSEEN
+    return None
+
+
+def _literal(node):
+    """The value of a literal node, else ``_UNSEEN``."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _UNSEEN
 
 
 def unset_parameters(package: dict, bench: dict) -> list[str]:
@@ -273,7 +292,8 @@ def unset_parameters(package: dict, bench: dict) -> list[str]:
     modules (name to source, ``__init__.py`` left out) and of the methods
     of their top-level classes, that no call in a package module or a
     ``bench`` source passes by keyword, by position or through ``*`` or
-    ``**``.
+    ``**``; and knobs with one value in use, literal defaults that every
+    call passing the parameter passes as a literal equal to the default.
 
     A call is matched by name, whatever the object; a call of a class is a
     call of its ``__init__``, and a method's positions start after
@@ -293,33 +313,34 @@ def unset_parameters(package: dict, bench: dict) -> list[str]:
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in fn.decorator_list)
                 positional = fn.args.posonlyargs + fn.args.args
-                if owner and not static:
-                    positional = positional[1:]
-                defaulted = [(i, a.arg) for i, a in enumerate(positional)
-                             if i >= len(positional) - len(fn.args.defaults)]
-                defaulted += [(None, a.arg) for a, d in
+                skip = 1 if owner and not static else 0
+                first = len(positional) - len(fn.args.defaults)
+                defaulted = [(i - skip, a.arg, d) for i, (a, d) in enumerate(
+                    zip(positional[first:], fn.args.defaults), first)]
+                defaulted += [(None, a.arg, d) for a, d in
                               zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                               if d is not None]
                 called = owner if fn.name == "__init__" else fn.name
-                most, star, keywords, double = calls.get(
-                    called, (0, False, set(), False))
                 where = f"{module}:{owner + '.' if owner else ''}{fn.name}"
-                unset += [f"{where}({arg})" for i, arg in defaulted
-                          if not (arg in keywords or double
-                                  or i is not None and (i < most or star))]
+                for i, arg, default in defaulted:
+                    passed = [p for call in calls.get(called, [])
+                              if (p := _passed(call, i, arg)) is not None]
+                    value = _literal(default)
+                    if not passed or value is not _UNSEEN and all(
+                            p is not _UNSEEN and _literal(p) == value
+                            for p in passed):
+                        unset.append(f"{where}({arg})")
     return unset
 
 
 # Defaulted parameters that nothing in the package or the benchmark passes,
-# kept on purpose, each with its reason.
+# or passes only as their defaults, kept on purpose, each with its reason.
 SET_BY_DESIGN = {
     "cli.py:main(argv)": "the console entry point, which passes no argv",
     "contractions.py:equivalence_probe(r_grid)":
         "ROADMAP item 9 decides the probe and its grids",
-    "dynamics.py:g_cauchy_check(m_grid)":
-        "ROADMAP items 9 and 10 wire the trace checks into commands",
-    "dynamics.py:cauchy_criterion_check(f_kind)":
-        "ROADMAP items 9 and 10 wire the trace checks into commands",
+    "contractions.py:extract_empirical_gauge(t)":
+        "the scale is the function's subject, not a setting",
     "dynamics.py:cauchy_criterion_check(params)":
         "ROADMAP items 9 and 10 wire the trace checks into commands",
 }
@@ -336,7 +357,7 @@ def test_the_check_sees_an_unset_parameter():
                 "    def put(self, item, at=0):\n        pass\n\n"
                 "    @staticmethod\n    def make(kind=None):\n        pass\n\n"
                 "    @classmethod\n    def of(cls, n=1):\n        pass\n",
-        "b.py": "from .a import Box, f, g\n\n\nf(0, 1, v=2)\ng(*[1, 2])\n"
+        "b.py": "from .a import Box, f, g\n\n\nf(0, 5, v=2)\ng(*[1, 2])\n"
                 "Box(3)\nBox.make('x')\n",
     }
     bench = {"run.py": "import fuzzyfix.a\n\nfuzzyfix.a.h(**{})\n"
@@ -344,6 +365,25 @@ def test_the_check_sees_an_unset_parameter():
     assert unset_parameters(package, bench) == [
         "a.py:f(z)", "a.py:f(w)", "a.py:Box.__init__(label)",
         "a.py:Box.put(at)", "a.py:Box.of(n)"]
+
+
+def test_the_check_sees_a_parameter_passed_only_as_its_default():
+    package = {
+        "__init__.py": "from .a import f\n",
+        "a.py": "def f(x, y=1, z=(1, 2), *, w=None, v=0.5, u=LIMIT):\n"
+                "    pass\n\n\n"
+                "class Box:\n    def put(self, item, at=0, size=2):\n"
+                "        pass\n",
+        "b.py": "from .a import Box, f\n\n\nf(0, 1, (1, 2), w=None, u=3)\n"
+                "f(0, y=1, v=0.5)\nf(0, z=(1, 3), v=n)\nBox().put('a', 0)\n"
+                "Box().put('b', *[0], size=2)\n",
+    }
+    bench = {"run.py": "import fuzzyfix.a\n\nfuzzyfix.a.f(1, w=None)\n"
+                       "fuzzyfix.a.Box().put('c', size=2)\n"}
+    # y and w only ever as their defaults; z and v also otherwise; u's
+    # default is no literal; size only as its default, but at maybe not
+    assert unset_parameters(package, bench) == ["a.py:f(y)", "a.py:f(w)",
+                                                "a.py:Box.put(size)"]
 
 
 def test_every_defaulted_parameter_is_passed():

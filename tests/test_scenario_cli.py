@@ -588,6 +588,24 @@ class TestCli:
         assert parse_scenario(json.dumps(doc)).build_gauges()[role].name \
             == name
 
+    @pytest.mark.parametrize("argv", [
+        ["--gauge", "step-phi"], ["--gauge", "eta-neglog"],
+        ["--gauge", "power:1/2", "--class-tag", "h"]])
+    def test_r_grid_no_certificate_reads_exits_two(self, argv):
+        # phi1 and h certificates read no threshold grid
+        code, out = run_command(["gauge", *argv, "--r-grid", "0.5"])
+        assert (code, out) == (2, "schema error at --r-grid: no certificate "
+                                  "of this command reads a threshold grid\n")
+
+    def test_r_grid_read_by_a_scenario_psi_certificate(self):
+        code, out = run_command(["gauge", "--scenario", "ex61", "--r-grid",
+                                 "0.5", "--format", "json-like"])
+        assert code == 1
+        grids = {c["class"]: c["grid"]
+                 for c in json.loads(out)["body"]["certificates"]}
+        assert grids["psi1"] == grids["psi"] == [0.5]
+        assert len(grids["phi1"]) == 22 and grids["h"] == []
+
     def test_gauge_scenario_ex61_exits_one(self):
         # the step gauge is not in the continuous class, so not all verdicts
         # are "member"
@@ -700,6 +718,31 @@ class TestCli:
             code, out = run_command(["classify-map", "--scenario", str(path),
                                      "--route", route])
             assert code == 0, out
+
+    @pytest.mark.parametrize("expr, continuous, source", [
+        ("piecewise(x < 0.5, x/4, x/4 + 0.2)", False, "piecewise"),
+        ("x/4 + 0.1", True, "declared")])
+    def test_m_final_continuity_audit_of_an_expression(self, tmp_path, expr,
+                                                      continuous, source):
+        # a piecewise expression can jump, here at 1/2, so it is not
+        # declared continuous
+        path = tmp_path / "quarter.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "interval", "low": 0, "high": 1,
+                                  "samples": 101},
+                      "fuzzy": "exp:euclidean"},
+            "map": f"expr:{expr}", "gauges": {"psi": "power:0.9"},
+            "solver": {"route": "m-final", "x0": 1, "alpha": 0, "beta": 0}}))
+        code, out = run_command(["solve", "--scenario", str(path), "--format",
+                                 "json-like"])
+        solution = json.loads(out)["body"]["solution"]
+        audit = {a["condition"]: a for a in solution["audit"]}
+        assert audit["map-continuity"] == {"condition": "map-continuity",
+                                           "detail": {"source": source},
+                                           "passed": continuous}
+        assert (solution["diagnosis"] == "precondition failed: map-continuity"
+                ) is not continuous
+        assert code == (0 if continuous else 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_table_value_exits_two(self, tmp_path, bad):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fuzzyfix.algebra import AxiomResult, DomainError, TNorm, tnorm
 from fuzzyfix.defaults import DEFAULT_T_GRID, scale_grid
 from fuzzyfix.spaces import (
+    AXIOM_TRIPLES,
     T_CONTINUITY_JUMP_TOL,
     T_REFINE,
     BaseMetric,
@@ -162,14 +163,14 @@ class TestExponentialConstruction:
 class TestAxiomCheck:
     def test_standard_space_passes(self, ray_carrier):
         space = standard_fuzzy_metric(ray_carrier, metric("max-jachymski"))
-        report = axiom_check(space, triple_samples=500, seed=5)
+        report = axiom_check(space, seed=5)
         assert report.passed, report.to_dict()
         assert report.strong_verdict
         assert report.strong_declared
 
     def test_exponential_space_passes(self, quad_carrier):
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
-        report = axiom_check(space, triple_samples=500, seed=5)
+        report = axiom_check(space, seed=5)
         assert report.passed, report.to_dict()
         assert report.strong_verdict
 
@@ -180,14 +181,14 @@ class TestAxiomCheck:
             exponential_fuzzy_metric(quad_carrier, metric("euclidean")),
         ]
         for space in spaces:
-            report = axiom_check(space, triple_samples=300, seed=1)
+            report = axiom_check(space, seed=1)
             assert report.strong_verdict == space.strong
 
     def test_zero_nearness_table_fails_positivity(self):
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0, 2.0],
                                    {(0, 1): [0.0, 0.5]})
-        report = axiom_check(space, triple_samples=100, seed=0,
+        report = axiom_check(space, seed=0,
                              t_grid=[1.0, 2.0])
         pos = report.result("positivity")
         assert not pos.passed
@@ -207,8 +208,8 @@ class TestAxiomCheck:
 
     def test_deterministic(self, quad_carrier):
         space = exponential_fuzzy_metric(quad_carrier, metric("euclidean"))
-        a = axiom_check(space, triple_samples=200, seed=9).to_dict()
-        b = axiom_check(space, triple_samples=200, seed=9).to_dict()
+        a = axiom_check(space, seed=9).to_dict()
+        b = axiom_check(space, seed=9).to_dict()
         assert a == b
 
     def test_rejects_bad_grid(self, quad_carrier):
@@ -317,7 +318,7 @@ class TestTableSpace:
         carrier = Carrier.finite([0, 1])
         space = table_fuzzy_metric(carrier, [1.0, 3.0], {(0, 1): [-0.5, 1.5]})
         assert space.m(0, 1, 2.0) == 0.5
-        assert not axiom_check(space, triple_samples=50).passed
+        assert not axiom_check(space).passed
 
     def test_nodes_must_be_positive_increasing(self):
         carrier = Carrier.finite([0, 1])
@@ -584,10 +585,10 @@ def test_axiom_check_refuses_a_grid_whose_triangle_scale_overflows():
     # 1e308; the sum would warn (an error under the pytest configuration)
     space = standard_fuzzy_metric(Carrier.finite([0, 1]), metric("euclidean"))
     with pytest.raises(DomainError) as err:
-        axiom_check(space, triple_samples=20, t_grid=[1.0, 1e308])
+        axiom_check(space, t_grid=[1.0, 1e308])
     assert str(err.value) == ("t grid value 1e+308 is too large: the "
                               "triangle's scale s + t overflows")
-    axiom_check(space, triple_samples=20, t_grid=[1.0, 8e307])
+    axiom_check(space, t_grid=[1.0, 8e307])
 
 
 def _pair_loop_results(space, t_grid=None, tol=1e-12):
@@ -689,7 +690,7 @@ _ROW_CASES = {
 def test_row_checks_match_pair_loops(case):
     build, t_grid = _ROW_CASES[case]
     space = build()
-    got = axiom_check(space, triple_samples=100, t_grid=t_grid,
+    got = axiom_check(space, t_grid=t_grid,
                       seed=3).to_dict()
     ident, cont = _pair_loop_results(space, t_grid)
     loops = {r.name: r.to_dict() for r in (ident, cont)}
@@ -717,7 +718,7 @@ def test_axiom_check_calls_scale_with_rows_not_pairs(monkeypatch, t_grid):
             return at(t)
         return counting_scale
     monkeypatch.setattr(FuzzySpace, "pairs", counting_pairs)
-    report = axiom_check(space, triple_samples=50, t_grid=t_grid)
+    report = axiom_check(space, t_grid=t_grid)
     assert report.passed and report.strong_verdict
     # every call is FuzzySpace.m: one pair stage and one scale stage
     assert len(prepared) == len(calls)
@@ -727,7 +728,7 @@ def test_axiom_check_calls_scale_with_rows_not_pairs(monkeypatch, t_grid):
     # scales x points for the diagonal; the triangle 3; one call per
     # carrier row for identity and continuity
     assert len(calls) == 5 + 3 + 48 + 48
-    assert calls.count((g, 50)) == 4 and calls.count((g, 48)) == 1
+    assert calls.count((g, AXIOM_TRIPLES)) == 4 and calls.count((g, 48)) == 1
     assert calls.count((47, g)) == 48
     assert calls.count((48, 4 * (g - 1) + 1)) == 48
 
@@ -769,14 +770,14 @@ def test_nearness_result_type_follows_the_arguments(case):
     assert _same_bits(scales[0, 0], scalar)
 
 
-def _scale_loop_results(space, triple_samples, t_grid, seed, tol=1e-12):
+def _scale_loop_results(space, t_grid, seed, tol=1e-12):
     """Positivity, symmetry and the strong triangle of axiom_check as the
     per-scale loops that made one nearness call per grid scale, on the same
     seeded triples; the diagonal identity loop is in _pair_loop_results."""
     grid = scale_grid(t_grid)
     rng = np.random.default_rng(seed)
     pts = np.array(space.carrier.points)
-    idx = rng.integers(0, len(pts), size=(triple_samples, 3))
+    idx = rng.integers(0, len(pts), size=(AXIOM_TRIPLES, 3))
     xs, ys, zs = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
     pos = AxiomResult("positivity", True)
     sym = AxiomResult("symmetry", True)
@@ -839,10 +840,10 @@ _LATE_GRID = [0.05, 0.5, 2.0, 6.0, 20.0]
 @pytest.mark.parametrize("seed", [1, 5])
 def test_scale_checks_match_per_scale_loops(case, seed):
     space = _late_table(_LATE_CASES[case])
-    got = axiom_check(space, triple_samples=300, t_grid=_LATE_GRID,
+    got = axiom_check(space, t_grid=_LATE_GRID,
                       seed=seed).to_dict()
     loops = {r.name: r.to_dict() for r in (
-        *_scale_loop_results(space, 300, _LATE_GRID, seed),
+        *_scale_loop_results(space, _LATE_GRID, seed),
         *_pair_loop_results(space, _LATE_GRID))}
     assert [loops.get(a["name"], a) for a in got["axioms"]] == got["axioms"]
     name = {"positivity": "positivity", "symmetry": "symmetry",
