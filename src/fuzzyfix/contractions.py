@@ -552,16 +552,16 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     an r's violators are the first ``orders.ends[g]`` pairs of the image
     order, g the values below its target; their premise maximum is at
     their least pair distance (``orders.tops[g]``); premise counts are
-    searches in F; by rows, the largest premise beyond a cut is F at the
-    least pair distance beyond it, found when the search is built; and
-    only a rescan or a witness gathers a prefix's premises (by rows, each
-    scale gathers the loosest r's prefix once for its rescans, whose rows
-    are ranked when the search is built).  A prefix holds the
-    same pairs whatever the order among ties, and a witness is the largest
-    index among them.  Its pairs past every two-sided window, which the
-    sort path drops first, lift v past 1-r, so the r rescans and drops
-    them.  Values the orders do not sort are spread over the pairs for the
-    sort path.
+    searches in F; by rows, every cut's rows must hold a pair at distance
+    0, as the criterion's diagonal pairs do, so the largest premise beyond
+    every cut is F[-1]; and only a rescan or a witness gathers a prefix's
+    premises (by rows, each scale gathers the loosest r's prefix once for
+    its rescans, whose rows are ranked when the search is built).  A
+    prefix holds the same pairs whatever the order among ties, and a
+    witness is the largest index among them.  Its pairs past every
+    two-sided window, which the sort path drops first, lift v past 1-r, so
+    the r rescans and drops them.  Values the orders do not sort are
+    spread over the pairs for the sort path.
     """
     thresholds = [1.0 - r for r in rs]
     reach = [r + CLASS_TOL for r in rs]     # 1 - F <= r + CLASS_TOL: fatal
@@ -571,12 +571,9 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
     if cuts is not None:
         starts = np.searchsorted(rows, np.arange(len(cuts)))
     if orders is not None and cuts is not None:
-        # the pairs' rows and pair distance numbers in the image order, and
-        # the largest pair distance number beyond each cut
+        # the pairs' rows and pair distance numbers in the image order
         ranked_rows = rows[orders.order]
         grouped = orders.pair.group[orders.order]
-        cut_groups = np.maximum.accumulate(np.maximum.reduceat(
-            orders.pair.group, starts)[::-1])[::-1]
     n_cuts = 1 if cuts is None else len(cuts)
     clamped = 1.0 - ENDPOINT_CLAMP
 
@@ -591,8 +588,8 @@ def _threshold_search(rs: Sequence[float], onesided: bool = False,
             # every window at cut 0 holds all pairs; the largest premise
             # among the pairs beyond each cut
             counts = [F.size] * len(rs)
-            best = ([] if not F.size else [float(F.max())] if cuts is None
-                    else F[cut_groups].tolist() if ordered
+            best = ([] if not F.size else [float(F[-1])] * n_cuts if ordered
+                    else [float(F.max())] if cuts is None
                     else np.maximum.accumulate(np.maximum.reduceat(
                         F, starts)[::-1])[::-1].tolist())
         if ordered:
@@ -954,11 +951,10 @@ def _make_envelope(F: np.ndarray, E: np.ndarray) -> Gauge:
                  lambda tau: values[np.searchsorted(Fs, tau, side="left")])
 
 
-def extract_empirical_gauge(space: FuzzySpace, T: SelfMap, t: float = 1.0,
-                            pairs: Optional[Sequence[tuple]] = None) -> Gauge:
-    """The envelope gauge of pair samples at one scale.
+def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
+                            pairs: Sequence[tuple], t: float = 1.0) -> Gauge:
+    """The envelope gauge of the sample pairs (x, y) at one scale.
 
-    On finite carriers the default sample set is exhaustive over pairs.
     The envelope is the pointwise infimum of after-values over samples
     with before-value at or above the argument, a nondecreasing step
     function, returned as a psi-style gauge that :func:`class_membership`
@@ -966,13 +962,8 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap, t: float = 1.0,
     """
     if t <= 0:
         raise DomainError("scale t must be positive")
-    if pairs is None:
-        sample = PairSample.of(space, T)
-        xs, ys, txs, tys = sample.xs, sample.ys, sample.txs, sample.tys
-    else:
-        xs = np.array([float(a) for a, _ in pairs])
-        ys = np.array([float(b) for _, b in pairs])
-        txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
+    xs, ys = np.array(pairs, dtype=float).reshape(-1, 2).T
+    txs, tys = T.apply(xs, space.carrier), T.apply(ys, space.carrier)
     return _make_envelope(space.m(xs, ys, t), space.m(txs, tys, t))
 
 
@@ -1012,19 +1003,16 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     sampled pairs; raises :class:`PreconditionError` with a witness
     otherwise.  Reports, per r, whether a single rho works across the whole
     scale grid whenever per-scale rho values exist, and certifies the
-    per-scale empirical envelope gauges.  On a space that declares its
-    distance profile, its threshold search reads each scale's values at the
-    distinct distances, as :func:`cm_contractive_check` does, picked from
-    the whole sample's, which the precondition and the envelopes read.
+    per-scale empirical envelope gauges.  The precondition, the threshold
+    search and the envelopes all read each scale's whole-sample rows.
     """
     grid = scale_grid(t_grid)
     rs = threshold_grid(r_grid)
     sample = PairSample.of(space, T)
-    xs, ys, ordered = sample.xs, sample.ys, sample.ordered
+    xs, ys = sample.xs, sample.ys
 
     report = EquivalenceReport(T.name, grid, rs)
-    search = _threshold_search(rs, finite=space.carrier.is_finite,
-                               orders=ordered)
+    search = _threshold_search(rs, finite=space.carrier.is_finite)
     for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
                                space.pairs(sample.txs, sample.tys)):
         bad = E < F - CLASS_TOL
@@ -1037,9 +1025,7 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
         # the probe holds sampled continuous carriers to a stricter standard
         # than the classifier: a threshold certified only through an
         # unprobed sub-resolution window is not counted as satisfied
-        found = (search(F, E, t) if ordered is None else
-                 search(F[ordered.pair.reps], E[ordered.image.reps], t))
-        for r, (rec, k) in zip(rs, found):
+        for r, (rec, k) in zip(rs, search(F, E, t)):
             entry = rec
             if rec is None or rec.get("reason") == "sub-resolution window":
                 entry = {"t": t, "r": r, "rho": None}

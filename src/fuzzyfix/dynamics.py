@@ -2,8 +2,8 @@
 
 An orbit trace records the iterate sequence together with its per-scale
 step-nearness series.  Certification over a trace is always a statement
-about the observed prefix, on the trace's own scale grid; nothing
-evaluates step nearness at other scales:
+about the observed prefix, on the trace's own scale grid, except that
+uniform regularity evaluates the final step at the scales t0/i:
 
 * ``regularity_check`` decides whether step nearness approaches 1, per
   scale (threshold or trend, on the trace's step-nearness columns) and
@@ -64,9 +64,8 @@ DEFAULT_MAX_LEN = 10000
 MAX_ORBIT_LEN = 100_000
 DEFAULT_STOP_TOLERANCE = 1e-9
 DEFAULT_TAIL_TOLERANCE = 1e-6
-DEFAULT_I_MAX = 50
-# The uniform regularity verdict evaluates, and reports, i_max scales.
-MAX_I_MAX = 1000
+# The uniform regularity verdict reads the scales t0/i for i up to this.
+UNIFORM_SCALES = 50
 
 # A deficit series counts as converging to zero on the prefix when its tail
 # keeps shrinking by at least this factor over the observed half-window.
@@ -248,7 +247,6 @@ class RegularityReport:
 
 
 def regularity_check(space: FuzzySpace, trace: OrbitTrace,
-                     i_max: int = DEFAULT_I_MAX,
                      tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
                      ) -> RegularityReport:
     """Step-nearness regularity of a trace.
@@ -256,23 +254,18 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     Plain verdict per trace scale t: the deficit series
     1 - M(x_n, x_{n+1}, t), read from the trace, converges to zero on the
     prefix (threshold or trend).  Uniform verdict over the truncated
-    decreasing scale sequence {t_0/i : 1 <= i <= i_max}, t_0 the trace's
-    first scale: the supremum of the final-step deficits must already be
-    below the tolerance, an intentionally strict truncation of the limit
-    statement.  ``i_max`` must lie in [1, ``MAX_I_MAX``] and
-    ``tail_tolerance`` in [0, inf); NaN is a DomainError too.
+    decreasing scale sequence {t_0/i : 1 <= i <= ``UNIFORM_SCALES``}, t_0
+    the trace's first scale: the supremum of the final-step deficits must
+    already be below the tolerance, an intentionally strict truncation of
+    the limit statement.  ``tail_tolerance`` must lie in [0, inf); NaN is a
+    DomainError too.
     """
     _check_tolerance(tail_tolerance)
     if trace.length < 3:
         raise DomainError("regularity needs a trace of length >= 3")
-    i_max = int(i_max)
-    if i_max < 1:
-        raise DomainError(f"i_max must be at least 1, got {i_max}")
-    if i_max > MAX_I_MAX:
-        raise DomainError(f"i_max must be at most {MAX_I_MAX}, got {i_max}")
     plain = {t: _tail_converges_to_zero(1.0 - series, tail_tolerance)
              for t, series in zip(trace.t_grid, trace.step_nearness.T)}
-    seq = tuple(trace.t_grid[0] / i for i in range(1, i_max + 1))
+    seq = tuple(trace.t_grid[0] / i for i in range(1, UNIFORM_SCALES + 1))
     a, b = trace.points[-2], trace.points[-1]
     sup = float((1.0 - space.m(a, b, np.array(seq))).max())
     return RegularityReport(trace.t_grid, seq, tail_tolerance, plain, sup,
@@ -333,11 +326,10 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
     such that every observed pair beyond N has nearness above 1-r; the
     certificate holds on the prefix when a cut with at least one pair
     exists for every grid point.
-    When even the final adjacent pair fails a bound, the grid point is
-    refuted and the most violating pair is reported: the first minimal
-    pair in row-major order, from all pairs evaluated at its scale.  Long
-    traces are certified on an even index subsample of at most
-    ``PAIR_CERT_CAP`` points.
+    When even the last cut fails a bound, the grid point is refuted and its
+    witness is the last certified pair, beyond every cut, whose nearness
+    the tails already hold.  Long traces are certified on an even index
+    subsample of at most ``PAIR_CERT_CAP`` points.
 
     The worst nearness beyond each cut is read in O(n) per scale when the
     space declares its distance profile (:class:`FuzzySpace`) and the
@@ -383,13 +375,10 @@ def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,
             if cut < len(g):
                 cert.records.append({"t": t, "r": r, "N": int(idx[cut])})
             else:
-                # the first minimal pair in row-major order
-                i, j = np.triu_indices(len(pts), 1)
-                near = space.pairs(pts[i], pts[j])(t)
-                k = int(np.argmin(near))
+                # the last certified pair, beyond every cut
                 cert.verdict = CauchyVerdict.VIOLATED
-                cert.witness = {"t": t, "r": r, "n": int(idx[i[k]]),
-                                "m": int(idx[j[k]]), "nearness": float(near[k])}
+                cert.witness = {"t": t, "r": r, "n": int(idx[-2]),
+                                "m": int(idx[-1]), "nearness": float(g[-1])}
                 return cert
     return cert
 
@@ -536,7 +525,6 @@ class SolverConfig:
     max_len: int = DEFAULT_MAX_LEN
     stop_tolerance: float = DEFAULT_STOP_TOLERANCE
     tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-    i_max: int = DEFAULT_I_MAX
     t_grid: Optional[tuple[float, ...]] = None
     r_grid: Optional[tuple[float, ...]] = None
     complete: bool = True            # declared scenario attribute
@@ -630,8 +618,7 @@ def solve_fixed_point(space: FuzzySpace, T: SelfMap, x0: float,
     plain_ok = uniform_ok = True      # shorter traces are regular at the start
     sup_deficit = 0.0
     if trace.length >= 3:
-        regularity = regularity_check(space, trace, cfg.i_max,
-                                      cfg.tail_tolerance)
+        regularity = regularity_check(space, trace, cfg.tail_tolerance)
         plain_ok, uniform_ok = regularity.plain_all, regularity.uniform
         sup_deficit = regularity.uniform_sup_deficit
 

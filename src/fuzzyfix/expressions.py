@@ -13,7 +13,8 @@ Builtins: ``min``, ``max`` (two or more arguments), ``exp``, ``ln``,
 only valid as the first argument of ``piecewise``.  The one variable is
 ``x``, the point an ``expr:`` self-map maps.  There is no recursion and no
 looping; evaluation is total on the declared domain or raises a domain
-error carrying the source span.
+error carrying the source span.  A text deeper than ``MAX_DEPTH`` is
+refused at the token that passes it, before the parser recurses there.
 
 A tree is compiled once into nested closures of one float, one per node,
 and a call runs only the float operations of the nodes it reaches:
@@ -30,6 +31,11 @@ import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
+
+# The deepest tree of an expression, and the most parentheses, calls and
+# powers open at one of its tokens: well within Python's recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 # builtin name -> (min arity, max arity or None for unbounded)
 BUILTINS = {"min": (2, None), "max": (2, None), "exp": (1, 1), "ln": (1, 1),
@@ -130,6 +136,8 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = list(_tokenize(src))
         self.pos = 0
+        self.depth = 0          # the parentheses, calls and powers open
+        self.heights = {}       # id -> tree depth of each operator or call
 
     @property
     def current(self) -> _Token:
@@ -143,6 +151,26 @@ class _Parser:
     def error(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.current
         raise ExpressionError(message, tok.line, tok.column)
+
+    def nested(self, parse: Callable, tok: _Token):
+        """``parse()`` one level deeper, opened at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(_TOO_DEEP, tok)
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def joined(self, cls, tok: _Token, name: str, *parts):
+        """The node ``cls`` named ``name`` over ``parts``, at ``tok``."""
+        height = 1 + max(self.heights.get(id(p), 1) for p in parts)
+        if height > MAX_DEPTH:
+            self.error(_TOO_DEEP, tok)
+        span = Span(tok.line, tok.column)
+        node = Call(name, parts, span) if cls is Call else cls(name, *parts,
+                                                               span)
+        self.heights[id(node)] = height
+        return node
 
     def expect(self, kind: str, what: str) -> _Token:
         if self.current.kind != kind:
@@ -161,7 +189,7 @@ class _Parser:
         while self.current.kind == "op" and self.current.text in "+-":
             op = self.advance()
             right = self.term()
-            node = BinOp(op.text, node, right, Span(op.line, op.column))
+            node = self.joined(BinOp, op, op.text, node, right)
         return node
 
     def term(self):
@@ -169,15 +197,15 @@ class _Parser:
         while self.current.kind == "op" and self.current.text in "*/":
             op = self.advance()
             right = self.factor()
-            node = BinOp(op.text, node, right, Span(op.line, op.column))
+            node = self.joined(BinOp, op, op.text, node, right)
         return node
 
     def factor(self):
         node = self.base()
         if self.current.kind == "op" and self.current.text == "^":
             op = self.advance()
-            right = self.factor()      # right-associative
-            node = BinOp("^", node, right, Span(op.line, op.column))
+            right = self.nested(self.factor, op)   # right-associative
+            node = self.joined(BinOp, op, "^", node, right)
         return node
 
     def base(self):
@@ -196,7 +224,7 @@ class _Parser:
             return Var(Span(tok.line, tok.column))
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, tok)
             self.expect("rparen", "')'")
             return node
         self.error(f"unexpected token {tok.text or 'end of input'!r}")
@@ -208,14 +236,11 @@ class _Parser:
         self.expect("lparen", "'('")
         args = []
         if self.current.kind != "rparen":
-            first = name == "piecewise"
-            while True:
-                args.append(self.condition() if first else self.expr())
-                first = False
-                if self.current.kind == "comma":
-                    self.advance()
-                    continue
-                break
+            first = self.condition if name == "piecewise" else self.expr
+            args.append(self.nested(first, name_tok))
+            while self.current.kind == "comma":
+                self.advance()
+                args.append(self.nested(self.expr, name_tok))
         self.expect("rparen", "')'")
         lo, hi = BUILTINS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
@@ -225,7 +250,7 @@ class _Parser:
                        name_tok)
         if name == "piecewise" and not isinstance(args[0], Cmp):
             self.error("piecewise condition must be a comparison", name_tok)
-        return Call(name, tuple(args), Span(name_tok.line, name_tok.column))
+        return self.joined(Call, name_tok, name, *args)
 
     def condition(self):
         left = self.expr()
@@ -233,7 +258,7 @@ class _Parser:
             return left     # arity/shape validation happens in the caller
         op = self.advance()
         right = self.expr()
-        return Cmp(op.text, left, right, Span(op.line, op.column))
+        return self.joined(Cmp, op, op.text, left, right)
 
 
 def parse_expression(src: str):

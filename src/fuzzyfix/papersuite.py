@@ -164,7 +164,7 @@ def run_example_mihet_extension(seed: int = 7) -> SuiteReport:
     pairs = [(1.0, 1.0 + d / 2) for d in deltas]
     pairs += [(float(x), float(y)) for x in np.linspace(0, 10, 41)
               for y in np.linspace(0, 10, 41) if x < y]
-    env = extract_empirical_gauge(space, T, t=1.0, pairs=pairs)
+    env = extract_empirical_gauge(space, T, pairs, t=1.0)
     env_vals = [env.eval(1.0 / (2.0 + d / 2.0)) for d in deltas]
     report.check("envelope-pinned-at-half",
                  "envelope equals 1/2 exactly where the witness pairs "

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import DomainError, Gauge, _parse_number, gauge, tnorm
 from .contractions import SelfMap, self_map, table_map
 from .defaults import DEFAULT_R_GRID, DEFAULT_T_GRID
-from .dynamics import MAX_I_MAX, MAX_ORBIT_LEN, Route, SolverConfig
+from .dynamics import MAX_ORBIT_LEN, Route, SolverConfig
 from .spaces import (
     Carrier,
     FuzzySpace,
@@ -242,7 +242,7 @@ def _read_table(path: str) -> tuple[list, dict]:
     in file order, to name the first bad one."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read table file {path!r}: {exc}") from None
     nodes, entries = (doc.get(key) if isinstance(doc, dict) else None
                       for key in ("t_nodes", "entries"))
@@ -326,7 +326,7 @@ _TABLE_MAP_KEYS = ("kind", "name", "mapping")
 # the solver keys other than route and x0, with their readers
 _SOLVER_SETTINGS = {"max_len": _count(MAX_ORBIT_LEN),
                     "stop_tolerance": _tolerance,
-                    "tail_tolerance": _tolerance, "i_max": _count(MAX_I_MAX),
+                    "tail_tolerance": _tolerance,
                     "alpha": _number, "beta": _number}
 
 
@@ -337,7 +337,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError([("$", f"not valid JSON: {exc}")]) from None
     if not isinstance(doc, dict):
         raise SchemaError([("$", "scenario must be a JSON object")])
@@ -421,7 +421,7 @@ _EX62 = """{
   "gauges": {"psi": "conj:eta-reciprocal:step-phi"},
   "grids": {"t": "log:1:100:40", "r": "default"},
   "solver": {"route": "cm-strong", "x0": 0.7, "max_len": 10000,
-             "stop_tolerance": 1e-9, "tail_tolerance": 1e-6, "i_max": 50}
+             "stop_tolerance": 1e-9, "tail_tolerance": 1e-6}
 }"""
 
 # Four points with exponential nearness and the cyclic map that contracts

@@ -184,10 +184,10 @@ class FuzzySpace:
     ordered by nearness bit for bit.  A ``max-jachymski`` carrier with a
     negative point declares none, since t + d can reach 0 there, and
     neither does a table space.  The checks that use the order key on this
-    declaration alone: the threshold-implication check, which evaluates
-    each scale at the pair sample's distinct distances only, and the
-    probe, both confirming the order at each scale; the all-pairs Cauchy
-    tails; and the positivity axiom.
+    declaration alone: the threshold-implication check and the Cauchy
+    criterion, which evaluate each scale at the distinct distances only,
+    confirming the order at each scale; the all-pairs Cauchy tails; and the
+    positivity axiom.
     """
 
     carrier: Carrier

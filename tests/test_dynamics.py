@@ -138,7 +138,7 @@ class TestPicardOrbit:
 class TestRegularity:
     def test_stabilized_orbit_plain_and_uniform(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
-        report = regularity_check(quad_space, trace, 50)
+        report = regularity_check(quad_space, trace)
         assert report.plain_all
         assert report.uniform
         assert report.uniform_sup_deficit == 0.0
@@ -146,10 +146,11 @@ class TestRegularity:
     def test_ray_orbit_plain_holds_uniform_fails(self, ray_space, step_map):
         trace = picard_orbit(ray_space, step_map, 0.7, max_len=60,
                              t_grid=GRID_1_100)
-        report = regularity_check(ray_space, trace, 50)
+        report = regularity_check(ray_space, trace)
         assert report.plain_all            # deficits shrink like 1/n
         assert not report.uniform          # sup over shrinking scales stays large
-        # the sup at truncation is attained at the smallest scale 1/50;
+        # the sup at truncation is attained at the smallest scale
+        # t0 / UNIFORM_SCALES = 1/50;
         # the final step pair is (x_59, x_60) with distance x_59 = 1/60
         d = 1 / (trace.length - 1)
         expected = d / (1 / 50 + d)
@@ -157,15 +158,15 @@ class TestRegularity:
 
     def test_constant_trace_uniform(self, quad_space):
         trace = OrbitTrace.from_points(quad_space, [2.0] * 10, GRID_1_100)
-        report = regularity_check(quad_space, trace, 50)
+        report = regularity_check(quad_space, trace)
         assert report.plain_all and report.uniform
 
     def test_uniform_implies_plain_on_scale_sequence(self, quad_space, perm_map):
         trace = picard_orbit(quad_space, perm_map, 1, t_grid=GRID_1_100)
-        report = regularity_check(quad_space, trace, 20)
+        report = regularity_check(quad_space, trace)
         assert report.uniform
         follow = regularity_check(
-            quad_space, rescaled(quad_space, trace, report.scale_sequence), 20)
+            quad_space, rescaled(quad_space, trace, report.scale_sequence))
         assert follow.plain_all
 
     def test_short_trace_rejected(self, quad_space):
@@ -566,9 +567,9 @@ class TestCriterionCutSearch:
         assert {rec["N"] for rec in cert.records} > {0}
         assert len(built) == 1 and calls == [n_pairs]
 
-    def test_m_cauchy_witness_is_first_tied_minimal_pair(self):
-        # (0, 3) and (1, 2) tie for the least nearness; row-major order over
-        # the upper triangle reaches (0, 3) first, column-major (1, 2)
+    def test_m_cauchy_witness_is_the_last_certified_pair(self):
+        # (0, 3) and (1, 2) are the least near pairs, but the last cut
+        # keeps only the last pair, (2, 3), which refutes r = 0.5 alone
         space = table_fuzzy_metric(
             Carrier.finite([0, 1, 2, 3]), (1.0,),
             {(0, 1): (0.9,), (0, 2): (0.9,), (0, 3): (0.2,),
@@ -576,8 +577,9 @@ class TestCriterionCutSearch:
         trace = OrbitTrace.from_points(space, [0, 1, 2, 3], (1.0,))
         cert = m_cauchy_check(space, trace, r_grid=(0.5,))
         assert cert.verdict is CauchyVerdict.VIOLATED
-        assert cert.witness == {"t": 1.0, "r": 0.5, "n": 0, "m": 3,
-                                "nearness": 0.2}
+        assert cert.witness == {"t": 1.0, "r": 0.5, "n": 2, "m": 3,
+                                "nearness": 0.4}
+        assert space.m(2, 3, 1.0) == 0.4 <= 1.0 - 0.5
 
 
 def _per_threshold_criterion(space, trace, params=None, r_grid=None):
@@ -872,7 +874,7 @@ class TestContractionTraceInvariants:
                                  t_grid=GRID_1_100)
             if trace.length < 3:
                 continue
-            rep = regularity_check(quad_space, trace, 20)
+            rep = regularity_check(quad_space, trace)
             assert rep.plain_all
 
     def test_cm_map_traces_on_strong_space_certified(self, quad_space,
@@ -1020,10 +1022,11 @@ def _reference_m_cauchy(space, trace, r_grid=None):
             if valid.size:
                 cert.records.append({"t": t, "r": r, "N": int(idx[valid[0]])})
             else:
-                i, j = np.unravel_index(np.argmin(upper), upper.shape)
+                # the last pair, which every cut keeps
                 cert.verdict = CauchyVerdict.VIOLATED
-                cert.witness = {"t": t, "r": r, "n": int(idx[i]),
-                                "m": int(idx[j]), "nearness": float(near[i, j])}
+                cert.witness = {"t": t, "r": r, "n": int(idx[-2]),
+                                "m": int(idx[-1]),
+                                "nearness": float(near[-2, -1])}
                 return cert
     return cert
 
@@ -1326,8 +1329,8 @@ class TestOrbitWorkCounts:
 
     def test_m_cauchy_evaluates_one_widest_pair_per_cut(self, monkeypatch):
         # the subsample's 511 cuts, each its tail's widest pair, prepared
-        # once and evaluated in one block of all 40 scales; the upper
-        # triangle's 130,816 pairs only at a refuted scale
+        # once and evaluated in one block of all 40 scales, refuted or not:
+        # a refuted scale's witness is the last tail's pair
         sc = load_scenario("ex62")
         space = sc.build_space()
         points = 1.0 / np.arange(1, 10002)
@@ -1342,8 +1345,12 @@ class TestOrbitWorkCounts:
         count.scales.clear()
         cert = m_cauchy_check(space, trace, (0.5, 1e-9))
         assert cert.verdict is CauchyVerdict.VIOLATED
-        assert count.pairs == [511, n * (n - 1) // 2] == [511, 130816]
-        assert count.scales == [511 * 40, 130816]
+        assert count.pairs == [511]
+        assert count.scales == [511 * 40]
+        w = cert.witness
+        assert (w["n"], w["m"]) == (9980, 10000)
+        assert (space.m(points[w["n"]], points[w["m"]], w["t"])
+                == w["nearness"] <= 1.0 - w["r"])
 
     def test_g_cauchy_reads_the_gap_one_series_from_the_trace(
             self, ray_space, monkeypatch):

@@ -3,14 +3,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
 from fuzzyfix import contractions, expressions
+from fuzzyfix.algebra import DomainError
 from fuzzyfix.contractions import self_map
 from fuzzyfix.expressions import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Cmp,
@@ -301,3 +303,57 @@ def test_expression_map_compiles_once(monkeypatch):
     assert (len(parses), len(compiles), len(nodes)) == (1, 1, 6)
     assert [float.hex(v) for v in images[:7]] == \
         [float.hex(x / (1 + 2 * x)) for x in xs.tolist()]
+
+
+# Texts that reach the depth cap, one per way of nesting: a left-deep sum
+# and a right-deep power (trees n deep), and parentheses and calls (n open)
+_SUM = lambda n: "+".join(["x"] * n)
+_POWER = lambda n: "^".join(["x"] * n)
+_PARENS = lambda n: "(" * n + "x" + ")" * n
+_CALLS = lambda n: "max(x, " * n + "x" + ")" * n
+
+
+@pytest.mark.parametrize("text, deeper, column", [
+    # the column of the operator, parenthesis or call that passes the cap
+    (_SUM(MAX_DEPTH), _SUM(MAX_DEPTH + 1), 2 * MAX_DEPTH),
+    (_POWER(MAX_DEPTH), _POWER(MAX_DEPTH + 1), 2),
+    (_PARENS(MAX_DEPTH), _PARENS(MAX_DEPTH + 1), MAX_DEPTH + 1),
+    (_CALLS(MAX_DEPTH - 1), _CALLS(MAX_DEPTH), 1)],
+    ids=["sum", "power", "parens", "calls"])
+def test_depth_cap_is_reached_and_not_passed(text, deeper, column):
+    assert evaluate(parse_expression(text), 1.0) >= 1.0
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(deeper)
+    assert str(exc.value) == (f"expression nests deeper than {MAX_DEPTH} "
+                              f"levels (line 1, column {column})")
+
+
+_TOKENS = ("x", "y", "0", "1", "2.5", ".5", "1e308", "min", "max", "exp",
+           "ln", "abs", "piecewise", "+", "-", "*", "/", "^", "<", "<=", ">",
+           ">=", "==", "(", "(", ")", ")", ",", " ", "\n", "#")
+
+
+@given(text=st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join)
+       | TREES.map(pretty))
+@example(text=_SUM(1000))
+@example(text=_POWER(1000))
+@example(text=_PARENS(250))
+@example(text=_CALLS(300))
+@example(text="piecewise(" * 60 + "x < 1, x, x)" + " < 1, x, x)" * 59)
+@example(text=_SUM(MAX_DEPTH))
+@example(text=_PARENS(MAX_DEPTH))
+@example(text=_CALLS(MAX_DEPTH - 1))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_expression_texts_never_crash(text):
+    # drawn from the language's own tokens, or printed from a tree: a text
+    # builds a map or is refused, and a map takes a point to a float or
+    # refuses it, with DomainError alone
+    try:
+        T = self_map("expr:" + text)
+    except DomainError:
+        return
+    for x in (0.0, 0.5, -1.0, 1e308):
+        try:
+            assert isinstance(T(x), float)
+        except DomainError:
+            pass

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import shlex
 import sys
 from pathlib import Path
 from unittest import mock
@@ -16,7 +18,6 @@ from fuzzyfix import scenario as scenario_mod
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.cli import main, run_command
 from fuzzyfix.dynamics import (
-    MAX_I_MAX,
     MAX_ORBIT_LEN,
     OrbitTrace,
     SolverConfig,
@@ -25,6 +26,7 @@ from fuzzyfix.dynamics import (
     regularity_check,
     solve_fixed_point,
 )
+from fuzzyfix.expressions import MAX_DEPTH
 from fuzzyfix.scenario import (
     MAX_GRID_POINTS,
     SCENARIO_LIBRARY,
@@ -156,7 +158,7 @@ class TestScenarioParsing:
         assert sc.solver_config().max_len == 10000
         assert sc.solver == {"route": "cm-strong", "x0": 0.7, "max_len": 10000,
                              "stop_tolerance": 1e-9, "tail_tolerance": 1e-6,
-                             "i_max": 50, "alpha": 0.0, "beta": 0.0}
+                             "alpha": 0.0, "beta": 0.0}
 
     def test_table_space_from_path(self, tmp_path):
         table = tmp_path / "nearness.json"
@@ -204,7 +206,6 @@ MALFORMED = {
     "max-len-boolean": ("solver.max_len", {"solver.max_len": True}),
     "max-len-above-cap": ("solver.max_len",
                           {"solver.max_len": MAX_ORBIT_LEN + 1}),
-    "i-max-above-cap": ("solver.i_max", {"solver.i_max": MAX_I_MAX + 1}),
     "interval-samples-above-cap": ("space.carrier", {"space.carrier": {
         "kind": "interval", "low": 0, "high": 1,
         "samples": MAX_CARRIER_SAMPLES + 1}}),
@@ -233,6 +234,7 @@ MALFORMED = {
     "grid-boolean": ("grids.t", {"grids.t": [True, 2]}),
     "grid-numeric-string": ("grids.r", {"grids.r": ["0.5"]}),
     "solver-unknown-key": ("solver.max-len", {"solver.max-len": 3}),
+    "solver-i-max-unknown": ("solver.i_max", {"solver.i_max": 50}),
     "grids-unknown-key": ("grids.s", {"grids.s": "default"}),
     "space-unknown-key": ("space.metric", {"space.metric": "euclidean"}),
     "carrier-unknown-key": ("space.carrier.step", {"space.carrier.step": 1}),
@@ -304,7 +306,7 @@ def test_every_documented_key_is_known(tmp_path):
     doc["grids"] = {"t": [1.0, 2.0], "r": "default"}
     doc["solver"] = {"route": "m-final", "x0": 1, "max_len": 10,
                      "stop_tolerance": 1e-9, "tail_tolerance": 1e-6,
-                     "i_max": 5, "alpha": 2, "beta": 2}
+                     "alpha": 2, "beta": 2}
     sc = parse_scenario(json.dumps(doc))
     assert sc.solver["max_len"] == 10 and sc.map.name == "cycle"
 
@@ -800,10 +802,6 @@ class TestCli:
                                side_effect=AssertionError):
             with pytest.raises(DomainError, match="max_len must be at most"):
                 picard_orbit(sc.space, sc.map, 0.7, MAX_ORBIT_LEN + 1)
-        trace = OrbitTrace.from_points(sc.space, [0.5, 0.25, 0.125], sc.t_grid)
-        with pytest.raises(DomainError, match=(
-                f"i_max must be at most {MAX_I_MAX}, got {MAX_I_MAX + 1}")):
-            regularity_check(sc.space, trace, MAX_I_MAX + 1)
         # the caps themselves are accepted
         assert len(Carrier.interval(0, 1, MAX_CARRIER_SAMPLES).points) == (
             MAX_CARRIER_SAMPLES)
@@ -812,11 +810,9 @@ class TestCli:
             MAX_GRID_POINTS)
         assert len(errors) == 2
         doc = json.loads(SCENARIO_LIBRARY["ex62"])
-        doc["solver"].update(max_len=MAX_ORBIT_LEN, i_max=MAX_I_MAX)
-        solver = parse_scenario(json.dumps(doc)).solver
-        assert (solver["max_len"], solver["i_max"]) == (MAX_ORBIT_LEN,
-                                                        MAX_I_MAX)
-        assert regularity_check(sc.space, trace, MAX_I_MAX)
+        doc["solver"].update(max_len=MAX_ORBIT_LEN)
+        assert parse_scenario(json.dumps(doc)).solver["max_len"] == (
+            MAX_ORBIT_LEN)
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tolerance_that_cannot_fail_a_check_exits_two(self, tmp_path,
@@ -887,6 +883,40 @@ class TestCli:
         assert code == 2
         assert out.startswith("error: map expr:x^0.5 cannot be evaluated at")
         assert "power failed" in out and "(line 1, column 2)" in out
+        assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, column", [
+        # the operator whose tree passes the cap, and the parenthesis
+        ("+".join(["x"] * 1000), 2 * MAX_DEPTH),
+        ("(" * 250 + "x" + ")" * 250, MAX_DEPTH + 1)])
+    def test_expression_deeper_than_the_cap_exits_two(self, tmp_path, text,
+                                                      column):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "interval", "low": 0, "high": 1},
+                      "fuzzy": "standard:euclidean"},
+            "map": "expr:" + text}))
+        code, out = run_command(["solve", "--scenario", str(path)])
+        assert (code, out) == (2, "schema error at map: bad expression: "
+                               f"expression nests deeper than {MAX_DEPTH} "
+                               f"levels (line 1, column {column})\n")
+
+    def test_deeply_nested_json_exits_two(self, tmp_path):
+        nested = "[" * 1000 + "]" * 1000
+        path = tmp_path / "deep.json"
+        path.write_text('{"name": %s}' % nested)
+        code, out = run_command(["check-space", "--scenario", str(path)])
+        assert code == 2
+        assert out.startswith("schema error at $: not valid JSON: ")
+        table = tmp_path / "table.json"
+        table.write_text('{"t_nodes": %s}' % nested)
+        path.write_text(json.dumps({
+            "space": {"carrier": {"kind": "finite", "points": [0, 1]},
+                      "fuzzy": f"table:{table}"}}))
+        code, out = run_command(["check-space", "--scenario", str(path)])
+        assert code == 2
+        assert out.startswith("schema error at space.fuzzy: cannot read "
+                              f"table file {str(table)!r}: ")
         assert len(out.splitlines()) == 1
 
     def test_unwritable_out_exits_two(self, tmp_path):
@@ -1067,3 +1097,17 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 2, 1, 0, 0,
                                                2, 1]
     assert "invalid choice: 'bogus'" in cached[5][2].err
+
+
+def test_readme_cli_examples_run():
+    # each line of README's CLI block exits 0, or as its comment says
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("fuzzyfix ")]
+    assert len(lines) >= 8
+    for line in lines:
+        command, _, comment = line.partition("#")
+        exits = re.search(r"exits (\d+)", comment)
+        code, out = run_command(shlex.split(command)[1:])
+        assert code == (int(exits.group(1)) if exits else 0), (line, out)
