@@ -402,14 +402,13 @@ class MembershipCertificate:
     tau_resolution: float
     records: list[dict] = field(default_factory=list)
     witness: Optional[dict] = None
-    note: str = CERTIFICATE_NOTE
 
     def to_dict(self) -> dict:
         return {"gauge": self.gauge_name, "class": self.class_tag.value,
                 "verdict": self.verdict.value, "grid": list(self.grid),
                 "tau_resolution": self.tau_resolution,
                 "records": self.records, "witness": self.witness,
-                "note": self.note}
+                "note": CERTIFICATE_NOTE}
 
 
 def _sample_counts(width, resolution):
@@ -635,17 +634,6 @@ def _check_h(g: Gauge, grid, resolution: float) -> MembershipCertificate:
 MAX_DENSE_TAU_SAMPLES = 10**6
 
 
-def _tau_sample_count(resolution: float) -> float:
-    """len(np.arange(resolution, 1.0, resolution)) for a positive
-    resolution, without building the grid: numpy takes the ceiling of the
-    span over the step.  An infinite quotient counts as infinitely many
-    samples and a NaN one (an infinite resolution) as none."""
-    quotient = (1.0 - resolution) / resolution
-    if not quotient > 0:
-        return 0
-    return math.ceil(quotient) if math.isfinite(quotient) else math.inf
-
-
 def class_membership(g: Gauge, class_tag: ClassTag,
                      r_grid: Optional[Sequence[float]] = None,
                      tau_resolution: float = DEFAULT_TAU_RESOLUTION,
@@ -675,13 +663,14 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     """
     if not tau_resolution > 0:
         raise DomainError("tau_resolution must be positive")
-    samples = _tau_sample_count(tau_resolution)
-    if samples < 2:
+    # np.arange(r, 1, r) holds ceil(quotient) samples; NaN when r is inf
+    quotient = (1.0 - tau_resolution) / tau_resolution
+    if not quotient > 1:
         # the checks sample tau on this grid; one sample is no evidence
         raise DomainError(f"tau_resolution {tau_resolution!r} leaves fewer "
                           f"than two tau samples in (0, 1)")
     if (class_tag in (ClassTag.PSI, ClassTag.H)
-            and samples > MAX_DENSE_TAU_SAMPLES):
+            and quotient > MAX_DENSE_TAU_SAMPLES):
         raise DomainError(f"tau_resolution {tau_resolution!r} needs more than "
                           f"{MAX_DENSE_TAU_SAMPLES} tau samples in (0, 1)")
     if class_tag in (ClassTag.PSI1, ClassTag.PSI):

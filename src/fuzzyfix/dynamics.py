@@ -211,8 +211,6 @@ def _tail_converges_to_zero(d: np.ndarray, tol: float) -> bool:
     nonincreasing and still shrinking by ``TREND_DECAY`` across the second
     half of the window.
     """
-    if d.size == 0:
-        return True
     if d[-1] <= tol:
         return True
     if d.size < 4:
@@ -225,9 +223,7 @@ def _tail_converges_to_zero(d: np.ndarray, tol: float) -> bool:
 
 @dataclass
 class RegularityReport:
-    t_grid: tuple[float, ...]
     scale_sequence: tuple[float, ...]
-    tail_tolerance: float
     plain: dict
     uniform_sup_deficit: float
     uniform: bool
@@ -235,15 +231,6 @@ class RegularityReport:
     @property
     def plain_all(self) -> bool:
         return all(self.plain.values())
-
-    def to_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid),
-                "scale_sequence": list(self.scale_sequence),
-                "tail_tolerance": self.tail_tolerance,
-                "plain": {str(k): v for k, v in self.plain.items()},
-                "plain_all": self.plain_all,
-                "uniform_sup_deficit": self.uniform_sup_deficit,
-                "uniform": self.uniform}
 
 
 def regularity_check(space: FuzzySpace, trace: OrbitTrace,
@@ -268,8 +255,7 @@ def regularity_check(space: FuzzySpace, trace: OrbitTrace,
     seq = tuple(trace.t_grid[0] / i for i in range(1, UNIFORM_SCALES + 1))
     a, b = trace.points[-2], trace.points[-1]
     sup = float((1.0 - space.m(a, b, np.array(seq))).max())
-    return RegularityReport(trace.t_grid, seq, tail_tolerance, plain, sup,
-                            sup <= tail_tolerance)
+    return RegularityReport(seq, plain, sup, sup <= tail_tolerance)
 
 
 class CauchyKind(Enum):
@@ -281,7 +267,6 @@ class CauchyKind(Enum):
 class CauchyVerdict(Enum):
     HOLDS_ON_PREFIX = "holds_on_prefix"
     VIOLATED = "violated"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -313,8 +298,8 @@ PAIR_CERT_CAP = 512
 def _cert_indices(length: int) -> np.ndarray:
     if length <= PAIR_CERT_CAP:
         return np.arange(length)
-    idx = np.unique(np.round(np.linspace(0, length - 1, PAIR_CERT_CAP)))
-    return idx.astype(int)
+    # the step exceeds 1, so the rounded indices strictly increase
+    return np.round(np.linspace(0, length - 1, PAIR_CERT_CAP)).astype(int)
 
 
 def m_cauchy_check(space: FuzzySpace, trace: OrbitTrace,

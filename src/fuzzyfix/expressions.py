@@ -14,7 +14,8 @@ only valid as the first argument of ``piecewise``.  The one variable is
 ``x``, the point an ``expr:`` self-map maps.  There is no recursion and no
 looping; evaluation is total on the declared domain or raises a domain
 error carrying the source span.  A text deeper than ``MAX_DEPTH`` is
-refused at the token that passes it, before the parser recurses there.
+refused at the token that passes it, before the parser recurses there; a
+tree built deeper, at its first node past the cap, before any recursion.
 
 A tree is compiled once into nested closures of one float, one per node,
 and a call runs only the float operations of the nodes it reaches:
@@ -233,7 +234,7 @@ class _Parser:
         name = name_tok.text
         if name not in BUILTINS:
             self.error(f"unknown identifier {name!r}", name_tok)
-        self.expect("lparen", "'('")
+        self.advance()                      # the '(' that led base here
         args = []
         if self.current.kind != "rparen":
             first = self.condition if name == "piecewise" else self.expr
@@ -244,8 +245,7 @@ class _Parser:
         self.expect("rparen", "')'")
         lo, hi = BUILTINS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
-            expected = str(lo) if hi == lo else (f"at least {lo}" if hi is None
-                                                 else f"{lo} to {hi}")
+            expected = str(lo) if hi == lo else f"at least {lo}"
             self.error(f"{name} takes {expected} argument(s), got {len(args)}",
                        name_tok)
         if name == "piecewise" and not isinstance(args[0], Cmp):
@@ -273,7 +273,20 @@ def evaluate(tree, x: float) -> float:
     :class:`ExpressionError` for domain failures (division by zero, log of
     a nonpositive value, overflow, a power with no real value).
     """
+    _check_depth(tree)
     return _compile(tree)(float(x))
+
+
+def _check_depth(tree) -> None:
+    """Raise at the first node deeper than ``MAX_DEPTH``, without recursing."""
+    level = [tree]
+    for _ in range(MAX_DEPTH):
+        level = [child for node in level for child in (
+            (node.left, node.right) if isinstance(node, (BinOp, Cmp))
+            else node.args if isinstance(node, Call) else ())]
+    if level:
+        span = getattr(level[0], "span", Span())
+        raise ExpressionError(_TOO_DEEP, span.line, span.column)
 
 
 def _compile(tree) -> Callable[[float], float]:
@@ -358,15 +371,20 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 def pretty(tree) -> str:
     """Canonical fully parenthesised rendering; reparsing yields the same tree."""
+    _check_depth(tree)
+    return _pretty(tree)
+
+
+def _pretty(tree) -> str:
     if isinstance(tree, Num):
         return repr(tree.value)
     if isinstance(tree, Var):
         return "x"
     if isinstance(tree, BinOp):
-        return f"({pretty(tree.left)} {tree.op} {pretty(tree.right)})"
+        return f"({_pretty(tree.left)} {tree.op} {_pretty(tree.right)})"
     if isinstance(tree, Cmp):
         # comparisons live only at the head of a piecewise and take no parens
-        return f"{pretty(tree.left)} {tree.op} {pretty(tree.right)}"
+        return f"{_pretty(tree.left)} {tree.op} {_pretty(tree.right)}"
     if isinstance(tree, Call):
-        return f"{tree.name}({', '.join(pretty(a) for a in tree.args)})"
+        return f"{tree.name}({', '.join(_pretty(a) for a in tree.args)})"
     raise TypeError(f"not an expression node: {tree!r}")

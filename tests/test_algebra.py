@@ -23,7 +23,6 @@ from fuzzyfix.algebra import (
     Verdict,
     _step_phi_fn,
     _step_psi_fn,
-    _tau_sample_count,
     class_membership,
     conjugate_gauge,
     eta_neglog,
@@ -309,6 +308,19 @@ class TestGenerators:
         cert = class_membership(bad, ClassTag.H)
         assert cert.verdict is Verdict.NON_MEMBER
 
+    @pytest.mark.parametrize("fn, verdict, witness", [
+        (lambda t: 1.0 / t, Verdict.NON_MEMBER,
+         {"reason": "eta(1) != 0", "value": 1.0}),
+        (lambda t: 1.0 - t, Verdict.INCONCLUSIVE,
+         {"reason": "unbounded growth not evident at resolution",
+          "value_at_min_tau": 1.0 - 1e-4})],
+        ids=["reciprocal", "linear"])
+    def test_h_class_shape_beyond_decrease(self, fn, verdict, witness):
+        # both decrease strictly: 1/t misses eta(1) = 0, and 1 - t is
+        # bounded near 0, which no sample can tell from slow growth
+        cert = class_membership(Gauge("eta", GaugeDomain.ETA, fn), ClassTag.H)
+        assert (cert.verdict, cert.witness) == (verdict, witness)
+
 
 class TestConjugation:
     # composition oracle, worked by hand:
@@ -364,6 +376,16 @@ class TestClassMembership:
         cert = class_membership(step_psi(), ClassTag.PSI1)
         assert cert.verdict is Verdict.MEMBER
         assert len(cert.records) == 19
+
+    def test_decreasing_gauge_not_in_psi(self):
+        g = Gauge("fall", GaugeDomain.PSI, lambda t: 1.0 - t / 2)
+        cert = class_membership(g, ClassTag.PSI)
+        assert cert.verdict is Verdict.NON_MEMBER
+        w = cert.witness
+        assert (w["reason"], w["tau"], w["next_tau"]) == (
+            "not nondecreasing", 1e-4, 2e-4)
+        assert w["values"] == [g(w["tau"]), g(w["next_tau"])]
+        assert w["values"][1] < w["values"][0]
 
     @pytest.mark.parametrize("resolution", [1e-4, 0.02])
     def test_step_psi_not_in_psi(self, resolution):
@@ -452,9 +474,19 @@ class TestClassMembership:
     @given(st.floats(min_value=1e-6, max_value=3.0)
            | st.sampled_from((1e-4, 7e-4, 1.1e-4, 3e-3, 1.1e-2, 0.01, 0.02,
                               0.45, 0.5, 0.7, 1.0, 1e-6)))
-    def test_tau_sample_count_is_the_grid_length(self, resolution):
-        assert _tau_sample_count(resolution) == len(
-            np.arange(resolution, 1.0, resolution))
+    def test_fewer_than_two_tau_samples_is_the_grid_length(self, resolution):
+        # the gauge raises at its first evaluation, which only an accepted
+        # resolution reaches
+        class Evaluated(Exception):
+            pass
+
+        def fn(tau):
+            raise Evaluated
+        few = len(np.arange(resolution, 1.0, resolution)) < 2
+        with pytest.raises(DomainError if few else Evaluated) as exc:
+            class_membership(Gauge("sentinel", GaugeDomain.PSI, fn),
+                             ClassTag.PSI, tau_resolution=resolution)
+        assert not few or "fewer than two" in str(exc.value)
 
     def test_two_tau_samples_suffice(self):
         assert len(np.arange(0.45, 1.0, 0.45)) == 2

@@ -1040,6 +1040,27 @@ class TestMContractive:
         # ex63 needs no shift beyond 0 of its 4; the piecewise map needs two
         assert deepest_shifts == [0, 2]
 
+    def test_search_form_refutes_the_identity(self):
+        # the identity improves no pair at any shift, so no window below
+        # 1 - r holds a pair that reaches it, and on an interval carrier a
+        # window without one is no evidence
+        space = standard_fuzzy_metric(Carrier.interval(0, 10, 101),
+                                      metric("euclidean"))
+        T = self_map("identity")
+        params = MParams(0, 0)
+        report = m_contractive_check(space, T, params, t_grid=[1e-6],
+                                     r_grid=[0.5])
+        cond = report.condition("iterate-threshold-implication")
+        assert cond.status is CheckStatus.VIOLATED and cond.records == []
+        w = cond.witness
+        assert w == {"x": 0.0, "y": 1e-4, "t": 1e-6, "r": 0.5}
+        # replayed by scalar calls: every shift maps the pair to itself, so
+        # its blend and its images' nearness are its own, below 1 - r
+        x, y, t = w["x"], w["y"], w["t"]
+        near = space.m(x, y, t)
+        assert m_value(space, T, params, x, y, t) == near
+        assert space.m(T(x), T(y), t) == near < 1.0 - w["r"]
+
     def test_zero_exponents_agree_with_onesided_cm(self, quad_space):
         T = self_map("const:0")
         a = m_contractive_check(quad_space, T, MParams(0, 0),

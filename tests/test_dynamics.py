@@ -174,6 +174,21 @@ class TestRegularity:
         with pytest.raises(DomainError):
             regularity_check(quad_space, trace)
 
+    @pytest.mark.parametrize("steps", [[0.5, 0.2, 0.01],
+                                       [1, 0.5, 0.25, 0.01, 0.0011, 0.0012]],
+                             ids=["three-steps", "rising-tail"])
+    def test_shrinking_tail_without_a_trend_is_not_regular(self, line_space,
+                                                           steps):
+        # the last deficit is within TREND_DECAY of the second half's first,
+        # but three values are too few for a trend, and a rising tail is none
+        trace = OrbitTrace.from_points(line_space, np.cumsum([0.0, *steps]),
+                                       [1.0])
+        deficits = 1.0 - trace.step_nearness[:, 0]
+        assert deficits[-1] <= (dynamics.TREND_DECAY
+                                * deficits[deficits.size // 2])
+        assert deficits[-1] > dynamics.DEFAULT_TAIL_TOLERANCE
+        assert regularity_check(line_space, trace).plain == {1.0: False}
+
     def test_each_scale_reads_its_own_column(self, ray_space):
         # plain-regular at the larger grid scales only, so a column read at
         # another scale changes the verdicts
@@ -910,6 +925,15 @@ class TestSolver:
                                        cfg)
             assert result.fixed_point == 0.0
             assert result.converged
+
+    def test_finite_orbit_short_of_a_fixed_point_is_diagnosed(self):
+        sc = load_scenario("ex63")
+        cfg = dataclasses.replace(sc.solver_config(), max_len=1)
+        result = solve_fixed_point(sc.build_space(), sc.build_map(), 5.0,
+                                   sc.route, cfg)
+        assert result.audit_passed and result.trace.points == (5.0, 2.0)
+        assert not result.converged and result.fixed_point is None
+        assert result.diagnosis == "no fixed point reached within 1 steps"
 
     def test_quad_cm_route_fails_precondition(self, quad_space, perm_map):
         cfg = SolverConfig(t_grid=GRID_1_100, r_grid=SMALL_R)

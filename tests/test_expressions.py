@@ -79,6 +79,12 @@ class TestParsing:
         with pytest.raises(ExpressionError, match="needs arguments"):
             parse_expression("exp + 1")
 
+    def test_unclosed_parenthesis(self):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("(x")
+        assert str(exc.value) == ("expected ')', found 'end of input' "
+                                  "(line 1, column 3)")
+
     def test_scientific_notation(self):
         assert evaluate(parse_expression("1e-3 + 2.5E2"), 0.0) == \
             pytest.approx(250.001)
@@ -326,6 +332,32 @@ def test_depth_cap_is_reached_and_not_passed(text, deeper, column):
         parse_expression(deeper)
     assert str(exc.value) == (f"expression nests deeper than {MAX_DEPTH} "
                               f"levels (line 1, column {column})")
+
+
+def _left_deep(n):
+    """A left-deep sum n nodes deep built from the node classes, not parsed;
+    each node's span column is its depth."""
+    tree = Var(Span(1, n))
+    for depth in range(n - 1, 0, -1):
+        tree = BinOp("+", tree, Num(1.0, Span(1, depth + 1)), Span(1, depth))
+    return tree
+
+
+@pytest.mark.parametrize("show", [lambda tree: evaluate(tree, 1.0), pretty],
+                         ids=["evaluate", "pretty"])
+def test_hand_built_tree_past_the_cap_is_refused(show):
+    # refused before it is compiled or printed, at the first node past the
+    # cap, rather than with a RecursionError
+    with pytest.raises(ExpressionError) as exc:
+        show(_left_deep(2000))
+    assert str(exc.value) == (f"expression nests deeper than {MAX_DEPTH} "
+                              f"levels (line 1, column {MAX_DEPTH + 1})")
+
+
+def test_hand_built_tree_at_the_cap_evaluates_and_prints():
+    tree = _left_deep(MAX_DEPTH)
+    assert evaluate(tree, 1.0) == MAX_DEPTH
+    assert parse_expression(pretty(tree)) == tree
 
 
 _TOKENS = ("x", "y", "0", "1", "2.5", ".5", "1e308", "min", "max", "exp",

@@ -5,7 +5,8 @@ every public one is reached by the package, its own module or the
 benchmark, or is allowlisted with a reason, and so is every method and
 property of a public class and every public module-level constant; every
 defaulted parameter is passed by some caller, and by some caller as other
-than a literal equal to its default, or is allowlisted with a reason."""
+than a literal equal to its default, and every defaulted dataclass field is
+passed, assigned or replaced somewhere, or is allowlisted with a reason."""
 
 import ast
 from collections import Counter
@@ -287,6 +288,43 @@ def _literal(node):
         return _UNSEEN
 
 
+def _named(node, name: str) -> bool:
+    """Whether ``node`` is the name ``name``, bare, as an attribute or
+    called, as a decorator may be written."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None) == name
+
+
+def _unset_fields(module: str, cls: ast.ClassDef, calls: dict,
+                  assigned: set) -> list[str]:
+    """The defaulted fields of the dataclass ``cls`` that no call of the
+    class passes, nor a ``cls(...)`` call in its own class methods, and
+    that no code assigns as an attribute or passes to ``replace``.  A
+    ``field(default_factory=...)`` container is left out."""
+    if not any(_named(d, "dataclass") for d in cls.decorator_list):
+        return []
+    own = [n for fn in cls.body if isinstance(fn, ast.FunctionDef)
+           and any(_named(d, "classmethod") for d in fn.decorator_list)
+           for n in ast.walk(fn) if isinstance(n, ast.Call)
+           and isinstance(n.func, ast.Name) and n.func.id == "cls"]
+    fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)
+              and isinstance(f.target, ast.Name)]
+    unset = []
+    for i, f in enumerate(fields):
+        keys = ({k.arg for k in f.value.keywords}
+                if isinstance(f.value, ast.Call) and _named(f.value, "field")
+                else set() if f.value is None else {"default"})
+        if "default" not in keys:
+            continue
+        name = f.target.id
+        if not (any(_passed(call, i, name) is not None
+                    for call in calls.get(cls.name, []) + own)
+                or name in assigned):
+            unset.append(f"{module}:{cls.name}({name})")
+    return unset
+
+
 def unset_parameters(package: dict, bench: dict) -> list[str]:
     """Defaulted parameters of the top-level functions of the ``package``
     modules (name to source, ``__init__.py`` left out) and of the methods
@@ -294,19 +332,30 @@ def unset_parameters(package: dict, bench: dict) -> list[str]:
     ``bench`` source passes by keyword, by position or through ``*`` or
     ``**``; and knobs with one value in use, literal defaults that every
     call passing the parameter passes as a literal equal to the default.
+    The defaulted fields of their top-level dataclasses are judged by
+    :func:`_unset_fields`.
 
     A call is matched by name, whatever the object; a call of a class is a
     call of its ``__init__``, and a method's positions start after
     ``self`` or ``cls`` unless it is a static method."""
     trees = {m: ast.parse(src) for m, src in package.items()}
-    calls = _calls(list(trees.values())
-                   + [ast.parse(src) for src in bench.values()])
+    all_trees = list(trees.values()) + [ast.parse(src)
+                                        for src in bench.values()]
+    calls = _calls(all_trees)
+    # field names set after construction: as attributes, or by replace()
+    assigned = {n.attr for tree in all_trees for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)}
+    assigned |= {k.arg for call in calls.get("replace", [])
+                 for k in call.keywords}
     unset = []
     for module, tree in trees.items():
         if module == "__init__.py":
             continue
         for node in tree.body:
             owner = node.name if isinstance(node, ast.ClassDef) else None
+            if owner:
+                unset += _unset_fields(module, node, calls, assigned)
             for fn in node.body if owner else [node]:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
@@ -343,6 +392,10 @@ SET_BY_DESIGN = {
         "the scale is the function's subject, not a setting",
     "dynamics.py:cauchy_criterion_check(params)":
         "ROADMAP items 9 and 10 wire the trace checks into commands",
+    "expressions.py:BinOp(span)": "the parser builds it through cls(...) "
+                                  "in _Parser.joined",
+    "expressions.py:Cmp(span)": "the parser builds it through cls(...) "
+                                "in _Parser.joined",
 }
 
 
@@ -384,6 +437,30 @@ def test_the_check_sees_a_parameter_passed_only_as_its_default():
     # default is no literal; size only as its default, but at maybe not
     assert unset_parameters(package, bench) == ["a.py:f(y)", "a.py:f(w)",
                                                 "a.py:Box.put(size)"]
+
+
+def test_the_check_sees_an_unset_dataclass_field():
+    package = {
+        "__init__.py": "from .a import Box\n",
+        "a.py": "from dataclasses import dataclass, field\n\n\n"
+                "@dataclass(frozen=True)\nclass Box:\n    size: int\n"
+                "    kind: str = field(compare=False)\n    label: str = ''\n"
+                "    tag: str = field(default='x')\n"
+                "    items: list = field(default_factory=list)\n"
+                "    shown: bool = False\n    moved: int = 0\n"
+                "    made: int = 0\n    idle: int = 0\n\n"
+                "    @classmethod\n    def of(cls, n):\n"
+                "        return cls(n, 'k', made=1)\n\n\n"
+                "class Plain:\n    flag: bool = True\n",
+        "b.py": "import dataclasses\nfrom .a import Box\n\n\n"
+                "box = Box(1, 'k')\nbox.shown = True\n"
+                "dataclasses.replace(box, moved=2)\n",
+    }
+    bench = {"run.py": "from fuzzyfix.a import Box\n\nBox(2, 'k', 'b')\n"}
+    # label is passed, shown assigned, moved replaced and made set by the
+    # class method; items is a container, and Plain is no dataclass
+    assert unset_parameters(package, bench) == ["a.py:Box(tag)",
+                                                "a.py:Box(idle)"]
 
 
 def test_every_defaulted_parameter_is_passed():
