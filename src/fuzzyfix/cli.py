@@ -12,7 +12,9 @@ cannot be evaluated, and on a file that cannot be read or written.
 Reports carry a versioned schema; given identical inputs the
 machine-readable output is byte-identical.  With ``--format json-like``
 that output is exactly ``json.dumps(report, sort_keys=True, indent=2)``
-plus a newline, written mostly by json's C encoder.
+plus a newline, written mostly by json's C encoder; the orbit rows of
+``iterate`` go through a block writer that reads them from the trace's
+arrays, and its text form builds only the rows it prints.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .contractions import (
     m_contractive_check,
     psi_contractive_check,
 )
-from .dynamics import picard_orbit, solve_fixed_point
+from .dynamics import OrbitTrace, picard_orbit, solve_fixed_point
 from .papersuite import run_all
 from .scenario import SchemaError, load_scenario, parse_grid
 from .spaces import axiom_check
@@ -200,7 +202,8 @@ def _cmd_iterate(args, scenario):
     trace = picard_orbit(space, T, x0, max_len, tol, t_grid)
     body = {"trace": {"map": trace.map_name, "stop_reason":
                       trace.stop_reason.value, "length": trace.length,
-                      "t_grid": list(trace.t_grid), "rows": trace.rows()}}
+                      "t_grid": list(trace.t_grid),
+                      "rows": _OrbitRows(trace)}}
     return True, body
 
 
@@ -259,8 +262,66 @@ def _json_key(key) -> str:
     return json.encoder.encode_basestring_ascii(key)
 
 
+class _OrbitRows:
+    """``trace.rows()`` of an ``iterate`` report, left in the trace's arrays.
+
+    The json-like rendering writes them with :func:`_emit_rows`; the text
+    rendering builds only the rows it prints (:meth:`head`)."""
+
+    def __init__(self, trace: OrbitTrace):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return self.trace.length
+
+    def head(self, k: int) -> list[dict]:
+        """``trace.rows()[:k]``, building no other row."""
+        trace = self.trace
+        return dataclasses.replace(trace, points=trace.points[:k],
+                                   step_nearness=trace.step_nearness[:k]
+                                   ).rows()
+
+
+# _emit_rows renders this many orbit rows at a time.
+_ROW_BLOCK = 512
+
+
+def _emit_rows(trace: OrbitTrace, depth: int, out: list) -> None:
+    """Append ``trace.rows()`` rendered ``depth`` containers deep.
+
+    The text is that of :func:`_emit_json`, but it is read from the trace's
+    arrays ``_ROW_BLOCK`` rows at a time: per block one ``tolist()``, one
+    C-encoder call for the step nearness rows and one for the x values,
+    whose member texts fill a per-row template.  No list of the orbit's
+    rows or floats is built."""
+    p1, p2, p3 = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    encode = _encoder(depth + 3)
+    sep = "," + p3
+    head, tail = "{" + p2 + '"n": %d,' + p2, '"x": %s' + p1 + "}"
+    row = head + '"step_nearness": [' + p3 + "%s" + p2 + "]," + p2 + tail
+    last = head + tail
+    points, nearness = trace.points, trace.step_nearness
+    out.append("[")
+    lead = p1
+    for start in range(0, len(points), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        xs = "".join(encode(points[start:stop], 0))[1:-1].split(sep)
+        block = nearness[start:stop].tolist()
+        near = ("".join(encode(block, 0))[2:-2].split("]" + sep + "[")
+                if block else [])
+        texts = [row % r for r in zip(range(start, stop), near, xs)]
+        if len(near) < len(xs):         # the final point takes no step
+            texts.append(last % (start + len(near), xs[-1]))
+        out += (lead, ("," + p1).join(texts))
+        lead = "," + p1
+    out += (p1[:-2], "]")
+
+
 def _emit_json(obj, depth: int, out: list) -> None:
     """Append the pieces of ``obj`` rendered ``depth`` containers deep."""
+    if isinstance(obj, _OrbitRows):
+        _emit_rows(obj.trace, depth, out)
+        return
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
         out.extend(_encoder(depth)(obj, depth))
@@ -289,8 +350,9 @@ def _render_json(report: dict) -> str:
     value.  Here containers are walked in Python, but each non-empty list
     or dict whose members are all plain scalars goes whole to the C encoder
     that ``json.dumps`` uses without ``indent``, so that the floats of a
-    long orbit are written in C.  Every piece goes into one list, joined
-    once, so no level holds a copy of its subtree's text."""
+    long orbit are written in C.  Orbit rows (:class:`_OrbitRows`) go to
+    the block writer :func:`_emit_rows` instead.  Every piece goes into one
+    list, joined once, so no level holds a copy of its subtree's text."""
     out: list = []
     _emit_json(report, 0, out)
     out.append("\n")
@@ -326,23 +388,24 @@ def _render_text(report: dict) -> str:
         pad = "  " * indent
         if isinstance(obj, dict):
             for k, v in obj.items():
-                if isinstance(v, (dict, list)) and v:
+                if isinstance(v, (dict, list, _OrbitRows)) and v:
                     lines.append(f"{pad}{k}:")
                     walk(v, indent + 1)
                 else:
                     lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for item in obj[:_PREVIEW]:
+        elif isinstance(obj, (list, _OrbitRows)):
+            rows = isinstance(obj, _OrbitRows)
+            for item in obj.head(_PREVIEW) if rows else obj[:_PREVIEW]:
                 if isinstance(item, (dict, list)):
                     lines.append(f"{pad}-")
                     walk(item, indent + 1)
                 else:
                     lines.append(f"{pad}- {item}")
-            hidden = obj[_PREVIEW:]
-            if hidden:
-                lines.append(f"{pad}... ({len(hidden)} more)")
-                lines.extend(f"{pad}  {line}"
-                             for line in _hidden_tallies(hidden))
+            if len(obj) > _PREVIEW:
+                lines.append(f"{pad}... ({len(obj) - _PREVIEW} more)")
+                if not rows:            # orbit rows carry no outcome key
+                    lines.extend(f"{pad}  {line}" for line
+                                 in _hidden_tallies(obj[_PREVIEW:]))
 
     walk(report["body"])
     return "\n".join(lines) + "\n"

@@ -1228,6 +1228,22 @@ class TestEquivalenceProbe:
         assert "inconclusive" not in verdicts
         assert len(calls) == len(scenario.t_grid) * BISECT_ITERS + 1
 
+    def test_refuted_threshold_names_its_witness(self):
+        # the precondition forgives a nearness loss up to CLASS_TOL; pair
+        # (0, 1) sits within it of 1 - r and maps onto (0, 2), which misses
+        # 1 - r by more than CLASS_TOL, so r = 0.5 has no rho at all
+        table = {(0, 1): [0.5 - 0.5 * CLASS_TOL],
+                 (0, 2): [0.5 - 1.2 * CLASS_TOL], (1, 2): [0.9]}
+        carrier = Carrier.finite([0, 1, 2])
+        space = table_fuzzy_metric(carrier, [1.0], table)
+        T = table_map({0: 0, 1: 2, 2: 2}, carrier)
+        report = equivalence_probe(space, T, r_grid=[0.5], t_grid=[1.0])
+        assert not report.pointwise_satisfied
+        assert report.pointwise == [{"t": 1.0, "r": 0.5, "rho": None,
+                                     "witness": {"x": 0.0, "y": 1.0}}]
+        assert not report.uniform_satisfied
+        assert report.uniform == [{"r": 0.5, "rho": None}]
+
     def test_decreasing_map_rejected(self, quad_space, perm_map):
         with pytest.raises(PreconditionError) as exc:
             equivalence_probe(quad_space, perm_map, r_grid=SMALL_R,

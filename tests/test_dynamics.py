@@ -986,6 +986,28 @@ class TestSolver:
         assert result.converged is False
         assert result.diagnosis.startswith("orbit not yet within stop tolerance")
 
+    @pytest.mark.parametrize("max_len, passed", [(10, True), (2, False)])
+    def test_m_final_over_a_non_strong_space_audits_uniform_regularity(
+            self, quad_space, perm_map, max_len, passed):
+        # the strong flag alone turns the plain regularity audit into the
+        # uniform one; the orbit 1, 5, 2 ends on a step far from 1 at the
+        # small scales, the orbit reaching 0 is uniformly regular
+        cfg = SolverConfig(t_grid=GRID_1_100, r_grid=SMALL_R, alpha=2, beta=2,
+                           psi=gauge("power:5/7"), max_len=max_len)
+        space = dataclasses.replace(quad_space, strong=False)
+        result = solve_fixed_point(space, perm_map, 1, Route.M_FINAL, cfg)
+        conditions = [a.condition for a in result.audit]
+        assert conditions[-1] == "uniform-regularity-at-start"
+        assert "regularity-at-start" not in conditions
+        assert result.audit_passed is passed is result.converged
+        if passed:
+            assert result.failing_condition() is None
+            assert result.diagnosis is None and result.fixed_point == 0.0
+        else:
+            assert result.failing_condition() == "uniform-regularity-at-start"
+            assert result.diagnosis == ("precondition failed: "
+                                        "uniform-regularity-at-start")
+
     def test_incomplete_scenario_fails_audit(self, quad_space, perm_map):
         cfg = SolverConfig(t_grid=GRID_1_100, r_grid=SMALL_R, complete=False,
                            alpha=2, beta=2, psi=gauge("power:5/7"))

@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from fuzzyfix import cli
 from fuzzyfix import scenario as scenario_mod
 from fuzzyfix.algebra import DomainError, gauge
 from fuzzyfix.cli import main, run_command
+from fuzzyfix.contractions import table_map
 from fuzzyfix.dynamics import (
     MAX_ORBIT_LEN,
     OrbitTrace,
@@ -34,7 +36,12 @@ from fuzzyfix.scenario import (
     load_scenario,
     parse_scenario,
 )
-from fuzzyfix.spaces import MAX_CARRIER_SAMPLES, Carrier
+from fuzzyfix.spaces import (
+    MAX_CARRIER_SAMPLES,
+    Carrier,
+    exponential_fuzzy_metric,
+    metric,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1038,6 +1045,7 @@ def test_json_renderer_rejects_what_json_dumps_rejects():
 
 @pytest.mark.parametrize("argv", [
     ["iterate", "--scenario", "ex62", "--max-len", "200"],
+    ["iterate", "--scenario", "ex62", "--t-grid", "2", "--max-len", "600"],
     ["solve", "--scenario", "ex62"],
     ["solve", "--scenario", "ex63", "--t-grid", "log:0.5:50:8"],
     ["classify-map", "--scenario", "ex63", "--route", "cm"],
@@ -1047,16 +1055,173 @@ def test_json_renderer_rejects_what_json_dumps_rejects():
     ["gauge", "--scenario", "ex61", "--eval", "0.3"],
     ["paper", "--seed", "7"]])
 def test_cli_json_output_is_json_dumps_of_the_report(monkeypatch, argv):
+    out, rendered, expected = spied_render(monkeypatch, "_render_json",
+                                           argv + ["--format", "json-like"])
+    assert out == rendered == expected
+
+
+def spied_render(monkeypatch, renderer: str, argv):
+    """The output of ``argv``, what the renderer ``renderer`` returned, and
+    what it returns on the same report with the orbit rows of ``iterate``
+    built by ``OrbitTrace.rows()`` (``json.dumps`` for ``_render_json``)."""
     seen = []
-    render = cli._render_json
+    render = getattr(cli, renderer)
 
     def spy(report):
         seen.append((report, render(report)))
         return seen[-1][1]
-    monkeypatch.setattr(cli, "_render_json", spy)
-    _, out = run_command(argv + ["--format", "json-like"])
+    monkeypatch.setattr(cli, renderer, spy)
+    _, out = run_command(argv)
     [(report, rendered)] = seen
-    assert out == rendered == dumps(report)
+    trace = report["body"].get("trace")
+    if trace is not None:
+        trace["rows"] = trace["rows"].trace.rows()
+    return out, rendered, (dumps(report) if renderer == "_render_json"
+                           else render(report))
+
+
+# ---------------------------------------------------------------------------
+# iterate's orbit rows: the block writer and the text preview
+# ---------------------------------------------------------------------------
+
+EX62 = load_scenario("ex62")
+BLOCK = cli._ROW_BLOCK
+
+
+def assert_rows_render_as_json_dumps(trace: OrbitTrace):
+    """The block writer's text is ``json.dumps`` of ``trace.rows()``, at the
+    top level and where ``iterate`` puts the rows."""
+    def report(rows):
+        return {"body": {"trace": {"length": trace.length, "rows": rows}}}
+    rows = trace.rows()
+    assert cli._render_json(cli._OrbitRows(trace)) == dumps(rows)
+    assert cli._render_json(report(cli._OrbitRows(trace))) == dumps(
+        report(rows))
+
+
+def ex62_orbit(length: int, t_grid=None) -> OrbitTrace:
+    """The ex62 orbit from 0.7 with ``length`` points (no tolerance stop)."""
+    trace = picard_orbit(EX62.build_space(), EX62.build_map(), 0.7,
+                         length - 1, 0.0, t_grid or EX62.t_grid)
+    assert trace.length == length
+    return trace
+
+
+def test_block_writer_on_a_start_fixed_trace():
+    trace = picard_orbit(EX62.build_space(), EX62.build_map(), 0.0)
+    assert trace.length == 1 and trace.step_nearness.shape == (0, 40)
+    assert_rows_render_as_json_dumps(trace)
+
+
+@pytest.mark.parametrize("length", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                                    2 * BLOCK, 3 * BLOCK + 7])
+def test_block_writer_across_block_boundaries(length):
+    assert_rows_render_as_json_dumps(ex62_orbit(length))
+
+
+@pytest.mark.parametrize("length", [1, 2, BLOCK + 1])
+def test_block_writer_on_one_scale(length):
+    trace = OrbitTrace.from_points(
+        EX62.build_space(), ex62_orbit(BLOCK + 1).points[:length], [2.0])
+    assert trace.step_nearness.shape == (length - 1, 1)
+    assert_rows_render_as_json_dumps(trace)
+
+
+def test_block_writer_on_extreme_floats():
+    points = [-0.0, 1e16, 5e-324, -1.5e308, 1 / 3, 5e-324, 0.1] * 80
+    space = exponential_fuzzy_metric(
+        Carrier.finite(set(points)), metric("euclidean"))
+    assert_rows_render_as_json_dumps(
+        OrbitTrace.from_points(space, points, [1e-300, 1.0, 1e300]))
+
+
+def finite_cycle(tmp_path, points, images, t_grid) -> str:
+    """A scenario file: an exponential space on ``points`` and the table map
+    sending each point to its entry in ``images``."""
+    doc = json.loads(SCENARIO_LIBRARY["ex63"])
+    doc["space"]["carrier"]["points"] = points
+    doc["map"] = {"kind": "table",
+                  "mapping": {repr(p): q for p, q in zip(points, images)}}
+    doc["grids"]["t"] = t_grid
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("max_len", ["1", "2", str(BLOCK), "1500"])
+def test_iterate_over_a_finite_carrier_is_json_dumps(tmp_path, monkeypatch,
+                                                      max_len):
+    points = [-0.0, 5e-324, 1e16, 3.0]
+    path = finite_cycle(tmp_path, points, [1e16, 3.0, 5e-324, -0.0],
+                        [1.0])
+    out, rendered, expected = spied_render(
+        monkeypatch, "_render_json", ["iterate", "--scenario", path,
+                                      "--x0", "-0.0", "--max-len", max_len,
+                                      "--format", "json-like"])
+    assert out == rendered == expected
+    rows = json.loads(out)["body"]["trace"]["rows"]
+    assert len(rows) == int(max_len) + 1
+    assert [repr(row["x"]) for row in rows[:4]] == [
+        "-0.0", "1e+16", "5e-324", "3.0"][:len(rows)]
+
+
+@given(data=st.data(),
+       points=st.lists(st.one_of(st.floats(-1e6, 1e6),
+                                 st.sampled_from([-0.0, 5e-324, 1e16])),
+                       min_size=2, max_size=6, unique=True),
+       t_grid=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+       max_len=st.one_of(st.integers(1, 30),
+                         st.integers(BLOCK - 2, 2 * BLOCK + 2)))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_block_writer_on_random_table_maps(data, points, t_grid, max_len):
+    # a cycle through every point runs to max_len; other maps may stop early
+    order = data.draw(st.permutations(points))
+    images = data.draw(st.one_of(
+        st.just(order[1:] + order[:1]),
+        st.lists(st.sampled_from(points), min_size=len(points),
+                 max_size=len(points))))
+    carrier = Carrier.finite(points)
+    space = exponential_fuzzy_metric(carrier, metric("euclidean"))
+    T = table_map(dict(zip(order, images)), carrier)
+    trace = picard_orbit(space, T, data.draw(st.sampled_from(points)),
+                         max_len, 1e-9, t_grid)
+    assert_rows_render_as_json_dumps(trace)
+
+
+def test_iterate_json_render_peak_memory():
+    argv = ["iterate", "--scenario", "ex62", "--max-len", "10000", "--format",
+            "json-like"]
+    run_command(argv)                   # caches and imports outside the bound
+    tracemalloc.start()
+    try:
+        _, out = run_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count('"n": ') == 10001
+    # the 14 MB report, its blocks' text and the trace; rendered through
+    # trace.rows() and one piece per float it peaked at about 51 MB
+    assert peak < 35e6
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--scenario", "ex62"],
+    ["iterate", "--scenario", "ex62", "--max-len", "24"],
+    ["iterate", "--scenario", "ex62", "--max-len", "23"],
+    ["iterate", "--scenario", "ex62", "--x0", "0"],
+    ["iterate", "--scenario", "ex63", "--t-grid", "1"]])
+def test_iterate_text_builds_only_the_rows_it_prints(monkeypatch, argv):
+    built = []
+    rows = OrbitTrace.rows
+
+    def counted(trace):
+        built.append(trace.length)
+        return rows(trace)
+    monkeypatch.setattr(OrbitTrace, "rows", counted)
+    out, rendered, expected = spied_render(monkeypatch, "_render_text", argv)
+    assert out == rendered == expected
+    *shown, length = built              # the last call built the expectation
+    assert shown == [min(length, cli._PREVIEW)]
 
 
 # command lines for the cached parser: options given and left out in turn,
