@@ -35,7 +35,6 @@ import numpy as np
 from .defaults import (
     BISECT_ITERS,
     CLASS_TOL,
-    DEFAULT_EPS_GRID,
     DEFAULT_TAU_RESOLUTION,
     ENDPOINT_CLAMP,
     clamp_positive_grid,
@@ -683,7 +682,7 @@ def class_membership(g: Gauge, class_tag: ClassTag,
     if class_tag is ClassTag.PHI1:
         if g.domain is not GaugeDomain.PHI:
             raise DomainError(f"{g.name} is not phi-style")
-        grid = clamp_positive_grid(r_grid if r_grid is not None else DEFAULT_EPS_GRID)
+        grid = clamp_positive_grid(r_grid)
         return _check_threshold_class(g, grid, tau_resolution, class_tag)
     if class_tag is ClassTag.H:
         if g.domain is not GaugeDomain.ETA:

@@ -36,7 +36,7 @@ from .contractions import (
 )
 from .dynamics import OrbitTrace, picard_orbit, solve_fixed_point
 from .papersuite import run_all
-from .scenario import SchemaError, load_scenario, parse_grid
+from .scenario import SchemaError, _record, load_scenario, parse_grid
 from .spaces import axiom_check
 
 REPORT_VERSION = 1
@@ -122,7 +122,7 @@ def _grids(args, scenario):
                 spec = [float(v) for v in spec.split(",")]
             except ValueError:
                 pass                   # parse_grid reports the bad spec
-        grids.append(parse_grid(spec, kind, f"--{kind}-grid", errors))
+        grids.append(_record(errors, f"--{kind}-grid", parse_grid, spec, kind))
     if errors:
         raise SchemaError(errors)
     return tuple(grids)

@@ -41,6 +41,19 @@ def _grid(values, what: str) -> tuple[float, ...]:
     return grid
 
 
+def _clamped(grid, high: float) -> tuple[float, ...]:
+    """The thresholds ``grid`` clamped into [``ENDPOINT_CLAMP``, ``high``];
+    NaN, or a value that the clamp leaves infinite, is refused."""
+    grid = _grid((min(max(float(g), ENDPOINT_CLAMP), high) for g in grid),
+                 "threshold")
+    bad = [g for g in grid if not -np.inf < g < np.inf]
+    if bad:
+        from .algebra import DomainError
+        raise DomainError(f"a threshold must be finite once clamped, "
+                          f"got {bad[0]!r}")
+    return grid
+
+
 def scale_grid(t_grid) -> tuple[float, ...]:
     """The scale grid ``t_grid`` as floats, or ``DEFAULT_T_GRID`` when it is
     None."""
@@ -50,12 +63,12 @@ def scale_grid(t_grid) -> tuple[float, ...]:
 
 def threshold_grid(r_grid) -> tuple[float, ...]:
     """The threshold grid ``r_grid`` (``DEFAULT_R_GRID`` when None), clamped
-    into the open interval (0,1)."""
-    lo, hi = ENDPOINT_CLAMP, 1.0 - ENDPOINT_CLAMP
-    grid = DEFAULT_R_GRID if r_grid is None else r_grid
-    return _grid((min(max(float(g), lo), hi) for g in grid), "threshold")
+    into the open interval (0,1); NaN is refused."""
+    return _clamped(DEFAULT_R_GRID if r_grid is None else r_grid,
+                    1.0 - ENDPOINT_CLAMP)
 
 
 def clamp_positive_grid(grid) -> tuple[float, ...]:
-    """Clamp grid values to be strictly positive."""
-    return _grid((max(float(g), ENDPOINT_CLAMP) for g in grid), "threshold")
+    """The positive thresholds ``grid`` (``DEFAULT_EPS_GRID`` when None),
+    clamped away from 0; NaN and +inf are refused."""
+    return _clamped(DEFAULT_EPS_GRID if grid is None else grid, np.inf)

@@ -1,10 +1,12 @@
 """A small arithmetic expression language for ``expr:`` self-maps.
 
-Grammar (operator precedence low to high, ``^`` right-associative):
+Grammar: ``expr := base (OP base)*``, a higher binding grouped first.
 
-    expr      := term (('+' | '-') term)*
-    term      := factor (('*' | '/') factor)*
-    factor    := base ('^' factor)?
+    operator   binding   grouping
+    + -        1         left:  a - b - c = (a - b) - c
+    * /        2         left:  a / b * c = (a / b) * c
+    ^          3         right: a ^ b ^ c = a ^ (b ^ c)
+
     base      := NUMBER | IDENT | IDENT '(' args ')' | '(' expr ')'
     condition := expr ('<' | '<=' | '>' | '>=' | '==') expr
 
@@ -37,6 +39,9 @@ from typing import Callable, Iterator, Optional
 # powers open at one of its tokens: well within Python's recursion limit.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
+
+# operator -> binding (the module docstring's table)
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 # builtin name -> (min arity, max arity or None for unbounded)
 BUILTINS = {"min": (2, None), "max": (2, None), "exp": (1, 1), "ln": (1, 1),
@@ -153,12 +158,12 @@ class _Parser:
         tok = tok or self.current
         raise ExpressionError(message, tok.line, tok.column)
 
-    def nested(self, parse: Callable, tok: _Token):
-        """``parse()`` one level deeper, opened at ``tok``."""
+    def nested(self, parse: Callable, tok: _Token, *args):
+        """``parse(*args)`` one level deeper, opened at ``tok``."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.error(_TOO_DEEP, tok)
-        node = parse()
+        node = parse(*args)
         self.depth -= 1
         return node
 
@@ -185,28 +190,18 @@ class _Parser:
             self.error(f"unexpected trailing input {self.current.text!r}")
         return tree
 
-    def expr(self):
-        node = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance()
-            right = self.term()
-            node = self.joined(BinOp, op, op.text, node, right)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance()
-            right = self.factor()
-            node = self.joined(BinOp, op, op.text, node, right)
-        return node
-
-    def factor(self):
+    def expr(self, floor: int = 1):
+        """Operands joined by the operators that bind at least ``floor``
+        (``_BINDING``), left to right; the right operand of ``^`` opens a
+        level and takes every ``^`` after it."""
         node = self.base()
-        if self.current.kind == "op" and self.current.text == "^":
+        while (self.current.kind == "op"
+               and _BINDING[self.current.text] >= floor):
             op = self.advance()
-            right = self.nested(self.factor, op)   # right-associative
-            node = self.joined(BinOp, op, "^", node, right)
+            binding = _BINDING[op.text]
+            right = (self.nested(self.expr, op, binding) if op.text == "^"
+                     else self.expr(binding + 1))
+            node = self.joined(BinOp, op, op.text, node, right)
         return node
 
     def base(self):

@@ -5,9 +5,11 @@ t-norm, completeness and strongness flags), a self-map, gauges by role,
 grids, and solver settings.  :func:`parse_scenario` decodes each section
 once into its object: the space, the map on its carrier, the gauges and
 the solver settings.  The constructors judge ids and values, four readers
-judge JSON types, a key that its object does not define is an unknown key,
-and every problem is reported with its path in one :class:`SchemaError`, a
-table file's at ``space.fuzzy``.  Three scenarios are built in: ``ex61``,
+judge JSON types and :func:`parse_grid` judges grid specs, each raising
+:class:`DomainError`, which :func:`_record` keeps at its path; a key that
+its object does not define is an unknown key.  Every problem is reported
+with its path in one :class:`SchemaError`, a table file's at
+``space.fuzzy``.  Three scenarios are built in: ``ex61``,
 ``ex62`` and ``ex63``.
 
 Grid specs are either the string ``default``, ``lin:<lo>:<hi>:<n>``,
@@ -29,7 +31,7 @@ import numpy as np
 
 from .algebra import DomainError, Gauge, _parse_number, gauge, tnorm
 from .contractions import SelfMap, self_map, table_map
-from .defaults import DEFAULT_R_GRID, DEFAULT_T_GRID
+from .defaults import scale_grid, threshold_grid
 from .dynamics import MAX_ORBIT_LEN, Route, SolverConfig
 from .spaces import (
     Carrier,
@@ -93,71 +95,56 @@ class Scenario:
 MAX_GRID_POINTS = 100
 
 
-def parse_grid(spec, kind: str, path: str, errors: list) -> tuple[float, ...]:
-    """Parse a grid spec; ``kind`` is "t" (positive) or "r" (open unit)."""
-    default = DEFAULT_T_GRID if kind == "t" else DEFAULT_R_GRID
+def parse_grid(spec, kind: str) -> tuple[float, ...]:
+    """Decode a grid spec; ``kind`` is "t" (positive) or "r" (open unit).
+
+    Raises :class:`DomainError` naming the problem; the callers keep it at
+    the spec's path through :func:`_record`, beside every other problem."""
     if spec is None or spec == "default":
-        return tuple(default)
+        return scale_grid(None) if kind == "t" else threshold_grid(None)
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 4 or parts[0] not in ("lin", "log"):
-            errors.append((path, f"bad grid spec {spec!r}; expected "
-                           "'default', 'lin:lo:hi:n', 'log:lo:hi:n' or a list"))
-            return tuple(default)
+            raise DomainError(f"bad grid spec {spec!r}; expected 'default', "
+                              "'lin:lo:hi:n', 'log:lo:hi:n' or a list")
         try:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
-            errors.append((path, f"bad grid numbers in {spec!r}"))
-            return tuple(default)
+            raise DomainError(f"bad grid numbers in {spec!r}") from None
         if n < 1 or not -np.inf < lo <= hi < np.inf:
-            errors.append((path, f"bad grid range in {spec!r}"))
-            return tuple(default)
-        if n > MAX_GRID_POINTS:
-            errors.append((path, _too_many_points(n)))
-            return tuple(default)
-        if parts[0] == "lin":
-            values = np.linspace(lo, hi, n)
-        else:
-            if lo <= 0:
-                errors.append((path, "log grid needs a positive lower bound"))
-                return tuple(default)
-            values = np.logspace(np.log10(lo), np.log10(hi), n)
-        grid = tuple(float(v) for v in values)
+            raise DomainError(f"bad grid range in {spec!r}")
     elif isinstance(spec, (list, tuple)):
-        if len(spec) > MAX_GRID_POINTS:
-            errors.append((path, _too_many_points(len(spec))))
-            return tuple(default)
-        if not spec or not _all_numbers(spec):
-            errors.append((path, "grid list must hold numbers, at least one"))
-            return tuple(default)
-        grid = tuple(float(v) for v in spec)
+        n = len(spec)
     else:
-        errors.append((path, f"bad grid spec {spec!r}"))
-        return tuple(default)
+        raise DomainError(f"bad grid spec {spec!r}")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"a grid holds at most {MAX_GRID_POINTS} points, "
+                          f"got {n}")
+    if not isinstance(spec, str):
+        if not spec or not _all_numbers(spec):
+            raise DomainError("grid list must hold numbers, at least one")
+        values = spec
+    elif parts[0] == "lin":
+        values = np.linspace(lo, hi, n)
+    elif lo <= 0:
+        raise DomainError("log grid needs a positive lower bound")
+    else:
+        values = np.logspace(np.log10(lo), np.log10(hi), n)
+    grid = tuple(float(v) for v in values)
     high, rule = (np.inf, "be positive and finite") if kind == "t" else (
         1.0, "lie in (0,1)")
     bad = [v for v in grid if not 0.0 < v < high]
     if bad:
-        errors.append((path, f"{kind} must {rule}, got {bad[0]!r}"))
+        raise DomainError(f"{kind} must {rule}, got {bad[0]!r}")
     return grid
-
-
-def _too_many_points(n: int) -> str:
-    return f"a grid holds at most {MAX_GRID_POINTS} points, got {n}"
 
 
 # Readers of JSON values: a wrong type is a DomainError naming the key.
 
-def _is_number(value) -> bool:
-    """A JSON number that converts to a float, NaN and infinities included."""
-    return isinstance(value, float) or (
-        isinstance(value, int) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max)
-
-
 def _all_numbers(values: list) -> bool:
-    """Whether every one of ``values`` decoded from JSON is a number, as
-    :func:`_is_number` judges, by one scan of their types."""
+    """Whether every one of ``values`` decoded from JSON is a number that
+    converts to a float, NaN and infinities included, by one scan of their
+    types."""
     kinds = set(map(type, values))
     return kinds <= {int, float} and (int not in kinds or all(
         abs(v) <= sys.float_info.max for v in values if type(v) is int))
@@ -171,12 +158,12 @@ def _read(value, key: str, ok: bool, expected: str):
 
 
 def _number(value, key: str) -> float:
-    return float(_read(value, key, _is_number(value) and math.isfinite(value),
-                       "a finite number"))
+    return float(_read(value, key, _all_numbers([value])
+                       and math.isfinite(value), "a finite number"))
 
 
 def _tolerance(value, key: str) -> float:
-    return float(_read(value, key, _is_number(value)
+    return float(_read(value, key, _all_numbers([value])
                        and 0.0 <= value < math.inf,
                        "a finite nonnegative number"))
 
@@ -365,8 +352,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         errors.append(("grids", "must be an object"))
         grids = {}
     errors += _unknown_keys(grids, ("t", "r"), "grids.")
-    t_grid = parse_grid(grids.get("t"), "t", "grids.t", errors)
-    r_grid = parse_grid(grids.get("r"), "r", "grids.r", errors)
+    t_grid = _record(errors, "grids.t", parse_grid, grids.get("t"), "t")
+    r_grid = _record(errors, "grids.r", parse_grid, grids.get("r"), "r")
 
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):

@@ -19,6 +19,7 @@ from fuzzyfix.algebra import (
 from fuzzyfix.cli import run_command
 from fuzzyfix.contractions import (
     cm_contractive_check,
+    equivalence_probe,
     extract_empirical_gauge,
     psi_contractive_check,
     self_map,
@@ -29,7 +30,7 @@ from fuzzyfix.dynamics import (
     m_cauchy_check,
     picard_orbit,
 )
-from fuzzyfix.scenario import SCENARIO_LIBRARY
+from fuzzyfix.scenario import SCENARIO_LIBRARY, load_scenario
 from fuzzyfix.spaces import (
     Carrier,
     exponential_fuzzy_metric,
@@ -40,6 +41,8 @@ from fuzzyfix.spaces import (
 QUAD = exponential_fuzzy_metric(Carrier.finite([0, 1, 2, 5]),
                                 metric("euclidean"))
 PERM = self_map("perm-0-1-2-5")
+EX62 = load_scenario("ex62")
+NAN = float("nan")
 DROP = object()
 
 
@@ -112,6 +115,28 @@ ERRORS = {
     "dynamics-criterion-two-points": (
         lambda: cauchy_criterion_check(QUAD, trace(1, 5)),
         "the criterion needs a trace of length >= 3"),
+    # a threshold that no clamp gives a meaning, at every entry point
+    "threshold-nan-cm-check": (
+        lambda: cm_contractive_check(QUAD, PERM, r_grid=[NAN]),
+        "a threshold must be finite once clamped, got nan"),
+    "threshold-nan-m-cauchy": (
+        lambda: m_cauchy_check(QUAD, trace(0, 1, 0, 0), r_grid=[NAN]),
+        "a threshold must be finite once clamped, got nan"),
+    "threshold-nan-criterion": (
+        lambda: cauchy_criterion_check(QUAD, trace(0, 1, 0, 0),
+                                       r_grid=[NAN]),
+        "a threshold must be finite once clamped, got nan"),
+    "threshold-nan-psi1": (
+        lambda: class_membership(power_gauge(0.5), ClassTag.PSI1,
+                                 r_grid=[NAN]),
+        "a threshold must be finite once clamped, got nan"),
+    "threshold-nan-equivalence-probe": (
+        lambda: equivalence_probe(EX62.space, EX62.map, r_grid=[NAN]),
+        "a threshold must be finite once clamped, got nan"),
+    "threshold-inf-phi1": (
+        lambda: class_membership(step_phi(), ClassTag.PHI1,
+                                 r_grid=[float("inf")]),
+        "a threshold must be finite once clamped, got inf"),
     # spaces
     "spaces-empty-finite-carrier": (lambda: Carrier.finite([]),
                                     "carrier must be nonempty"),

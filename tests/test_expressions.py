@@ -1,6 +1,8 @@
 """Tests for the expression grammar, evaluator, and pretty-printer."""
 
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -332,6 +334,21 @@ def test_depth_cap_is_reached_and_not_passed(text, deeper, column):
         parse_expression(deeper)
     assert str(exc.value) == (f"expression nests deeper than {MAX_DEPTH} "
                               f"levels (line 1, column {column})")
+
+
+@pytest.mark.parametrize("text", [_CALLS(MAX_DEPTH - 1), _PARENS(MAX_DEPTH)],
+                         ids=["calls", "parens"])
+def test_texts_at_the_cap_parse_and_evaluate_within_450_frames(text):
+    # a caller 550 frames deep still builds and evaluates them under the
+    # default limit of 1,000: the parser spends four frames per call level
+    # and three per parenthesis
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 450)
+    try:
+        assert evaluate(parse_expression(text), 1.0) == 1.0
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _left_deep(n):

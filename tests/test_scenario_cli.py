@@ -793,7 +793,6 @@ class TestCli:
                                   f"got {MAX_ORBIT_LEN + 1}\n")
 
     def test_sample_count_caps_are_judged_before_any_allocation(self):
-        errors = []
         with mock.patch.object(np, "linspace", side_effect=AssertionError), \
                 mock.patch.object(np, "logspace", side_effect=AssertionError):
             with pytest.raises(DomainError, match=(
@@ -802,8 +801,9 @@ class TestCli:
                 Carrier.interval(0, 1, MAX_CARRIER_SAMPLES + 1)
             for spec in (f"lin:1:2:{MAX_GRID_POINTS + 1}",
                          f"log:1:2:{MAX_GRID_POINTS + 1}"):
-                scenario_mod.parse_grid(spec, "t", "grids.t", errors)
-        assert len(errors) == 2
+                with pytest.raises(DomainError,
+                                   match=f"at most {MAX_GRID_POINTS} points"):
+                    scenario_mod.parse_grid(spec, "t")
         sc = load_scenario("ex62")
         with mock.patch.object(type(sc.map), "apply",
                                side_effect=AssertionError):
@@ -812,10 +812,8 @@ class TestCli:
         # the caps themselves are accepted
         assert len(Carrier.interval(0, 1, MAX_CARRIER_SAMPLES).points) == (
             MAX_CARRIER_SAMPLES)
-        assert len(scenario_mod.parse_grid(f"lin:1:2:{MAX_GRID_POINTS}", "t",
-                                           "grids.t", errors)) == (
-            MAX_GRID_POINTS)
-        assert len(errors) == 2
+        assert len(scenario_mod.parse_grid(f"lin:1:2:{MAX_GRID_POINTS}",
+                                           "t")) == MAX_GRID_POINTS
         doc = json.loads(SCENARIO_LIBRARY["ex62"])
         doc["solver"].update(max_len=MAX_ORBIT_LEN)
         assert parse_scenario(json.dumps(doc)).solver["max_len"] == (
